@@ -38,7 +38,7 @@ from .graph import (
     sum_all,
     switch,
 )
-from .inference import SampleConfig, find_hessian_diag, find_map, sample
+from .inference import SampleConfig, find_map, sample
 from .model import FreeVar, Model, ObservedVar
 from .rng import stream
 from .samplers import (
@@ -47,6 +47,7 @@ from .samplers import (
     Metropolis,
     Nuts,
     Slice,
+    hessian_diag,
     leapfrog,
     scaling_from_point,
 )
@@ -60,8 +61,8 @@ __all__ = [
     "HalfNormal", "Hmc", "MemoryBackend", "Metropolis", "Model", "Normal",
     "NormalFamily", "Nuts", "ObservedVar", "Poisson", "SampleConfig", "Slice",
     "StudentT", "TextBackend", "Trace", "Uniform", "build_model", "concat",
-    "const", "ess", "eval_expr", "exp", "find_hessian_diag", "find_map",
-    "free_input", "grad", "graph", "hpd", "lgamma", "leapfrog", "load", "log",
+    "const", "ess", "eval_expr", "exp", "find_map", "free_input", "grad",
+    "graph", "hessian_diag", "hpd", "lgamma", "leapfrog", "load", "log",
     "mc_error", "opaque_deterministic", "parse_formula", "quantiles", "sample",
     "scaling_from_point", "sigmoid", "sqrt", "stream", "sum_all", "summary",
     "switch", "traceplot_data", "write_plot_data",

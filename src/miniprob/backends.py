@@ -199,6 +199,8 @@ def load(directory: str) -> Trace:
     expected_header = ",".join(col for name, shape, _ in layout
                                for col in flat_names(name, shape))
     sizes = [int(np.prod(s, dtype=int)) if s else 1 for _, s, _ in layout]
+    convs = [np.int64 if dtype == "int" else float
+             for (_, _, dtype), size in zip(layout, sizes) for _ in range(size)]
 
     chains = []
     for k in range(n_chains):
@@ -209,15 +211,22 @@ def load(directory: str) -> Trace:
             header = f.readline().rstrip("\n")
             if header != expected_header:
                 raise CorruptMeta(f"chain file {path!r} header does not match metadata")
-            rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
+            rows = []
+            for line_no, line in enumerate(f, start=2):
+                if not line.strip():
+                    continue
+                cells = line.rstrip("\n").split(",")
+                try:
+                    if len(cells) != len(convs):
+                        raise ValueError(f"{len(cells)} cells, the header has {len(convs)}")
+                    rows.append([conv(x) for conv, x in zip(convs, cells)])
+                except (ValueError, OverflowError) as e:
+                    raise CorruptMeta(f"chain file {path!r} line {line_no}: {e}") from None
         data = {}
         pos = 0
         for (name, shape, dtype), size in zip(layout, sizes):
             np_dtype = np.int64 if dtype == "int" else np.float64
-            arr = np.empty((len(rows), size), dtype=np_dtype)
-            conv = int if dtype == "int" else float
-            for i, row in enumerate(rows):
-                arr[i] = [conv(x) for x in row[pos:pos + size]]
+            arr = np.array([row[pos:pos + size] for row in rows], dtype=np_dtype)
             data[name] = arr.reshape((len(rows),) + shape)
             pos += size
         chains.append(data)

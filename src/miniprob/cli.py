@@ -1,7 +1,8 @@
 """Command-line surface: case-study demos, trace summaries, plot-data export.
 
 Exit codes: 0 success, 2 usage errors, 3 data errors (missing files, corrupt
-or mismatched traces), 4 numeric failures during inference.
+or mismatched traces, traces too short to summarize), 4 numeric failures
+during inference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .exceptions import (
     DataFileMissing,
     MiniprobError,
     MissingChainFile,
+    TooFewSamples,
     UnknownVariable,
 )
 from .stats import summary, write_plot_data
@@ -125,7 +127,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DataFileMissing, CorruptMeta, MissingChainFile, UnknownVariable) as e:
+    except (DataFileMissing, CorruptMeta, MissingChainFile, TooFewSamples,
+            UnknownVariable) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_DATA
     except MiniprobError as e:

@@ -121,10 +121,6 @@ def run_sp500(draws: int, seed: int, data_path=None, backend=None, progress=None
     return model, sample(model, cfg)
 
 
-def glm_linear_table(seed: int) -> dict[str, np.ndarray]:
-    return simulate_linear_data(seed)
-
-
 def glm_logistic_table(seed: int) -> dict[str, np.ndarray]:
     data = simulate_linear_data(seed)
     return {"x1": data["x1"], "x2": data["x2"],
@@ -132,7 +128,7 @@ def glm_logistic_table(seed: int) -> dict[str, np.ndarray]:
 
 
 def run_glm_linear(draws: int, seed: int, backend=None, progress=None):
-    model = build_model("y ~ x1 + x2", glm_linear_table(seed))
+    model = build_model("y ~ x1 + x2", simulate_linear_data(seed))
     start = find_map(model, method="quasi_newton")
     step = Nuts(model, scaling=start)
     cfg = SampleConfig(draws=draws, steps=[step], start=start, seed=seed,

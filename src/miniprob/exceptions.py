@@ -48,10 +48,6 @@ class OutsideSupport(MiniprobError, ValueError):
     pass
 
 
-class DtypeMismatch(MiniprobError, TypeError):
-    pass
-
-
 class ModelFrozen(MiniprobError, RuntimeError):
     pass
 

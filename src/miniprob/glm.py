@@ -43,7 +43,6 @@ class Formula:
 
 class Family:
     kind = "normal"
-    link = "identity"
 
 
 class NormalFamily(Family):
@@ -54,7 +53,6 @@ class BinomialFamily(Family):
     """Logit link, Bernoulli (0/1) response."""
 
     kind = "binomial"
-    link = "logit"
 
 
 def _skip_ws(text: str, pos: int) -> int:

@@ -23,7 +23,6 @@ from .exceptions import (
 Point = dict[str, np.ndarray]
 
 _BINARY = {"add", "sub", "mul", "div", "pow", "cmp_ge", "cmp_gt"}
-_UNARY = {"neg", "exp", "log", "abs", "sqrt", "lgamma", "sigmoid", "sum_all"}
 
 
 def _broadcast_shape(a: tuple, b: tuple, what: str) -> tuple:
@@ -471,12 +470,6 @@ def eval_expr(expr: Expr, point: Mapping) -> np.ndarray:
 
 
 # --- reverse-mode gradient -------------------------------------------------
-
-def _unbroadcast(adj: np.ndarray, shape: tuple) -> np.ndarray:
-    if shape == () and np.ndim(adj) > 0:
-        return np.asarray(np.sum(adj))
-    return adj
-
 
 def _guarded(adj, local):
     # dead-branch adjoints are exactly zero; keep 0 * inf from minting NaN

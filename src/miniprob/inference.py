@@ -1,9 +1,10 @@
-"""Inference drivers: MAP optimization, Hessian utilities, the sample loop."""
+"""Inference drivers: MAP optimization over ``samplers.Packer`` vectors and
+the sample loop."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import optimize
@@ -13,7 +14,7 @@ from .exceptions import MiniprobError, NonFiniteStart, SamplingError
 from .graph import Point
 from .model import Model
 from .rng import stream
-from .samplers import Packer, _entries_for, flatten_steps, hessian_diag, validate_coverage
+from .samplers import Packer, flatten_steps, validate_coverage
 
 _BIG = 1e100  # stand-in for an infinite objective so optimizers keep moving
 
@@ -25,11 +26,10 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
     ``quasi_newton`` runs BFGS on reverse-mode gradients; ``direction_set``
     runs Powell's derivative-free search, usable when opaque deterministic
     nodes block gradients.  Only the requested continuous variables move;
-    everything else stays at its start/test value.  The returned point
-    carries both transformed coordinates and untransformed aliases, and is
-    never worse than the start point.
+    everything else stays at its start/test value.  The returned point is
+    expanded like a trace row (transformed coordinates, untransformed
+    aliases and deterministics) and is never worse than the start point.
     """
-    model.finalize()
     point = model.initial_point(start)
     lp0 = model.logp(point)
     if not np.isfinite(lp0):
@@ -43,54 +43,33 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
                  if model.var(n).dtype == "float"]
 
     if names:
-        packer = Packer(_entries_for(model, names))
-        x0 = packer.pack(point)
-        work = dict(point)
-
+        packer = Packer(model, names, point)
         if method == "quasi_newton":
             def objective(x):
-                packer.update_point(work, x)
-                lp, g = model.logp_and_dlogp(work, names)
+                lp, g = packer.logp_grad(x)
                 if not np.isfinite(lp):
                     return _BIG, np.zeros_like(x)
-                return -lp, -packer.pack(g)
+                return -lp, -g
 
-            res = optimize.minimize(objective, x0, jac=True, method="BFGS",
+            res = optimize.minimize(objective, packer.start, jac=True, method="BFGS",
                                     options={"gtol": 1e-8, "maxiter": 5000})
         elif method == "direction_set":
             def objective(x):
-                packer.update_point(work, x)
-                lp = model.logp(work)
+                lp = packer.logp(x)
                 return _BIG if not np.isfinite(lp) else -lp
 
-            res = optimize.minimize(objective, x0, method="Powell",
+            res = optimize.minimize(objective, packer.start, method="Powell",
                                     options={"xtol": 1e-8, "ftol": 1e-8,
                                              "maxiter": 5000, "maxfev": 500000})
         else:
             raise ValueError(f"unknown method {method!r}; use quasi_newton or direction_set")
 
-        packer.update_point(work, np.atleast_1d(res.x))
-        lp_final = model.logp(work)
+        found = packer.point(np.atleast_1d(res.x))
+        lp_final = model.logp(found)
         if np.isfinite(lp_final) and lp_final >= lp0:
-            point = work
+            point = found
 
-    # transformed coordinates plus untransformed aliases
-    out: Point = {}
-    for v in model.free_vars:
-        val = np.asarray(point[v.sampling_name])
-        out[v.sampling_name] = val
-        if v.transform is not None:
-            out[v.name] = np.asarray(v.transform.backward(val))
-    return out
-
-
-def find_hessian_diag(model: Model, point: Mapping | None = None,
-                      vars=None) -> np.ndarray:
-    """Unclipped negative-Hessian diagonal of the log posterior at ``point``
-    (the model test point when omitted), over the continuous variables."""
-    if point is None:
-        point = model.test_point
-    return hessian_diag(model, point, vars)
+    return model.expand_point(point)
 
 
 @dataclass

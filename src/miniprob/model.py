@@ -51,10 +51,6 @@ class FreeVar:
         self.input = free_input(self.sampling_name, shape, dtype=self.dtype)
         self.value = transform.backward_expr(self.input) if transform else self.input
 
-    @property
-    def transformed_name(self):
-        return self.sampling_name
-
     def sampling_testval(self):
         if self.transform:
             return self.transform.forward(self.testval)
@@ -102,7 +98,6 @@ class Model:
         self._logp_graph: Expr | None = None
         self._finalized = False
         self._var_index: dict[str, FreeVar] = {}
-        self._var_index_size = -1
 
     # --- registration ------------------------------------------------------
 
@@ -155,6 +150,8 @@ class Model:
 
     def _register_free(self, var: FreeVar, term: Expr | None):
         self.free_vars.append(var)
+        self._var_index[var.name] = var
+        self._var_index[var.sampling_name] = var
         if term is not None:
             self._terms[var.name] = term
         self._test_point[var.sampling_name] = np.asarray(var.sampling_testval())
@@ -230,10 +227,6 @@ class Model:
         return self
 
     @property
-    def finalized(self) -> bool:
-        return self._finalized
-
-    @property
     def logp_graph(self) -> Expr:
         self.finalize()
         return self._logp_graph
@@ -258,12 +251,6 @@ class Model:
     # --- variable bookkeeping ------------------------------------------------
 
     def var(self, name: str) -> FreeVar:
-        if self._var_index_size != len(self.free_vars):
-            self._var_index = {}
-            for v in self.free_vars:
-                self._var_index[v.name] = v
-                self._var_index[v.sampling_name] = v
-            self._var_index_size = len(self.free_vars)
         try:
             return self._var_index[name]
         except KeyError:
@@ -285,9 +272,6 @@ class Model:
 
     def continuous_names(self) -> list[str]:
         return [v.sampling_name for v in self.free_vars if v.dtype == "float"]
-
-    def discrete_names(self) -> list[str]:
-        return [v.sampling_name for v in self.free_vars if v.dtype == "int"]
 
     def initial_point(self, start: Mapping | None = None) -> Point:
         """Test point overlaid with ``start``; accepts transformed names or

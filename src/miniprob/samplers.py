@@ -1,4 +1,5 @@
-"""MCMC transition kernels.
+"""MCMC transition kernels and ``Packer``, the flat-vector log density that
+the gradient kernels, the Hessian scaling and ``find_map`` evaluate.
 
 All kernels are pure functions of (state, point, rng stream): with the same
 seed a chain reproduces bit-for-bit.  One kernel instance serves one chain;
@@ -24,57 +25,62 @@ from .model import Model
 
 
 class Packer:
-    """Flattens a fixed set of named arrays into one vector and back."""
+    """The named sampling coordinates of a model as one flat vector.  Every
+    other coordinate is held at the base point: ``start`` overlaid on the test
+    point, until ``rebase``."""
 
-    def __init__(self, entries: Sequence[tuple[str, tuple]]):
-        self.names = [e[0] for e in entries]
-        self.shapes = [tuple(e[1]) for e in entries]
+    def __init__(self, model: Model, names: Sequence[str], start: Mapping | None = None):
+        self.model = model
+        self.names = list(names)
+        self.shapes = [model.var(n).shape for n in self.names]
         self.sizes = [int(np.prod(s, dtype=int)) if s else 1 for s in self.shapes]
         self.offsets = np.cumsum([0] + self.sizes).tolist()
         self.size = self.offsets[-1]
+        self.start = self.rebase(model.initial_point(start))
 
     def pack(self, point: Mapping) -> np.ndarray:
         out = np.empty(self.size)
-        for name, shape, size, off in zip(self.names, self.shapes, self.sizes, self.offsets):
+        for name, size, off in zip(self.names, self.sizes, self.offsets):
             out[off:off + size] = np.asarray(point[name], dtype=np.float64).reshape(size)
         return out
 
-    def unpack(self, vec: np.ndarray) -> Point:
-        return {name: vec[off:off + size].reshape(shape).copy()
-                for name, shape, size, off
-                in zip(self.names, self.shapes, self.sizes, self.offsets)}
+    def rebase(self, point: Mapping) -> np.ndarray:
+        """Hold the other coordinates at ``point`` from now on; returns the
+        vector of ``point``."""
+        self._base = dict(point)
+        return self.pack(point)
 
-    def update_point(self, point: dict, vec: np.ndarray) -> dict:
-        point.update(self.unpack(vec))
-        return point
+    def point(self, vec: np.ndarray) -> Point:
+        out = dict(self._base)
+        for name, shape, size, off in zip(self.names, self.shapes, self.sizes, self.offsets):
+            out[name] = vec[off:off + size].reshape(shape).copy()
+        return out
 
+    def logp(self, vec: np.ndarray) -> float:
+        return self.model.logp(self.point(vec))
 
-def _entries_for(model: Model, names: Sequence[str]) -> list[tuple[str, tuple]]:
-    return [(n, model.var(n).shape) for n in names]
+    def logp_grad(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
+        lp, g = self.model.logp_and_dlogp(self.point(vec), self.names)
+        return lp, self.pack(g)
 
 
 # --- Hessian-based scaling --------------------------------------------------
 
-def hessian_diag(model: Model, point: Mapping, vars: Sequence[str] | None = None) -> np.ndarray:
-    """Unclipped negative-Hessian diagonal of the log posterior (curvature),
-    by central differences of the reverse-mode gradient."""
-    model.finalize()
+def hessian_diag(model: Model, point: Mapping | None = None,
+                 vars: Sequence[str] | None = None) -> np.ndarray:
+    """Unclipped negative-Hessian diagonal of the log posterior at ``point``
+    (the test point when omitted), by central differences of the
+    reverse-mode gradient, over ``vars`` (default: the continuous variables)."""
     names = model.continuous_names() if vars is None else model.resolve_names(vars)
-    packer = Packer(_entries_for(model, names))
-    work = model.initial_point(point)
-    x = packer.pack(work)
-
-    def grad_at(vec):
-        packer.update_point(work, vec)
-        return packer.pack(model.dlogp(work, names))
-
+    packer = Packer(model, names, point)
+    x = packer.start
     diag = np.empty(packer.size)
     for i in range(packer.size):
         h = 1e-4 * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        diag[i] = (grad_at(xp)[i] - grad_at(xm)[i]) / (2.0 * h)
+        diag[i] = (packer.logp_grad(xp)[1][i] - packer.logp_grad(xm)[1][i]) / (2.0 * h)
     return -diag
 
 
@@ -86,7 +92,10 @@ def scaling_from_point(model: Model, point: Mapping,
 
 # --- leapfrog ----------------------------------------------------------------
 
-def _leapfrog_raw(logp_grad, q, p, eps, inv_mass, grad_q=None):
+def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q=None):
+    """One leapfrog step on flat vectors: ``logp_grad(q)`` returns the log
+    density and its gradient, as ``Packer.logp_grad`` does; ``grad_q``, when
+    known, saves one evaluation.  Returns (q, p, logp, gradient) at the end."""
     if grad_q is None:
         _, grad_q = logp_grad(q)
     p_half = p + 0.5 * eps * grad_q
@@ -94,29 +103,6 @@ def _leapfrog_raw(logp_grad, q, p, eps, inv_mass, grad_q=None):
     lp_new, g_new = logp_grad(q_new)
     p_new = p_half + 0.5 * eps * g_new
     return q_new, p_new, lp_new, g_new
-
-
-def leapfrog(model: Model, q: Mapping, p: Mapping, eps: float, mass,
-             vars: Sequence[str] | None = None) -> tuple[Point, Point]:
-    """One leapfrog step of Hamiltonian dynamics for the named variables.
-
-    ``q`` is a position point, ``p`` a momentum point with the same keys and
-    shapes; ``mass`` is a scalar or packed vector (momentum covariance).
-    """
-    model.finalize()
-    names = model.continuous_names() if vars is None else model.resolve_names(vars)
-    packer = Packer(_entries_for(model, names))
-    work = model.initial_point(q)
-    mass_vec = np.broadcast_to(np.asarray(mass, dtype=np.float64), (packer.size,))
-
-    def logp_grad(vec):
-        packer.update_point(work, vec)
-        lp, g = model.logp_and_dlogp(work, names)
-        return lp, packer.pack(g)
-
-    q_new, p_new, _, _ = _leapfrog_raw(logp_grad, packer.pack(work), packer.pack(p),
-                                       eps, 1.0 / mass_vec)
-    return packer.unpack(q_new), packer.unpack(p_new)
 
 
 # --- step method base ---------------------------------------------------------
@@ -294,7 +280,7 @@ class GradientStep(StepMethod):
             if self.model.var(n).dtype == "int":
                 raise IntegerDifferentiation(
                     f"gradient-based sampler cannot target integer variable {n!r}")
-        self.packer = Packer(_entries_for(model, self.vars))
+        self.packer = Packer(model, self.vars)
         if scaling is None:
             scaling = model.test_point
         if isinstance(scaling, Mapping):
@@ -306,16 +292,6 @@ class GradientStep(StepMethod):
                 raise ValueError("scaling vector must be strictly positive")
         self.mass = mass
         self.inv_mass = 1.0 / mass
-        self._work: dict | None = None
-
-    def _logp_grad(self, vec):
-        self.packer.update_point(self._work, vec)
-        lp, g = self.model.logp_and_dlogp(self._work, self.vars)
-        return lp, self.packer.pack(g)
-
-    def _begin(self, point):
-        self._work = dict(point)
-        return self.packer.pack(point)
 
     def _momentum(self, rng):
         return np.sqrt(self.mass) * rng.standard_normal(self.packer.size)
@@ -338,8 +314,8 @@ class Hmc(GradientStep):
         self.last_accepted = False
 
     def step(self, point, rng, tuning=False):
-        q = self._begin(point)
-        lp, g = self._logp_grad(q)
+        q = self.packer.rebase(point)
+        lp, g = self.packer.logp_grad(q)
         if not np.isfinite(lp):
             raise NonFiniteLogp(f"HMC started at logp={lp}")
         if not np.all(np.isfinite(g)):
@@ -348,13 +324,13 @@ class Hmc(GradientStep):
         h0 = lp - self._kinetic(p)
         q_new, p_new, lp_new, g_new = q, p, lp, g
         for _ in range(self.n_steps):
-            q_new, p_new, lp_new, g_new = _leapfrog_raw(
-                self._logp_grad, q_new, p_new, self.step_size, self.inv_mass, g_new)
+            q_new, p_new, lp_new, g_new = leapfrog(
+                self.packer.logp_grad, q_new, p_new, self.step_size, self.inv_mass, g_new)
         h1 = lp_new - self._kinetic(p_new)
         accept = np.log(rng.random()) < h1 - h0
         self.last_accepted = bool(accept)
         out = q_new if accept else q
-        return self.packer.update_point(dict(point), out)
+        return self.packer.point(out)
 
 
 class _TreeState:
@@ -412,7 +388,7 @@ class Nuts(GradientStep):
         h0 = lp - self._kinetic(p)
 
         def ratio(e):
-            _, p1, lp1, _ = _leapfrog_raw(self._logp_grad, q, p, e, self.inv_mass, g)
+            _, p1, lp1, _ = leapfrog(self.packer.logp_grad, q, p, e, self.inv_mass, g)
             h1 = lp1 - self._kinetic(p1)
             d = h1 - h0
             return d if np.isfinite(d) else -np.inf
@@ -439,8 +415,8 @@ class Nuts(GradientStep):
     def _build_tree(self, state, log_u, direction, depth, eps, h0, rng):
         """Returns (left, right, proposal, n_valid, keep_going, alpha, n_alpha)."""
         if depth == 0:
-            q, p, lp, g = _leapfrog_raw(self._logp_grad, state.q, state.p,
-                                        direction * eps, self.inv_mass, state.grad)
+            q, p, lp, g = leapfrog(self.packer.logp_grad, state.q, state.p,
+                                   direction * eps, self.inv_mass, state.grad)
             node = _TreeState(q, p, lp, g)
             h = lp - self._kinetic(p) if np.isfinite(lp) else -np.inf
             n_valid = int(log_u <= h)
@@ -466,8 +442,8 @@ class Nuts(GradientStep):
         return left, right, prop, n1, keep, alpha, n_alpha
 
     def step(self, point, rng, tuning=False):
-        q = self._begin(point)
-        lp, g = self._logp_grad(q)
+        q = self.packer.rebase(point)
+        lp, g = self.packer.logp_grad(q)
         self._ensure_init(q, lp, g, rng)
         eps = self.step_size if (tuning or self._m == 0) else math.exp(self._log_eps_bar)
 
@@ -509,7 +485,18 @@ class Nuts(GradientStep):
             self._log_eps_bar = w * log_eps + (1.0 - w) * self._log_eps_bar
             self.step_size = math.exp(log_eps)
 
-        return self.packer.update_point(dict(point), chosen.q)
+        return self.packer.point(chosen.q)
+
+
+def _disjoint_targets(steps) -> set[str]:
+    """Union of the steps' targets; raises if any variable is targeted twice."""
+    seen: set[str] = set()
+    for s in steps:
+        dup = seen.intersection(s.vars)
+        if dup:
+            raise OverlappingTargets(f"variables targeted twice: {sorted(dup)}")
+        seen.update(s.vars)
+    return seen
 
 
 class CompoundStep:
@@ -517,12 +504,7 @@ class CompoundStep:
 
     def __init__(self, steps: Sequence[StepMethod]):
         self.steps = list(steps)
-        seen: set[str] = set()
-        for s in self.steps:
-            dup = seen.intersection(s.vars)
-            if dup:
-                raise OverlappingTargets(f"variables targeted twice: {sorted(dup)}")
-            seen.update(s.vars)
+        _disjoint_targets(self.steps)
         self.vars = [v for s in self.steps for v in s.vars]
 
     def step(self, point, rng, tuning=False):
@@ -548,13 +530,7 @@ def flatten_steps(steps) -> list:
 
 def validate_coverage(model: Model, steps) -> None:
     """Union of step targets must cover every free variable, with no overlaps."""
-    flat = flatten_steps(steps)
-    seen: set[str] = set()
-    for s in flat:
-        dup = seen.intersection(s.vars)
-        if dup:
-            raise OverlappingTargets(f"variables targeted twice: {sorted(dup)}")
-        seen.update(s.vars)
+    seen = _disjoint_targets(flatten_steps(steps))
     missing = [n for n in model.sampling_names() if n not in seen]
     if missing:
         raise UncoveredVariable(f"no step method targets {missing[0]!r}")

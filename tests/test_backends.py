@@ -129,6 +129,20 @@ class TestTextBackend:
         with pytest.raises(CorruptMeta):
             load(d)
 
+    @pytest.mark.parametrize("row", ["0.1,0.2,0.3", "0.1,0.2,0.3,4,5", "0.1,abc,0.3,4",
+                                     "0.1,0.2,0.3,4.5", "0.1,0.2,0.3,99999999999999999999"],
+                             ids=["short", "long", "non_numeric", "fractional_int",
+                                  "overflowing_int"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        d = str(tmp_path / "t")
+        fill(TextBackend(d), chains=1, draws=3)
+        path = os.path.join(d, "chain-0.csv")
+        lines = open(path).read().splitlines()
+        lines[2] = row
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(CorruptMeta, match=r"chain-0\.csv.* line 3"):
+            load(d)
+
 
 class TestTraceSemantics:
     def test_point_from_last_chain(self):

@@ -1,0 +1,40 @@
+import os
+
+from miniprob import cli
+from miniprob.backends import TextBackend
+
+
+def write_trace(directory, draws):
+    backend = TextBackend(str(directory))
+    backend.start([("x", (), "float")], 1)
+    for i in range(draws):
+        backend.record(0, {"x": float(i)})
+    backend.finish()
+
+
+def test_demo_writes_summary_trace_and_plots(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["demo", "linear", "--draws", "100", "--quiet", "--out", str(out)]) == 0
+    assert (out / "summary.txt").is_file()
+    assert (out / "trace" / "meta.json").is_file()
+    assert os.listdir(out / "plots")
+
+
+def test_summary_of_missing_directory_is_a_data_error(tmp_path):
+    assert cli.main(["summary", str(tmp_path / "absent")]) == cli.EXIT_DATA
+
+
+def test_summary_of_corrupt_row_is_a_data_error(tmp_path, capsys):
+    write_trace(tmp_path, 200)
+    path = tmp_path / "chain-0.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = "not-a-number"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 6" in err and "Traceback" not in err
+
+
+def test_summary_of_short_trace_is_a_data_error(tmp_path):
+    write_trace(tmp_path, 10)
+    assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA

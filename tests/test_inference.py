@@ -7,9 +7,9 @@ from miniprob.backends import MemoryBackend, TextBackend
 from miniprob.distributions import DiscreteUniform, Exponential, Normal
 from miniprob.exceptions import NonFiniteStart, UncoveredVariable
 from miniprob.graph import opaque_deterministic
-from miniprob.inference import SampleConfig, find_hessian_diag, find_map, sample
+from miniprob.inference import SampleConfig, find_map, sample
 from miniprob.model import Model
-from miniprob.samplers import Metropolis, Nuts, Packer
+from miniprob.samplers import Metropolis, Nuts, Packer, hessian_diag
 
 
 class TestFindMap:
@@ -31,6 +31,14 @@ class TestFindMap:
         mp = find_map(linear_model, method="quasi_newton")
         assert set(mp) == {"alpha", "beta", "sigma_log", "sigma"}
         assert float(mp["sigma"]) == pytest.approx(np.exp(float(mp["sigma_log"])))
+
+    def test_carries_deterministics(self):
+        m = Model()
+        x = m.add_free("x", Normal(mu=3.0, sd=1.0))
+        m.add_deterministic("twice_x", 2.0 * x.value)
+        m.finalize()
+        mp = find_map(m)
+        assert float(mp["twice_x"]) == 2.0 * float(mp["x"])
 
     def test_never_worse_than_start(self, linear_model):
         start = linear_model.test_point
@@ -79,37 +87,37 @@ class TestHessianDiag:
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=2.0))
         m.finalize()
-        v = find_hessian_diag(m)
+        v = hessian_diag(m)
         assert v[0] == pytest.approx(0.25, rel=1e-6)
 
     def test_exponential_transformed(self):
         m = Model()
         m.add_free("e", Exponential(1.0))
         m.finalize()
-        v = find_hessian_diag(m, {"e_log": np.array(0.0)})
+        v = hessian_diag(m, {"e_log": np.array(0.0)})
         assert v[0] == pytest.approx(1.0, rel=1e-5)
 
     def test_matches_fd_of_dlogp_on_regression(self, linear_model):
         mp = find_map(linear_model)
         point = linear_model.initial_point(mp)
         names = linear_model.continuous_names()
-        packer = Packer([(n, linear_model.var(n).shape) for n in names])
-        x0 = packer.pack(point)
-        got = find_hessian_diag(linear_model, point)
+        packer = Packer(linear_model, names, point)
+        x0 = packer.start
+        got = hessian_diag(linear_model, point)
 
         for i in range(x0.size):
             h = 1e-5 * max(1.0, abs(x0[i]))
             xp, xm = x0.copy(), x0.copy()
             xp[i] += h
             xm[i] -= h
-            gp = packer.pack(linear_model.dlogp(packer.update_point(dict(point), xp), names))
-            gm = packer.pack(linear_model.dlogp(packer.update_point(dict(point), xm), names))
+            gp = packer.pack(linear_model.dlogp(packer.point(xp), names))
+            gm = packer.pack(linear_model.dlogp(packer.point(xm), names))
             oracle = -(gp[i] - gm[i]) / (2 * h)
             assert got[i] == pytest.approx(oracle, rel=1e-3, abs=1e-5)
 
     def test_positive_at_map(self, linear_model):
         mp = find_map(linear_model)
-        assert np.all(find_hessian_diag(linear_model, mp) > 0)
+        assert np.all(hessian_diag(linear_model, mp) > 0)
 
 
 class TestSample:
@@ -194,16 +202,15 @@ class TestDemoGradients:
     def test_linear_model_gradient_matches_fd(self, linear_model):
         # independent oracle: central differences on the full log posterior
         names = linear_model.continuous_names()
-        packer = Packer([(n, linear_model.var(n).shape) for n in names])
-        point = linear_model.test_point
-        x0 = packer.pack(point)
+        packer = Packer(linear_model, names)
+        x0 = packer.start
 
         def f(vec):
-            return linear_model.logp(packer.update_point(dict(point), vec))
+            return linear_model.logp(packer.point(vec))
 
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = x0 + rng.uniform(-0.5, 0.5, x0.size)
-            ad = packer.pack(linear_model.dlogp(packer.update_point(dict(point), x), names))
+            ad = packer.pack(linear_model.dlogp(packer.point(x), names))
             fd = finite_diff_grad(f, x, h=1e-6)
             assert rel_err(ad, fd) < 1e-6

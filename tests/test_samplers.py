@@ -18,6 +18,7 @@ from miniprob.samplers import (
     Hmc,
     Metropolis,
     Nuts,
+    Packer,
     Slice,
     hessian_diag,
     leapfrog,
@@ -177,28 +178,29 @@ class TestSlice:
 class TestLeapfrog:
     def test_hand_computed_step(self):
         m = normal_model()
-        q, p = leapfrog(m, {"x": np.array(1.0)}, {"x": np.array(0.0)},
-                        eps=0.1, mass=1.0)
-        assert float(q["x"]) == pytest.approx(0.995, abs=1e-12)
-        assert float(p["x"]) == pytest.approx(-0.09975, abs=1e-12)
+        q, p, _, _ = leapfrog(Packer(m, ["x"]).logp_grad, np.array([1.0]), np.array([0.0]),
+                              eps=0.1, inv_mass=1.0)
+        assert q[0] == pytest.approx(0.995, abs=1e-12)
+        assert p[0] == pytest.approx(-0.09975, abs=1e-12)
 
     def test_reversibility(self):
         m = normal_model(mu=0.4, sd=1.7)
+        logp_grad = Packer(m, ["x"]).logp_grad
         rng = stream(21, 0)
         for _ in range(20):
-            q0 = {"x": np.array(rng.standard_normal())}
-            p0 = {"x": np.array(rng.standard_normal())}
-            q1, p1 = leapfrog(m, q0, p0, eps=0.3, mass=2.0)
-            q2, p2 = leapfrog(m, q1, {"x": -p1["x"]}, eps=0.3, mass=2.0)
-            assert float(q2["x"]) == pytest.approx(float(q0["x"]), abs=1e-12)
-            assert float(-p2["x"]) == pytest.approx(float(p0["x"]), abs=1e-12)
+            q0 = np.array([rng.standard_normal()])
+            p0 = np.array([rng.standard_normal()])
+            q1, p1, _, _ = leapfrog(logp_grad, q0, p0, eps=0.3, inv_mass=0.5)
+            q2, p2, _, _ = leapfrog(logp_grad, q1, -p1, eps=0.3, inv_mass=0.5)
+            assert q2[0] == pytest.approx(q0[0], abs=1e-12)
+            assert -p2[0] == pytest.approx(p0[0], abs=1e-12)
 
     def test_zero_step_is_identity(self):
         m = normal_model()
-        q, p = leapfrog(m, {"x": np.array(1.3)}, {"x": np.array(-0.2)},
-                        eps=0.0, mass=1.0)
-        assert float(q["x"]) == 1.3
-        assert float(p["x"]) == -0.2
+        q, p, _, _ = leapfrog(Packer(m, ["x"]).logp_grad, np.array([1.3]), np.array([-0.2]),
+                              eps=0.0, inv_mass=1.0)
+        assert q[0] == 1.3
+        assert p[0] == -0.2
 
 
 class TestScaling:
