@@ -4,10 +4,21 @@ Every log density in the package is an ``Expr`` over named free inputs.
 Graphs are acyclic, nodes are immutable after construction, and evaluation
 is plain 64-bit numpy, so the same (expr, point) pair always produces
 bit-identical output.
+
+The first evaluation of a root compiles it into a tape cached on the root.
+Each node of ``topo_order`` gets an integer slot in a list of values and its
+kind's kernel.  A node whose operands are all constant is folded: its kernel
+runs once, at compile time, under the same error state, and every call shares
+the read-only value.  Opaque nodes are never folded, and free inputs are read
+and checked on every call.  Each set of differentiated names gets one backward
+plan.  It visits only nodes whose subgraph holds a requested input and pushes
+adjoints only into such children, with the rules and the summation order of a
+full sweep, so neither folding nor pruning changes a bit.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +33,7 @@ from .exceptions import (
 
 Point = dict[str, np.ndarray]
 
-_BINARY = {"add", "sub", "mul", "div", "pow", "cmp_ge", "cmp_gt"}
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 
 
 def _broadcast_shape(a: tuple, b: tuple, what: str) -> tuple:
@@ -40,12 +51,12 @@ class Expr:
     """One node of the computation graph.
 
     Fields are set once in ``__init__`` and never mutated afterwards; the
-    ``_topo`` slot caches the topological order of the subgraph and is
-    derived state only.
+    ``_topo`` and ``_tape`` slots cache the topological order and the
+    compiled tape of the subgraph and are derived state only.
     """
 
     __slots__ = ("kind", "operands", "const_value", "input_name", "shape",
-                 "dtype", "payload", "_topo", "_gradmeta")
+                 "dtype", "payload", "_topo", "_tape")
 
     def __init__(self, kind, operands=(), const_value=None, input_name=None,
                  shape=(), dtype="float", payload=None):
@@ -57,7 +68,7 @@ class Expr:
         self.dtype = dtype
         self.payload = payload
         self._topo = None
-        self._gradmeta = None
+        self._tape = None
 
     # --- arithmetic sugar -------------------------------------------------
 
@@ -324,6 +335,8 @@ def lgamma_value(x):
     x = np.asarray(x, dtype=np.float64)
     small = x < 0.5
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not small.any():  # no reflection: the same bits for less work
+            return np.asarray(_lanczos_main(x))
         main = _lanczos_main(np.where(small, 1.0 - x, x))
         refl = np.log(np.pi) - np.log(np.abs(np.sin(np.pi * x))) - main
         out = np.where(small, refl, main)
@@ -335,6 +348,8 @@ def digamma_value(x):
     x = np.asarray(x, dtype=np.float64)
     small = x < 0.5
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not small.any():
+            return np.asarray(_lanczos_main_deriv(x))
         main = _lanczos_main_deriv(np.where(small, 1.0 - x, x))
         refl = main - np.pi / np.tan(np.pi * x)
         out = np.where(small, refl, main)
@@ -398,75 +413,145 @@ def _input_value(node: Expr, point: Mapping) -> np.ndarray:
     return arr
 
 
-def _forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:
-    values: dict[int, np.ndarray] = {}
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        for node in topo_order(expr):
-            k = node.kind
-            if k == "constant":
-                v = node.const_value
-            elif k == "free_input":
-                v = _input_value(node, point)
-            elif k in _BINARY:
-                a = values[id(node.operands[0])]
-                b = values[id(node.operands[1])]
-                if k == "add":
-                    v = a + b
-                elif k == "sub":
-                    v = a - b
-                elif k == "mul":
-                    v = a * b
-                elif k == "div":
-                    v = np.true_divide(a, b)
-                elif k == "pow":
-                    v = np.power(np.asarray(a, dtype=np.float64), b)
-                elif k == "cmp_ge":
-                    v = (a >= b).astype(np.float64)
-                else:  # cmp_gt
-                    v = (a > b).astype(np.float64)
-            elif k == "neg":
-                v = -values[id(node.operands[0])]
-            elif k == "abs":
-                v = np.abs(values[id(node.operands[0])])
-            elif k == "exp":
-                v = np.exp(values[id(node.operands[0])])
-            elif k == "log":
-                x = values[id(node.operands[0])]
-                v = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-            elif k == "sqrt":
-                v = np.sqrt(np.asarray(values[id(node.operands[0])], dtype=np.float64))
-            elif k == "lgamma":
-                v = lgamma_value(values[id(node.operands[0])])
-            elif k == "sigmoid":
-                v = _sigmoid_value(np.asarray(values[id(node.operands[0])], dtype=np.float64))
-            elif k == "sum_all":
-                v = np.asarray(np.sum(values[id(node.operands[0])]))
-            elif k == "switch":
-                c = values[id(node.operands[0])]
-                v = np.where(c != 0,
-                             values[id(node.operands[1])],
-                             values[id(node.operands[2])])
-            elif k == "index":
-                v = values[id(node.operands[0])][node.payload]
-            elif k == "slice":
-                start, stop, step = node.payload
-                v = values[id(node.operands[0])][start:stop:step]
-            elif k == "concat":
-                v = np.concatenate([values[id(c)] for c in node.operands])
-            elif k == "opaque":
-                v = np.asarray(node.payload(*(values[id(c)] for c in node.operands)))
-                if v.shape != node.shape:
-                    raise ShapeMismatch(
-                        f"opaque node: declared shape {node.shape}, fn returned {v.shape}")
-            else:  # pragma: no cover - construction prevents unknown kinds
-                raise ValueError(f"unknown node kind {k!r}")
-            values[id(node)] = v
-    return values
+# Forward kernels by node kind, each a function of its operand values.
+_FORWARD = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": np.true_divide,
+    "pow": lambda a, b: np.power(np.asarray(a, dtype=np.float64), b),
+    "cmp_ge": lambda a, b: (a >= b).astype(np.float64),
+    "cmp_gt": lambda a, b: (a > b).astype(np.float64),
+    "neg": operator.neg,
+    "abs": np.abs,
+    "exp": np.exp,
+    "log": lambda x: np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf),
+    "sqrt": lambda x: np.sqrt(np.asarray(x, dtype=np.float64)),
+    "lgamma": lgamma_value,
+    "sigmoid": lambda x: _sigmoid_value(np.asarray(x, dtype=np.float64)),
+    "sum_all": lambda x: np.asarray(np.sum(x)),
+    "switch": lambda c, a, b: np.where(c != 0, a, b),
+    "concat": lambda *parts: np.concatenate(parts),
+}
+
+
+def _kernel(node: Expr) -> Callable:
+    """The forward kernel of ``node``, bound to its payload where it has one."""
+    k, p = node.kind, node.payload
+    if k == "index":
+        return lambda x: x[p]
+    if k == "slice":
+        key = slice(*p)
+        return lambda x: x[key]
+    if k == "opaque":
+        def call(*args):
+            v = np.asarray(p(*args))
+            if v.shape != node.shape:
+                raise ShapeMismatch(
+                    f"opaque node: declared shape {node.shape}, fn returned {v.shape}")
+            return v
+        return call
+    return _FORWARD[k]
+
+
+class _Tape:
+    """One root compiled to integer slots, in ``topo_order``: ``init`` holds
+    the constants and the folded values, ``inputs`` the free inputs read on
+    every call, ``steps`` the ``(slot, kernel, operand slots)`` left to run."""
+
+    def __init__(self, root: Expr):
+        self.order = order = topo_order(root)
+        slot = {id(n): i for i, n in enumerate(order)}
+        self.operands = [tuple(slot[id(c)] for c in n.operands) for n in order]
+        self.init: list = [None] * len(order)
+        self.inputs: list[tuple[int, Expr]] = []
+        self.steps: list[tuple[int, Callable, tuple]] = []
+        self.plans: dict[frozenset, tuple] = {}
+        known = set()
+        with np.errstate(**_QUIET):
+            for i, node in enumerate(order):
+                args = self.operands[i]
+                if node.kind == "constant":
+                    self.init[i] = node.const_value
+                    known.add(i)
+                elif node.kind == "free_input":
+                    self.inputs.append((i, node))
+                elif node.kind != "opaque" and known.issuperset(args):
+                    v = _kernel(node)(*[self.init[a] for a in args])
+                    if isinstance(v, np.ndarray):
+                        v.flags.writeable = False  # shared by every call
+                    self.init[i] = v
+                    known.add(i)
+                else:
+                    self.steps.append((i, _kernel(node), args))
+
+    def forward(self, point: Mapping) -> list:
+        values = self.init.copy()
+        with np.errstate(**_QUIET):
+            for i, node in self.inputs:
+                values[i] = _input_value(node, point)
+            for i, fn, args in self.steps:
+                values[i] = fn(*[values[a] for a in args])
+        return values
+
+    def plan(self, wrt: Sequence[str]) -> tuple:
+        """(wanted input slots by name, backward entries, whether an opaque
+        node lies on a differentiated path) for one set of names."""
+        key = frozenset(wrt)
+        if key in self.plans:
+            return self.plans[key]
+        order, operands = self.order, self.operands
+        wanted: dict[str, int] = {}
+        reaches: set[int] = set()  # slots whose subgraph holds a requested input
+        for i, node in enumerate(order):
+            if node.kind == "free_input" and node.input_name in key:
+                if node.dtype == "int":
+                    raise IntegerDifferentiation(
+                        f"cannot differentiate through integer input {node.input_name!r}")
+                wanted[node.input_name] = i
+                reaches.add(i)
+            elif not reaches.isdisjoint(operands[i]):
+                reaches.add(i)
+        # One entry per adjoint contribution, in the order of the full reverse
+        # sweep: (node slot, child slot, rule, rule argument slots, child is
+        # scalar).  Children that reach no requested input get none; nothing
+        # they receive could flow into a requested gradient.
+        entries = []
+        blocked = False
+        has_adjoint = {len(order) - 1}
+        for i in reversed(range(len(order))):
+            if i not in has_adjoint or i not in reaches:
+                continue
+            node = order[i]
+            if node.kind == "opaque":
+                blocked = True
+                continue
+            refs = operands[i] + (i,)
+            for j, child in enumerate(operands[i]):
+                rule = _rule(node, j)
+                if rule is not None and child in reaches:
+                    fn, args = rule
+                    entries.append((i, child, fn, tuple(refs[a] for a in args),
+                                    order[child].shape == ()))
+                    has_adjoint.add(child)
+        self.plans[key] = (wanted, entries, blocked)
+        return self.plans[key]
+
+
+def _tape(expr: Expr) -> _Tape:
+    if expr._tape is None:
+        expr._tape = _Tape(expr)
+    return expr._tape
+
+
+def _forward(expr: Expr, point: Mapping) -> list:
+    """Every node's value at ``point``, indexed by slot; the root's is last."""
+    return _tape(expr).forward(point)
 
 
 def eval_expr(expr: Expr, point: Mapping) -> np.ndarray:
     """Evaluate ``expr`` bottom-up at ``point`` with 64-bit arithmetic."""
-    return _forward(expr, point)[id(expr)]
+    return _forward(expr, point)[-1]
 
 
 # --- reverse-mode gradient -------------------------------------------------
@@ -480,139 +565,103 @@ def _guarded(adj, local):
     return prod
 
 
-def _grad_meta(expr: Expr, order: list[Expr], wrt: Sequence[str]):
-    """(wanted inputs, ids of nodes whose subgraph reaches a wrt input);
-    memoized on the root since graphs are immutable."""
-    key = frozenset(wrt)
-    cache = expr._gradmeta
-    if cache is not None and key in cache:
-        return cache[key]
+def _same(adj):
+    return adj
 
-    wanted: dict[str, Expr] = {}
-    for node in order:
-        if node.kind == "free_input" and node.input_name in key:
-            if node.dtype == "int":
-                raise IntegerDifferentiation(
-                    f"cannot differentiate through integer input {node.input_name!r}")
-            wanted[node.input_name] = node
-    # inputs not present in the graph simply get zero gradient
 
-    reaches: set[int] = set()
-    for node in order:
-        if node.kind == "free_input" and node.input_name in key:
-            reaches.add(id(node))
-        elif any(id(c) in reaches for c in node.operands):
-            reaches.add(id(node))
+# Per kind, one (rule, argument refs) per operand: ``rule(adj, *args)`` is the
+# adjoint contribution into that operand, where ref k is operand k's value and
+# ref -1 the node's own value.  None marks an operand that receives nothing.
+_BACKWARD = {
+    "add": ((_same, ()), (_same, ())),
+    "sub": ((_same, ()), (operator.neg, ())),
+    "mul": ((_guarded, (1,)), (_guarded, (0,))),
+    "div": ((lambda g, b: _guarded(g, 1.0 / b), (1,)),
+            (lambda g, a, b: _guarded(g, -a / (b * b)), (0, 1))),
+    "pow": ((lambda g, a, b: _guarded(
+                g, b * np.power(np.asarray(a, dtype=np.float64), b - 1.0)), (0, 1)),
+            (lambda g, a, v: _guarded(g, v * np.log(np.asarray(a, dtype=np.float64))),
+             (0, -1))),
+    "cmp_ge": (None, None),
+    "cmp_gt": (None, None),
+    "neg": ((operator.neg, ()),),
+    "abs": ((lambda g, x: g * np.sign(x), (0,)),),
+    "exp": ((_guarded, (-1,)),),
+    "log": ((lambda g, x: _guarded(g, 1.0 / x), (0,)),),
+    "sqrt": ((lambda g, v: _guarded(g, 0.5 / v), (-1,)),),
+    "lgamma": ((lambda g, x: _guarded(g, digamma_value(x)), (0,)),),
+    "sigmoid": ((lambda g, s: g * s * (1.0 - s), (-1,)),),
+    "switch": (None,
+               (lambda g, c: np.where(c != 0, g, 0.0), (0,)),
+               (lambda g, c: np.where(c != 0, 0.0, g), (0,))),
+}
 
-    if cache is None:
-        cache = expr._gradmeta = {}
-    cache[key] = (wanted, reaches)
-    return wanted, reaches
+
+def _rule(node: Expr, j: int):
+    """The backward rule of ``node`` into its operand ``j``, bound to the
+    node's shapes and payload where the rule needs them."""
+    k, p, shape = node.kind, node.payload, node.operands[0].shape
+    if k == "sum_all":
+        return (lambda g: np.full(shape, float(g))), ()
+    if k == "index":
+        def scatter(g):
+            buf = np.zeros(shape)
+            np.add.at(buf, p, g)
+            return buf
+        return scatter, ()
+    if k == "slice":
+        key = slice(*p)
+
+        def fill(g):
+            buf = np.zeros(shape)
+            buf[key] += g
+            return buf
+        return fill, ()
+    if k == "concat":
+        lo = sum(c.shape[0] for c in node.operands[:j])
+        hi = lo + node.operands[j].shape[0]
+        return (lambda g: g[lo:hi]), ()
+    return _BACKWARD[k][j]
 
 
 def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
-         values: dict[int, np.ndarray] | None = None) -> Point:
+         values: list | None = None) -> Point:
     """Reverse-mode gradient of a scalar ``expr`` for the named free inputs.
 
-    One backward pass serves every requested name.  ``switch`` conditions and
-    comparison results are treated as constants; paths through opaque nodes
-    raise ``NoGradient``; integer inputs raise ``IntegerDifferentiation``.
+    One backward pass serves every requested name; ``values`` are the slots
+    of a forward pass at ``point`` when the caller already has them.
+    ``switch`` conditions and comparison results are treated as constants;
+    paths through opaque nodes raise ``NoGradient``; integer inputs raise
+    ``IntegerDifferentiation``.
     """
     if expr.shape != ():
         raise NonScalarObjective(f"objective has shape {expr.shape}, expected a scalar")
-    order = topo_order(expr)
-    wanted, reaches = _grad_meta(expr, order, wrt)
-
+    tape = _tape(expr)
+    wanted, entries, blocked = tape.plan(wrt)
     if values is None:
-        values = _forward(expr, point)
+        values = tape.forward(point)
+    if blocked:
+        raise NoGradient("gradient requested through an opaque deterministic node")
 
-    adjoint: dict[int, np.ndarray] = {id(expr): np.asarray(1.0)}
-
-    def _acc(child: Expr, contrib):
-        if child.shape == () and isinstance(contrib, np.ndarray) and contrib.ndim:
-            contrib = contrib.sum()
-        prev = adjoint.get(id(child))
-        adjoint[id(child)] = contrib if prev is None else prev + contrib
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        for node in reversed(order):
-            adj = adjoint.get(id(node))
-            if adj is None:
-                continue
-            k = node.kind
-            if k in ("constant", "free_input", "cmp_ge", "cmp_gt"):
-                continue
-            if k == "opaque":
-                if any(id(c) in reaches for c in node.operands):
-                    raise NoGradient("gradient requested through an opaque deterministic node")
-                continue
-            ops = node.operands
-            if k == "add":
-                _acc(ops[0], adj)
-                _acc(ops[1], adj)
-            elif k == "sub":
-                _acc(ops[0], adj)
-                _acc(ops[1], -adj)
-            elif k == "mul":
-                _acc(ops[0], _guarded(adj, values[id(ops[1])]))
-                _acc(ops[1], _guarded(adj, values[id(ops[0])]))
-            elif k == "div":
-                a, b = values[id(ops[0])], values[id(ops[1])]
-                _acc(ops[0], _guarded(adj, 1.0 / b))
-                _acc(ops[1], _guarded(adj, -a / (b * b)))
-            elif k == "pow":
-                a = np.asarray(values[id(ops[0])], dtype=np.float64)
-                b = values[id(ops[1])]
-                _acc(ops[0], _guarded(adj, b * np.power(a, b - 1.0)))
-                if ops[1].kind != "constant":
-                    _acc(ops[1], _guarded(adj, values[id(node)] * np.log(a)))
-            elif k == "neg":
-                _acc(ops[0], -adj)
-            elif k == "abs":
-                _acc(ops[0], adj * np.sign(values[id(ops[0])]))
-            elif k == "exp":
-                _acc(ops[0], _guarded(adj, values[id(node)]))
-            elif k == "log":
-                _acc(ops[0], _guarded(adj, 1.0 / values[id(ops[0])]))
-            elif k == "sqrt":
-                _acc(ops[0], _guarded(adj, 0.5 / values[id(node)]))
-            elif k == "lgamma":
-                _acc(ops[0], _guarded(adj, digamma_value(values[id(ops[0])])))
-            elif k == "sigmoid":
-                s = values[id(node)]
-                _acc(ops[0], adj * s * (1.0 - s))
-            elif k == "sum_all":
-                _acc(ops[0], np.full(ops[0].shape, float(adj)))
-            elif k == "switch":
-                c = values[id(ops[0])] != 0
-                _acc(ops[1], np.where(c, adj, 0.0))
-                _acc(ops[2], np.where(c, 0.0, adj))
-            elif k == "index":
-                buf = np.zeros(ops[0].shape)
-                np.add.at(buf, node.payload, adj)
-                _acc(ops[0], buf)
-            elif k == "slice":
-                start, stop, step = node.payload
-                buf = np.zeros(ops[0].shape)
-                buf[start:stop:step] += adj
-                _acc(ops[0], buf)
-            elif k == "concat":
-                pos = 0
-                for c in ops:
-                    _acc(c, adj[pos:pos + c.shape[0]])
-                    pos += c.shape[0]
-            else:  # pragma: no cover
-                raise ValueError(f"no gradient rule for kind {k!r}")
+    adjoint: list = [None] * len(values)
+    adjoint[-1] = np.asarray(1.0)
+    with np.errstate(**_QUIET):
+        for i, child, fn, args, scalar in entries:
+            contrib = fn(adjoint[i], *[values[a] for a in args]) if args else fn(adjoint[i])
+            if scalar and isinstance(contrib, np.ndarray) and contrib.ndim:
+                contrib = contrib.sum()
+            prev = adjoint[child]
+            adjoint[child] = contrib if prev is None else prev + contrib
 
     out: Point = {}
     for name in wrt:
-        node = wanted.get(name)
-        if node is None:
+        i = wanted.get(name)
+        if i is None:
             out[name] = np.zeros(())
         else:
-            a = adjoint.get(id(node))
-            out[name] = np.zeros(node.shape) if a is None else np.broadcast_to(
-                np.asarray(a, dtype=np.float64), node.shape).copy()
+            shape, a = tape.order[i].shape, adjoint[i]
+            out[name] = np.zeros(shape) if a is None else np.broadcast_to(
+                np.asarray(a, dtype=np.float64), shape).copy()
     return out
 
 
@@ -620,4 +669,4 @@ def value_and_grad(expr: Expr, wrt: Sequence[str], point: Mapping):
     """Forward value and reverse-mode gradient sharing one forward pass."""
     values = _forward(expr, point)
     g = grad(expr, wrt, point, values=values)
-    return values[id(expr)], g
+    return values[-1], g

@@ -3,6 +3,7 @@ the sample loop."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -97,6 +98,8 @@ def sample(model: Model, config: SampleConfig) -> Trace:
     Chain k draws from the random stream (seed, k), so any chain count with
     the same seed reproduces bit-identically chain by chain.  Warm-up draws
     tune the kernels and are recorded only when ``discard_tuned`` is off.
+    When a draw fails, the backend is finished before the error propagates,
+    so a ``TextBackend`` directory keeps the rows recorded so far.
     """
     model.finalize()
     steps = flatten_steps(config.steps)
@@ -109,19 +112,25 @@ def sample(model: Model, config: SampleConfig) -> Trace:
     backend.start(model.trace_layout(), config.chains)
 
     total = warmup + config.draws
-    for chain in range(config.chains):
-        rng = stream(config.seed, chain)
-        chain_steps = [s.clone() for s in steps]
-        point = model.initial_point(config.start)
-        for i in range(total):
-            tuning = i < warmup
-            try:
-                for s in chain_steps:
-                    point = s.step(point, rng, tuning)
-            except MiniprobError as e:
-                raise SamplingError(f"chain {chain}, draw {i}: {e}") from e
-            if not config.discard_tuned or i >= warmup:
-                backend.record(chain, model.expand_point(point))
-            if config.progress is not None and ((i + 1) % 100 == 0 or i + 1 == total):
-                config.progress(chain, i + 1, total)
+    try:
+        for chain in range(config.chains):
+            rng = stream(config.seed, chain)
+            chain_steps = [s.clone() for s in steps]
+            point = model.initial_point(config.start)
+            for i in range(total):
+                tuning = i < warmup
+                try:
+                    for s in chain_steps:
+                        point = s.step(point, rng, tuning)
+                except MiniprobError as e:
+                    raise SamplingError(f"chain {chain}, draw {i}: {e}") from e
+                if not config.discard_tuned or i >= warmup:
+                    backend.record(chain, model.expand_point(point))
+                if config.progress is not None and ((i + 1) % 100 == 0 or i + 1 == total):
+                    config.progress(chain, i + 1, total)
+    except BaseException:
+        # keep the rows recorded so far loadable; the original error is the one to report
+        with contextlib.suppress(MiniprobError):
+            backend.finish()
+        raise
     return backend.finish()

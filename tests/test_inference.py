@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import miniprob
 from conftest import finite_diff_grad, rel_err
 from miniprob import demos
-from miniprob.backends import MemoryBackend, TextBackend
+from miniprob.backends import MemoryBackend, TextBackend, load
 from miniprob.distributions import DiscreteUniform, Exponential, Normal
-from miniprob.exceptions import NonFiniteStart, UncoveredVariable
+from miniprob.exceptions import NonFiniteLogp, NonFiniteStart, SamplingError, UncoveredVariable
 from miniprob.graph import opaque_deterministic
 from miniprob.inference import SampleConfig, find_map, sample
 from miniprob.model import Model
@@ -196,6 +201,59 @@ class TestSample:
         t2 = sample(m, SampleConfig(draws=10, steps=[Metropolis(m)], seed=3,
                                     start=last, warmup=0, discard_tuned=False))
         assert np.isfinite(t2["e"]).all()
+
+
+class FailingMetropolis(Metropolis):
+    """Metropolis whose step raises a model error at draw ``FAIL_AT``."""
+
+    FAIL_AT = 7
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.draws = 0
+
+    def step(self, point, rng, tuning=False):
+        if self.draws == self.FAIL_AT:
+            raise NonFiniteLogp("injected failure")
+        self.draws += 1
+        return super().step(point, rng, tuning)
+
+
+def crash_mid_sample(directory: str) -> None:
+    """Sample into a text trace with a step method that fails part-way."""
+    m = Model()
+    m.add_free("x", Normal(mu=0.0, sd=1.0))
+    m.finalize()
+    cfg = SampleConfig(draws=20, steps=[FailingMetropolis(m)], seed=5, warmup=0,
+                       backend=TextBackend(directory))
+    with pytest.raises(SamplingError, match=f"draw {FailingMetropolis.FAIL_AT}:"):
+        sample(m, cfg)
+
+
+class TestCrashMidSample:
+    def test_partial_trace_loads(self, tmp_path):
+        crash_mid_sample(str(tmp_path / "t"))
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.finalize()
+        full = sample(m, SampleConfig(draws=20, steps=[Metropolis(m)], seed=5, warmup=0))
+        partial = load(str(tmp_path / "t"))
+        assert partial.chain_length() == FailingMetropolis.FAIL_AT
+        np.testing.assert_array_equal(partial["x"], full["x"][:FailingMetropolis.FAIL_AT])
+
+    def test_no_file_left_open(self, tmp_path):
+        script = ("import gc, sys\n"
+                  "from test_inference import crash_mid_sample\n"
+                  "crash_mid_sample(sys.argv[1])\n"
+                  "gc.collect()\n")
+        tests = os.path.dirname(__file__)
+        src = os.path.dirname(os.path.dirname(miniprob.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([tests, src]))
+        done = subprocess.run([sys.executable, "-X", "dev", "-c", script, str(tmp_path / "t")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
+        assert os.path.exists(tmp_path / "t" / "meta.json")
 
 
 class TestDemoGradients:
