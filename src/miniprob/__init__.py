@@ -49,7 +49,6 @@ from .samplers import (
     Slice,
     hessian_diag,
     leapfrog,
-    scaling_from_point,
 )
 from .stats import ess, hpd, mc_error, quantiles, summary, traceplot_data, write_plot_data
 
@@ -64,6 +63,6 @@ __all__ = [
     "const", "ess", "eval_expr", "exp", "find_map", "free_input", "grad",
     "graph", "hessian_diag", "hpd", "lgamma", "leapfrog", "load", "log",
     "mc_error", "opaque_deterministic", "parse_formula", "quantiles", "sample",
-    "scaling_from_point", "sigmoid", "sqrt", "stream", "sum_all", "summary",
-    "switch", "traceplot_data", "write_plot_data",
+    "sigmoid", "sqrt", "stream", "sum_all", "summary", "switch",
+    "traceplot_data", "write_plot_data",
 ]

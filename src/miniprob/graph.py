@@ -2,7 +2,8 @@
 
 Every log density in the package is an ``Expr`` over named free inputs.
 Graphs are acyclic, nodes are immutable after construction, and evaluation
-is plain 64-bit numpy, so the same (expr, point) pair always produces
+is plain 64-bit numpy, with log-gamma, digamma and the logistic function taken
+from ``scipy.special``, so the same (expr, point) pair always produces
 bit-identical output.
 
 The first evaluation of a root compiles it into a tape cached on the root.
@@ -22,6 +23,7 @@ import operator
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import special
 
 from .exceptions import (
     IntegerDifferentiation,
@@ -292,80 +294,6 @@ def opaque_deterministic(fn: Callable, inputs: Sequence, out_shape: Sequence[int
     return Expr("opaque", inputs, shape=tuple(out_shape), dtype=dtype, payload=fn)
 
 
-# --- Lanczos log-gamma (g=7, 9 coefficients) and its derivative -----------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
-def _lanczos_main(x):
-    # valid for x >= 0.5
-    z = x - 1.0
-    s = np.full_like(z, _LANCZOS_COEF[0])
-    for i in range(1, 9):
-        s = s + _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(s)
-
-
-def _lanczos_main_deriv(x):
-    z = x - 1.0
-    s = np.full_like(z, _LANCZOS_COEF[0])
-    ds = np.zeros_like(z)
-    for i in range(1, 9):
-        s = s + _LANCZOS_COEF[i] / (z + i)
-        ds = ds - _LANCZOS_COEF[i] / (z + i) ** 2
-    t = z + _LANCZOS_G + 0.5
-    return np.log(t) + (z + 0.5) / t - 1.0 + ds / s
-
-
-def lgamma_value(x):
-    """log|Gamma(x)| for real x, via Lanczos with reflection below 0.5."""
-    x = np.asarray(x, dtype=np.float64)
-    small = x < 0.5
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not small.any():  # no reflection: the same bits for less work
-            return np.asarray(_lanczos_main(x))
-        main = _lanczos_main(np.where(small, 1.0 - x, x))
-        refl = np.log(np.pi) - np.log(np.abs(np.sin(np.pi * x))) - main
-        out = np.where(small, refl, main)
-    return out
-
-
-def digamma_value(x):
-    """Derivative of ``lgamma_value`` (the digamma function)."""
-    x = np.asarray(x, dtype=np.float64)
-    small = x < 0.5
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not small.any():
-            return np.asarray(_lanczos_main_deriv(x))
-        main = _lanczos_main_deriv(np.where(small, 1.0 - x, x))
-        refl = main - np.pi / np.tan(np.pi * x)
-        out = np.where(small, refl, main)
-    return out
-
-
-def _sigmoid_value(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    with np.errstate(over="ignore"):
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 # --- evaluation -----------------------------------------------------------
 
 def topo_order(expr: Expr) -> list[Expr]:
@@ -427,8 +355,8 @@ _FORWARD = {
     "exp": np.exp,
     "log": lambda x: np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf),
     "sqrt": lambda x: np.sqrt(np.asarray(x, dtype=np.float64)),
-    "lgamma": lgamma_value,
-    "sigmoid": lambda x: _sigmoid_value(np.asarray(x, dtype=np.float64)),
+    "lgamma": special.gammaln,
+    "sigmoid": lambda x: special.expit(np.asarray(x, dtype=np.float64)),
     "sum_all": lambda x: np.asarray(np.sum(x)),
     "switch": lambda c, a, b: np.where(c != 0, a, b),
     "concat": lambda *parts: np.concatenate(parts),
@@ -559,7 +487,8 @@ def eval_expr(expr: Expr, point: Mapping) -> np.ndarray:
 def _guarded(adj, local):
     # dead-branch adjoints are exactly zero; keep 0 * inf from minting NaN
     prod = adj * local
-    m = prod.min() if (isinstance(prod, np.ndarray) and prod.ndim) else prod
+    # a NaN anywhere makes the minimum NaN; ``initial`` covers empty arrays
+    m = prod.min(initial=0.0) if (isinstance(prod, np.ndarray) and prod.ndim) else prod
     if m != m:  # a NaN crept in where the adjoint is zero
         prod = np.where(adj == 0, 0.0, prod)
     return prod
@@ -589,7 +518,7 @@ _BACKWARD = {
     "exp": ((_guarded, (-1,)),),
     "log": ((lambda g, x: _guarded(g, 1.0 / x), (0,)),),
     "sqrt": ((lambda g, v: _guarded(g, 0.5 / v), (-1,)),),
-    "lgamma": ((lambda g, x: _guarded(g, digamma_value(x)), (0,)),),
+    "lgamma": ((lambda g, x: _guarded(g, special.psi(x)), (0,)),),
     "sigmoid": ((lambda g, s: g * s * (1.0 - s), (-1,)),),
     "switch": (None,
                (lambda g, c: np.where(c != 0, g, 0.0), (0,)),

@@ -84,12 +84,6 @@ def hessian_diag(model: Model, point: Mapping | None = None,
     return -diag
 
 
-def scaling_from_point(model: Model, point: Mapping,
-                       vars: Sequence[str] | None = None) -> np.ndarray:
-    """Momentum scaling vector: curvature floored at 1e-8."""
-    return np.maximum(hessian_diag(model, point, vars), 1e-8)
-
-
 # --- leapfrog ----------------------------------------------------------------
 
 def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q=None):
@@ -284,7 +278,7 @@ class GradientStep(StepMethod):
         if scaling is None:
             scaling = model.test_point
         if isinstance(scaling, Mapping):
-            mass = scaling_from_point(model, scaling, self.vars)
+            mass = np.maximum(hessian_diag(model, scaling, self.vars), 1e-8)
         else:
             mass = np.broadcast_to(np.asarray(scaling, dtype=np.float64),
                                    (self.packer.size,)).copy()

@@ -8,6 +8,7 @@ log of |dx/dy| so the pushforward density still integrates to one.
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
 from . import graph
 from .exceptions import OutsideSupport
@@ -59,9 +60,7 @@ class IntervalTransform:
 
     def backward(self, y):
         y = np.asarray(y, dtype=np.float64)
-        z = np.exp(-np.abs(y))
-        p = np.where(y >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        return self.lower + (self.upper - self.lower) * p
+        return self.lower + (self.upper - self.lower) * special.expit(y)
 
     def backward_expr(self, y: graph.Expr) -> graph.Expr:
         return self.lower + (self.upper - self.lower) * graph.sigmoid(y)

@@ -4,8 +4,9 @@ This is the node-by-node walk that evaluated every graph before each root was
 compiled into a slot tape: values and adjoints live in dicts keyed by node
 id, every node is dispatched through one ``if/elif`` chain on its kind, and
 the backward pass pushes adjoints into every child.  Tests compare the tape
-against it byte for byte.  It also keeps the log-gamma and digamma forms that
-always evaluate the reflection branch.
+against it byte for byte.  It computes each node with the same numpy and
+``scipy.special`` calls as the tape, so a mismatch points at folding, pruning
+or summation order rather than at a kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import special
 
 from miniprob.exceptions import (
     IntegerDifferentiation,
@@ -25,33 +27,10 @@ from miniprob.graph import (
     Point,
     _guarded,
     _input_value,
-    _lanczos_main,
-    _lanczos_main_deriv,
-    _sigmoid_value,
     topo_order,
 )
 
 _BINARY = {"add", "sub", "mul", "div", "pow", "cmp_ge", "cmp_gt"}
-
-
-def lgamma_value_reference(x):
-    x = np.asarray(x, dtype=np.float64)
-    small = x < 0.5
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        main = _lanczos_main(np.where(small, 1.0 - x, x))
-        refl = np.log(np.pi) - np.log(np.abs(np.sin(np.pi * x))) - main
-        out = np.where(small, refl, main)
-    return out
-
-
-def digamma_value_reference(x):
-    x = np.asarray(x, dtype=np.float64)
-    small = x < 0.5
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        main = _lanczos_main_deriv(np.where(small, 1.0 - x, x))
-        refl = main - np.pi / np.tan(np.pi * x)
-        out = np.where(small, refl, main)
-    return out
 
 
 def forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:
@@ -92,9 +71,9 @@ def forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:
             elif k == "sqrt":
                 v = np.sqrt(np.asarray(values[id(node.operands[0])], dtype=np.float64))
             elif k == "lgamma":
-                v = lgamma_value_reference(values[id(node.operands[0])])
+                v = special.gammaln(values[id(node.operands[0])])
             elif k == "sigmoid":
-                v = _sigmoid_value(np.asarray(values[id(node.operands[0])], dtype=np.float64))
+                v = special.expit(np.asarray(values[id(node.operands[0])], dtype=np.float64))
             elif k == "sum_all":
                 v = np.asarray(np.sum(values[id(node.operands[0])]))
             elif k == "switch":
@@ -199,7 +178,7 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
             elif k == "sqrt":
                 _acc(ops[0], _guarded(adj, 0.5 / values[id(node)]))
             elif k == "lgamma":
-                _acc(ops[0], _guarded(adj, digamma_value_reference(values[id(ops[0])])))
+                _acc(ops[0], _guarded(adj, special.psi(values[id(ops[0])])))
             elif k == "sigmoid":
                 s = values[id(node)]
                 _acc(ops[0], adj * s * (1.0 - s))

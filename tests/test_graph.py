@@ -18,7 +18,6 @@ from miniprob.graph import (
     eval_expr,
     free_input,
     grad,
-    lgamma_value,
     opaque_deterministic,
     switch,
     value_and_grad,
@@ -192,23 +191,38 @@ class TestOpaque:
         assert g["x"] == pytest.approx(6.0)
 
 
+def lgamma_at(xs):
+    return eval_expr(graph.lgamma(free_input("x", np.shape(xs))), {"x": xs})
+
+
+def digamma_at(xs):
+    expr = graph.sum_all(graph.lgamma(free_input("x", np.shape(xs))))
+    return grad(expr, ["x"], {"x": xs})["x"]
+
+
 class TestLgamma:
     def test_accuracy_against_stdlib(self):
         xs = np.linspace(0.5001, 100.0, 4001)
         ref = np.array([math.lgamma(t) for t in xs])
-        ours = lgamma_value(xs)
+        ours = lgamma_at(xs)
         err = np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref)))
         assert err < 1e-13
 
     def test_reflection_region(self):
         xs = np.array([0.001, 0.1, 0.25, 0.49])
         ref = np.array([math.lgamma(t) for t in xs])
-        np.testing.assert_allclose(lgamma_value(xs), ref, rtol=1e-12)
+        np.testing.assert_allclose(lgamma_at(xs), ref, rtol=1e-12)
 
     def test_digamma_matches_own_lgamma(self):
         xs = np.linspace(0.6, 50.0, 200)
-        fd = (lgamma_value(xs + 1e-6) - lgamma_value(xs - 1e-6)) / 2e-6
-        np.testing.assert_allclose(graph.digamma_value(xs), fd, atol=2e-7)
+        fd = (lgamma_at(xs + 1e-6) - lgamma_at(xs - 1e-6)) / 2e-6
+        np.testing.assert_allclose(digamma_at(xs), fd, atol=2e-7)
+
+    def test_poles_and_gradient_below_zero(self):
+        # Gamma has poles at the non-positive integers, so log|Gamma| is +inf there
+        assert np.all(lgamma_at(np.array([-1.0, -2.0])) == np.inf)
+        fd = (lgamma_at(-2.5 + 1e-6) - lgamma_at(-2.5 - 1e-6)) / 2e-6
+        assert float(digamma_at(-2.5)) == pytest.approx(fd, abs=1e-6)
 
 
 def _random_graph(rng, inputs):

@@ -49,6 +49,15 @@ class TestTransforms:
         xs = np.linspace(-1.999, 6.999, 101)
         np.testing.assert_allclose(t.backward(t.forward(xs)), xs, atol=1e-12)
 
+    @pytest.mark.parametrize("t", [LogTransform(), IntervalTransform(-2.0, 7.0),
+                                   IntervalTransform(0.0, 1.0)],
+                             ids=["log", "interval", "unit"])
+    def test_backward_is_byte_equal_to_its_expr(self, t):
+        # recorded rows use ``backward``; the log density uses ``backward_expr``
+        ys = np.random.default_rng(7).normal(0.0, 10.0, 1000)
+        expr = t.backward_expr(graph.free_input("y", ys.shape))
+        assert t.backward(ys).tobytes() == eval_expr(expr, {"y": ys}).tobytes()
+
 
 class TestAddFree:
     def test_exponential_prior_term_in_y_space(self):

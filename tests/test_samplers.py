@@ -23,7 +23,6 @@ from miniprob.samplers import (
     hessian_diag,
     leapfrog,
     no_uturn,
-    scaling_from_point,
     validate_coverage,
 )
 
@@ -206,7 +205,7 @@ class TestLeapfrog:
 class TestScaling:
     def test_normal_sd2_curvature(self):
         m = normal_model(sd=2.0)
-        v = scaling_from_point(m, m.test_point)
+        v = Nuts(m, scaling=m.test_point).mass
         assert v.shape == (1,)
         assert v[0] == pytest.approx(0.25, rel=1e-6)
 
@@ -214,7 +213,7 @@ class TestScaling:
         m = Model()
         m.add_free("f", Flat())
         m.finalize()
-        v = scaling_from_point(m, m.test_point)
+        v = Nuts(m, scaling=m.test_point).mass
         assert v[0] == pytest.approx(1e-8)
 
     def test_hessian_diag_unclipped(self):

@@ -16,10 +16,8 @@ from miniprob.glm import BinomialFamily, build_model
 from miniprob.graph import (
     concat,
     const,
-    digamma_value,
     eval_expr,
     free_input,
-    lgamma_value,
     opaque_deterministic,
     switch,
 )
@@ -162,10 +160,7 @@ class TestFolding:
                 graph.value_and_grad(expr, ["x"], {"k": 1})
 
 
-@pytest.mark.parametrize("fast, reflected", [
-    (lgamma_value, reference.lgamma_value_reference),
-    (digamma_value, reference.digamma_value_reference),
-], ids=["lgamma", "digamma"])
+@pytest.mark.parametrize("kind", ["lgamma", "digamma"])
 @pytest.mark.parametrize("x", [
     np.array([0.5, 0.7, 1.0, 3.5, 100.0, 1e300]),
     np.array([0.49, -2.5, 0.7, 5.0, -0.0]),
@@ -179,7 +174,16 @@ class TestFolding:
     7.0,
 ], ids=["no_small", "small", "counts", "0d", "0d_small", "nan", "nan_inf", "nan_neg_inf",
         "empty", "float"])
-def test_skipped_reflection_is_bit_identical(fast, reflected, x):
-    out, ref = fast(x), reflected(x)
+def test_lgamma_edge_inputs_match_reference(kind, x):
+    # the value of an lgamma node, or its digamma gradient, at inputs where
+    # scipy returns scalars, infinities or NaN
+    point = {"x": x}
+    node = graph.lgamma(free_input("x", np.shape(x)))
+    if kind == "lgamma":
+        out, ref = eval_expr(node, point), reference.forward(node, point)[id(node)]
+    else:
+        expr = graph.sum_all(node)
+        out, ref = (graph.grad(expr, ["x"], point)["x"],
+                    reference.grad(expr, ["x"], point)["x"])
     assert type(out) is type(ref)
     assert as_bytes(out) == as_bytes(ref)
