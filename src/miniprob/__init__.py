@@ -39,7 +39,7 @@ from .graph import (
     switch,
 )
 from .inference import SampleConfig, find_map, sample
-from .model import FreeVar, Model, ObservedVar
+from .model import FreeVar, Model
 from .rng import stream
 from .samplers import (
     CompoundStep,
@@ -58,7 +58,7 @@ __all__ = [
     "Bernoulli", "BinomialFamily", "CompoundStep", "Custom", "DiscreteUniform",
     "Expr", "Exponential", "Flat", "Formula", "FreeVar", "GaussianRandomWalk",
     "HalfNormal", "Hmc", "MemoryBackend", "Metropolis", "Model", "Normal",
-    "NormalFamily", "Nuts", "ObservedVar", "Poisson", "SampleConfig", "Slice",
+    "NormalFamily", "Nuts", "Poisson", "SampleConfig", "Slice",
     "StudentT", "TextBackend", "Trace", "Uniform", "build_model", "concat",
     "const", "ess", "eval_expr", "exp", "find_map", "free_input", "grad",
     "graph", "hessian_diag", "hpd", "lgamma", "leapfrog", "load", "log",

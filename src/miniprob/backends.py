@@ -189,12 +189,23 @@ def load(directory: str) -> Trace:
     try:
         if meta["version"] != 1:
             raise CorruptMeta(f"unsupported trace version {meta['version']!r}")
-        layout = [(v["name"], tuple(v["shape"]), v["dtype"]) for v in meta["vars"]]
-        n_chains = int(meta["chains"])
+        layout = [(v["name"], v["shape"], v["dtype"]) for v in meta["vars"]]
+        n_chains = meta["chains"]
     except (KeyError, TypeError) as e:
         raise CorruptMeta(f"malformed metadata in {directory!r}: {e}") from None
     if not layout:
         raise CorruptMeta(f"metadata in {directory!r} lists no variables")
+    if type(n_chains) is not int or n_chains < 1:
+        raise CorruptMeta(f"metadata in {directory!r}: chains must be an int >= 1, "
+                          f"got {n_chains!r}")
+    for name, shape, dtype in layout:
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise CorruptMeta(f"metadata in {directory!r}: shape of {name!r} must be "
+                              f"a list of ints >= 0, got {shape!r}")
+        if dtype not in ("int", "float"):
+            raise CorruptMeta(f"metadata in {directory!r}: dtype of {name!r} must be "
+                              f"'int' or 'float', got {dtype!r}")
+    layout = [(name, tuple(shape), dtype) for name, shape, dtype in layout]
 
     expected_header = ",".join(col for name, shape, _ in layout
                                for col in flat_names(name, shape))

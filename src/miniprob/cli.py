@@ -41,6 +41,13 @@ def _default_seed() -> int:
     return int(os.environ.get("MINIPROB_SEED", "1"))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _progress(chain, draw, total):
     sys.stderr.write(f"\rchain {chain}: {draw} of {total} complete")
     if draw == total:
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run a bundled case-study workflow")
     demo.add_argument("name", choices=sorted(DEMO_DEFAULT_DRAWS))
-    demo.add_argument("--draws", type=int, default=None,
+    demo.add_argument("--draws", type=_positive_int, default=None,
                       help="posterior draws (default depends on the demo)")
     demo.add_argument("--seed", type=int, default=_default_seed(),
                       help="random seed (default: MINIPROB_SEED env var or 1)")

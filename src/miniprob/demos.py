@@ -79,15 +79,14 @@ def disasters_model() -> Model:
     return model.finalize()
 
 
-def run_disasters(draws: int, seed: int, backend=None, progress=None,
-                  warmup=None):
+def run_disasters(draws: int, seed: int, backend=None, progress=None):
     model = disasters_model()
     steps = [
         Nuts(model, vars=["early_rate", "late_rate"]),
         Metropolis(model, vars=["switchpoint", "disasters.missing_values"]),
     ]
     cfg = SampleConfig(draws=draws, steps=steps, seed=seed, backend=backend,
-                       progress=progress, warmup=warmup)
+                       progress=progress)
     return model, sample(model, cfg)
 
 

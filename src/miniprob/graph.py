@@ -125,10 +125,6 @@ class Expr:
             return f"Expr(input {self.input_name!r} {self.shape})"
         return f"Expr({self.kind}, shape={self.shape})"
 
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape, dtype=int)) if self.shape else 1
-
 
 def as_expr(value) -> Expr:
     """Lift numbers and arrays to constant nodes; pass Exprs through."""
@@ -198,10 +194,9 @@ def cmp_gt(a, b) -> Expr:
     return _binary("cmp_gt", a, b)
 
 
-def _unary(kind, x, dtype=None) -> Expr:
+def _unary(kind, x) -> Expr:
     x = as_expr(x)
-    shape = () if kind == "sum_all" else x.shape
-    return Expr(kind, (x,), shape=shape, dtype=dtype or "float")
+    return Expr(kind, (x,), shape=x.shape, dtype="float")
 
 
 def neg(x) -> Expr:

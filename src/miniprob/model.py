@@ -38,11 +38,10 @@ def _as_shape(shape) -> tuple:
 
 
 class FreeVar:
-    """A sampled variable: distribution, optional transform, test value."""
+    """A sampled variable: dtype, optional transform, test value."""
 
     def __init__(self, name, dist, shape, transform, testval):
         self.name = name
-        self.dist = dist
         self.shape = shape
         self.transform = transform
         self.dtype = dist.dtype
@@ -58,20 +57,6 @@ class FreeVar:
 
     def __repr__(self):
         return f"FreeVar({self.name!r}, shape={self.shape})"
-
-
-class ObservedVar:
-    """A likelihood node with fixed data, possibly with masked-out entries."""
-
-    def __init__(self, name, dist, data, mask, missing_var):
-        self.name = name
-        self.dist = dist
-        self.data = data
-        self.mask = mask
-        self.missing_var = missing_var
-
-    def __repr__(self):
-        return f"ObservedVar({self.name!r}, shape={self.data.shape})"
 
 
 def _transform_for(dist: Distribution):
@@ -90,7 +75,6 @@ class Model:
 
     def __init__(self):
         self.free_vars: list[FreeVar] = []
-        self.observed_vars: list[ObservedVar] = []
         self.deterministics: list[tuple[str, Expr]] = []
         self._names: set[str] = set()
         self._terms: dict[str, Expr] = {}
@@ -161,7 +145,7 @@ class Model:
         """Free variable with an arbitrary log density; never transformed."""
         return self.add_free(name, Custom(logp_fn, dtype=dtype), shape, testval)
 
-    def add_observed(self, name: str, dist: Distribution, data, mask=None) -> ObservedVar:
+    def add_observed(self, name: str, dist: Distribution, data, mask=None) -> None:
         self._check_open()
         data = np.asarray(data)
         data = data.astype(np.int64 if dist.dtype == "int" else np.float64)
@@ -179,7 +163,6 @@ class Model:
         if mask is None:
             self._claim_name(name)
             term = dist.logp_expr(const(data))
-            obs = ObservedVar(name, dist, data, None, None)
         else:
             if data.ndim != 1:
                 raise ShapeMismatch(f"{name}: masked data must be one-dimensional")
@@ -196,11 +179,8 @@ class Model:
             perm[mask] = data.shape[0] - n_miss + np.arange(n_miss)
             term = dist.logp_expr(composed[perm])
             self._register_free(miss_var, None)
-            obs = ObservedVar(name, dist, data, mask, miss_var)
 
         self._terms[name] = term
-        self.observed_vars.append(obs)
-        return obs
 
     def add_deterministic(self, name: str, expr) -> None:
         self._check_open()

@@ -2,13 +2,18 @@
 the gradient kernels, the Hessian scaling and ``find_map`` evaluate.
 
 All kernels are pure functions of (state, point, rng stream): with the same
-seed a chain reproduces bit-for-bit.  One kernel instance serves one chain;
-``clone()`` produces a fresh-state copy for additional chains.
+seed a chain reproduces bit-for-bit.  One kernel instance serves one chain.
+``clone()`` deep-copies a kernel, its adaptation state included, and shares
+only the model.  ``sample()`` steps only clones, so the kernels it is given
+stay unstepped and every chain starts fresh; a kernel stepped by hand before
+``sample()`` carries its tuned state into every chain.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import namedtuple
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -105,11 +110,8 @@ class StepMethod:
     def __init__(self, model: Model, vars=None):
         model.finalize()
         self.model = model
-        if vars is None:
-            self.vars = list(self._default_vars(model))
-        else:
-            self.vars = model.resolve_names(vars)
-        self._init_kwargs: dict = {}
+        self.vars = (list(self._default_vars(model)) if vars is None
+                     else model.resolve_names(vars))
 
     def _default_vars(self, model):
         return model.sampling_names()
@@ -118,7 +120,7 @@ class StepMethod:
         raise NotImplementedError
 
     def clone(self) -> "StepMethod":
-        return type(self)(self.model, **self._init_kwargs)
+        return copy.deepcopy(self, {id(self.model): self.model})
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -130,22 +132,17 @@ class Metropolis(StepMethod):
 
     Integer variables get their Gaussian increment rounded to the nearest
     integer, ties away from zero.  Every ``tune_interval`` proposals made
-    while tuning, every scale is multiplied by the classic schedule factor
+    while tuning, the scale is multiplied by the classic schedule factor
     for the observed acceptance rate.
     """
 
-    def __init__(self, model, vars=None, scale=1.0, tune_interval=100):
+    tune_interval = 100
+
+    def __init__(self, model, vars=None, scale=1.0):
         super().__init__(model, vars)
-        self._init_kwargs = dict(vars=list(self.vars), scale=scale,
-                                 tune_interval=tune_interval)
-        if isinstance(scale, Mapping):
-            self.scales = {n: float(scale[n]) for n in self.vars}
-        else:
-            self.scales = {n: float(scale) for n in self.vars}
-        for n, s in self.scales.items():
-            if s <= 0:
-                raise ValueError(f"proposal scale for {n!r} must be positive")
-        self.tune_interval = int(tune_interval)
+        self.scale = float(scale)
+        if not self.scale > 0:
+            raise ValueError(f"proposal scale must be positive, got {scale!r}")
         self.accept_count = 0
         self.total_count = 0
         self.last_accepted = False
@@ -171,7 +168,7 @@ class Metropolis(StepMethod):
         proposal = dict(point)
         for name in self.vars:
             var = self.model.var(name)
-            delta = self.scales[name] * rng.standard_normal(var.shape)
+            delta = self.scale * rng.standard_normal(var.shape)
             if var.dtype == "int":
                 proposal[name] = np.asarray(point[name]) + _round_half_away(delta)
             else:
@@ -184,9 +181,7 @@ class Metropolis(StepMethod):
             point = proposal
             self.accept_count += 1
         if tuning and self.total_count >= self.tune_interval:
-            factor = self.tune_factor(self.accept_count / self.total_count)
-            for n in self.scales:
-                self.scales[n] *= factor
+            self.scale *= self.tune_factor(self.accept_count / self.total_count)
             self.accept_count = 0
             self.total_count = 0
         return point
@@ -197,42 +192,35 @@ class Slice(StepMethod):
     applied coordinate-wise to each target variable."""
 
     MAX_EXPANSIONS = 1000
+    width = 1.0
 
-    def __init__(self, model, vars=None, width=1.0):
+    def __init__(self, model, vars=None):
         super().__init__(model, vars)
-        self._init_kwargs = dict(vars=list(self.vars), width=width)
         for n in self.vars:
             if self.model.var(n).dtype == "int":
                 raise IntegerDifferentiation(
                     f"slice sampling needs a continuous variable, got {n!r}")
-        self.width = float(width)
 
     def _default_vars(self, model):
         return model.continuous_names()
 
     def step(self, point, rng, tuning=False):
-        point = {k: np.array(v) for k, v in point.items()}
+        point = dict(point)
         lp = self.model.logp(point)
         if not np.isfinite(lp):
             raise NonFiniteLogp(f"slice sampler started at logp={lp}")
         for name in self.vars:
-            arr = point[name]
-            if arr.shape == ():
-                lp = self._update_coord(point, name, (), lp, rng)
-            else:
-                for idx in np.ndindex(arr.shape):
-                    lp = self._update_coord(point, name, idx, lp, rng)
+            point[name] = np.array(point[name], dtype=np.float64)
+            for idx in np.ndindex(point[name].shape):
+                lp = self._update_coord(point, name, idx, lp, rng)
         return point
 
     def _coord_logp(self, point, name, idx, value):
-        if idx == ():
-            point[name] = np.asarray(value, dtype=np.float64)
-        else:
-            point[name][idx] = value
+        point[name][idx] = value
         return self.model.logp(point)
 
     def _update_coord(self, point, name, idx, lp, rng):
-        x0 = float(point[name][idx]) if idx != () else float(point[name])
+        x0 = float(point[name][idx])
         log_u = lp + math.log(rng.random())
         left = x0 - self.width * rng.random()
         right = left + self.width
@@ -265,8 +253,9 @@ class Slice(StepMethod):
 
 
 class GradientStep(StepMethod):
-    """Shared machinery for HMC-family kernels: packing, mass handling,
-    cached log-density-and-gradient evaluations."""
+    """Shared machinery for HMC-family kernels: packing, the checked start of
+    a step, and the mass from ``scaling``: the negative Hessian diagonal at a
+    point (floored at 1e-8), or an explicit finite, positive vector."""
 
     def __init__(self, model, vars=None, scaling=None):
         super().__init__(model, vars)
@@ -278,14 +267,28 @@ class GradientStep(StepMethod):
         if scaling is None:
             scaling = model.test_point
         if isinstance(scaling, Mapping):
-            mass = np.maximum(hessian_diag(model, scaling, self.vars), 1e-8)
+            diag = hessian_diag(model, scaling, self.vars)
+            if not np.all(np.isfinite(diag)):
+                raise NonFiniteGradient(f"Hessian diagonal at the scaling point is {diag}")
+            mass = np.maximum(diag, 1e-8)
         else:
             mass = np.broadcast_to(np.asarray(scaling, dtype=np.float64),
                                    (self.packer.size,)).copy()
-            if np.any(mass <= 0):
-                raise ValueError("scaling vector must be strictly positive")
+            if not np.all(np.isfinite(mass) & (mass > 0)):
+                raise ValueError("scaling vector must be finite and strictly positive")
         self.mass = mass
         self.inv_mass = 1.0 / mass
+
+    def _start(self, point):
+        """(q, logp, gradient) at ``point``, which becomes the base point."""
+        q = self.packer.rebase(point)
+        lp, g = self.packer.logp_grad(q)
+        name = type(self).__name__
+        if not np.isfinite(lp):
+            raise NonFiniteLogp(f"{name} started at logp={lp}")
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradient(f"{name} started at a point with non-finite gradient")
+        return q, lp, g
 
     def _momentum(self, rng):
         return np.sqrt(self.mass) * rng.standard_normal(self.packer.size)
@@ -299,8 +302,6 @@ class Hmc(GradientStep):
 
     def __init__(self, model, vars=None, scaling=None, step_size=0.25, n_steps=4):
         super().__init__(model, vars, scaling)
-        self._init_kwargs = dict(vars=list(self.vars), scaling=np.array(self.mass),
-                                 step_size=step_size, n_steps=n_steps)
         if step_size <= 0 or n_steps < 1:
             raise ValueError("step_size must be positive and n_steps >= 1")
         self.step_size = float(step_size)
@@ -308,12 +309,7 @@ class Hmc(GradientStep):
         self.last_accepted = False
 
     def step(self, point, rng, tuning=False):
-        q = self.packer.rebase(point)
-        lp, g = self.packer.logp_grad(q)
-        if not np.isfinite(lp):
-            raise NonFiniteLogp(f"HMC started at logp={lp}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("HMC started at a point with non-finite gradient")
+        q, lp, g = self._start(point)
         p = self._momentum(rng)
         h0 = lp - self._kinetic(p)
         q_new, p_new, lp_new, g_new = q, p, lp, g
@@ -323,18 +319,11 @@ class Hmc(GradientStep):
         h1 = lp_new - self._kinetic(p_new)
         accept = np.log(rng.random()) < h1 - h0
         self.last_accepted = bool(accept)
-        out = q_new if accept else q
-        return self.packer.point(out)
+        return self.packer.point(q_new if accept else q)
 
 
-class _TreeState:
-    __slots__ = ("q", "p", "lp", "grad")
-
-    def __init__(self, q, p, lp, grad):
-        self.q = q
-        self.p = p
-        self.lp = lp
-        self.grad = grad
+# one trajectory state, in the order ``leapfrog`` returns it
+_Node = namedtuple("_Node", "q p lp grad")
 
 
 def no_uturn(dq: np.ndarray, p_minus: np.ndarray, p_plus: np.ndarray) -> bool:
@@ -348,25 +337,23 @@ class Nuts(GradientStep):
     """No-U-Turn sampler: dynamic trajectory doubling with slice selection and
     dual-averaging step-size adaptation during warm-up.
 
-    ``scaling`` may be a point (curvature is measured there) or an explicit
-    positive vector; ``gamma`` is the dual-averaging shrinkage strength.
+    ``gamma`` is the dual-averaging shrinkage strength.  The other settings
+    are the fixed values of Hoffman & Gelman (arXiv:1111.4246): warm-up aims
+    at a mean acceptance statistic of ``target_accept`` = 0.8 with
+    ``t0`` = 10 and ``kappa`` = 0.75; a tree stops after ``max_depth`` = 10
+    doublings, or when the energy error exceeds ``max_energy_error`` = 1000.
     """
 
-    def __init__(self, model, vars=None, scaling=None, step_size=None,
-                 target_accept=0.8, gamma=0.05, t0=10, kappa=0.75,
-                 max_depth=10, max_energy_error=1000.0):
+    target_accept = 0.8
+    t0 = 10.0
+    kappa = 0.75
+    max_depth = 10
+    max_energy_error = 1000.0
+
+    def __init__(self, model, vars=None, scaling=None, step_size=None, gamma=0.05):
         super().__init__(model, vars, scaling)
-        self._init_kwargs = dict(vars=list(self.vars), scaling=np.array(self.mass),
-                                 step_size=step_size, target_accept=target_accept,
-                                 gamma=gamma, t0=t0, kappa=kappa, max_depth=max_depth,
-                                 max_energy_error=max_energy_error)
         self.step_size = step_size
-        self.target_accept = float(target_accept)
         self.gamma = float(gamma)
-        self.t0 = float(t0)
-        self.kappa = float(kappa)
-        self.max_depth = int(max_depth)
-        self.max_energy_error = float(max_energy_error)
         self._mu = None
         self._h_bar = 0.0
         self._log_eps_bar = 0.0
@@ -396,75 +383,61 @@ class Nuts(GradientStep):
                 break
         return eps
 
-    def _ensure_init(self, q, lp, g, rng):
-        if not np.isfinite(lp):
-            raise NonFiniteLogp(f"NUTS started at logp={lp}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("NUTS started at a point with non-finite gradient")
+    def _build_tree(self, start, log_u, direction, depth, eps, h0, rng):
+        """2**depth leapfrog steps from ``start``.  Returns ([left, right],
+        proposal, n_valid, keep_going, alpha, n_alpha)."""
+        if depth == 0:
+            node = _Node(*leapfrog(self.packer.logp_grad, start.q, start.p,
+                                   direction * eps, self.inv_mass, start.grad))
+            h = node.lp - self._kinetic(node.p) if np.isfinite(node.lp) else -np.inf
+            n_valid = int(log_u <= h)
+            keep = h - log_u > -self.max_energy_error
+            alpha = min(1.0, math.exp(min(h - h0, 0.0))) if np.isfinite(h) else 0.0
+            return [node, node], node, n_valid, keep, alpha, 1
+
+        ends, prop, n1, keep, alpha, n_alpha = self._build_tree(
+            start, log_u, direction, depth - 1, eps, h0, rng)
+        if keep:
+            edge = direction > 0
+            more, prop2, n2, keep2, alpha2, n_alpha2 = self._build_tree(
+                ends[edge], log_u, direction, depth - 1, eps, h0, rng)
+            ends[edge] = more[edge]
+            if n2 > 0 and rng.random() < n2 / max(n1 + n2, 1):
+                prop = prop2
+            keep = keep2 and no_uturn(ends[1].q - ends[0].q, ends[0].p, ends[1].p)
+            n1 += n2
+            alpha += alpha2
+            n_alpha += n_alpha2
+        return ends, prop, n1, keep, alpha, n_alpha
+
+    def step(self, point, rng, tuning=False):
+        q, lp, g = self._start(point)
         if self._mu is None:
             if self.step_size is None:
                 self.step_size = self._find_reasonable_eps(q, lp, g, rng)
             self._mu = math.log(10.0 * self.step_size)
-
-    def _build_tree(self, state, log_u, direction, depth, eps, h0, rng):
-        """Returns (left, right, proposal, n_valid, keep_going, alpha, n_alpha)."""
-        if depth == 0:
-            q, p, lp, g = leapfrog(self.packer.logp_grad, state.q, state.p,
-                                   direction * eps, self.inv_mass, state.grad)
-            node = _TreeState(q, p, lp, g)
-            h = lp - self._kinetic(p) if np.isfinite(lp) else -np.inf
-            n_valid = int(log_u <= h)
-            keep = h - log_u > -self.max_energy_error
-            alpha = min(1.0, math.exp(min(h - h0, 0.0))) if np.isfinite(h) else 0.0
-            return node, node, node, n_valid, keep, alpha, 1
-
-        left, right, prop, n1, keep, alpha, n_alpha = self._build_tree(
-            state, log_u, direction, depth - 1, eps, h0, rng)
-        if keep:
-            if direction == -1:
-                left, _, prop2, n2, keep2, alpha2, n_alpha2 = self._build_tree(
-                    left, log_u, direction, depth - 1, eps, h0, rng)
-            else:
-                _, right, prop2, n2, keep2, alpha2, n_alpha2 = self._build_tree(
-                    right, log_u, direction, depth - 1, eps, h0, rng)
-            if n2 > 0 and rng.random() < n2 / max(n1 + n2, 1):
-                prop = prop2
-            keep = keep2 and no_uturn(right.q - left.q, left.p, right.p)
-            n1 += n2
-            alpha += alpha2
-            n_alpha += n_alpha2
-        return left, right, prop, n1, keep, alpha, n_alpha
-
-    def step(self, point, rng, tuning=False):
-        q = self.packer.rebase(point)
-        lp, g = self.packer.logp_grad(q)
-        self._ensure_init(q, lp, g, rng)
         eps = self.step_size if (tuning or self._m == 0) else math.exp(self._log_eps_bar)
 
         p0 = self._momentum(rng)
         h0 = lp - self._kinetic(p0)
         log_u = h0 + math.log(rng.random())
 
-        current = _TreeState(q, p0, lp, g)
-        left = right = current
-        chosen = current
+        chosen = _Node(q, p0, lp, g)
+        ends = [chosen, chosen]
         n = 1
         depth = 0
         alpha, n_alpha = 0.0, 1
         keep = True
         while keep and depth < self.max_depth:
             direction = 1 if rng.random() < 0.5 else -1
-            start = left if direction == -1 else right
-            if direction == -1:
-                left, _, prop, n_new, keep_sub, alpha, n_alpha = self._build_tree(
-                    start, log_u, direction, depth, eps, h0, rng)
-            else:
-                _, right, prop, n_new, keep_sub, alpha, n_alpha = self._build_tree(
-                    start, log_u, direction, depth, eps, h0, rng)
+            edge = direction > 0
+            more, prop, n_new, keep_sub, alpha, n_alpha = self._build_tree(
+                ends[edge], log_u, direction, depth, eps, h0, rng)
+            ends[edge] = more[edge]
             if keep_sub and n_new > 0 and rng.random() < min(1.0, n_new / n):
                 chosen = prop
             n += n_new
-            keep = keep_sub and no_uturn(right.q - left.q, left.p, right.p)
+            keep = keep_sub and no_uturn(ends[1].q - ends[0].q, ends[0].p, ends[1].p)
             depth += 1
         self.last_depth = depth
         self.last_accept_stat = alpha / n_alpha

@@ -1,4 +1,9 @@
+import inspect
+
+import pytest
+
 import miniprob
+from miniprob import demos
 
 
 def test_every_exported_name_resolves():
@@ -8,3 +13,20 @@ def test_every_exported_name_resolves():
 
 def test_exports_are_unique():
     assert len(set(miniprob.__all__)) == len(miniprob.__all__)
+
+
+def test_removed_names_are_not_exported():
+    removed = {"ObservedVar", "scaling_from_point"}
+    assert removed.isdisjoint(miniprob.__all__)
+    assert not any(hasattr(miniprob, name) for name in removed)
+
+
+@pytest.mark.parametrize("fn, params", [
+    (miniprob.Nuts, ["model", "vars", "scaling", "step_size", "gamma"]),
+    (miniprob.Hmc, ["model", "vars", "scaling", "step_size", "n_steps"]),
+    (miniprob.Metropolis, ["model", "vars", "scale"]),
+    (miniprob.Slice, ["model", "vars"]),
+    (demos.run_disasters, ["draws", "seed", "backend", "progress"]),
+], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters"])
+def test_kernel_parameters(fn, params):
+    assert list(inspect.signature(fn).parameters) == params

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -141,6 +142,27 @@ class TestTextBackend:
         lines[2] = row
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(CorruptMeta, match=r"chain-0\.csv.* line 3"):
+            load(d)
+
+    @pytest.mark.parametrize("field, value", [
+        ("chains", "two"), ("chains", 0), ("chains", -1), ("chains", 1.0), ("chains", True),
+        ("shape", ["a"]), ("shape", [-1]), ("shape", 2), ("shape", "2"),
+        ("dtype", "complex"),
+    ], ids=["chains_str", "chains_zero", "chains_negative", "chains_float", "chains_bool",
+            "shape_str_entry", "shape_negative", "shape_int", "shape_str", "dtype_complex"])
+    def test_malformed_meta_field(self, tmp_path, field, value):
+        d = str(tmp_path / "t")
+        fill(TextBackend(d), chains=1, draws=2)
+        path = os.path.join(d, "meta.json")
+        with open(path) as f:
+            meta = json.load(f)
+        if field == "chains":
+            meta["chains"] = value
+        else:
+            meta["vars"][1][field] = value
+        with open(path, "w") as f:
+            json.dump(meta, f)
+        with pytest.raises(CorruptMeta, match=field):
             load(d)
 
 

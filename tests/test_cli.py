@@ -1,4 +1,7 @@
+import json
 import os
+
+import pytest
 
 from miniprob import cli
 from miniprob.backends import TextBackend
@@ -20,6 +23,16 @@ def test_demo_writes_summary_trace_and_plots(tmp_path):
     assert os.listdir(out / "plots")
 
 
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_draws_below_one_is_a_usage_error(tmp_path, capsys, draws):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "linear", "--draws", draws, "--quiet", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--draws" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_summary_of_missing_directory_is_a_data_error(tmp_path):
     assert cli.main(["summary", str(tmp_path / "absent")]) == cli.EXIT_DATA
 
@@ -38,3 +51,19 @@ def test_summary_of_corrupt_row_is_a_data_error(tmp_path, capsys):
 def test_summary_of_short_trace_is_a_data_error(tmp_path):
     write_trace(tmp_path, 10)
     assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chains", "two"), ("chains", 0), ("chains", -1), ("shape", ["a"]), ("dtype", "complex"),
+], ids=["chains_str", "chains_zero", "chains_negative", "shape_str_entry", "dtype_complex"])
+def test_summary_of_malformed_meta_is_a_data_error(tmp_path, capsys, field, value):
+    write_trace(tmp_path, 200)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    if field == "chains":
+        meta["chains"] = value
+    else:
+        meta["vars"][0][field] = value
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err

@@ -1,11 +1,14 @@
-"""Seed-fixed case-study runs pinned to their trace digest and gradient count.
+"""Seed-fixed case-study and two-chain kernel runs pinned to their trace
+digest and gradient count.
 
 The values were recorded before the sampling coordinates were routed through
 one flat-vector log-density path; the disasters digest was recorded again when
 log-gamma and digamma moved to ``scipy.special`` (same gradient count, same
-switchpoint and missing-value columns, rates within 1.1e-13).  Any change to
-the arithmetic of MAP, scaling, leapfrog or kernel bookkeeping moves the
-digest, and any extra or missing gradient evaluation moves the count.
+switchpoint and missing-value columns, rates within 1.1e-13).  The kernel
+pins were recorded before the kernels' fixed settings became class constants
+and ``clone()`` became a deep copy; each of their chains runs on a clone.
+Any change to the arithmetic of MAP, scaling, leapfrog or kernel bookkeeping
+moves the digest, and any extra or missing gradient evaluation moves the count.
 """
 
 import hashlib
@@ -14,7 +17,10 @@ import numpy as np
 import pytest
 
 from miniprob import demos
+from miniprob.distributions import Exponential, Normal
+from miniprob.inference import SampleConfig, sample
 from miniprob.model import Model
+from miniprob.samplers import Hmc, Metropolis, Nuts, Slice
 
 
 def trace_sha256(trace) -> str:
@@ -49,4 +55,23 @@ def grad_calls(monkeypatch):
 ], ids=["linear", "disasters", "glm_linear"])
 def test_demo_trace_is_pinned(grad_calls, run, sha_prefix, calls):
     trace = run()
+    assert (trace_sha256(trace)[:16], grad_calls[0]) == (sha_prefix, calls)
+
+
+def kernel_model() -> Model:
+    m = Model()
+    m.add_free("x", Normal(mu=1.0, sd=2.0), shape=3)
+    m.add_free("e", Exponential(1.0))
+    return m.finalize()
+
+
+@pytest.mark.parametrize("steps, draws, sha_prefix, calls", [
+    (lambda m: [Slice(m)], 200, "518a17d251fb6a8e", 0),
+    (lambda m: [Hmc(m)], 300, "fe4d00ddd17c029f", 4508),
+    (lambda m: [Nuts(m, vars=["x"]), Metropolis(m, vars=["e"])], 300,
+     "36309773b856faea", 4138),
+], ids=["slice", "hmc", "nuts_metropolis"])
+def test_two_chain_kernel_trace_is_pinned(grad_calls, steps, draws, sha_prefix, calls):
+    m = kernel_model()
+    trace = sample(m, SampleConfig(draws=draws, steps=steps(m), seed=3, chains=2))
     assert (trace_sha256(trace)[:16], grad_calls[0]) == (sha_prefix, calls)

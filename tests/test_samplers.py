@@ -5,6 +5,7 @@ from scipy import stats as sps
 from miniprob import graph
 from miniprob.distributions import Exponential, Flat, Normal
 from miniprob.exceptions import (
+    NonFiniteGradient,
     NonFiniteLogp,
     OverlappingTargets,
     UncoveredVariable,
@@ -70,6 +71,11 @@ class TestMetropolis:
             assert not step.last_accepted
             assert float(new["u"]) == float(point["u"])
             point = new
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan])
+    def test_scale_must_be_positive(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            Metropolis(normal_model(), scale=scale)
 
     def test_tune_schedule(self):
         f = Metropolis.tune_factor
@@ -216,6 +222,21 @@ class TestScaling:
         v = Nuts(m, scaling=m.test_point).mass
         assert v[0] == pytest.approx(1e-8)
 
+    @pytest.mark.parametrize("kernel", [Nuts, Hmc])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_vector_rejected(self, kernel, bad):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0), shape=2)
+        m.finalize()
+        with pytest.raises(ValueError, match="scaling"):
+            kernel(m, scaling=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("kernel", [Nuts, Hmc])
+    def test_non_finite_hessian_diagonal_rejected(self, kernel):
+        m = normal_model()
+        with pytest.raises(NonFiniteGradient, match="Hessian"):
+            kernel(m, scaling={"x": np.array(np.nan)})
+
     def test_hessian_diag_unclipped(self):
         m = Model()
         m.add_free("f", Flat())
@@ -311,6 +332,18 @@ class TestCompound:
         m.add_free("b", Normal(mu=0.0, sd=1.0))
         m.finalize()
         validate_coverage(m, [Nuts(m, vars=["a"]), Metropolis(m, vars=["b"])])
+
+
+class TestClone:
+    def test_copies_state_and_shares_only_the_model(self):
+        m = normal_model()
+        step = Nuts(m)
+        point = step.step(m.initial_point(), stream(1, 0), tuning=True)
+        c = step.clone()
+        assert c.model is m and c.packer.model is m and c.packer is not step.packer
+        assert (c.step_size, c._m) == (step.step_size, 1)
+        c.step(point, stream(2, 0), tuning=True)
+        assert (c._m, step._m) == (2, 1)
 
 
 class TestDeterminism:
