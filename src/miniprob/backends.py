@@ -198,7 +198,12 @@ def load(directory: str) -> Trace:
     if type(n_chains) is not int or n_chains < 1:
         raise CorruptMeta(f"metadata in {directory!r}: chains must be an int >= 1, "
                           f"got {n_chains!r}")
+    names = set()
     for name, shape, dtype in layout:
+        if type(name) is not str or name in names:
+            raise CorruptMeta(f"metadata in {directory!r}: variable name {name!r} "
+                              f"is not a string or is listed twice")
+        names.add(name)
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise CorruptMeta(f"metadata in {directory!r}: shape of {name!r} must be "
                               f"a list of ints >= 0, got {shape!r}")

@@ -15,6 +15,13 @@ and checked on every call.  Each set of differentiated names gets one backward
 plan.  It visits only nodes whose subgraph holds a requested input and pushes
 adjoints only into such children, with the rules and the summation order of a
 full sweep, so neither folding nor pruning changes a bit.
+
+A tape also reuses its previous call.  Each converted input is compared, by
+its bytes, with the one the tape last saw; only the steps whose subgraph holds
+a changed input run, and opaque steps and everything above them run on every
+call.  The tape keeps its own read-only copy of each input, never the caller's
+array, and replaces its values and input snapshot together, only when a pass
+succeeds.  A tape is not safe to evaluate from two threads at once.
 """
 
 from __future__ import annotations
@@ -352,10 +359,17 @@ _FORWARD = {
     "sqrt": lambda x: np.sqrt(np.asarray(x, dtype=np.float64)),
     "lgamma": special.gammaln,
     "sigmoid": lambda x: special.expit(np.asarray(x, dtype=np.float64)),
-    "sum_all": lambda x: np.asarray(np.sum(x)),
-    "switch": lambda c, a, b: np.where(c != 0, a, b),
+    "sum_all": lambda x: np.asarray(np.add.reduce(x, axis=None)),
+    "switch": np.where,  # a nonzero (or NaN) condition picks ``a``
     "concat": lambda *parts: np.concatenate(parts),
 }
+
+
+def _read_only(v):
+    if isinstance(v, np.ndarray) and v.flags.writeable:
+        v = v.view()
+        v.flags.writeable = False
+    return v
 
 
 def _kernel(node: Expr) -> Callable:
@@ -368,7 +382,9 @@ def _kernel(node: Expr) -> Callable:
         return lambda x: x[key]
     if k == "opaque":
         def call(*args):
-            v = np.asarray(p(*args))
+            # the arguments are slots a later call may reuse, and the result
+            # may be an array ``p`` keeps, which the tape must not seal
+            v = _read_only(np.asarray(p(*[_read_only(a) for a in args])))
             if v.shape != node.shape:
                 raise ShapeMismatch(
                     f"opaque node: declared shape {node.shape}, fn returned {v.shape}")
@@ -380,7 +396,15 @@ def _kernel(node: Expr) -> Callable:
 class _Tape:
     """One root compiled to integer slots, in ``topo_order``: ``init`` holds
     the constants and the folded values, ``inputs`` the free inputs read on
-    every call, ``steps`` the ``(slot, kernel, operand slots)`` left to run."""
+    every call, ``steps`` the ``(slot, kernel, operand slots)`` left to run.
+
+    ``masks`` holds one bitmask per step: bit ``k + 1`` is set when the step's
+    subgraph holds input ``k``, and bit 0 when it holds an opaque node, which
+    every call counts as changed.  ``state`` is the previous successful call:
+    its slot values and the bytes of each converted input (None before the
+    first call, so that call runs every step).  ``forward`` replaces both at
+    once, after its pass succeeds.  A tape is not safe to evaluate from two
+    threads at once."""
 
     def __init__(self, root: Expr):
         self.order = order = topo_order(root)
@@ -389,7 +413,10 @@ class _Tape:
         self.init: list = [None] * len(order)
         self.inputs: list[tuple[int, Expr]] = []
         self.steps: list[tuple[int, Callable, tuple]] = []
+        self.masks: list[int] = []
         self.plans: dict[frozenset, tuple] = {}
+        self.runs: dict[int, list] = {}  # steps to run, by mask of changes
+        deps = [0] * len(order)
         known = set()
         with np.errstate(**_QUIET):
             for i, node in enumerate(order):
@@ -398,6 +425,7 @@ class _Tape:
                     self.init[i] = node.const_value
                     known.add(i)
                 elif node.kind == "free_input":
+                    deps[i] = 2 << len(self.inputs)
                     self.inputs.append((i, node))
                 elif node.kind != "opaque" and known.issuperset(args):
                     v = _kernel(node)(*[self.init[a] for a in args])
@@ -406,15 +434,41 @@ class _Tape:
                     self.init[i] = v
                     known.add(i)
                 else:
+                    for a in args:
+                        deps[i] |= deps[a]
+                    if node.kind == "opaque":
+                        deps[i] |= 1
                     self.steps.append((i, _kernel(node), args))
+                    self.masks.append(deps[i])
+        self.state = (self.init, [None] * len(self.inputs))
 
     def forward(self, point: Mapping) -> list:
-        values = self.init.copy()
+        values, seen = self.state
+        changed = 1
+        fresh = []
         with np.errstate(**_QUIET):
-            for i, node in self.inputs:
-                values[i] = _input_value(node, point)
-            for i, fn, args in self.steps:
+            for k, (i, node) in enumerate(self.inputs):
+                arr = _input_value(node, point)
+                raw = arr.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN payloads
+                if raw != seen[k]:
+                    changed |= 2 << k
+                    fresh.append((k, i, raw, arr))
+            run = self.runs.get(changed)
+            if run is None:
+                run = self.runs[changed] = [
+                    s for s, m in zip(self.steps, self.masks) if m & changed]
+            if not (fresh or run):
+                return values
+            values, seen = values.copy(), seen.copy()
+            for k, i, raw, arr in fresh:
+                seen[k] = raw
+                values[i] = np.frombuffer(raw, arr.dtype).reshape(arr.shape)
+            for i, fn, args in run:
                 values[i] = fn(*[values[a] for a in args])
+        root = values[-1]
+        if isinstance(root, np.ndarray):  # handed to callers, and reused
+            root.flags.writeable = False
+        self.state = (values, seen)
         return values
 
     def plan(self, wrt: Sequence[str]) -> tuple:
@@ -516,8 +570,8 @@ _BACKWARD = {
     "lgamma": ((lambda g, x: _guarded(g, special.psi(x)), (0,)),),
     "sigmoid": ((lambda g, s: g * s * (1.0 - s), (-1,)),),
     "switch": (None,
-               (lambda g, c: np.where(c != 0, g, 0.0), (0,)),
-               (lambda g, c: np.where(c != 0, 0.0, g), (0,))),
+               (lambda g, c: np.where(c, g, 0.0), (0,)),
+               (lambda g, c: np.where(c, 0.0, g), (0,))),
 }
 
 
@@ -526,7 +580,11 @@ def _rule(node: Expr, j: int):
     node's shapes and payload where the rule needs them."""
     k, p, shape = node.kind, node.payload, node.operands[0].shape
     if k == "sum_all":
-        return (lambda g: np.full(shape, float(g))), ()
+        def spread(g):
+            buf = np.empty(shape)
+            buf.fill(float(g))
+            return buf
+        return spread, ()
     if k == "index":
         def scatter(g):
             buf = np.zeros(shape)
@@ -573,7 +631,7 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
         for i, child, fn, args, scalar in entries:
             contrib = fn(adjoint[i], *[values[a] for a in args]) if args else fn(adjoint[i])
             if scalar and isinstance(contrib, np.ndarray) and contrib.ndim:
-                contrib = contrib.sum()
+                contrib = np.add.reduce(contrib, axis=None)
             prev = adjoint[child]
             adjoint[child] = contrib if prev is None else prev + contrib
 
@@ -583,9 +641,9 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
         if i is None:
             out[name] = np.zeros(())
         else:
-            shape, a = tape.order[i].shape, adjoint[i]
-            out[name] = np.zeros(shape) if a is None else np.broadcast_to(
-                np.asarray(a, dtype=np.float64), shape).copy()
+            out[name] = g = np.zeros(tape.order[i].shape)
+            if adjoint[i] is not None:
+                g[...] = adjoint[i]
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ class TestTextBackend:
         (d / "meta.json").write_text("{not json")
         with pytest.raises(CorruptMeta):
             load(str(d))
+
+    @pytest.mark.parametrize("name", ["beta", 3, ["alpha"]], ids=["twice", "int", "list"])
+    def test_bad_variable_name_in_meta(self, tmp_path, name):
+        d = str(tmp_path / "t")
+        fill(TextBackend(d), chains=1, draws=2)
+        with open(os.path.join(d, "meta.json")) as f:
+            meta = json.load(f)
+        meta["vars"][0]["name"] = name  # alpha's column, renamed
+        with open(os.path.join(d, "meta.json"), "w") as f:
+            json.dump(meta, f)
+        path = os.path.join(d, "chain-0.csv")
+        lines = open(path).read().splitlines()
+        lines[0] = ",".join(flat_names(str(name), ()) + lines[0].split(",")[1:])
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(CorruptMeta, match=re.escape(repr(name))):
+            load(d)
 
     def test_header_mismatch_detected(self, tmp_path):
         d = str(tmp_path / "t")

@@ -67,3 +67,21 @@ def test_summary_of_malformed_meta_is_a_data_error(tmp_path, capsys, field, valu
     assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+def test_summary_of_meta_listing_a_name_twice_is_a_data_error(tmp_path, capsys):
+    backend = TextBackend(str(tmp_path))
+    backend.start([("x", (), "float"), ("y", (), "float")], 1)
+    for i in range(200):
+        backend.record(0, {"x": float(i), "y": 10.0 + i})
+    backend.finish()
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["vars"][1]["name"] = "x"
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    path = tmp_path / "chain-0.csv"
+    lines = path.read_text().splitlines()
+    lines[0] = "x,x"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err

@@ -1,8 +1,9 @@
 """The compiled slot tape against the interpretive reference evaluator.
 
 Values and gradients must be byte-equal to ``graph_reference``: folding runs
-the same kernels once, and the pruned backward pass skips only adjoints that
-cannot reach a requested input.
+the same kernels once, the pruned backward pass skips only adjoints that
+cannot reach a requested input, and a call reuses the previous call's slots
+only where no input below them changed.
 """
 
 import numpy as np
@@ -37,6 +38,17 @@ def as_bytes(value) -> tuple:
     return arr.dtype.str, arr.shape, arr.tobytes()
 
 
+def check_against_reference(model, point):
+    names = model.continuous_names()
+    expr = model.logp_graph
+    lp, g = model.logp_and_dlogp(point)
+    ref_lp, ref_g = reference.value_and_grad(expr, names, point)
+    assert as_bytes(lp) == as_bytes(float(ref_lp))
+    assert as_bytes(model.logp(point)) == as_bytes(float(ref_lp))
+    for n in names:
+        assert as_bytes(g[n]) == as_bytes(ref_g[n]), n
+
+
 def random_points(model, n, seed):
     """The test point, then ``n`` seeded perturbations of it; integer
     coordinates move by whole steps and may leave the support."""
@@ -57,15 +69,25 @@ def random_points(model, n, seed):
 @pytest.mark.parametrize("name", list(MODELS))
 def test_model_matches_reference(name):
     model = MODELS[name]()
-    names = model.continuous_names()
-    expr = model.logp_graph
     for point in random_points(model, 20, seed=11):
-        lp, g = model.logp_and_dlogp(point)
-        ref_lp, ref_g = reference.value_and_grad(expr, names, point)
-        assert as_bytes(lp) == as_bytes(float(ref_lp))
-        assert as_bytes(model.logp(point)) == as_bytes(float(ref_lp))
-        for n in names:
-            assert as_bytes(g[n]) == as_bytes(ref_g[n]), n
+        check_against_reference(model, point)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_partial_moves_match_reference(name):
+    # each point moves a random subset of the inputs of the one before, as
+    # a compound step does, so the tape reuses some slots and reruns others
+    model = MODELS[name]()
+    rng = np.random.default_rng(12)
+    moves = iter(random_points(model, 30, seed=13))
+    point = dict(next(moves))
+    check_against_reference(model, point)
+    for move in moves:
+        for n in model.sampling_names():
+            if rng.random() < 0.5:
+                point[n] = move[n]
+        check_against_reference(model, point)
+        check_against_reference(model, point)  # nothing changed
 
 
 def _edge_graphs():
@@ -187,3 +209,151 @@ def test_lgamma_edge_inputs_match_reference(kind, x):
                     reference.grad(expr, ["x"], point)["x"])
     assert type(out) is type(ref)
     assert as_bytes(out) == as_bytes(ref)
+
+
+def counted(tape):
+    """Wrap every step kernel of ``tape``; returns the list of slots run,
+    appended to as kernels run."""
+    ran = []
+
+    def wrap(i, fn):
+        def kernel(*args):
+            ran.append(i)
+            return fn(*args)
+        return kernel
+
+    tape.steps = [(i, wrap(i, fn), args) for i, fn, args in tape.steps]
+    tape.runs.clear()  # they hold the unwrapped steps
+    return ran
+
+
+class TestReuse:
+    def test_unchanged_point_runs_no_kernel(self):
+        model = demos.disasters_model()
+        ran = counted(graph._tape(model.logp_graph))
+        point = list(random_points(model, 1, seed=14))[1]  # moves every input
+        first = model.logp_and_dlogp(point)
+        assert len(ran) == len(model.logp_graph._tape.steps)
+        ran.clear()
+        second = model.logp_and_dlogp(dict(point))
+        assert ran == [] and as_bytes(first[0]) == as_bytes(second[0])
+
+    def test_only_steps_above_a_changed_input_run(self):
+        x, y = free_input("x", ()), free_input("y", ())
+        ex, ey = graph.exp(x), graph.log(y)
+        expr = ex * 2.0 + ey
+        tape = graph._tape(expr)
+        ran = counted(tape)
+        slot = {id(n): i for i, n in enumerate(tape.order)}
+        eval_expr(expr, {"x": 1.0, "y": 2.0})
+        ran.clear()
+        value = eval_expr(expr, {"x": 1.0, "y": 3.0})
+        assert slot[id(ex)] not in ran and slot[id(ey)] in ran
+        assert as_bytes(value) == as_bytes(
+            reference.forward(expr, {"x": 1.0, "y": 3.0})[id(expr)])
+
+    def test_opaque_steps_and_their_users_run_every_call(self):
+        x, y = free_input("x", ()), free_input("y", ())
+        ex = graph.exp(x)
+        node = opaque_deterministic(lambda v: np.asarray(float(v) + 1.0), [y], ())
+        above = node * 3.0
+        expr = ex + above
+        tape = graph._tape(expr)
+        ran = counted(tape)
+        slot = {id(n): i for i, n in enumerate(tape.order)}
+        point = {"x": 0.5, "y": 2.0}
+        eval_expr(expr, point)
+        ran.clear()
+        assert float(eval_expr(expr, point)) == float(np.exp(0.5)) + 9.0
+        assert sorted(ran) == sorted(slot[id(n)] for n in (node, above, expr))
+
+    def test_input_mutated_in_place_between_calls(self):
+        # Slice writes one coordinate of the point's array in place
+        x = free_input("x", (3,))
+        expr = graph.sum_all(graph.exp(x) * x[np.array([2, 0, 1])])
+        point = {"x": np.array([0.1, 0.2, 0.3])}
+        for j, v in enumerate([0.7, -1.5, 0.2]):
+            eval_expr(expr, point)
+            point["x"][j] = v
+            ref_value, ref_g = reference.value_and_grad(expr, ["x"], point)
+            value, g = graph.value_and_grad(expr, ["x"], point)
+            assert as_bytes(value) == as_bytes(ref_value)
+            assert as_bytes(g["x"]) == as_bytes(ref_g["x"])
+
+    def test_tape_keeps_no_reference_to_the_callers_array(self):
+        x, y = free_input("x", (2,)), free_input("y", ())
+        expr = graph.sum_all(x * y)
+        old = np.array([1.0, 2.0])
+        eval_expr(expr, {"x": old, "y": 1.0})
+        old[0] = 5.0  # the next call passes a new array holding the old bytes
+        point = {"x": np.array([1.0, 2.0]), "y": 2.0}
+        assert as_bytes(eval_expr(expr, point)) == as_bytes(
+            reference.forward(expr, point)[id(expr)])
+
+    def test_signed_zero_is_a_change(self):
+        x = free_input("x", ())
+        expr = 1.0 / x
+        assert float(eval_expr(expr, {"x": 0.0})) == np.inf
+        assert float(eval_expr(expr, {"x": -0.0})) == -np.inf
+        nan = np.frombuffer(np.array([np.nan]).tobytes()[:-1] + b"\x7f", np.float64)[0]
+        other_nan = np.float64(-np.nan)
+        for v in (nan, other_nan):
+            assert as_bytes(eval_expr(x * 1.0, {"x": v})) == as_bytes(np.asarray(v))
+
+    @pytest.mark.parametrize("absent", ["a", "b"])
+    def test_bad_input_leaves_the_cache_intact(self, absent):
+        # whichever input the tape reads first, the other one fails
+        a, b = free_input("a", ()), free_input("b", ())
+        expr = graph.exp(a) + graph.exp(b)
+        assert float(eval_expr(expr, {"a": 0.0, "b": 0.0})) == 2.0
+        with pytest.raises(MissingInput):
+            eval_expr(expr, {n: 1.0 for n in "ab" if n != absent})
+        with pytest.raises(ShapeMismatch):
+            eval_expr(expr, {"a": 1.0, "b": 1.0, absent: np.zeros(2)})
+        point = {"a": 1.0, "b": 1.0}
+        assert as_bytes(eval_expr(expr, point)) == as_bytes(
+            reference.forward(expr, point)[id(expr)])
+
+    def test_failing_pass_is_not_committed(self):
+        def fn(v):
+            if float(v) < 0.0:
+                raise RuntimeError("negative")
+            return np.asarray(float(v))
+
+        a, b = free_input("a", ()), free_input("b", ())
+        expr = graph.exp(a) + opaque_deterministic(fn, [b], ())
+        assert float(eval_expr(expr, {"a": 0.0, "b": 0.0})) == 1.0
+        with pytest.raises(RuntimeError):
+            eval_expr(expr, {"a": 1.0, "b": -1.0})
+        point = {"a": 1.0, "b": 1.0}
+        assert as_bytes(eval_expr(expr, point)) == as_bytes(
+            reference.forward(expr, point)[id(expr)])
+
+    def test_returned_values_are_read_only(self):
+        x = free_input("x", (2,))
+        expr = graph.exp(x)
+        point = {"x": np.array([0.0, 1.0])}
+        with pytest.raises(ValueError):
+            eval_expr(expr, point)[0] = 5.0
+        with pytest.raises(ValueError):
+            eval_expr(x, point)[0] = 5.0
+        np.testing.assert_array_equal(eval_expr(expr, point), np.exp([0.0, 1.0]))
+        np.testing.assert_array_equal(eval_expr(x, point), [0.0, 1.0])
+
+    def test_opaque_function_cannot_write_into_its_arguments(self):
+        def fn(v):
+            v += 1.0
+            return v
+
+        x = free_input("x", (2,))
+        expr = opaque_deterministic(fn, [graph.exp(x)], (2,))
+        with pytest.raises(ValueError):
+            eval_expr(expr, {"x": np.zeros(2)})
+
+    def test_opaque_result_stays_the_functions_to_write(self):
+        buf = np.zeros(2)
+        expr = opaque_deterministic(lambda v: buf, [free_input("x", ())], (2,))
+        for v in (1.0, 2.0):
+            out = eval_expr(expr, {"x": v})
+            buf[0] = v  # raises if the tape sealed the function's array
+            assert out[0] == v and not out.flags.writeable
