@@ -415,7 +415,6 @@ class _Tape:
         self.steps: list[tuple[int, Callable, tuple]] = []
         self.masks: list[int] = []
         self.plans: dict[frozenset, tuple] = {}
-        self.runs: dict[int, list] = {}  # steps to run, by mask of changes
         deps = [0] * len(order)
         known = set()
         with np.errstate(**_QUIET):
@@ -453,10 +452,7 @@ class _Tape:
                 if raw != seen[k]:
                     changed |= 2 << k
                     fresh.append((k, i, raw, arr))
-            run = self.runs.get(changed)
-            if run is None:
-                run = self.runs[changed] = [
-                    s for s, m in zip(self.steps, self.masks) if m & changed]
+            run = [s for s, m in zip(self.steps, self.masks) if m & changed]
             if not (fresh or run):
                 return values
             values, seen = values.copy(), seen.copy()
@@ -580,11 +576,7 @@ def _rule(node: Expr, j: int):
     node's shapes and payload where the rule needs them."""
     k, p, shape = node.kind, node.payload, node.operands[0].shape
     if k == "sum_all":
-        def spread(g):
-            buf = np.empty(shape)
-            buf.fill(float(g))
-            return buf
-        return spread, ()
+        return (lambda g: np.full(shape, float(g))), ()
     if k == "index":
         def scatter(g):
             buf = np.zeros(shape)
