@@ -1,47 +1,23 @@
 """Log-density recipes for the distribution families used by the models.
 
-Each distribution builds its log density as a graph expression, carries
-support metadata used for automatic transforms, and knows its default test
-value.  Parameters may be numbers, arrays, or graph expressions (model
-variables contribute their value expression).
+Each family states its domain once: ``transform`` maps its continuous
+support onto the real line (``None`` for real-valued and discrete
+families), and ``_valid`` is the 0/1 graph mask of the values and
+parameters at which its elementwise density ``_logp`` holds.  A family also
+gives the centre of its default test value.  Parameters may be numbers,
+arrays, or graph expressions (model variables contribute their value
+expression).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import graph
 from .graph import Expr, as_expr, const, switch, cmp_ge, cmp_gt, sum_all
+from .transforms import IntervalTransform, LogTransform
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class Support:
-    kind: str  # real | positive | interval | nonneg_int | int_interval | real_vector
-    lower: float | None = None
-    upper: float | None = None
-
-    def contains(self, x) -> bool:
-        """Membership test for test values: strict interior for continuous
-        transformable supports, inclusive integer ranges for discrete ones."""
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
-            return False
-        if self.kind in ("real", "real_vector"):
-            return True
-        if self.kind == "positive":
-            return bool(np.all(x > 0))
-        if self.kind == "interval":
-            return bool(np.all((x > self.lower) & (x < self.upper)))
-        if self.kind == "nonneg_int":
-            return bool(np.all((x >= 0) & (x == np.floor(x))))
-        if self.kind == "int_interval":
-            return bool(np.all((x >= self.lower) & (x <= self.upper)
-                               & (x == np.floor(x))))
-        raise ValueError(self.kind)
 
 
 def _param(x) -> Expr:
@@ -54,12 +30,6 @@ def _param(x) -> Expr:
 def _require_positive_const(value, what):
     if float(value) <= 0:
         raise ValueError(f"{what} must be strictly positive, got {value}")
-
-
-def _guard(mask: Expr | None, core: Expr) -> Expr:
-    if mask is None:
-        return core
-    return switch(mask, core, const(NEG_INF))
 
 
 def _positive_mask(p: Expr) -> Expr | None:
@@ -80,14 +50,32 @@ def _and(a: Expr | None, b: Expr | None) -> Expr | None:
 
 class Distribution:
     dtype = "float"
-    support = Support("real")
+    transform = None  # maps a constrained support onto the real line
+    _mask: Expr | None = None  # 0/1 validity of the parameters; None: always
 
     def logp_expr(self, value) -> Expr:
-        """Scalar expression: elementwise log density summed over the value."""
+        """Scalar expression: elementwise log density summed over the value,
+        -inf wherever ``_valid`` is 0."""
+        x = as_expr(value)
+        core, valid = self._logp(x), self._valid(x)
+        if valid is not None:
+            core = switch(valid, core, const(NEG_INF))
+        return sum_all(core)
+
+    def _logp(self, x: Expr) -> Expr:
+        """Elementwise log density, trusted only where ``_valid`` is 1."""
         raise NotImplementedError
+
+    def _valid(self, x: Expr) -> Expr | None:
+        return self._mask
 
     def default_testval(self, shape, evaluate) -> np.ndarray:
         """Default start value; ``evaluate`` maps parameter Exprs to arrays."""
+        centre = np.broadcast_to(self._centre(evaluate), shape)
+        return centre.astype(np.int64 if self.dtype == "int" else np.float64)
+
+    def _centre(self, evaluate):
+        """The default test value, before broadcasting to the shape."""
         raise NotImplementedError
 
 
@@ -107,36 +95,33 @@ class Normal(Distribution):
             self._mask = _positive_mask(self.tau)
             self.sd = None
 
-    def logp_expr(self, value) -> Expr:
-        x = as_expr(value)
+    def _logp(self, x):
         d = graph.sub(x, self.mu)
-        core = (0.5 * graph.log(self.tau)
+        return (0.5 * graph.log(self.tau)
                 - 0.5 * np.log(2.0 * np.pi)
                 - 0.5 * self.tau * d * d)
-        return sum_all(_guard(self._mask, core))
 
-    def default_testval(self, shape, evaluate):
-        return np.broadcast_to(evaluate(self.mu), shape).astype(np.float64)
+    def _centre(self, evaluate):
+        return evaluate(self.mu)
 
 
 class HalfNormal(Distribution):
-    support = Support("positive")
+    transform = LogTransform()
 
     def __init__(self, sd=1.0):
         self.sd = _param(sd)
         self._mask = _positive_mask(self.sd)
         self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
 
-    def logp_expr(self, value) -> Expr:
-        x = as_expr(value)
-        core = (np.log(2.0) - 0.5 * np.log(2.0 * np.pi)
+    def _logp(self, x):
+        return (np.log(2.0) - 0.5 * np.log(2.0 * np.pi)
                 + 0.5 * graph.log(self.tau) - 0.5 * self.tau * x * x)
-        mask = _and(self._mask, cmp_ge(x, 0.0))
-        return sum_all(_guard(mask, core))
 
-    def default_testval(self, shape, evaluate):
-        m = evaluate(self.sd) * np.sqrt(2.0 / np.pi)
-        return np.broadcast_to(m, shape).astype(np.float64)
+    def _valid(self, x):
+        return _and(self._mask, cmp_ge(x, 0.0))
+
+    def _centre(self, evaluate):
+        return evaluate(self.sd) * np.sqrt(2.0 / np.pi)
 
 
 class Uniform(Distribution):
@@ -145,54 +130,52 @@ class Uniform(Distribution):
         self.upper = float(upper)
         if not self.upper > self.lower:
             raise ValueError("Uniform requires upper > lower")
-        self.support = Support("interval", self.lower, self.upper)
+        self.transform = IntervalTransform(self.lower, self.upper)
 
-    def logp_expr(self, value) -> Expr:
-        x = as_expr(value)
-        inb = graph.mul(cmp_ge(x, self.lower), cmp_ge(self.upper, x))
-        return sum_all(_guard(inb, const(-np.log(self.upper - self.lower))))
+    def _logp(self, x):
+        return const(-np.log(self.upper - self.lower))
 
-    def default_testval(self, shape, evaluate):
-        mid = 0.5 * (self.lower + self.upper)
-        return np.broadcast_to(mid, shape).astype(np.float64)
+    def _valid(self, x):
+        return graph.mul(cmp_ge(x, self.lower), cmp_ge(self.upper, x))
+
+    def _centre(self, evaluate):
+        return 0.5 * (self.lower + self.upper)
 
 
 class Exponential(Distribution):
     """Exponential with a RATE parameter (mean 1/rate)."""
 
-    support = Support("positive")
+    transform = LogTransform()
 
     def __init__(self, rate):
         self.rate = _param(rate)
         self._mask = _positive_mask(self.rate)
 
-    def logp_expr(self, value) -> Expr:
-        x = as_expr(value)
-        core = graph.log(self.rate) - self.rate * x
-        mask = _and(self._mask, cmp_ge(x, 0.0))
-        return sum_all(_guard(mask, core))
+    def _logp(self, x):
+        return graph.log(self.rate) - self.rate * x
 
-    def default_testval(self, shape, evaluate):
-        return np.broadcast_to(1.0 / evaluate(self.rate), shape).astype(np.float64)
+    def _valid(self, x):
+        return _and(self._mask, cmp_ge(x, 0.0))
+
+    def _centre(self, evaluate):
+        return 1.0 / evaluate(self.rate)
 
 
 class Poisson(Distribution):
     dtype = "int"
-    support = Support("nonneg_int")
 
     def __init__(self, rate):
         self.rate = _param(rate)
         self._mask = _positive_mask(self.rate)
 
-    def logp_expr(self, value) -> Expr:
-        k = as_expr(value)
-        core = k * graph.log(self.rate) - self.rate - graph.lgamma(k + 1.0)
-        mask = _and(self._mask, cmp_ge(k, 0.0))
-        return sum_all(_guard(mask, core))
+    def _logp(self, k):
+        return k * graph.log(self.rate) - self.rate - graph.lgamma(k + 1.0)
 
-    def default_testval(self, shape, evaluate):
-        rate = np.broadcast_to(evaluate(self.rate), shape)
-        return np.floor(rate).astype(np.int64)
+    def _valid(self, k):
+        return _and(self._mask, cmp_ge(k, 0.0))
+
+    def _centre(self, evaluate):
+        return np.floor(evaluate(self.rate))
 
 
 class DiscreteUniform(Distribution):
@@ -203,16 +186,15 @@ class DiscreteUniform(Distribution):
         self.upper = int(upper)
         if not self.upper >= self.lower:
             raise ValueError("DiscreteUniform requires upper >= lower")
-        self.support = Support("int_interval", self.lower, self.upper)
 
-    def logp_expr(self, value) -> Expr:
-        k = as_expr(value)
-        inb = graph.mul(cmp_ge(k, self.lower), cmp_ge(self.upper, k))
-        return sum_all(_guard(inb, const(-np.log(self.upper - self.lower + 1.0))))
+    def _logp(self, k):
+        return const(-np.log(self.upper - self.lower + 1.0))
 
-    def default_testval(self, shape, evaluate):
-        mid = np.floor(0.5 * (self.lower + self.upper))
-        return np.broadcast_to(mid, shape).astype(np.int64)
+    def _valid(self, k):
+        return graph.mul(cmp_ge(k, self.lower), cmp_ge(self.upper, k))
+
+    def _centre(self, evaluate):
+        return np.floor(0.5 * (self.lower + self.upper))
 
 
 class StudentT(Distribution):
@@ -224,63 +206,55 @@ class StudentT(Distribution):
         self.lam = _param(lam)
         self._mask = _and(_positive_mask(self.nu), _positive_mask(self.lam))
 
-    def logp_expr(self, value) -> Expr:
-        x = as_expr(value)
+    def _logp(self, x):
         nu, lam = self.nu, self.lam
         d = graph.sub(x, self.mu)
-        core = (graph.lgamma((nu + 1.0) / 2.0) - graph.lgamma(nu / 2.0)
+        return (graph.lgamma((nu + 1.0) / 2.0) - graph.lgamma(nu / 2.0)
                 + 0.5 * graph.log(lam / (nu * np.pi))
                 - ((nu + 1.0) / 2.0) * graph.log(1.0 + lam * d * d / nu))
-        return sum_all(_guard(self._mask, core))
 
-    def default_testval(self, shape, evaluate):
-        return np.broadcast_to(evaluate(self.mu), shape).astype(np.float64)
+    def _centre(self, evaluate):
+        return evaluate(self.mu)
 
 
 class GaussianRandomWalk(Distribution):
     """Vector prior: increments are iid Normal with precision tau; the first
     element gets a flat (zero) contribution."""
 
-    support = Support("real_vector")
-
     def __init__(self, tau, length=None):
         self.tau = _param(tau)
         self._mask = _positive_mask(self.tau)
         self.length = None if length is None else int(length)
 
-    def logp_expr(self, value) -> Expr:
-        x = as_expr(value)
+    def _logp(self, x):
         if len(x.shape) != 1 or x.shape[0] < 2:
             raise ValueError("GaussianRandomWalk needs a vector value of length >= 2")
         if self.length is not None and x.shape[0] != self.length:
             raise ValueError(
                 f"GaussianRandomWalk length {self.length} != value length {x.shape[0]}")
         d = x[1:] - x[:-1]
-        core = (0.5 * graph.log(self.tau) - 0.5 * np.log(2.0 * np.pi)
+        return (0.5 * graph.log(self.tau) - 0.5 * np.log(2.0 * np.pi)
                 - 0.5 * self.tau * d * d)
-        return sum_all(_guard(self._mask, core))
 
-    def default_testval(self, shape, evaluate):
-        return np.zeros(shape, dtype=np.float64)
+    def _centre(self, evaluate):
+        return 0.0
 
 
 class Bernoulli(Distribution):
     dtype = "int"
-    support = Support("int_interval", 0, 1)
 
     def __init__(self, p):
         self.p = _param(p)
 
-    def logp_expr(self, value) -> Expr:
-        x = as_expr(value)
+    def _logp(self, x):
         # select the branch instead of x*log(p) so 0 * -inf never appears
-        core = switch(cmp_ge(x, 1), graph.log(self.p), graph.log(1.0 - self.p))
-        inb = graph.mul(cmp_ge(x, 0), cmp_ge(1, x))
-        return sum_all(_guard(inb, core))
+        return switch(cmp_ge(x, 1), graph.log(self.p), graph.log(1.0 - self.p))
 
-    def default_testval(self, shape, evaluate):
-        p = np.broadcast_to(evaluate(self.p), shape)
-        return (p > 0.5).astype(np.int64)
+    def _valid(self, x):
+        return graph.mul(cmp_ge(x, 0), cmp_ge(1, x))
+
+    def _centre(self, evaluate):
+        return evaluate(self.p) > 0.5
 
 
 class Flat(Distribution):
@@ -289,8 +263,8 @@ class Flat(Distribution):
     def logp_expr(self, value) -> Expr:
         return const(0.0)
 
-    def default_testval(self, shape, evaluate):
-        return np.zeros(shape, dtype=np.float64)
+    def _centre(self, evaluate):
+        return 0.0
 
 
 class Custom(Distribution):
@@ -299,7 +273,6 @@ class Custom(Distribution):
     def __init__(self, logp_fn, dtype="float"):
         self.logp_fn = logp_fn
         self.dtype = dtype  # storage/proposal dtype; density defines the support
-        self.support = Support("real")
 
     def logp_expr(self, value) -> Expr:
         out = self.logp_fn(as_expr(value))

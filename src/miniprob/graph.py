@@ -331,16 +331,19 @@ def _input_value(node: Expr, point: Mapping) -> np.ndarray:
     if arr.shape != node.shape:
         raise ShapeMismatch(
             f"input {name!r}: expected shape {node.shape}, got {arr.shape}")
-    if node.dtype == "int":
-        if arr.dtype.kind not in "iu":
-            if not np.all(arr == np.floor(arr)):
-                raise ShapeMismatch(f"input {name!r} declared integral, got non-integral values")
-            arr = arr.astype(np.int64)
-        else:
-            arr = arr.astype(np.int64, copy=False)
-    else:
-        arr = arr.astype(np.float64, copy=False)
-    return arr
+    return as_dtype(arr, node.dtype, name)
+
+
+def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
+    """``raw`` as an int64 array for the "int" dtype, else as float64.  An
+    int value must be integral and finite; it is never truncated."""
+    arr = np.asarray(raw)
+    if dtype != "int":
+        return arr.astype(np.float64, copy=False)
+    if arr.dtype.kind not in "iu" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+        raise ShapeMismatch(f"{name!r} is declared integral, got non-integral or "
+                            f"non-finite values")
+    return arr.astype(np.int64, copy=False)
 
 
 # Forward kernels by node kind, each a function of its operand values.

@@ -90,6 +90,8 @@ class SampleConfig:
             raise ValueError("draws must be >= 1")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
+        if self.warmup is not None and self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
 
 
 def sample(model: Model, config: SampleConfig) -> Trace:

@@ -1,11 +1,14 @@
 """Model container: free/observed/deterministic variables and the joint
 log posterior over the transformed (unconstrained) space.
 
-Variables with positive support are sampled through a log transform, two-sided
-supports through a log-odds transform; discrete variables stay untransformed.
-The joint log posterior is the sum of all prior terms (with Jacobian
-corrections) and observed likelihood terms; terms are summed in name order so
-registration order cannot change the result.
+A free variable is sampled through its family's own transform (a log
+transform for positive families, a log-odds one for ``Uniform``, none for
+real-valued and discrete ones).  One rule checks every test value before the
+variable is registered: it must be finite (and integral for an int dtype),
+inside the transform's domain, and give the variable's own term a finite log
+density.  The joint log posterior is the sum of all prior terms (with
+Jacobian corrections) and observed likelihood terms; terms are summed in name
+order so registration order cannot change the result.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from .exceptions import (
     DuplicateName,
     ModelFrozen,
     NonFiniteLogp,
+    OutsideSupport,
     ShapeMismatch,
     TestvalOutsideSupport,
     UnknownVariable,
 )
-from .graph import Expr, Point, const, eval_expr, free_input
-from .transforms import IntervalTransform, LogTransform
+from .graph import Expr, Point, as_dtype, const, eval_expr, free_input
 
 
 def _as_shape(shape) -> tuple:
@@ -46,28 +49,13 @@ class FreeVar:
         self.transform = transform
         self.dtype = dist.dtype
         self.testval = testval  # untransformed space
+        self.sampling_testval = transform.forward(testval) if transform else testval
         self.sampling_name = transform.var_name(name) if transform else name
         self.input = free_input(self.sampling_name, shape, dtype=self.dtype)
         self.value = transform.backward_expr(self.input) if transform else self.input
 
-    def sampling_testval(self):
-        if self.transform:
-            return self.transform.forward(self.testval)
-        return self.testval
-
     def __repr__(self):
         return f"FreeVar({self.name!r}, shape={self.shape})"
-
-
-def _transform_for(dist: Distribution):
-    kind = dist.support.kind
-    if dist.dtype == "int":
-        return None
-    if kind == "positive":
-        return LogTransform()
-    if kind == "interval":
-        return IntervalTransform(dist.support.lower, dist.support.upper)
-    return None
 
 
 class Model:
@@ -99,37 +87,33 @@ class Model:
         return eval_expr(expr, self._test_point)
 
     def add_free(self, name: str, dist: Distribution, shape=(), testval=None) -> FreeVar:
+        """Register a free variable sampled through ``dist.transform``.  A
+        rejected test value raises ``TestvalOutsideSupport`` and leaves the
+        model unchanged."""
         self._check_open()
         shape = _as_shape(shape)
-        if isinstance(dist, Custom) and testval is None:
-            raise TestvalOutsideSupport(f"{name}: a custom density needs an explicit testval")
         if testval is None:
             testval = dist.default_testval(shape, self._eval_param)
-        testval = np.asarray(testval)
-        if testval.shape != shape:
-            testval = np.broadcast_to(testval, shape).copy()
-        if dist.dtype == "int":
-            testval = testval.astype(np.int64)
-        else:
-            testval = testval.astype(np.float64)
-        if not dist.support.contains(testval):
-            raise TestvalOutsideSupport(
-                f"{name}: test value {testval!r} outside the distribution support")
-
-        transform = _transform_for(dist)
-        var = FreeVar(name, dist, shape, transform, testval)
-        self._claim_name(name, *([var.sampling_name] if transform else []))
+            if testval is None:
+                raise TestvalOutsideSupport(f"{name}: a custom density needs an explicit testval")
+        testval = np.array(np.broadcast_to(testval, shape))
+        if not np.all(np.isfinite(testval)):
+            raise TestvalOutsideSupport(f"{name}: test value {testval!r} is not finite")
+        try:
+            var = FreeVar(name, dist, shape, dist.transform, as_dtype(testval, dist.dtype, name))
+        except (ShapeMismatch, OutsideSupport) as e:
+            raise TestvalOutsideSupport(f"{name}: {e}") from None
 
         term = dist.logp_expr(var.value)
-        if transform is not None:
-            term = term + transform.log_jacobian_expr(var.input)
+        if var.transform is not None:
+            term = term + var.transform.log_jacobian_expr(var.input)
+        point = {**self._test_point, var.sampling_name: np.asarray(var.sampling_testval)}
+        tv_logp = float(eval_expr(term, point))
+        if not np.isfinite(tv_logp):
+            raise TestvalOutsideSupport(
+                f"{name}: log density is {tv_logp} at the test value {testval!r}")
+        self._claim_name(name, *([var.sampling_name] if var.transform else []))
         self._register_free(var, term)
-
-        if isinstance(dist, Custom):
-            tv_logp = float(eval_expr(term, self._test_point))
-            if not np.isfinite(tv_logp):
-                raise TestvalOutsideSupport(
-                    f"{name}: custom density is {tv_logp} at the test value")
         return var
 
     def _register_free(self, var: FreeVar, term: Expr | None):
@@ -138,7 +122,7 @@ class Model:
         self._var_index[var.sampling_name] = var
         if term is not None:
             self._terms[var.name] = term
-        self._test_point[var.sampling_name] = np.asarray(var.sampling_testval())
+        self._test_point[var.sampling_name] = np.asarray(var.sampling_testval)
 
     def custom_density(self, name: str, logp_fn: Callable[[Expr], Expr],
                        shape=(), testval=None, dtype="float") -> FreeVar:
@@ -147,9 +131,7 @@ class Model:
 
     def add_observed(self, name: str, dist: Distribution, data, mask=None) -> None:
         self._check_open()
-        data = np.asarray(data)
-        data = data.astype(np.int64 if dist.dtype == "int" else np.float64)
-        missing_var = None
+        data = as_dtype(data, dist.dtype, name)
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != data.shape:
@@ -261,7 +243,7 @@ class Model:
         if start:
             for v in self.free_vars:
                 if v.sampling_name in start:
-                    raw = np.asarray(start[v.sampling_name])
+                    raw = np.array(start[v.sampling_name])
                 elif v.transform is not None and v.name in start:
                     raw = np.asarray(v.transform.forward(np.asarray(start[v.name])))
                 else:
@@ -269,7 +251,7 @@ class Model:
                 if raw.shape != v.shape:
                     raise ShapeMismatch(
                         f"start value for {v.sampling_name!r}: expected {v.shape}, got {raw.shape}")
-                point[v.sampling_name] = raw.astype(np.int64 if v.dtype == "int" else np.float64)
+                point[v.sampling_name] = as_dtype(raw, v.dtype, v.sampling_name)
         return point
 
     # --- trace support ---------------------------------------------------------

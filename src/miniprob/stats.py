@@ -32,6 +32,8 @@ def hpd(samples, alpha: float = 0.05) -> tuple[float, float]:
     returns the (start, end) values of the minimum-width window, earliest
     start on ties.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"hpd needs 0 < alpha < 1, got {alpha}")
     x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     n = x.size
     if n < 2:
@@ -44,6 +46,8 @@ def hpd(samples, alpha: float = 0.05) -> tuple[float, float]:
 
 def mc_error(samples, batches: int = 20) -> float:
     """Batch-means Monte Carlo standard error of the mean."""
+    if batches < 2:
+        raise ValueError(f"mc_error needs at least 2 batches, got {batches}")
     x = np.asarray(samples, dtype=np.float64).ravel()
     n = x.size
     if n < batches:

@@ -17,8 +17,6 @@ from .exceptions import OutsideSupport
 class LogTransform:
     """y = log x mapping (0, inf) to the real line."""
 
-    name = "log"
-
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
         if np.any(x <= 0):
@@ -41,8 +39,6 @@ class LogTransform:
 
 class IntervalTransform:
     """x = a + (b-a) * sigmoid(y) mapping the real line onto (a, b)."""
-
-    name = "interval"
 
     def __init__(self, lower: float, upper: float):
         if not upper > lower:

@@ -126,6 +126,10 @@ class TestHessianDiag:
 
 
 class TestSample:
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError):
+            SampleConfig(draws=10, warmup=-4)
+
     def test_trace_length_with_discard(self):
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))

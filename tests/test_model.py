@@ -4,12 +4,15 @@ import pytest
 from conftest import rel_err
 from miniprob import graph
 from miniprob.distributions import (
+    Bernoulli,
     DiscreteUniform,
     Exponential,
+    Flat,
     GaussianRandomWalk,
     HalfNormal,
     Normal,
     Poisson,
+    StudentT,
     Uniform,
 )
 from miniprob import exceptions
@@ -99,6 +102,79 @@ class TestAddFree:
         m.finalize()
         with pytest.raises(ModelFrozen):
             m.add_free("y", Normal(mu=0.0, sd=1.0))
+
+
+# Each family's boundary test values: every one is rejected by the same rule.
+_NONFINITE = [(dist, (), v) for dist in (Normal(mu=0.0, sd=1.0), Flat(), StudentT(nu=3.0))
+              for v in (np.inf, -np.inf, np.nan)]
+_NONFINITE += [(GaussianRandomWalk(tau=1.0), (3,), [0.0, v, 0.0])
+               for v in (np.inf, -np.inf, np.nan)]
+
+
+class TestTestvalRule:
+    @pytest.mark.parametrize("dist,shape,testval", [
+        (HalfNormal(1.0), (), 0.0),
+        (Exponential(1.0), (), 0.0),
+        (Uniform(0.0, 4.0), (), 0.0),
+        (Uniform(0.0, 4.0), (), 4.0),
+        (Poisson(3.0), (), -1),
+        (DiscreteUniform(0, 5), (), 6),
+        (Bernoulli(0.3), (), 2),
+        *_NONFINITE,
+    ])
+    def test_boundary_testval_rejected(self, dist, shape, testval):
+        m = Model()
+        with pytest.raises(TESTVAL_ERROR):
+            m.add_free("x", dist, shape=shape, testval=testval)
+        assert m.free_vars == [] and m.test_point == {}
+
+    def test_rejected_custom_density_can_be_retried(self):
+        m = Model()
+        with pytest.raises(TESTVAL_ERROR):
+            m.custom_density("eps", lambda v: -graph.log(abs(v)), testval=0.0)
+        m.custom_density("eps", lambda v: -graph.log(abs(v)), testval=1.0)
+        assert m.sampling_names() == ["eps"]
+        assert m.logp({"eps": 1.0}) == 0.0
+
+    def test_rejected_add_free_can_be_retried(self):
+        m = Model()
+        with pytest.raises(TESTVAL_ERROR):
+            m.add_free("e", Exponential(1.0), testval=0.0)
+        m.add_free("e", Exponential(1.0), testval=2.0)
+        assert m.sampling_names() == ["e_log"]
+        assert m.test_point == {"e_log": np.log(2.0)}
+
+
+class TestDiscreteValuesNotTruncated:
+    def test_non_integral_testval_rejected(self):
+        m = Model()
+        with pytest.raises(TESTVAL_ERROR):
+            m.add_free("k", Poisson(3.0), testval=1.7)
+
+    def test_non_integral_observed_rejected(self):
+        m = Model()
+        with pytest.raises(ShapeMismatch):
+            m.add_observed("y", Poisson(2.0), [1.5, 2.0])
+
+    def _model(self):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.add_free("k", Poisson(3.0))
+        return m.finalize()
+
+    def test_non_integral_start_rejected(self):
+        from miniprob.inference import find_map
+        m = self._model()
+        with pytest.raises(ShapeMismatch):
+            m.initial_point({"k": 1.7})
+        with pytest.raises(ShapeMismatch):
+            find_map(m, start={"k": 1.7})
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_non_finite_int_input_rejected(self, value):
+        m = self._model()
+        with pytest.raises(ShapeMismatch):
+            m.logp({"x": 0.0, "k": value})
 
 
 class TestLogp:

@@ -86,6 +86,11 @@ class TestHpd:
         with pytest.raises(TooFewSamples):
             hpd(np.array([1.0]))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
+    def test_alpha_outside_open_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            hpd(np.arange(100.0), alpha=alpha)
+
 
 class TestMcError:
     def test_constant_series(self):
@@ -105,6 +110,11 @@ class TestMcError:
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
             mc_error(np.arange(10.0))
+
+    @pytest.mark.parametrize("batches", [1, 0])
+    def test_fewer_than_two_batches_rejected(self, batches):
+        with pytest.raises(ValueError):
+            mc_error(np.arange(100.0), batches=batches)
 
 
 class TestEss:
