@@ -37,10 +37,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("MINIPROB_SEED", "1"))
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -107,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("name", choices=sorted(DEMO_DEFAULT_DRAWS))
     demo.add_argument("--draws", type=_positive_int, default=None,
                       help="posterior draws (default depends on the demo)")
-    demo.add_argument("--seed", type=int, default=_default_seed(),
+    demo.add_argument("--seed", type=int, default=os.environ.get("MINIPROB_SEED", "1"),
                       help="random seed (default: MINIPROB_SEED env var or 1)")
     demo.add_argument("--out", default="miniprob_out",
                       help="output directory for trace/, summary.txt, plots/")

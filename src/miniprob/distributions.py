@@ -27,17 +27,22 @@ def _param(x) -> Expr:
     return as_expr(x)
 
 
-def _require_positive_const(value, what):
-    if float(value) <= 0:
-        raise ValueError(f"{what} must be strictly positive, got {value}")
-
-
 def _positive_mask(p: Expr) -> Expr | None:
     # constant parameters are validated eagerly, so no runtime guard needed
     if p.kind == "constant":
-        _require_positive_const(np.min(p.const_value), "parameter")
+        if not np.all(p.const_value > 0):  # NaN fails too
+            raise ValueError(f"parameter must be strictly positive, got {p.const_value}")
         return None
     return cmp_gt(p, 0.0)
+
+
+def _unit_mask(p: Expr) -> Expr | None:
+    # the same rule for a probability, on [0, 1]
+    if p.kind == "constant":
+        if not np.all((p.const_value >= 0) & (p.const_value <= 1)):
+            raise ValueError(f"probability must lie in [0, 1], got {p.const_value}")
+        return None
+    return graph.mul(cmp_ge(p, 0.0), cmp_ge(1.0, p))
 
 
 def _and(a: Expr | None, b: Expr | None) -> Expr | None:
@@ -245,13 +250,14 @@ class Bernoulli(Distribution):
 
     def __init__(self, p):
         self.p = _param(p)
+        self._mask = _unit_mask(self.p)
 
     def _logp(self, x):
         # select the branch instead of x*log(p) so 0 * -inf never appears
         return switch(cmp_ge(x, 1), graph.log(self.p), graph.log(1.0 - self.p))
 
     def _valid(self, x):
-        return graph.mul(cmp_ge(x, 0), cmp_ge(1, x))
+        return _and(self._mask, graph.mul(cmp_ge(x, 0), cmp_ge(1, x)))
 
     def _centre(self, evaluate):
         return evaluate(self.p) > 0.5

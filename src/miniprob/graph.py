@@ -7,21 +7,20 @@ from ``scipy.special``, so the same (expr, point) pair always produces
 bit-identical output.
 
 The first evaluation of a root compiles it into a tape cached on the root.
-Each node of ``topo_order`` gets an integer slot in a list of values and its
-kind's kernel.  A node whose operands are all constant is folded: its kernel
-runs once, at compile time, under the same error state, and every call shares
-the read-only value.  Opaque nodes are never folded, and free inputs are read
-and checked on every call.  Each set of differentiated names gets one backward
-plan.  It visits only nodes whose subgraph holds a requested input and pushes
-adjoints only into such children, with the rules and the summation order of a
-full sweep, so neither folding nor pruning changes a bit.
+Each node of ``topo_order`` gets an integer slot in a list of values, its
+kind's kernel and one dependency mask: bit ``k + 1`` for each free input
+``k`` below it, bit 0 for each opaque node.  Every decision about work reads
+these masks.  A call runs only the steps whose mask meets the inputs whose
+converted bytes changed since the previous successful call; bit 0 counts as
+changed on every call, and the first call runs every step, so a node fed only
+by constants runs once.  The backward plan for a set of names visits only the
+slots whose mask meets those names' bits, with the rules and the summation
+order of a full sweep, so neither reuse nor pruning changes a bit.
 
-A tape also reuses its previous call.  Each converted input is compared, by
-its bytes, with the one the tape last saw; only the steps whose subgraph holds
-a changed input run, and opaque steps and everything above them run on every
-call.  The tape keeps its own read-only copy of each input, never the caller's
-array, and replaces its values and input snapshot together, only when a pass
-succeeds.  A tape is not safe to evaluate from two threads at once.
+Free inputs are read and checked on every call, and a tape holds one node per
+input name.  It keeps its own read-only copy of each input and replaces its
+values and input snapshot together, only when a pass succeeds.  A tape is not
+safe to evaluate from two threads at once.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 from scipy import special
 
 from .exceptions import (
+    DuplicateName,
     IntegerDifferentiation,
     MissingInput,
     NoGradient,
@@ -60,12 +60,12 @@ class Expr:
     """One node of the computation graph.
 
     Fields are set once in ``__init__`` and never mutated afterwards; the
-    ``_topo`` and ``_tape`` slots cache the topological order and the
-    compiled tape of the subgraph and are derived state only.
+    ``_tape`` slot caches the compiled tape of the subgraph and is derived
+    state only.
     """
 
     __slots__ = ("kind", "operands", "const_value", "input_name", "shape",
-                 "dtype", "payload", "_topo", "_tape")
+                 "dtype", "payload", "_tape")
 
     def __init__(self, kind, operands=(), const_value=None, input_name=None,
                  shape=(), dtype="float", payload=None):
@@ -76,7 +76,6 @@ class Expr:
         self.shape = tuple(shape)
         self.dtype = dtype
         self.payload = payload
-        self._topo = None
         self._tape = None
 
     # --- arithmetic sugar -------------------------------------------------
@@ -299,9 +298,7 @@ def opaque_deterministic(fn: Callable, inputs: Sequence, out_shape: Sequence[int
 # --- evaluation -----------------------------------------------------------
 
 def topo_order(expr: Expr) -> list[Expr]:
-    """Children-first ordering of the subgraph; cached on the root node."""
-    if expr._topo is not None:
-        return expr._topo
+    """Children-first ordering of the subgraph."""
     order: list[Expr] = []
     seen: set[int] = set()
     stack: list[tuple[Expr, bool]] = [(expr, False)]
@@ -317,7 +314,6 @@ def topo_order(expr: Expr) -> list[Expr]:
         for child in node.operands:
             if id(child) not in seen:
                 stack.append((child, False))
-    expr._topo = order
     return order
 
 
@@ -397,52 +393,39 @@ def _kernel(node: Expr) -> Callable:
 
 
 class _Tape:
-    """One root compiled to integer slots, in ``topo_order``: ``init`` holds
-    the constants and the folded values, ``inputs`` the free inputs read on
-    every call, ``steps`` the ``(slot, kernel, operand slots)`` left to run.
-
-    ``masks`` holds one bitmask per step: bit ``k + 1`` is set when the step's
-    subgraph holds input ``k``, and bit 0 when it holds an opaque node, which
-    every call counts as changed.  ``state`` is the previous successful call:
-    its slot values and the bytes of each converted input (None before the
-    first call, so that call runs every step).  ``forward`` replaces both at
-    once, after its pass succeeds.  A tape is not safe to evaluate from two
-    threads at once."""
+    """One root compiled to integer slots, in ``topo_order``: ``inputs``
+    holds the ``(slot, node)`` of each free input, ``steps`` the ``(slot,
+    kernel, operand slots)`` of every other non-constant node, and ``deps``
+    each slot's dependency mask.  A step runs when its mask meets the bits
+    that changed since ``state``, the previous successful call: its slot
+    values and the bytes of each converted input, or None before the first
+    call, which runs every step.  ``forward`` replaces both at once, after
+    its pass succeeds.  A tape is not safe to evaluate from two threads at
+    once."""
 
     def __init__(self, root: Expr):
         self.order = order = topo_order(root)
         slot = {id(n): i for i, n in enumerate(order)}
         self.operands = [tuple(slot[id(c)] for c in n.operands) for n in order]
-        self.init: list = [None] * len(order)
         self.inputs: list[tuple[int, Expr]] = []
         self.steps: list[tuple[int, Callable, tuple]] = []
-        self.masks: list[int] = []
+        self.deps = deps = [0] * len(order)
         self.plans: dict[frozenset, tuple] = {}
-        deps = [0] * len(order)
-        known = set()
-        with np.errstate(**_QUIET):
-            for i, node in enumerate(order):
-                args = self.operands[i]
-                if node.kind == "constant":
-                    self.init[i] = node.const_value
-                    known.add(i)
-                elif node.kind == "free_input":
-                    deps[i] = 2 << len(self.inputs)
-                    self.inputs.append((i, node))
-                elif node.kind != "opaque" and known.issuperset(args):
-                    v = _kernel(node)(*[self.init[a] for a in args])
-                    if isinstance(v, np.ndarray):
-                        v.flags.writeable = False  # shared by every call
-                    self.init[i] = v
-                    known.add(i)
-                else:
-                    for a in args:
-                        deps[i] |= deps[a]
-                    if node.kind == "opaque":
-                        deps[i] |= 1
-                    self.steps.append((i, _kernel(node), args))
-                    self.masks.append(deps[i])
-        self.state = (self.init, [None] * len(self.inputs))
+        values: list = [None] * len(order)
+        for i, node in enumerate(order):
+            if node.kind == "constant":
+                values[i] = node.const_value
+            elif node.kind == "free_input":
+                if any(n.input_name == node.input_name for _, n in self.inputs):
+                    raise DuplicateName(f"two free inputs are named {node.input_name!r}")
+                deps[i] = 2 << len(self.inputs)
+                self.inputs.append((i, node))
+            else:
+                deps[i] = int(node.kind == "opaque")
+                for a in self.operands[i]:
+                    deps[i] |= deps[a]
+                self.steps.append((i, _kernel(node), self.operands[i]))
+        self.state = (values, None)
 
     def forward(self, point: Mapping) -> list:
         values, seen = self.state
@@ -452,13 +435,15 @@ class _Tape:
             for k, (i, node) in enumerate(self.inputs):
                 arr = _input_value(node, point)
                 raw = arr.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN payloads
-                if raw != seen[k]:
+                if seen is None or raw != seen[k]:
                     changed |= 2 << k
                     fresh.append((k, i, raw, arr))
-            run = [s for s, m in zip(self.steps, self.masks) if m & changed]
+            deps = self.deps
+            run = self.steps if seen is None else [s for s in self.steps if deps[s[0]] & changed]
             if not (fresh or run):
                 return values
-            values, seen = values.copy(), seen.copy()
+            values = values.copy()
+            seen = [None] * len(self.inputs) if seen is None else seen.copy()
             for k, i, raw, arr in fresh:
                 seen[k] = raw
                 values[i] = np.frombuffer(raw, arr.dtype).reshape(arr.shape)
@@ -476,27 +461,25 @@ class _Tape:
         key = frozenset(wrt)
         if key in self.plans:
             return self.plans[key]
-        order, operands = self.order, self.operands
+        order, operands, deps = self.order, self.operands, self.deps
         wanted: dict[str, int] = {}
-        reaches: set[int] = set()  # slots whose subgraph holds a requested input
-        for i, node in enumerate(order):
-            if node.kind == "free_input" and node.input_name in key:
+        bits = 0
+        for k, (i, node) in enumerate(self.inputs):
+            if node.input_name in key:
                 if node.dtype == "int":
                     raise IntegerDifferentiation(
                         f"cannot differentiate through integer input {node.input_name!r}")
                 wanted[node.input_name] = i
-                reaches.add(i)
-            elif not reaches.isdisjoint(operands[i]):
-                reaches.add(i)
+                bits |= 2 << k
         # One entry per adjoint contribution, in the order of the full reverse
         # sweep: (node slot, child slot, rule, rule argument slots, child is
-        # scalar).  Children that reach no requested input get none; nothing
-        # they receive could flow into a requested gradient.
+        # scalar).  Children whose mask meets no requested bit get none;
+        # nothing they receive could flow into a requested gradient.
         entries = []
         blocked = False
         has_adjoint = {len(order) - 1}
         for i in reversed(range(len(order))):
-            if i not in has_adjoint or i not in reaches:
+            if i not in has_adjoint or not deps[i] & bits:
                 continue
             node = order[i]
             if node.kind == "opaque":
@@ -505,7 +488,7 @@ class _Tape:
             refs = operands[i] + (i,)
             for j, child in enumerate(operands[i]):
                 rule = _rule(node, j)
-                if rule is not None and child in reaches:
+                if rule is not None and deps[child] & bits:
                     fn, args = rule
                     entries.append((i, child, fn, tuple(refs[a] for a in args),
                                     order[child].shape == ()))
@@ -520,14 +503,9 @@ def _tape(expr: Expr) -> _Tape:
     return expr._tape
 
 
-def _forward(expr: Expr, point: Mapping) -> list:
-    """Every node's value at ``point``, indexed by slot; the root's is last."""
-    return _tape(expr).forward(point)
-
-
 def eval_expr(expr: Expr, point: Mapping) -> np.ndarray:
     """Evaluate ``expr`` bottom-up at ``point`` with 64-bit arithmetic."""
-    return _forward(expr, point)[-1]
+    return _tape(expr).forward(point)[-1]
 
 
 # --- reverse-mode gradient -------------------------------------------------
@@ -644,6 +622,6 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
 
 def value_and_grad(expr: Expr, wrt: Sequence[str], point: Mapping):
     """Forward value and reverse-mode gradient sharing one forward pass."""
-    values = _forward(expr, point)
+    values = _tape(expr).forward(point)
     g = grad(expr, wrt, point, values=values)
     return values[-1], g

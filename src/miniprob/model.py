@@ -88,7 +88,8 @@ class Model:
 
     def add_free(self, name: str, dist: Distribution, shape=(), testval=None) -> FreeVar:
         """Register a free variable sampled through ``dist.transform``.  A
-        rejected test value raises ``TestvalOutsideSupport`` and leaves the
+        rejected test value raises ``TestvalOutsideSupport``, or
+        ``ShapeMismatch`` for a shape that does not broadcast, and leaves the
         model unchanged."""
         self._check_open()
         shape = _as_shape(shape)
@@ -96,7 +97,11 @@ class Model:
             testval = dist.default_testval(shape, self._eval_param)
             if testval is None:
                 raise TestvalOutsideSupport(f"{name}: a custom density needs an explicit testval")
-        testval = np.array(np.broadcast_to(testval, shape))
+        try:
+            testval = np.array(np.broadcast_to(testval, shape))
+        except ValueError:
+            raise ShapeMismatch(f"{name}: test value of shape {np.shape(testval)} does not "
+                                f"broadcast to {shape}") from None
         if not np.all(np.isfinite(testval)):
             raise TestvalOutsideSupport(f"{name}: test value {testval!r} is not finite")
         try:

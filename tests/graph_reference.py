@@ -5,8 +5,8 @@ compiled into a slot tape: values and adjoints live in dicts keyed by node
 id, every node is dispatched through one ``if/elif`` chain on its kind, and
 the backward pass pushes adjoints into every child.  Tests compare the tape
 against it byte for byte.  It computes each node with the same numpy and
-``scipy.special`` calls as the tape, so a mismatch points at folding, pruning
-or summation order rather than at a kernel.
+``scipy.special`` calls as the tape, so a mismatch points at input reuse,
+pruning or summation order rather than at a kernel.
 """
 
 from __future__ import annotations

@@ -33,6 +33,23 @@ def test_draws_below_one_is_a_usage_error(tmp_path, capsys, draws):
     assert not out.exists()
 
 
+def test_malformed_seed_variable_is_a_usage_error_for_demo_only(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setenv("MINIPROB_SEED", "abc")
+    write_trace(tmp_path / "trace", 200)
+    assert cli.main(["summary", str(tmp_path / "trace")]) == cli.EXIT_OK
+    assert cli.main(["plotdata", str(tmp_path / "trace"), "--out",
+                     str(tmp_path / "plots")]) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "linear", "--quiet", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--seed" in err and "'abc'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_summary_of_missing_directory_is_a_data_error(tmp_path):
     assert cli.main(["summary", str(tmp_path / "absent")]) == cli.EXIT_DATA
 

@@ -149,6 +149,26 @@ class TestParameterizations:
         with pytest.raises(ValueError):
             Uniform(3.0, 3.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda v: Normal(mu=0.0, sd=v),
+        lambda v: Normal(mu=0.0, tau=v),
+        lambda v: HalfNormal(sd=v),
+        lambda v: Exponential(rate=v),
+        lambda v: StudentT(nu=v),
+        lambda v: StudentT(nu=3.0, lam=v),
+    ], ids=["normal_sd", "normal_tau", "half_normal", "exponential", "student_t_nu",
+            "student_t_lam"])
+    def test_nan_constant_scale_rejected(self, make):
+        with pytest.raises(ValueError):
+            make(np.nan)
+        with pytest.raises(ValueError):
+            make(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, np.nan, [0.5, 1.2]])
+    def test_bernoulli_constant_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError):
+            Bernoulli(p=p)
+
 
 class TestDefaultTestvals:
     def evaluate(self, e):
@@ -190,6 +210,13 @@ class TestExprParameters:
         r = graph.free_input("r", ())
         d = Exponential(rate=r)
         assert float(eval_expr(d.logp_expr(const(1.0)), {"r": -2.0})) == -np.inf
+
+    @pytest.mark.parametrize("p", [1.5, -0.5, np.nan])
+    def test_bernoulli_expr_outside_unit_interval_gives_neg_inf(self, p):
+        d = Bernoulli(p=graph.free_input("p", ()))
+        for k in (0, 1):
+            assert float(eval_expr(d.logp_expr(const(k)), {"p": p})) == -np.inf
+        assert float(eval_expr(d.logp_expr(const(1)), {"p": 0.25})) == np.log(0.25)
 
     def test_random_walk_with_expr_tau(self):
         s = graph.free_input("sigma", ())

@@ -6,6 +6,7 @@ import pytest
 from conftest import finite_diff_grad, rel_err
 from miniprob import graph
 from miniprob.exceptions import (
+    DuplicateName,
     IntegerDifferentiation,
     MissingInput,
     NoGradient,
@@ -59,6 +60,15 @@ class TestEval:
         x = free_input("x", (3,))
         with pytest.raises(ShapeMismatch):
             eval_expr(x, {"x": np.zeros(2)})
+
+    def test_two_input_nodes_with_one_name_rejected(self):
+        # a gradient would credit only one of the two nodes
+        a, b = free_input("x", ()), free_input("x", ())
+        for _ in range(2):
+            with pytest.raises(DuplicateName):
+                grad(a * b, ["x"], {"x": 3.0})
+            with pytest.raises(DuplicateName):
+                eval_expr(a + b, {"x": 3.0})
 
     def test_shape_mismatch_at_construction(self):
         a = free_input("a", (3,))

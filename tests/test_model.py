@@ -136,6 +136,14 @@ class TestTestvalRule:
         assert m.sampling_names() == ["eps"]
         assert m.logp({"eps": 1.0}) == 0.0
 
+    def test_testval_of_the_wrong_shape_can_be_retried(self):
+        m = Model()
+        with pytest.raises(ShapeMismatch):
+            m.add_free("b", Normal(0.0, sd=1.0), shape=2, testval=[1.0, 2.0, 3.0])
+        assert m.free_vars == []
+        m.add_free("b", Normal(0.0, sd=1.0), shape=2, testval=[1.0, 2.0])
+        assert m.sampling_names() == ["b"]
+
     def test_rejected_add_free_can_be_retried(self):
         m = Model()
         with pytest.raises(TESTVAL_ERROR):
