@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import graph
+from .exceptions import ShapeMismatch
 from .graph import Expr, as_expr, const, switch, cmp_ge, cmp_gt, sum_all
 from .transforms import IntervalTransform, LogTransform
 
@@ -75,8 +76,14 @@ class Distribution:
         return self._mask
 
     def default_testval(self, shape, evaluate) -> np.ndarray:
-        """Default start value; ``evaluate`` maps parameter Exprs to arrays."""
-        centre = np.broadcast_to(self._centre(evaluate), shape)
+        """Default start value; ``evaluate`` maps parameter Exprs to arrays.
+        A centre that does not broadcast to ``shape`` raises ``ShapeMismatch``."""
+        centre = self._centre(evaluate)
+        try:
+            centre = np.broadcast_to(centre, shape)
+        except ValueError:
+            raise ShapeMismatch(f"default test value of shape {np.shape(centre)} does not "
+                                f"broadcast to {shape}") from None
         return centre.astype(np.int64 if self.dtype == "int" else np.float64)
 
     def _centre(self, evaluate):

@@ -101,6 +101,10 @@ class TooFewSamples(MiniprobError, ValueError):
     pass
 
 
+class NonFiniteSample(MiniprobError, ValueError):
+    """A summary statistic was asked of samples holding NaN or infinity."""
+
+
 # --- glm ---
 
 class FormulaSyntaxError(MiniprobError, ValueError):

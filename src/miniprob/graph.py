@@ -7,15 +7,17 @@ from ``scipy.special``, so the same (expr, point) pair always produces
 bit-identical output.
 
 The first evaluation of a root compiles it into a tape cached on the root.
-Each node of ``topo_order`` gets an integer slot in a list of values, its
-kind's kernel and one dependency mask: bit ``k + 1`` for each free input
-``k`` below it, bit 0 for each opaque node.  Every decision about work reads
-these masks.  A call runs only the steps whose mask meets the inputs whose
-converted bytes changed since the previous successful call; bit 0 counts as
-changed on every call, and the first call runs every step, so a node fed only
-by constants runs once.  The backward plan for a set of names visits only the
-slots whose mask meets those names' bits, with the rules and the summation
-order of a full sweep, so neither reuse nor pruning changes a bit.
+Each node of ``topo_order`` gets an integer slot in a list of values and one
+dependency mask: bit ``k + 1`` for each free input ``k`` below it, bit 0 for
+each opaque node.  A call runs only the nodes whose mask meets the inputs
+whose converted bytes changed since the previous successful call; bit 0 counts
+as changed on every call, and the first call runs every node, so a node fed
+only by constants runs once.  The code that runs is generated Python: one
+straight-line function per change mask, made on the mask's first call, with
+one line per node it runs, and one backward function per set of names, with
+one line per adjoint contribution into a slot whose mask meets those names'
+bits.  The lines call the same numpy kernels in the order of a full sweep, so
+neither reuse, pruning nor generation changes a bit.
 
 Free inputs are read and checked on every call, and a tape holds one node per
 input name.  It keeps its own read-only copy of each input and replaces its
@@ -25,7 +27,6 @@ safe to evaluate from two threads at once.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -141,15 +142,8 @@ def as_expr(value) -> Expr:
 
 def const(value) -> Expr:
     arr = np.asarray(value)
-    if arr.dtype.kind in "iub":
-        arr = arr.astype(np.int64)
-        dtype = "int"
-        if np.asarray(value).dtype.kind == "b":
-            arr = arr.astype(np.float64)
-            dtype = "float"
-    else:
-        arr = arr.astype(np.float64)
-        dtype = "float"
+    dtype = "int" if arr.dtype.kind in "iu" else "float"  # booleans become 0.0/1.0
+    arr = arr.astype(np.int64 if dtype == "int" else np.float64)
     arr.flags.writeable = False
     return Expr("constant", const_value=arr, shape=arr.shape, dtype=dtype)
 
@@ -163,12 +157,8 @@ def free_input(name: str, shape: Sequence[int] = (), dtype: str = "float") -> Ex
 def _binary(kind, a, b) -> Expr:
     a, b = as_expr(a), as_expr(b)
     shape = _broadcast_shape(a.shape, b.shape, kind)
-    if kind in ("cmp_ge", "cmp_gt"):
-        dtype = "float"  # comparisons yield 0/1 real arrays
-    elif kind in ("div", "pow"):
-        dtype = "float"
-    else:
-        dtype = "int" if (a.dtype == "int" and b.dtype == "int") else "float"
+    real = kind in ("cmp_ge", "cmp_gt", "div", "pow")  # comparisons yield 0/1 reals
+    dtype = "int" if not real and a.dtype == b.dtype == "int" else "float"
     return Expr(kind, (a, b), shape=shape, dtype=dtype)
 
 
@@ -342,28 +332,6 @@ def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-# Forward kernels by node kind, each a function of its operand values.
-_FORWARD = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": np.true_divide,
-    "pow": lambda a, b: np.power(np.asarray(a, dtype=np.float64), b),
-    "cmp_ge": lambda a, b: (a >= b).astype(np.float64),
-    "cmp_gt": lambda a, b: (a > b).astype(np.float64),
-    "neg": operator.neg,
-    "abs": np.abs,
-    "exp": np.exp,
-    "log": lambda x: np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf),
-    "sqrt": lambda x: np.sqrt(np.asarray(x, dtype=np.float64)),
-    "lgamma": special.gammaln,
-    "sigmoid": lambda x: special.expit(np.asarray(x, dtype=np.float64)),
-    "sum_all": lambda x: np.asarray(np.add.reduce(x, axis=None)),
-    "switch": np.where,  # a nonzero (or NaN) condition picks ``a``
-    "concat": lambda *parts: np.concatenate(parts),
-}
-
-
 def _read_only(v):
     if isinstance(v, np.ndarray) and v.flags.writeable:
         v = v.view()
@@ -371,46 +339,146 @@ def _read_only(v):
     return v
 
 
-def _kernel(node: Expr) -> Callable:
-    """The forward kernel of ``node``, bound to its payload where it has one."""
-    k, p = node.kind, node.payload
-    if k == "index":
-        return lambda x: x[p]
-    if k == "slice":
-        key = slice(*p)
-        return lambda x: x[key]
-    if k == "opaque":
-        def call(*args):
-            # the arguments are slots a later call may reuse, and the result
-            # may be an array ``p`` keeps, which the tape must not seal
-            v = _read_only(np.asarray(p(*[_read_only(a) for a in args])))
-            if v.shape != node.shape:
-                raise ShapeMismatch(
-                    f"opaque node: declared shape {node.shape}, fn returned {v.shape}")
-            return v
-        return call
-    return _FORWARD[k]
+def _guarded(adj, local):
+    # dead-branch adjoints are exactly zero; keep 0 * inf from minting NaN
+    prod = adj * local
+    # a NaN anywhere makes the minimum NaN; ``initial`` covers empty arrays
+    m = prod.min(initial=0.0) if (isinstance(prod, np.ndarray) and prod.ndim) else prod
+    if m != m:  # a NaN crept in where the adjoint is zero
+        prod = np.where(adj == 0, 0.0, prod)
+    return prod
+
+
+def _scatter(shape, key, g):
+    buf = np.zeros(shape)
+    np.add.at(buf, key, g)
+    return buf
+
+
+def _call(fn, shape, *args):
+    # the arguments are slots a later call may reuse, and the result may be
+    # an array ``fn`` keeps, which the tape must not seal
+    v = _read_only(np.asarray(fn(*[_read_only(a) for a in args])))
+    if v.shape != shape:
+        raise ShapeMismatch(f"opaque node: declared shape {shape}, fn returned {v.shape}")
+    return v
+
+
+# Source templates by node kind.  ``{0}``, ``{1}``, ... are the operand
+# values, ``{a}`` all of them, ``{v}`` the node's value and ``{n}`` its shape,
+# ``{s}`` the operands' shapes and ``{k}`` the node's key (an index or a
+# slice) or opaque function.  ``_FORWARD`` gives a node's value, and
+# ``_SCALAR`` the same bytes for a 0-d node other than the root whose last
+# two operands share a dtype.  ``_BACKWARD`` gives, per operand, the
+# contribution of ``{g}``, the node's adjoint, to the operand's adjoint, or
+# None where the operand receives nothing.
+_FORWARD = {
+    "add": "{0} + {1}",
+    "sub": "{0} - {1}",
+    "mul": "{0} * {1}",
+    "div": "true_divide({0}, {1})",
+    "pow": "power(asarray({0}, dtype=float64), {1})",
+    "cmp_ge": "({0} >= {1}).astype(float64)",
+    "cmp_gt": "({0} > {1}).astype(float64)",
+    "neg": "-{0}",
+    "abs": "absolute({0})",
+    "exp": "exp({0})",
+    "log": "where({0} > 0, log(where({0} > 0, {0}, 1.0)), -inf)",
+    "sqrt": "sqrt(asarray({0}, dtype=float64))",
+    "lgamma": "gammaln({0})",
+    "sigmoid": "expit(asarray({0}, dtype=float64))",
+    "sum_all": "asarray(add.reduce({0}, axis=None))",
+    "switch": "where({0}, {1}, {2})",  # a nonzero (or NaN) condition picks {1}
+    "concat": "concatenate(({a},))",
+    "index": "{0}[{k}]",
+    "slice": "{0}[{k}]",
+    "opaque": "call({k}, {n}, {a})",
+}
+_SCALAR = {
+    "log": "log({0}) if {0} > 0 else NEG_INF",
+    "cmp_ge": "ONE if {0} >= {1} else ZERO",
+    "cmp_gt": "ONE if {0} > {1} else ZERO",
+    "switch": "{1} if {0} else {2}",
+}
+_BACKWARD = {
+    "add": ("{g}", "{g}"),
+    "sub": ("{g}", "-{g}"),
+    "mul": ("G({g}, {1})", "G({g}, {0})"),
+    "div": ("G({g}, 1.0 / {1})", "G({g}, -{0} / ({1} * {1}))"),
+    "pow": ("G({g}, {1} * power(asarray({0}, dtype=float64), {1} - 1.0))",
+            "G({g}, {v} * log(asarray({0}, dtype=float64)))"),
+    "cmp_ge": (None, None),
+    "cmp_gt": (None, None),
+    "neg": ("-{g}",),
+    "abs": ("{g} * sign({0})",),
+    "exp": ("G({g}, {v})",),
+    "log": ("G({g}, 1.0 / {0})",),
+    "sqrt": ("G({g}, 0.5 / {v})",),
+    "lgamma": ("G({g}, psi({0}))",),
+    "sigmoid": ("{g} * {v} * (1.0 - {v})",),
+    "sum_all": ("full({s[0]}, float({g}))",),
+    "switch": (None, "where({0}, {g}, 0.0)", "where({0}, 0.0, {g})"),
+    "index": ("scatter({s[0]}, {k}, {g})",),
+    "slice": ("scatter({s[0]}, {k}, {g})",),
+}
+_NAMESPACE = {
+    "absolute": np.absolute, "add": np.add, "asarray": np.asarray,
+    "concatenate": np.concatenate, "exp": np.exp, "expit": special.expit,
+    "float64": np.float64, "full": np.full, "gammaln": special.gammaln, "inf": np.inf,
+    "log": np.log, "power": np.power, "psi": special.psi, "sign": np.sign,
+    "sqrt": np.sqrt, "true_divide": np.true_divide, "where": np.where,
+    "G": _guarded, "scatter": _scatter, "call": _call, "ONE": np.float64(1.0),
+    "ZERO": np.float64(0.0), "NEG_INF": np.float64(-np.inf),
+    "SEED": _read_only(np.asarray(1.0)),
+}
+
+
+def _rule(node: Expr, j: int) -> str | None:
+    """The backward template of ``node`` into its operand ``j``; a 0-d
+    ``sum_all`` passes on its adjoint, the bytes ``full`` would copy."""
+    if node.kind == "concat":
+        lo = sum(c.shape[0] for c in node.operands[:j])
+        return f"{{g}}[{lo}:{lo + node.operands[j].shape[0]}]"
+    if node.kind == "sum_all" and node.operands[0].shape == ():
+        return "{g}"
+    return _BACKWARD[node.kind][j]
+
+
+def _define(lines: list[str], ret: str, namespace: dict) -> Callable:
+    """``def run(v)`` with the body ``lines`` returning ``ret``, compiled once."""
+    src = "def run(v):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {ret}\n"
+    scope: dict = {}
+    exec(compile(src, "<miniprob tape>", "exec"), namespace, scope)
+    return scope["run"]
+
+
+_noop = _define([], "None", {})  # the forward pass of a mask that selects no step
+_noop.steps = ()
 
 
 class _Tape:
     """One root compiled to integer slots, in ``topo_order``: ``inputs``
-    holds the ``(slot, node)`` of each free input, ``steps`` the ``(slot,
-    kernel, operand slots)`` of every other non-constant node, and ``deps``
-    each slot's dependency mask.  A step runs when its mask meets the bits
-    that changed since ``state``, the previous successful call: its slot
-    values and the bytes of each converted input, or None before the first
-    call, which runs every step.  ``forward`` replaces both at once, after
-    its pass succeeds.  A tape is not safe to evaluate from two threads at
-    once."""
+    holds the ``(slot, node)`` of each free input, ``steps`` the slot of
+    every other non-constant node, and ``deps`` each slot's dependency mask.
+    A step runs when its mask meets the bits that changed since ``state``,
+    the previous successful call: its slot values and the bytes of each
+    converted input, or None before the first call, which runs every step.
+    ``forward`` replaces both at once, after its pass succeeds.  ``runs``
+    holds at most one generated function per distinct change mask (key None
+    for the first call), which runs the steps listed in its ``steps``, and
+    ``plans`` one backward pass per set of names.  A tape is not safe to
+    evaluate from two threads at once."""
 
     def __init__(self, root: Expr):
         self.order = order = topo_order(root)
         slot = {id(n): i for i, n in enumerate(order)}
         self.operands = [tuple(slot[id(c)] for c in n.operands) for n in order]
         self.inputs: list[tuple[int, Expr]] = []
-        self.steps: list[tuple[int, Callable, tuple]] = []
+        self.steps: list[int] = []
         self.deps = deps = [0] * len(order)
+        self.runs: dict = {}
         self.plans: dict[frozenset, tuple] = {}
+        self.namespace = dict(_NAMESPACE)
         values: list = [None] * len(order)
         for i, node in enumerate(order):
             if node.kind == "constant":
@@ -424,8 +492,35 @@ class _Tape:
                 deps[i] = int(node.kind == "opaque")
                 for a in self.operands[i]:
                     deps[i] |= deps[a]
-                self.steps.append((i, _kernel(node), self.operands[i]))
+                self.steps.append(i)
+                p = node.payload  # an index key, slice bounds or opaque function
+                if p is not None:
+                    self.namespace[f"k{i}"] = slice(*p) if node.kind == "slice" else p
         self.state = (values, None)
+
+    def _source(self, i: int, template: str, refs: list[str], **fields) -> str:
+        node = self.order[i]
+        return template.format(*refs, a=", ".join(refs), v=f"v[{i}]", n=node.shape,
+                               s=[c.shape for c in node.operands], k=f"k{i}", **fields)
+
+    def _generate(self, key: int | None) -> Callable:
+        """The forward pass of the steps whose mask meets ``key``, or of
+        every step for None; operands it computes are read from locals."""
+        steps = [i for i in self.steps if key is None or self.deps[i] & key]
+        if not steps:
+            return _noop
+        lines = []
+        for i in steps:
+            node, ops = self.order[i], self.operands[i]
+            template = _FORWARD[node.kind]
+            if (node.kind in _SCALAR and node.shape == () and i < len(self.order) - 1
+                    and len({self.order[a].dtype for a in ops[-2:]}) == 1):
+                template = _SCALAR[node.kind]
+            refs = [f"s{a}" if a in steps else f"v[{a}]" for a in ops]
+            lines.append(f"s{i} = v[{i}] = {self._source(i, template, refs)}")
+        run = _define(lines, "None", self.namespace)
+        run.steps = steps
+        return run
 
     def forward(self, point: Mapping) -> list:
         values, seen = self.state
@@ -438,17 +533,18 @@ class _Tape:
                 if seen is None or raw != seen[k]:
                     changed |= 2 << k
                     fresh.append((k, i, raw, arr))
-            deps = self.deps
-            run = self.steps if seen is None else [s for s in self.steps if deps[s[0]] & changed]
-            if not (fresh or run):
+            key = None if seen is None else changed
+            if key not in self.runs:
+                self.runs[key] = self._generate(key)
+            run = self.runs[key]
+            if not (fresh or run.steps):
                 return values
             values = values.copy()
             seen = [None] * len(self.inputs) if seen is None else seen.copy()
             for k, i, raw, arr in fresh:
                 seen[k] = raw
                 values[i] = np.frombuffer(raw, arr.dtype).reshape(arr.shape)
-            for i, fn, args in run:
-                values[i] = fn(*[values[a] for a in args])
+            run(values)
         root = values[-1]
         if isinstance(root, np.ndarray):  # handed to callers, and reused
             root.flags.writeable = False
@@ -456,44 +552,50 @@ class _Tape:
         return values
 
     def plan(self, wrt: Sequence[str]) -> tuple:
-        """(wanted input slots by name, backward entries, whether an opaque
-        node lies on a differentiated path) for one set of names."""
+        """(shape of each wanted input by name, the generated backward pass,
+        whether an opaque node lies on a differentiated path) for one set of
+        names.  The pass maps each wanted name that receives an adjoint to
+        it."""
         key = frozenset(wrt)
         if key in self.plans:
             return self.plans[key]
         order, operands, deps = self.order, self.operands, self.deps
-        wanted: dict[str, int] = {}
+        shapes: dict[str, tuple] = {}
         bits = 0
         for k, (i, node) in enumerate(self.inputs):
             if node.input_name in key:
                 if node.dtype == "int":
                     raise IntegerDifferentiation(
                         f"cannot differentiate through integer input {node.input_name!r}")
-                wanted[node.input_name] = i
+                shapes[node.input_name] = node.shape
                 bits |= 2 << k
-        # One entry per adjoint contribution, in the order of the full reverse
-        # sweep: (node slot, child slot, rule, rule argument slots, child is
-        # scalar).  Children whose mask meets no requested bit get none;
-        # nothing they receive could flow into a requested gradient.
-        entries = []
-        blocked = False
-        has_adjoint = {len(order) - 1}
+        # One line per adjoint contribution, in the order of the full reverse
+        # sweep; the first into a slot starts its adjoint, and one from a
+        # node with a shape into a 0-d child is summed.  Children whose mask
+        # meets no requested bit get none; nothing they receive could flow
+        # into a requested gradient.
+        last = len(order) - 1
+        lines, has, blocked = [f"a{last} = SEED"], {last}, False
         for i in reversed(range(len(order))):
-            if i not in has_adjoint or not deps[i] & bits:
+            if i not in has or not deps[i] & bits:
                 continue
             node = order[i]
             if node.kind == "opaque":
                 blocked = True
                 continue
-            refs = operands[i] + (i,)
+            refs = [f"v[{a}]" for a in operands[i]]
             for j, child in enumerate(operands[i]):
                 rule = _rule(node, j)
-                if rule is not None and deps[child] & bits:
-                    fn, args = rule
-                    entries.append((i, child, fn, tuple(refs[a] for a in args),
-                                    order[child].shape == ()))
-                    has_adjoint.add(child)
-        self.plans[key] = (wanted, entries, blocked)
+                if rule is None or not deps[child] & bits:
+                    continue
+                c = self._source(i, rule, refs, g=f"a{i}")
+                if order[child].shape == () and node.shape != ():
+                    c = f"add.reduce({c}, axis=None)"
+                lines.append(f"a{child} = a{child} + {c}" if child in has else f"a{child} = {c}")
+                has.add(child)
+        ret = ", ".join(f"{n.input_name!r}: a{i}" for i, n in self.inputs
+                        if i in has and n.input_name in shapes)
+        self.plans[key] = (shapes, _define(lines, f"{{{ret}}}", self.namespace), blocked)
         return self.plans[key]
 
 
@@ -510,75 +612,6 @@ def eval_expr(expr: Expr, point: Mapping) -> np.ndarray:
 
 # --- reverse-mode gradient -------------------------------------------------
 
-def _guarded(adj, local):
-    # dead-branch adjoints are exactly zero; keep 0 * inf from minting NaN
-    prod = adj * local
-    # a NaN anywhere makes the minimum NaN; ``initial`` covers empty arrays
-    m = prod.min(initial=0.0) if (isinstance(prod, np.ndarray) and prod.ndim) else prod
-    if m != m:  # a NaN crept in where the adjoint is zero
-        prod = np.where(adj == 0, 0.0, prod)
-    return prod
-
-
-def _same(adj):
-    return adj
-
-
-# Per kind, one (rule, argument refs) per operand: ``rule(adj, *args)`` is the
-# adjoint contribution into that operand, where ref k is operand k's value and
-# ref -1 the node's own value.  None marks an operand that receives nothing.
-_BACKWARD = {
-    "add": ((_same, ()), (_same, ())),
-    "sub": ((_same, ()), (operator.neg, ())),
-    "mul": ((_guarded, (1,)), (_guarded, (0,))),
-    "div": ((lambda g, b: _guarded(g, 1.0 / b), (1,)),
-            (lambda g, a, b: _guarded(g, -a / (b * b)), (0, 1))),
-    "pow": ((lambda g, a, b: _guarded(
-                g, b * np.power(np.asarray(a, dtype=np.float64), b - 1.0)), (0, 1)),
-            (lambda g, a, v: _guarded(g, v * np.log(np.asarray(a, dtype=np.float64))),
-             (0, -1))),
-    "cmp_ge": (None, None),
-    "cmp_gt": (None, None),
-    "neg": ((operator.neg, ()),),
-    "abs": ((lambda g, x: g * np.sign(x), (0,)),),
-    "exp": ((_guarded, (-1,)),),
-    "log": ((lambda g, x: _guarded(g, 1.0 / x), (0,)),),
-    "sqrt": ((lambda g, v: _guarded(g, 0.5 / v), (-1,)),),
-    "lgamma": ((lambda g, x: _guarded(g, special.psi(x)), (0,)),),
-    "sigmoid": ((lambda g, s: g * s * (1.0 - s), (-1,)),),
-    "switch": (None,
-               (lambda g, c: np.where(c, g, 0.0), (0,)),
-               (lambda g, c: np.where(c, 0.0, g), (0,))),
-}
-
-
-def _rule(node: Expr, j: int):
-    """The backward rule of ``node`` into its operand ``j``, bound to the
-    node's shapes and payload where the rule needs them."""
-    k, p, shape = node.kind, node.payload, node.operands[0].shape
-    if k == "sum_all":
-        return (lambda g: np.full(shape, float(g))), ()
-    if k == "index":
-        def scatter(g):
-            buf = np.zeros(shape)
-            np.add.at(buf, p, g)
-            return buf
-        return scatter, ()
-    if k == "slice":
-        key = slice(*p)
-
-        def fill(g):
-            buf = np.zeros(shape)
-            buf[key] += g
-            return buf
-        return fill, ()
-    if k == "concat":
-        lo = sum(c.shape[0] for c in node.operands[:j])
-        hi = lo + node.operands[j].shape[0]
-        return (lambda g: g[lo:hi]), ()
-    return _BACKWARD[k][j]
-
-
 def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
          values: list | None = None) -> Point:
     """Reverse-mode gradient of a scalar ``expr`` for the named free inputs.
@@ -592,31 +625,18 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
     if expr.shape != ():
         raise NonScalarObjective(f"objective has shape {expr.shape}, expected a scalar")
     tape = _tape(expr)
-    wanted, entries, blocked = tape.plan(wrt)
+    shapes, backward, blocked = tape.plan(wrt)
     if values is None:
         values = tape.forward(point)
     if blocked:
         raise NoGradient("gradient requested through an opaque deterministic node")
-
-    adjoint: list = [None] * len(values)
-    adjoint[-1] = np.asarray(1.0)
     with np.errstate(**_QUIET):
-        for i, child, fn, args, scalar in entries:
-            contrib = fn(adjoint[i], *[values[a] for a in args]) if args else fn(adjoint[i])
-            if scalar and isinstance(contrib, np.ndarray) and contrib.ndim:
-                contrib = np.add.reduce(contrib, axis=None)
-            prev = adjoint[child]
-            adjoint[child] = contrib if prev is None else prev + contrib
-
+        adjoints = backward(values)
     out: Point = {}
     for name in wrt:
-        i = wanted.get(name)
-        if i is None:
-            out[name] = np.zeros(())
-        else:
-            out[name] = g = np.zeros(tape.order[i].shape)
-            if adjoint[i] is not None:
-                g[...] = adjoint[i]
+        out[name] = g = np.zeros(shapes.get(name, ()))
+        if name in adjoints:
+            g[...] = adjoints[name]
     return out
 
 

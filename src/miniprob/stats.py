@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import Trace, flat_names
-from .exceptions import TooFewSamples, UnknownVariable
+from .exceptions import NonFiniteSample, TooFewSamples, UnknownVariable
 
 QUANTILES = (2.5, 25.0, 50.0, 75.0, 97.5)
 
@@ -23,6 +23,16 @@ def quantiles(samples, probs=QUANTILES) -> np.ndarray:
     """Linear-interpolation quantiles of the pooled samples (percent units)."""
     x = np.asarray(samples, dtype=np.float64)
     return np.quantile(x, np.asarray(probs) / 100.0, method="linear")
+
+
+def _finite(samples, what: str) -> np.ndarray:
+    """``samples`` as a flat float64 array; NaN or infinity raises
+    ``NonFiniteSample``, since no statistic of them would be meaningful."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise NonFiniteSample(f"{what} needs finite samples, got {bad} NaN or infinite")
+    return x
 
 
 def hpd(samples, alpha: float = 0.05) -> tuple[float, float]:
@@ -34,7 +44,7 @@ def hpd(samples, alpha: float = 0.05) -> tuple[float, float]:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"hpd needs 0 < alpha < 1, got {alpha}")
-    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    x = np.sort(_finite(samples, "hpd"))
     n = x.size
     if n < 2:
         raise TooFewSamples("hpd needs at least 2 samples")
@@ -48,7 +58,7 @@ def mc_error(samples, batches: int = 20) -> float:
     """Batch-means Monte Carlo standard error of the mean."""
     if batches < 2:
         raise ValueError(f"mc_error needs at least 2 batches, got {batches}")
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _finite(samples, "mc_error")
     n = x.size
     if n < batches:
         raise TooFewSamples(f"mc_error needs at least {batches} samples, got {n}")
@@ -61,7 +71,7 @@ def ess(samples) -> float:
     """Effective sample size: n / (1 + 2 sum of autocorrelations), with the
     sum truncated by Geyer's initial-positive-sequence rule.  A constant
     series has ESS 0 by convention."""
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _finite(samples, "ess")
     n = x.size
     if n < 100:
         raise TooFewSamples(f"ess needs at least 100 samples, got {n}")

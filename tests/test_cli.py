@@ -65,6 +65,18 @@ def test_summary_of_corrupt_row_is_a_data_error(tmp_path, capsys):
     assert err.startswith("error: ") and "line 6" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_summary_of_non_finite_sample_is_a_data_error(tmp_path, capsys, cell):
+    write_trace(tmp_path, 200)
+    path = tmp_path / "chain-0.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = cell
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_summary_of_short_trace_is_a_data_error(tmp_path):
     write_trace(tmp_path, 10)
     assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from miniprob.backends import MemoryBackend
-from miniprob.exceptions import TooFewSamples, UnknownVariable
+from miniprob.exceptions import NonFiniteSample, TooFewSamples, UnknownVariable
 from miniprob.stats import (
     ess,
     histogram,
@@ -142,6 +142,22 @@ class TestEss:
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
             ess(np.arange(50.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stat", [hpd, mc_error, ess])
+def test_non_finite_sample_rejected(stat, bad):
+    x = np.random.default_rng(3).normal(size=200)
+    x[17] = bad
+    with pytest.raises(NonFiniteSample):
+        stat(x)
+
+
+def test_summary_of_non_finite_trace_rejected():
+    x = np.random.default_rng(4).normal(size=(200, 2))
+    x[50, 1] = np.nan
+    with pytest.raises(NonFiniteSample):
+        summary(trace_of({"x": x}))
 
 
 class TestSummary:

@@ -6,6 +6,8 @@ fed only by constants runs once, and the pruned backward pass skips only
 adjoints that cannot reach a requested input.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,37 @@ def test_partial_moves_match_reference(name):
         check_against_reference(model, point)  # nothing changed
 
 
+def subsets(names):
+    """Every non-empty subset of ``names``, in a fixed order."""
+    return [list(c) for r in range(1, len(names) + 1)
+            for c in itertools.combinations(names, r)]
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_every_moved_subset_matches_reference(name):
+    # each subset of the inputs moves alone from one seeded point and back,
+    # so every change mask of the model gets its own generated function
+    model = MODELS[name]()
+    base, move = list(random_points(model, 2, seed=15))[1:]
+    check_against_reference(model, base)
+    for subset in subsets(model.sampling_names()):
+        check_against_reference(model, {**base, **{n: move[n] for n in subset}})
+        check_against_reference(model, base)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_every_wrt_subset_matches_reference(name):
+    # one generated backward pass per set of names, each pruned differently
+    model = MODELS[name]()
+    point = list(random_points(model, 1, seed=16))[1]
+    for wrt in subsets(model.continuous_names()):
+        g = graph.grad(model.logp_graph, wrt, point)
+        ref = reference.grad(model.logp_graph, wrt, point)
+        assert list(g) == wrt
+        for n in wrt:
+            assert as_bytes(g[n]) == as_bytes(ref[n]), (wrt, n)
+
+
 def _edge_graphs():
     x = free_input("x", (3,))
     y = free_input("y", ())
@@ -105,6 +138,20 @@ def _edge_graphs():
     yield "gather, repeated keys", graph.sum_all(gather * gather), at
     parts = concat([x[1:], y * x[:2], x[::2]])
     yield "concat and slice", graph.sum_all(parts * parts) + x[1], at
+    # 0-d log, comparisons and switch take their scalar forms below the root
+    k = free_input("k", (), dtype="int")
+    scalars = (switch(y >= 0.0, graph.log(y), y * 3.0) + (y > y) + graph.log(k) * y
+               + switch(k > 1, k, k * 2) * y + graph.sum_all(y))
+    for yv, kv in ((np.nan, 0), (-0.0, 3), (2.0, -1), (-np.inf, 2)):
+        yield f"0-d forms, y={yv}, k={kv}", scalars, {"y": yv, "k": kv}
+    # an int branch of a float switch is rounded to float64 before k - 1 is
+    # taken from it
+    mixed = switch(y > 0.0, k, y) - (k - 1)
+    yield "0-d switch of int and float", mixed, {"y": 2.0, "k": 2 ** 53 + 1}
+    for yv in (2.0, np.nan):  # a condition other than 0 or 1, then NaN
+        yield f"0-d switch on y={yv}", switch(y, y * 2.0, 1.0) * 3.0, {"y": yv}
+    yield "0-d log at the root", graph.log(y), {"y": 0.5}
+    yield "0-d switch at the root", switch(y, y, 2.0), {"y": 0.0}
 
 
 @pytest.mark.parametrize("label, expr, point", list(_edge_graphs()),
@@ -114,6 +161,7 @@ def test_edge_graph_matches_reference(label, expr, point):
         value, g = graph.value_and_grad(expr, ["x", "y"], point)
         ref_value, ref_g = reference.value_and_grad(expr, ["x", "y"], point)
         assert as_bytes(value) == as_bytes(ref_value)
+        assert type(value) is type(ref_value)
         assert as_bytes(eval_expr(expr, point)) == as_bytes(ref_value)
         for n in ("x", "y"):
             assert as_bytes(g[n]) == as_bytes(ref_g[n]), n
@@ -213,17 +261,23 @@ def test_lgamma_edge_inputs_match_reference(kind, x):
 
 
 def counted(tape):
-    """Wrap every step kernel of ``tape``; returns the list of slots run,
-    appended to as kernels run."""
+    """Record the slots that each generated forward function of ``tape``
+    runs, read from the function's ``steps``; returns the list, appended to
+    as the functions run."""
     ran = []
 
-    def wrap(i, fn):
-        def kernel(*args):
-            ran.append(i)
-            return fn(*args)
-        return kernel
+    def wrap(run):
+        def recorded(values):
+            ran.extend(run.steps)
+            return run(values)
+        recorded.steps = run.steps
+        return recorded
 
-    tape.steps = [(i, wrap(i, fn), args) for i, fn, args in tape.steps]
+    class Recording(dict):
+        def __setitem__(self, key, run):
+            super().__setitem__(key, wrap(run))
+
+    tape.runs = Recording({key: wrap(run) for key, run in tape.runs.items()})
     return ran
 
 
@@ -235,7 +289,7 @@ class TestReuse:
         point = list(random_points(model, 1, seed=14))[1]  # moves every input
         first = model.logp_and_dlogp(point)
         # every step but those fed only by constants, which ran at finalize
-        assert ran == [i for i, _, _ in tape.steps if tape.deps[i]]
+        assert ran == [i for i in tape.steps if tape.deps[i]]
         ran.clear()
         second = model.logp_and_dlogp(dict(point))
         assert ran == [] and as_bytes(first[0]) == as_bytes(second[0])
@@ -253,6 +307,19 @@ class TestReuse:
         assert slot[id(ex)] not in ran and slot[id(ey)] in ran
         assert as_bytes(value) == as_bytes(
             reference.forward(expr, {"x": 1.0, "y": 3.0})[id(expr)])
+
+    def test_seen_mask_reuses_its_function(self):
+        x, y = free_input("x", ()), free_input("y", ())
+        expr = graph.exp(x) * graph.log(y)
+        tape = graph._tape(expr)
+        eval_expr(expr, {"x": 1.0, "y": 2.0})
+        eval_expr(expr, {"x": 1.5, "y": 2.0})  # the first call that moves x alone
+        made = dict(tape.runs)
+        tape._generate = lambda key: pytest.fail(f"generated a function for mask {key}")
+        point = {"x": 0.5, "y": 2.0}
+        value = eval_expr(expr, point)
+        assert tape.runs == made and len(made) == 2
+        assert as_bytes(value) == as_bytes(reference.forward(expr, point)[id(expr)])
 
     def test_opaque_steps_and_their_users_run_every_call(self):
         x, y = free_input("x", ()), free_input("y", ())
