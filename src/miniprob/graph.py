@@ -142,8 +142,15 @@ def as_expr(value) -> Expr:
 
 def const(value) -> Expr:
     arr = np.asarray(value)
-    dtype = "int" if arr.dtype.kind in "iu" else "float"  # booleans become 0.0/1.0
-    arr = arr.astype(np.int64 if dtype == "int" else np.float64)
+    if arr.dtype.kind in "iub":
+        arr = arr.astype(np.int64)
+        dtype = "int"
+        if np.asarray(value).dtype.kind == "b":
+            arr = arr.astype(np.float64)
+            dtype = "float"
+    else:
+        arr = arr.astype(np.float64)
+        dtype = "float"
     arr.flags.writeable = False
     return Expr("constant", const_value=arr, shape=arr.shape, dtype=dtype)
 
@@ -157,8 +164,12 @@ def free_input(name: str, shape: Sequence[int] = (), dtype: str = "float") -> Ex
 def _binary(kind, a, b) -> Expr:
     a, b = as_expr(a), as_expr(b)
     shape = _broadcast_shape(a.shape, b.shape, kind)
-    real = kind in ("cmp_ge", "cmp_gt", "div", "pow")  # comparisons yield 0/1 reals
-    dtype = "int" if not real and a.dtype == b.dtype == "int" else "float"
+    if kind in ("cmp_ge", "cmp_gt"):
+        dtype = "float"  # comparisons yield 0/1 real arrays
+    elif kind in ("div", "pow"):
+        dtype = "float"
+    else:
+        dtype = "int" if (a.dtype == "int" and b.dtype == "int") else "float"
     return Expr(kind, (a, b), shape=shape, dtype=dtype)
 
 
@@ -365,13 +376,14 @@ def _call(fn, shape, *args):
 
 
 # Source templates by node kind.  ``{0}``, ``{1}``, ... are the operand
-# values, ``{a}`` all of them, ``{v}`` the node's value and ``{n}`` its shape,
+# values, ``{a}`` all of them and ``{v}`` the node's value; ``{n}`` its shape,
 # ``{s}`` the operands' shapes and ``{k}`` the node's key (an index or a
-# slice) or opaque function.  ``_FORWARD`` gives a node's value, and
-# ``_SCALAR`` the same bytes for a 0-d node other than the root whose last
-# two operands share a dtype.  ``_BACKWARD`` gives, per operand, the
-# contribution of ``{g}``, the node's adjoint, to the operand's adjoint, or
-# None where the operand receives nothing.
+# slice) or opaque function are names bound in the tape's namespace.
+# ``_FORWARD`` gives a node's value, and ``_SCALAR`` the same bytes for a 0-d
+# node other than the root whose last two operands share a dtype.
+# ``_BACKWARD`` gives, per operand, the contribution of ``{g}``, the node's
+# adjoint, to the operand's adjoint, or None where the operand receives
+# nothing.
 _FORWARD = {
     "add": "{0} + {1}",
     "sub": "{0} - {1}",
@@ -452,10 +464,6 @@ def _define(lines: list[str], ret: str, namespace: dict) -> Callable:
     return scope["run"]
 
 
-_noop = _define([], "None", {})  # the forward pass of a mask that selects no step
-_noop.steps = ()
-
-
 class _Tape:
     """One root compiled to integer slots, in ``topo_order``: ``inputs``
     holds the ``(slot, node)`` of each free input, ``steps`` the slot of
@@ -481,6 +489,7 @@ class _Tape:
         self.namespace = dict(_NAMESPACE)
         values: list = [None] * len(order)
         for i, node in enumerate(order):
+            self.namespace[f"n{i}"] = node.shape  # bound, not written: any int type
             if node.kind == "constant":
                 values[i] = node.const_value
             elif node.kind == "free_input":
@@ -499,16 +508,13 @@ class _Tape:
         self.state = (values, None)
 
     def _source(self, i: int, template: str, refs: list[str], **fields) -> str:
-        node = self.order[i]
-        return template.format(*refs, a=", ".join(refs), v=f"v[{i}]", n=node.shape,
-                               s=[c.shape for c in node.operands], k=f"k{i}", **fields)
+        return template.format(*refs, a=", ".join(refs), v=f"v[{i}]", n=f"n{i}",
+                               s=[f"n{a}" for a in self.operands[i]], k=f"k{i}", **fields)
 
     def _generate(self, key: int | None) -> Callable:
         """The forward pass of the steps whose mask meets ``key``, or of
         every step for None; operands it computes are read from locals."""
         steps = [i for i in self.steps if key is None or self.deps[i] & key]
-        if not steps:
-            return _noop
         lines = []
         for i in steps:
             node, ops = self.order[i], self.operands[i]

@@ -135,9 +135,6 @@ class Model:
         return self.add_free(name, Custom(logp_fn, dtype=dtype), shape, testval)
 
     def add_observed(self, name: str, dist: Distribution, data, mask=None) -> None:
-        """Register observed ``data``; entries where ``mask`` is True are
-        missing and sampled as one free variable.  A rejected variable
-        leaves the model unchanged."""
         self._check_open()
         data = as_dtype(data, dist.dtype, name)
         if mask is not None:
@@ -151,12 +148,13 @@ class Model:
                 mask = None
 
         if mask is None:
-            term = dist.logp_expr(const(data))
             self._claim_name(name)
+            term = dist.logp_expr(const(data))
         else:
             if data.ndim != 1:
                 raise ShapeMismatch(f"{name}: masked data must be one-dimensional")
             miss_name = name + ".missing_values"
+            self._claim_name(name, miss_name)
             n_miss = int(mask.sum())
 
             full_testval = dist.default_testval(data.shape, self._eval_param)
@@ -167,7 +165,6 @@ class Model:
             perm[~mask] = np.arange(data.shape[0] - n_miss)
             perm[mask] = data.shape[0] - n_miss + np.arange(n_miss)
             term = dist.logp_expr(composed[perm])
-            self._claim_name(name, miss_name)
             self._register_free(miss_var, None)
 
         self._terms[name] = term

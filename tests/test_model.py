@@ -126,7 +126,7 @@ class TestTestvalRule:
         m = Model()
         with pytest.raises(TESTVAL_ERROR):
             m.add_free("x", dist, shape=shape, testval=testval)
-        assert m.free_vars == []
+        assert m.free_vars == [] and m.test_point == {}
 
     def test_rejected_custom_density_can_be_retried(self):
         m = Model()
@@ -151,15 +151,6 @@ class TestTestvalRule:
         assert m.free_vars == []
         m.add_free("b", Normal(mu=np.zeros(2), sd=1.0), shape=2)
         assert m.sampling_names() == ["b"]
-
-    @pytest.mark.parametrize("mask", [None, [False, True]], ids=["observed", "masked"])
-    def test_rejected_observed_can_be_retried(self, mask):
-        m = Model()
-        with pytest.raises(ShapeMismatch):
-            m.add_observed("y", Normal(mu=np.zeros(3), sd=1.0), [1.0, 2.0], mask=mask)
-        assert m.free_vars == []
-        m.add_observed("y", Normal(mu=0.0, sd=1.0), [1.0, 2.0], mask=mask)
-        assert m.sampling_names() == ([] if mask is None else ["y.missing_values"])
 
     def test_rejected_add_free_can_be_retried(self):
         m = Model()

@@ -138,6 +138,11 @@ def _edge_graphs():
     yield "gather, repeated keys", graph.sum_all(gather * gather), at
     parts = concat([x[1:], y * x[:2], x[::2]])
     yield "concat and slice", graph.sum_all(parts * parts) + x[1], at
+    # shapes given as numpy integers, as ``mask.sum()`` returns them
+    mask = np.array([True, False, True])
+    kept = opaque_deterministic(lambda v: v[mask], [const(at["x"])], (mask.sum(),))
+    xn = free_input("x", (np.int64(3),))
+    yield "numpy integer shapes", graph.sum_all(xn * y) + graph.sum_all(kept), at
     # 0-d log, comparisons and switch take their scalar forms below the root
     k = free_input("k", (), dtype="int")
     scalars = (switch(y >= 0.0, graph.log(y), y * 3.0) + (y > y) + graph.log(k) * y
