@@ -19,6 +19,11 @@ one line per adjoint contribution into a slot whose mask meets those names'
 bits.  The lines call the same numpy kernels in the order of a full sweep, so
 neither reuse, pruning nor generation changes a bit.
 
+A 0-d slot below the root holds a numpy scalar, not a 0-d array: a 0-d
+constant, input copy or ``sum_all``, and the backward seed.  A ufunc on 0-d
+arrays costs about ten times the same scalar operation, and gives the same
+bits.  The root keeps its kernel's type; opaque functions get read-only arrays.
+
 Free inputs are read and checked on every call, and a tape holds one node per
 input name.  It keeps its own read-only copy of each input and replaces its
 values and input snapshot together, only when a pass succeeds.  A tape is not
@@ -43,7 +48,9 @@ from .exceptions import (
 
 Point = dict[str, np.ndarray]
 
-_QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
+# a decorator, which costs half a new ``errstate``; one cannot be entered twice
+_quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
+_DTYPES = {"float": np.dtype(np.float64), "int": np.dtype(np.int64)}
 
 
 def _broadcast_shape(a: tuple, b: tuple, what: str) -> tuple:
@@ -324,6 +331,8 @@ def _input_value(node: Expr, point: Mapping) -> np.ndarray:
         raw = point[name]
     except (KeyError, TypeError):
         raise MissingInput(f"free input {name!r} not present in point") from None
+    if type(raw) is np.ndarray and raw.dtype is _DTYPES[node.dtype] and raw.shape == node.shape:
+        return raw  # what the checks and conversions below would return
     arr = np.asarray(raw)
     if arr.shape != node.shape:
         raise ShapeMismatch(
@@ -354,7 +363,7 @@ def _guarded(adj, local):
     # dead-branch adjoints are exactly zero; keep 0 * inf from minting NaN
     prod = adj * local
     # a NaN anywhere makes the minimum NaN; ``initial`` covers empty arrays
-    m = prod.min(initial=0.0) if (isinstance(prod, np.ndarray) and prod.ndim) else prod
+    m = np.minimum.reduce(prod, None, None, None, False, 0.0) if prod.shape else prod
     if m != m:  # a NaN crept in where the adjoint is zero
         prod = np.where(adj == 0, 0.0, prod)
     return prod
@@ -362,14 +371,17 @@ def _guarded(adj, local):
 
 def _scatter(shape, key, g):
     buf = np.zeros(shape)
-    np.add.at(buf, key, g)
+    if isinstance(key, np.ndarray):  # keys may repeat
+        np.add.at(buf, key, g)
+    else:  # an int or a slice: the same bits as ``add.at`` into zeros
+        buf[key] += g
     return buf
 
 
 def _call(fn, shape, *args):
-    # the arguments are slots a later call may reuse, and the result may be
-    # an array ``fn`` keeps, which the tape must not seal
-    v = _read_only(np.asarray(fn(*[_read_only(a) for a in args])))
+    # the arguments are slots a later call may reuse, or scalars, and the
+    # result may be an array ``fn`` keeps, which the tape must not seal
+    v = _read_only(np.asarray(fn(*[_read_only(np.asarray(a)) for a in args])))
     if v.shape != shape:
         raise ShapeMismatch(f"opaque node: declared shape {shape}, fn returned {v.shape}")
     return v
@@ -379,8 +391,9 @@ def _call(fn, shape, *args):
 # values, ``{a}`` all of them and ``{v}`` the node's value; ``{n}`` its shape,
 # ``{s}`` the operands' shapes and ``{k}`` the node's key (an index or a
 # slice) or opaque function are names bound in the tape's namespace.
-# ``_FORWARD`` gives a node's value, and ``_SCALAR`` the same bytes for a 0-d
-# node other than the root whose last two operands share a dtype.
+# ``_FORWARD`` gives a node's value, and ``_SCALAR`` the same bytes as a
+# numpy scalar for a 0-d node other than the root whose last two operands
+# share a dtype.
 # ``_BACKWARD`` gives, per operand, the contribution of ``{g}``, the node's
 # adjoint, to the operand's adjoint, or None where the operand receives
 # nothing.
@@ -411,6 +424,7 @@ _SCALAR = {
     "cmp_ge": "ONE if {0} >= {1} else ZERO",
     "cmp_gt": "ONE if {0} > {1} else ZERO",
     "switch": "{1} if {0} else {2}",
+    "sum_all": "add.reduce({0}, axis=None)",
 }
 _BACKWARD = {
     "add": ("{g}", "{g}"),
@@ -441,7 +455,7 @@ _NAMESPACE = {
     "sqrt": np.sqrt, "true_divide": np.true_divide, "where": np.where,
     "G": _guarded, "scatter": _scatter, "call": _call, "ONE": np.float64(1.0),
     "ZERO": np.float64(0.0), "NEG_INF": np.float64(-np.inf),
-    "SEED": _read_only(np.asarray(1.0)),
+    "SEED": np.float64(1.0),
 }
 
 
@@ -474,8 +488,10 @@ class _Tape:
     ``forward`` replaces both at once, after its pass succeeds.  ``runs``
     holds at most one generated function per distinct change mask (key None
     for the first call), which runs the steps listed in its ``steps``, and
-    ``plans`` one backward pass per set of names.  A tape is not safe to
-    evaluate from two threads at once."""
+    ``plans`` one backward pass per set of names.  Every 0-d slot but the
+    root's holds a numpy scalar, which the 0-d kernels run on at a tenth of
+    the cost of a 0-d array.  A tape is not safe to evaluate from two
+    threads at once."""
 
     def __init__(self, root: Expr):
         self.order = order = topo_order(root)
@@ -488,10 +504,11 @@ class _Tape:
         self.plans: dict[frozenset, tuple] = {}
         self.namespace = dict(_NAMESPACE)
         values: list = [None] * len(order)
+        self.last = last = len(order) - 1
         for i, node in enumerate(order):
             self.namespace[f"n{i}"] = node.shape  # bound, not written: any int type
             if node.kind == "constant":
-                values[i] = node.const_value
+                values[i] = node.const_value if node.shape or i == last else node.const_value[()]
             elif node.kind == "free_input":
                 if any(n.input_name == node.input_name for _, n in self.inputs):
                     raise DuplicateName(f"two free inputs are named {node.input_name!r}")
@@ -519,7 +536,7 @@ class _Tape:
         for i in steps:
             node, ops = self.order[i], self.operands[i]
             template = _FORWARD[node.kind]
-            if (node.kind in _SCALAR and node.shape == () and i < len(self.order) - 1
+            if (node.kind in _SCALAR and node.shape == () and i < self.last
                     and len({self.order[a].dtype for a in ops[-2:]}) == 1):
                 template = _SCALAR[node.kind]
             refs = [f"s{a}" if a in steps else f"v[{a}]" for a in ops]
@@ -528,29 +545,31 @@ class _Tape:
         run.steps = steps
         return run
 
+    @_quiet
     def forward(self, point: Mapping) -> list:
         values, seen = self.state
         changed = 1
         fresh = []
-        with np.errstate(**_QUIET):
-            for k, (i, node) in enumerate(self.inputs):
-                arr = _input_value(node, point)
-                raw = arr.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN payloads
-                if seen is None or raw != seen[k]:
-                    changed |= 2 << k
-                    fresh.append((k, i, raw, arr))
-            key = None if seen is None else changed
-            if key not in self.runs:
-                self.runs[key] = self._generate(key)
-            run = self.runs[key]
-            if not (fresh or run.steps):
-                return values
-            values = values.copy()
-            seen = [None] * len(self.inputs) if seen is None else seen.copy()
-            for k, i, raw, arr in fresh:
-                seen[k] = raw
-                values[i] = np.frombuffer(raw, arr.dtype).reshape(arr.shape)
-            run(values)
+        for k, (i, node) in enumerate(self.inputs):
+            arr = _input_value(node, point)
+            raw = arr.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN payloads
+            if seen is None or raw != seen[k]:
+                changed |= 2 << k
+                fresh.append((k, i, raw, arr))
+        key = None if seen is None else changed
+        if key not in self.runs:
+            self.runs[key] = self._generate(key)
+        run = self.runs[key]
+        if not (fresh or run.steps):
+            return values
+        values = values.copy()
+        seen = [None] * len(self.inputs) if seen is None else seen.copy()
+        for k, i, raw, arr in fresh:
+            seen[k] = raw
+            # owned copies: a numpy scalar below the root, else a read-only array
+            values[i] = (arr[()] if arr.ndim == 0 and i < self.last
+                         else np.frombuffer(raw, arr.dtype).reshape(arr.shape))
+        run(values)
         root = values[-1]
         if isinstance(root, np.ndarray):  # handed to callers, and reused
             root.flags.writeable = False
@@ -580,7 +599,7 @@ class _Tape:
         # node with a shape into a 0-d child is summed.  Children whose mask
         # meets no requested bit get none; nothing they receive could flow
         # into a requested gradient.
-        last = len(order) - 1
+        last = self.last
         lines, has, blocked = [f"a{last} = SEED"], {last}, False
         for i in reversed(range(len(order))):
             if i not in has or not deps[i] & bits:
@@ -601,7 +620,7 @@ class _Tape:
                 has.add(child)
         ret = ", ".join(f"{n.input_name!r}: a{i}" for i, n in self.inputs
                         if i in has and n.input_name in shapes)
-        self.plans[key] = (shapes, _define(lines, f"{{{ret}}}", self.namespace), blocked)
+        self.plans[key] = (shapes, _quiet(_define(lines, f"{{{ret}}}", self.namespace)), blocked)
         return self.plans[key]
 
 
@@ -636,8 +655,7 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
         values = tape.forward(point)
     if blocked:
         raise NoGradient("gradient requested through an opaque deterministic node")
-    with np.errstate(**_QUIET):
-        adjoints = backward(values)
+    adjoints = backward(values)
     out: Point = {}
     for name in wrt:
         out[name] = g = np.zeros(shapes.get(name, ()))

@@ -147,14 +147,13 @@ class Model:
             if not mask.any():
                 mask = None
 
+        miss_var = None
         if mask is None:
-            self._claim_name(name)
             term = dist.logp_expr(const(data))
         else:
             if data.ndim != 1:
                 raise ShapeMismatch(f"{name}: masked data must be one-dimensional")
             miss_name = name + ".missing_values"
-            self._claim_name(name, miss_name)
             n_miss = int(mask.sum())
 
             full_testval = dist.default_testval(data.shape, self._eval_param)
@@ -165,8 +164,10 @@ class Model:
             perm[~mask] = np.arange(data.shape[0] - n_miss)
             perm[mask] = data.shape[0] - n_miss + np.arange(n_miss)
             term = dist.logp_expr(composed[perm])
+        # claimed only now, so that a rejected variable leaves its names free
+        self._claim_name(name, *([] if miss_var is None else [miss_name]))
+        if miss_var is not None:
             self._register_free(miss_var, None)
-
         self._terms[name] = term
 
     def add_deterministic(self, name: str, expr) -> None:

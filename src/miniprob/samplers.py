@@ -56,16 +56,20 @@ class Packer:
         return self.pack(point)
 
     def point(self, vec: np.ndarray) -> Point:
+        return self._views(vec.copy())
+
+    def _views(self, vec: np.ndarray) -> Point:
+        """``point(vec)`` with views of ``vec``: the tape copies what it keeps."""
         out = dict(self._base)
         for name, shape, size, off in zip(self.names, self.shapes, self.sizes, self.offsets):
-            out[name] = vec[off:off + size].reshape(shape).copy()
+            out[name] = vec[off:off + size].reshape(shape)
         return out
 
     def logp(self, vec: np.ndarray) -> float:
-        return self.model.logp(self.point(vec))
+        return self.model.logp(self._views(vec))
 
     def logp_grad(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
-        lp, g = self.model.logp_and_dlogp(self.point(vec), self.names)
+        lp, g = self.model.logp_and_dlogp(self._views(vec), self.names)
         return lp, self.pack(g)
 
 
@@ -389,10 +393,10 @@ class Nuts(GradientStep):
         if depth == 0:
             node = _Node(*leapfrog(self.packer.logp_grad, start.q, start.p,
                                    direction * eps, self.inv_mass, start.grad))
-            h = node.lp - self._kinetic(node.p) if np.isfinite(node.lp) else -np.inf
+            h = node.lp - self._kinetic(node.p) if math.isfinite(node.lp) else -np.inf
             n_valid = int(log_u <= h)
             keep = h - log_u > -self.max_energy_error
-            alpha = min(1.0, math.exp(min(h - h0, 0.0))) if np.isfinite(h) else 0.0
+            alpha = min(1.0, math.exp(min(h - h0, 0.0))) if math.isfinite(h) else 0.0
             return [node, node], node, n_valid, keep, alpha, 1
 
         ends, prop, n1, keep, alpha, n_alpha = self._build_tree(

@@ -5,8 +5,10 @@ compiled into a slot tape: values and adjoints live in dicts keyed by node
 id, every node is dispatched through one ``if/elif`` chain on its kind, and
 the backward pass pushes adjoints into every child.  Tests compare the tape
 against it byte for byte.  It computes each node with the same numpy and
-``scipy.special`` calls as the tape, so a mismatch points at input reuse,
-pruning or summation order rather than at a kernel.
+``scipy.special`` calls as the tape, on 0-d arrays where the tape holds numpy
+scalars, and keeps its own copy of the NaN guard of the backward pass, so a
+mismatch points at input reuse, pruning, scalar forms or summation order
+rather than at a kernel.
 """
 
 from __future__ import annotations
@@ -25,12 +27,20 @@ from miniprob.exceptions import (
 from miniprob.graph import (
     Expr,
     Point,
-    _guarded,
     _input_value,
     topo_order,
 )
 
 _BINARY = {"add", "sub", "mul", "div", "pow", "cmp_ge", "cmp_gt"}
+
+
+def _guarded(adj, local):
+    # dead-branch adjoints are exactly zero; keep 0 * inf from minting NaN
+    prod = adj * local
+    m = prod.min(initial=0.0) if (isinstance(prod, np.ndarray) and prod.ndim) else prod
+    if m != m:  # a NaN crept in where the adjoint is zero
+        prod = np.where(adj == 0, 0.0, prod)
+    return prod
 
 
 def forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:

@@ -360,6 +360,18 @@ class TestMissingData:
             p2 = {"rate_log": np.log(1.3), "k1": k1v, "k2": k2v}
             assert m1.logp(p1) == pytest.approx(m2.logp(p2), abs=1e-12)
 
+    @pytest.mark.parametrize("mask", [None, [False, True]], ids=["unmasked", "masked"])
+    def test_rejected_observed_variable_leaves_its_names_free(self, mask):
+        m = Model()
+        with pytest.raises(ShapeMismatch):
+            m.add_observed("y", Normal(mu=np.zeros(3), sd=1.0), [1.0, 2.0], mask=mask)
+        m.add_observed("y", Normal(mu=0.0, sd=1.0), [1.0, 2.0], mask=mask)
+        m.finalize()
+        missing = ["y.missing_values"] if mask else []
+        assert m.sampling_names() == missing
+        point = {"y.missing_values": np.array([2.0])} if mask else {}
+        assert m.logp(point) == pytest.approx(-0.5 * 5.0 - np.log(2.0 * np.pi), rel=1e-12)
+
     def test_masked_gradient_flows_to_rate(self):
         data = np.array([3, -999, 2])
         mask = data == -999

@@ -208,6 +208,36 @@ class TestLeapfrog:
         assert p[0] == -0.2
 
 
+class TestPacker:
+    def test_vector_written_in_place_between_calls(self):
+        # the log density reads views of the vector; the tape must copy them
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0), shape=2)
+        m.add_free("s", Normal(mu=0.0, sd=1.0))
+        packer = Packer(m.finalize(), ["x", "s"])
+
+        def check(vec):
+            lp, g = packer.logp_grad(vec)
+            assert list(g) == list(-vec)
+            assert lp == packer.logp(vec) == pytest.approx(
+                -0.5 * float(vec @ vec) - 1.5 * np.log(2.0 * np.pi), rel=1e-12)
+
+        vec = np.array([0.5, -1.0, 2.0])
+        check(vec)
+        vec[1] = 0.75  # the next call must see the new value
+        check(vec)
+        vec[0] = 4.0
+        # the old bytes of "x" with a new "s": the tape reuses its copy of "x"
+        check(np.array([0.5, 0.75, 3.0]))
+
+    def test_point_owns_its_arrays(self):
+        packer = Packer(normal_model(), ["x"])
+        x = np.array([1.5])
+        point = packer.point(x)
+        x[0] = 7.0
+        assert point["x"] == 1.5
+
+
 class TestScaling:
     def test_normal_sd2_curvature(self):
         m = normal_model(sd=2.0)

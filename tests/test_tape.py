@@ -157,6 +157,13 @@ def _edge_graphs():
         yield f"0-d switch on y={yv}", switch(y, y * 2.0, 1.0) * 3.0, {"y": yv}
     yield "0-d log at the root", graph.log(y), {"y": 0.5}
     yield "0-d switch at the root", switch(y, y, 2.0), {"y": 0.0}
+    # 0-d slots below the root hold numpy scalars; the root keeps its type
+    yield "0-d input at the root", y, {"y": -0.0}
+    yield "0-d constant at the root", const(2.5), {}
+    yield "0-d sum_all feeding an array mul", graph.sum_all(x * graph.sum_all(x * y)), at
+    yield "-0.0 input through mul", graph.sum_all(x * y) * y, {"x": at["x"], "y": -0.0}
+    # scalar int math warns on overflow where 0-d arrays wrap silently
+    yield "0-d int square overflows int64", (k * k) * y, {"k": 3 * 2 ** 31, "y": 1.5}
 
 
 @pytest.mark.parametrize("label, expr, point", list(_edge_graphs()),
@@ -234,6 +241,22 @@ class TestFolding:
                 eval_expr(expr, {"x": np.zeros(2), "k": 1.5})
             with pytest.raises(MissingInput):
                 graph.value_and_grad(expr, ["x"], {"k": 1})
+            with pytest.raises(ShapeMismatch):  # a float64 array of the wrong shape
+                eval_expr(expr, {"x": np.zeros((2, 1)), "k": 1})
+            with pytest.raises(ShapeMismatch):  # a float64 array for an int input
+                eval_expr(expr, {"x": np.zeros(2), "k": np.array(1.5)})
+        # values that are not float64 or int64 arrays of the declared shape
+        # are converted, to the bytes of the array they stand for
+        x64 = np.array([0.1, -0.7])
+        for x, k in [(x64.astype(np.float32), 2), (np.array([3, -4]), np.array(2)),
+                     (x64.astype(">f8"), np.array(2, dtype=np.int32)),
+                     (list(x64), 2.0), (np.array([0.1, 5.0, -0.7])[::2], np.array(2.0))]:
+            point = {"x": x, "k": k}
+            want = {"x": np.asarray(x, dtype=np.float64), "k": np.int64(2)}
+            for tape_out, ref_out in [(eval_expr(expr, point), eval_expr(expr, want)),
+                                      (graph.grad(expr, ["x"], point)["x"],
+                                       reference.grad(expr, ["x"], want)["x"])]:
+                assert as_bytes(tape_out) == as_bytes(ref_out), (x, k)
 
 
 @pytest.mark.parametrize("kind", ["lgamma", "digamma"])
