@@ -47,6 +47,7 @@ from .samplers import (
     Metropolis,
     Nuts,
     Slice,
+    hessian,
     hessian_diag,
     leapfrog,
 )
@@ -61,7 +62,7 @@ __all__ = [
     "NormalFamily", "Nuts", "Poisson", "SampleConfig", "Slice",
     "StudentT", "TextBackend", "Trace", "Uniform", "build_model", "concat",
     "const", "ess", "eval_expr", "exp", "find_map", "free_input", "grad",
-    "graph", "hessian_diag", "hpd", "lgamma", "leapfrog", "load", "log",
+    "graph", "hessian", "hessian_diag", "hpd", "lgamma", "leapfrog", "load", "log",
     "mc_error", "opaque_deterministic", "parse_formula", "quantiles", "sample",
     "sigmoid", "sqrt", "stream", "sum_all", "summary", "switch",
     "traceplot_data", "write_plot_data",

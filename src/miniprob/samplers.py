@@ -75,34 +75,68 @@ class Packer:
 
 # --- Hessian-based scaling --------------------------------------------------
 
-def hessian_diag(model: Model, point: Mapping | None = None,
-                 vars: Sequence[str] | None = None) -> np.ndarray:
-    """Unclipped negative-Hessian diagonal of the log posterior at ``point``
-    (the test point when omitted), by central differences of the
-    reverse-mode gradient, over ``vars`` (default: the continuous variables)."""
+def hessian(model: Model, point: Mapping | None = None,
+            vars: Sequence[str] | None = None) -> np.ndarray:
+    """Unclipped negative Hessian of the log posterior at ``point`` (the test
+    point when omitted), over ``vars`` (default: the continuous variables).
+    Row i is the central difference of the reverse-mode gradient along
+    coordinate i, so the matrix is symmetric up to rounding."""
     names = model.continuous_names() if vars is None else model.resolve_names(vars)
     packer = Packer(model, names, point)
     x = packer.start
-    diag = np.empty(packer.size)
+    rows = np.empty((packer.size, packer.size))
     for i in range(packer.size):
         h = 1e-4 * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        diag[i] = (packer.logp_grad(xp)[1][i] - packer.logp_grad(xm)[1][i]) / (2.0 * h)
-    return -diag
+        rows[i] = (packer.logp_grad(xp)[1] - packer.logp_grad(xm)[1]) / (2.0 * h)
+    return -rows
+
+
+def hessian_diag(model: Model, point: Mapping | None = None,
+                 vars: Sequence[str] | None = None) -> np.ndarray:
+    """The diagonal of ``hessian(model, point, vars)``."""
+    return np.diag(hessian(model, point, vars)).copy()
+
+
+def _metric(h: np.ndarray):
+    """(mass, inverse mass, momentum factor) of a mass vector or a square
+    matrix ``h``.
+
+    A vector is the diagonal mass as it is.  An exactly diagonal matrix gives
+    the vector of its diagonal floored at 1e-8.  Any other matrix is
+    symmetrised and eigendecomposed, its absolute eigenvalues are floored at
+    1e-8 (an indefinite Hessian becomes positive definite), and the mass is
+    the matrix they make."""
+    if h.ndim == 1:
+        mass = h
+    elif not np.any(h[~np.eye(len(h), dtype=bool)]):
+        mass = np.maximum(np.diag(h), 1e-8)
+    else:
+        lam, vecs = np.linalg.eigh(0.5 * (h + h.T))
+        lam = np.maximum(np.abs(lam), 1e-8)
+        return (vecs * lam) @ vecs.T, (vecs / lam) @ vecs.T, (vecs * np.sqrt(lam)).T
+    return mass, 1.0 / mass, np.sqrt(mass)
+
+
+def _apply(x: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """``x`` times a matrix metric, or times a vector or scalar one elementwise."""
+    return x @ metric if np.ndim(metric) == 2 else x * metric
 
 
 # --- leapfrog ----------------------------------------------------------------
 
 def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q=None):
     """One leapfrog step on flat vectors: ``logp_grad(q)`` returns the log
-    density and its gradient, as ``Packer.logp_grad`` does; ``grad_q``, when
-    known, saves one evaluation.  Returns (q, p, logp, gradient) at the end."""
+    density and its gradient, as ``Packer.logp_grad`` does; ``inv_mass`` is
+    the inverse mass, a vector (diagonal) or a symmetric matrix; ``grad_q``,
+    when known, saves one evaluation.  Returns (q, p, logp, gradient) at the
+    end."""
     if grad_q is None:
         _, grad_q = logp_grad(q)
     p_half = p + 0.5 * eps * grad_q
-    q_new = q + eps * p_half * inv_mass
+    q_new = q + _apply(eps * p_half, inv_mass)
     lp_new, g_new = logp_grad(q_new)
     p_new = p_half + 0.5 * eps * g_new
     return q_new, p_new, lp_new, g_new
@@ -174,9 +208,9 @@ class Metropolis(StepMethod):
             var = self.model.var(name)
             delta = self.scale * rng.standard_normal(var.shape)
             if var.dtype == "int":
-                proposal[name] = np.asarray(point[name]) + _round_half_away(delta)
-            else:
-                proposal[name] = np.asarray(point[name]) + delta
+                delta = _round_half_away(delta)
+            # a ufunc on 0-d arrays returns a scalar; keep the proposal an array
+            proposal[name] = np.asarray(np.asarray(point[name]) + delta)
         lp_new = self.model.logp(proposal)
         accept = np.log(rng.random()) < lp_new - lp_old
         self.total_count += 1
@@ -258,8 +292,17 @@ class Slice(StepMethod):
 
 class GradientStep(StepMethod):
     """Shared machinery for HMC-family kernels: packing, the checked start of
-    a step, and the mass from ``scaling``: the negative Hessian diagonal at a
-    point (floored at 1e-8), or an explicit finite, positive vector."""
+    a step, and the mass from ``scaling``, in one of three forms:
+
+    - a point (``Mapping``; default: the test point): the negative Hessian
+      there, by ``hessian``;
+    - a finite, symmetric, positive-definite 2-D array, taken as that matrix;
+    - a finite, strictly positive vector (or scalar): the diagonal mass.
+
+    ``_metric`` keeps an exactly diagonal matrix a vector mass, floored at
+    1e-8; any other matrix becomes a dense mass: momentum is drawn through
+    ``V sqrt(|L|)`` of its eigendecomposition ``V L V'``, and the kinetic
+    energy and the position update use its inverse."""
 
     def __init__(self, model, vars=None, scaling=None):
         super().__init__(model, vars)
@@ -268,20 +311,25 @@ class GradientStep(StepMethod):
                 raise IntegerDifferentiation(
                     f"gradient-based sampler cannot target integer variable {n!r}")
         self.packer = Packer(model, self.vars)
+        n = self.packer.size
         if scaling is None:
             scaling = model.test_point
         if isinstance(scaling, Mapping):
-            diag = hessian_diag(model, scaling, self.vars)
-            if not np.all(np.isfinite(diag)):
-                raise NonFiniteGradient(f"Hessian diagonal at the scaling point is {diag}")
-            mass = np.maximum(diag, 1e-8)
+            h = hessian(model, scaling, self.vars)
+            if not np.all(np.isfinite(h)):
+                raise NonFiniteGradient(f"Hessian at the scaling point is not finite: {h}")
+        elif np.ndim(scaling) == 2:
+            h = np.asarray(scaling, dtype=np.float64)
+            if not (h.shape == (n, n) and np.all(np.isfinite(h))
+                    and np.abs(h - h.T).max() <= 1e-6 * np.abs(h).max()
+                    and np.linalg.eigvalsh(h)[0] > 0):
+                raise ValueError(f"scaling matrix must be a finite, symmetric, "
+                                 f"positive-definite {n}x{n} matrix")
         else:
-            mass = np.broadcast_to(np.asarray(scaling, dtype=np.float64),
-                                   (self.packer.size,)).copy()
-            if not np.all(np.isfinite(mass) & (mass > 0)):
+            h = np.broadcast_to(np.asarray(scaling, dtype=np.float64), (n,)).copy()
+            if not np.all(np.isfinite(h) & (h > 0)):
                 raise ValueError("scaling vector must be finite and strictly positive")
-        self.mass = mass
-        self.inv_mass = 1.0 / mass
+        self.mass, self.inv_mass, self._root = _metric(h)
 
     def _start(self, point):
         """(q, logp, gradient) at ``point``, which becomes the base point."""
@@ -295,14 +343,16 @@ class GradientStep(StepMethod):
         return q, lp, g
 
     def _momentum(self, rng):
-        return np.sqrt(self.mass) * rng.standard_normal(self.packer.size)
+        return _apply(rng.standard_normal(self.packer.size), self._root)
 
     def _kinetic(self, p):
-        return 0.5 * float(np.dot(p * self.inv_mass, p))
+        return 0.5 * float(np.dot(_apply(p, self.inv_mass), p))
 
 
 class Hmc(GradientStep):
-    """Plain Hamiltonian Monte Carlo with a fixed step size and path length."""
+    """Plain Hamiltonian Monte Carlo with a fixed step size and path length.
+    ``scaling`` is a point, a 2-D mass matrix or a mass vector, as in
+    ``GradientStep``."""
 
     def __init__(self, model, vars=None, scaling=None, step_size=0.25, n_steps=4):
         super().__init__(model, vars, scaling)
@@ -339,7 +389,9 @@ def no_uturn(dq: np.ndarray, p_minus: np.ndarray, p_plus: np.ndarray) -> bool:
 
 class Nuts(GradientStep):
     """No-U-Turn sampler: dynamic trajectory doubling with slice selection and
-    dual-averaging step-size adaptation during warm-up.
+    dual-averaging step-size adaptation during warm-up.  ``scaling`` is a
+    point, a 2-D mass matrix or a mass vector, as in ``GradientStep``; with
+    either metric the U-turn check reads the momenta, ``no_uturn(dq, p-, p+)``.
 
     ``gamma`` is the dual-averaging shrinkage strength.  The other settings
     are the fixed values of Hoffman & Gelman (arXiv:1111.4246): warm-up aims

@@ -27,6 +27,8 @@ def test_removed_names_are_not_exported():
     (miniprob.Metropolis, ["model", "vars", "scale"]),
     (miniprob.Slice, ["model", "vars"]),
     (demos.run_disasters, ["draws", "seed", "backend", "progress"]),
-], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters"])
+    (miniprob.hessian, ["model", "point", "vars"]),
+    (miniprob.hessian_diag, ["model", "point", "vars"]),
+], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters", "hessian", "hessian_diag"])
 def test_kernel_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
