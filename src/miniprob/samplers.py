@@ -80,7 +80,7 @@ def hessian(model: Model, point: Mapping | None = None,
     """Unclipped negative Hessian of the log posterior at ``point`` (the test
     point when omitted), over ``vars`` (default: the continuous variables).
     Row i is the central difference of the reverse-mode gradient along
-    coordinate i, so the matrix is symmetric up to rounding."""
+    coordinate i; the matrix is symmetric up to the differencing error."""
     names = model.continuous_names() if vars is None else model.resolve_names(vars)
     packer = Packer(model, names, point)
     x = packer.start
