@@ -292,15 +292,14 @@ class Slice(StepMethod):
 
 class GradientStep(StepMethod):
     """Shared machinery for HMC-family kernels: packing, the checked start of
-    a step, and the mass from ``scaling``, in one of three forms:
+    a step, and the mass from ``scaling``, in one of two forms:
 
     - a point (``Mapping``; default: the test point): the negative Hessian
       there, by ``hessian``;
-    - a finite, symmetric, positive-definite 2-D array, taken as that matrix;
     - a finite, strictly positive vector (or scalar): the diagonal mass.
 
-    ``_metric`` keeps an exactly diagonal matrix a vector mass, floored at
-    1e-8; any other matrix becomes a dense mass: momentum is drawn through
+    ``_metric`` keeps an exactly diagonal Hessian a vector mass, floored at
+    1e-8; any other Hessian becomes a dense mass: momentum is drawn through
     ``V sqrt(|L|)`` of its eigendecomposition ``V L V'``, and the kinetic
     energy and the position update use its inverse."""
 
@@ -311,22 +310,15 @@ class GradientStep(StepMethod):
                 raise IntegerDifferentiation(
                     f"gradient-based sampler cannot target integer variable {n!r}")
         self.packer = Packer(model, self.vars)
-        n = self.packer.size
         if scaling is None:
             scaling = model.test_point
         if isinstance(scaling, Mapping):
             h = hessian(model, scaling, self.vars)
             if not np.all(np.isfinite(h)):
                 raise NonFiniteGradient(f"Hessian at the scaling point is not finite: {h}")
-        elif np.ndim(scaling) == 2:
-            h = np.asarray(scaling, dtype=np.float64)
-            if not (h.shape == (n, n) and np.all(np.isfinite(h))
-                    and np.abs(h - h.T).max() <= 1e-6 * np.abs(h).max()
-                    and np.linalg.eigvalsh(h)[0] > 0):
-                raise ValueError(f"scaling matrix must be a finite, symmetric, "
-                                 f"positive-definite {n}x{n} matrix")
         else:
-            h = np.broadcast_to(np.asarray(scaling, dtype=np.float64), (n,)).copy()
+            h = np.broadcast_to(np.asarray(scaling, dtype=np.float64),
+                                (self.packer.size,)).copy()
             if not np.all(np.isfinite(h) & (h > 0)):
                 raise ValueError("scaling vector must be finite and strictly positive")
         self.mass, self.inv_mass, self._root = _metric(h)
@@ -351,8 +343,7 @@ class GradientStep(StepMethod):
 
 class Hmc(GradientStep):
     """Plain Hamiltonian Monte Carlo with a fixed step size and path length.
-    ``scaling`` is a point, a 2-D mass matrix or a mass vector, as in
-    ``GradientStep``."""
+    ``scaling`` is a point or a mass vector, as in ``GradientStep``."""
 
     def __init__(self, model, vars=None, scaling=None, step_size=0.25, n_steps=4):
         super().__init__(model, vars, scaling)
@@ -390,8 +381,8 @@ def no_uturn(dq: np.ndarray, p_minus: np.ndarray, p_plus: np.ndarray) -> bool:
 class Nuts(GradientStep):
     """No-U-Turn sampler: dynamic trajectory doubling with slice selection and
     dual-averaging step-size adaptation during warm-up.  ``scaling`` is a
-    point, a 2-D mass matrix or a mass vector, as in ``GradientStep``; with
-    either metric the U-turn check reads the momenta, ``no_uturn(dq, p-, p+)``.
+    point or a mass vector, as in ``GradientStep``; with either metric the
+    U-turn check reads the momenta, ``no_uturn(dq, p-, p+)``.
 
     ``gamma`` is the dual-averaging shrinkage strength.  The other settings
     are the fixed values of Hoffman & Gelman (arXiv:1111.4246): warm-up aims
