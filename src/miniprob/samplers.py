@@ -101,28 +101,13 @@ def hessian_diag(model: Model, point: Mapping | None = None,
 
 
 def _metric(h: np.ndarray):
-    """(mass, inverse mass, momentum factor) of a mass vector or a square
-    matrix ``h``.
-
-    A vector is the diagonal mass as it is.  An exactly diagonal matrix gives
-    the vector of its diagonal floored at 1e-8.  Any other matrix is
-    symmetrised and eigendecomposed, its absolute eigenvalues are floored at
-    1e-8 (an indefinite Hessian becomes positive definite), and the mass is
-    the matrix they make."""
-    if h.ndim == 1:
-        mass = h
-    elif not np.any(h[~np.eye(len(h), dtype=bool)]):
-        mass = np.maximum(np.diag(h), 1e-8)
-    else:
-        lam, vecs = np.linalg.eigh(0.5 * (h + h.T))
-        lam = np.maximum(np.abs(lam), 1e-8)
-        return (vecs * lam) @ vecs.T, (vecs / lam) @ vecs.T, (vecs * np.sqrt(lam)).T
-    return mass, 1.0 / mass, np.sqrt(mass)
-
-
-def _apply(x: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """``x`` times a matrix metric, or times a vector or scalar one elementwise."""
-    return x @ metric if np.ndim(metric) == 2 else x * metric
+    """(mass, inverse mass, momentum factor) of a square matrix ``h``, as
+    matrices.  ``h`` is symmetrised and eigendecomposed, its absolute
+    eigenvalues are floored at 1e-8 (an indefinite Hessian becomes positive
+    definite), and the mass is the matrix they make."""
+    lam, vecs = np.linalg.eigh(0.5 * (h + h.T))
+    lam = np.maximum(np.abs(lam), 1e-8)
+    return (vecs * lam) @ vecs.T, (vecs / lam) @ vecs.T, (vecs * np.sqrt(lam)).T
 
 
 # --- leapfrog ----------------------------------------------------------------
@@ -130,13 +115,13 @@ def _apply(x: np.ndarray, metric: np.ndarray) -> np.ndarray:
 def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q=None):
     """One leapfrog step on flat vectors: ``logp_grad(q)`` returns the log
     density and its gradient, as ``Packer.logp_grad`` does; ``inv_mass`` is
-    the inverse mass, a vector (diagonal) or a symmetric matrix; ``grad_q``,
+    the inverse mass, a symmetric square matrix; ``grad_q``,
     when known, saves one evaluation.  Returns (q, p, logp, gradient) at the
     end."""
     if grad_q is None:
         _, grad_q = logp_grad(q)
     p_half = p + 0.5 * eps * grad_q
-    q_new = q + _apply(eps * p_half, inv_mass)
+    q_new = q + (eps * p_half) @ inv_mass
     lp_new, g_new = logp_grad(q_new)
     p_new = p_half + 0.5 * eps * g_new
     return q_new, p_new, lp_new, g_new
@@ -161,6 +146,14 @@ class StepMethod:
         return copy.deepcopy(self, {id(self.model): self.model})
 
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float; raises unless it is finite and positive."""
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return x
+
+
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
 
@@ -178,9 +171,7 @@ class Metropolis(StepMethod):
 
     def __init__(self, model, vars=None, scale=1.0):
         super().__init__(model, vars)
-        self.scale = float(scale)
-        if not self.scale > 0:
-            raise ValueError(f"proposal scale must be positive, got {scale!r}")
+        self.scale = _positive("proposal scale", scale)
         self.accept_count = 0
         self.total_count = 0
         self.last_accepted = False
@@ -292,16 +283,16 @@ class Slice(StepMethod):
 
 class GradientStep(StepMethod):
     """Shared machinery for HMC-family kernels: packing, the checked start of
-    a step, and the mass from ``scaling``, in one of two forms:
+    a step, and the mass matrix from ``scaling``, in one of two forms:
 
     - a point (``Mapping``; default: the test point): the negative Hessian
       there, by ``hessian``;
-    - a finite, strictly positive vector (or scalar): the diagonal mass.
+    - a finite, strictly positive vector (or scalar): the diagonal of the mass.
 
-    ``_metric`` keeps an exactly diagonal Hessian a vector mass, floored at
-    1e-8; any other Hessian becomes a dense mass: momentum is drawn through
-    ``V sqrt(|L|)`` of its eigendecomposition ``V L V'``, and the kinetic
-    energy and the position update use its inverse."""
+    ``_metric`` turns either into a dense mass with its absolute eigenvalues
+    floored at 1e-8: momentum is drawn through ``V sqrt(|L|)`` of the
+    eigendecomposition ``V L V'``, and the kinetic energy and the position
+    update use the inverse mass."""
 
     def __init__(self, model, vars=None, scaling=None):
         super().__init__(model, vars)
@@ -317,10 +308,10 @@ class GradientStep(StepMethod):
             if not np.all(np.isfinite(h)):
                 raise NonFiniteGradient(f"Hessian at the scaling point is not finite: {h}")
         else:
-            h = np.broadcast_to(np.asarray(scaling, dtype=np.float64),
-                                (self.packer.size,)).copy()
-            if not np.all(np.isfinite(h) & (h > 0)):
+            v = np.broadcast_to(np.asarray(scaling, dtype=np.float64), (self.packer.size,))
+            if not np.all(np.isfinite(v) & (v > 0)):
                 raise ValueError("scaling vector must be finite and strictly positive")
+            h = np.diag(v)
         self.mass, self.inv_mass, self._root = _metric(h)
 
     def _start(self, point):
@@ -335,21 +326,22 @@ class GradientStep(StepMethod):
         return q, lp, g
 
     def _momentum(self, rng):
-        return _apply(rng.standard_normal(self.packer.size), self._root)
+        return rng.standard_normal(self.packer.size) @ self._root
 
     def _kinetic(self, p):
-        return 0.5 * float(np.dot(_apply(p, self.inv_mass), p))
+        return 0.5 * float(np.dot(p @ self.inv_mass, p))
 
 
 class Hmc(GradientStep):
     """Plain Hamiltonian Monte Carlo with a fixed step size and path length.
-    ``scaling`` is a point or a mass vector, as in ``GradientStep``."""
+    ``scaling`` is a point or a mass-diagonal vector, as in ``GradientStep``.
+    ``step_size`` must be finite and positive, ``n_steps`` at least 1."""
 
     def __init__(self, model, vars=None, scaling=None, step_size=0.25, n_steps=4):
         super().__init__(model, vars, scaling)
-        if step_size <= 0 or n_steps < 1:
-            raise ValueError("step_size must be positive and n_steps >= 1")
-        self.step_size = float(step_size)
+        self.step_size = _positive("step_size", step_size)
+        if not n_steps >= 1:
+            raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
         self.n_steps = int(n_steps)
         self.last_accepted = False
 
@@ -381,14 +373,16 @@ def no_uturn(dq: np.ndarray, p_minus: np.ndarray, p_plus: np.ndarray) -> bool:
 class Nuts(GradientStep):
     """No-U-Turn sampler: dynamic trajectory doubling with slice selection and
     dual-averaging step-size adaptation during warm-up.  ``scaling`` is a
-    point or a mass vector, as in ``GradientStep``; with either metric the
-    U-turn check reads the momenta, ``no_uturn(dq, p-, p+)``.
+    point or a mass-diagonal vector, as in ``GradientStep``; the U-turn check
+    reads the momenta, ``no_uturn(dq, p-, p+)``.
 
-    ``gamma`` is the dual-averaging shrinkage strength.  The other settings
-    are the fixed values of Hoffman & Gelman (arXiv:1111.4246): warm-up aims
-    at a mean acceptance statistic of ``target_accept`` = 0.8 with
-    ``t0`` = 10 and ``kappa`` = 0.75; a tree stops after ``max_depth`` = 10
-    doublings, or when the energy error exceeds ``max_energy_error`` = 1000.
+    ``step_size``, when given, is the first step size (else a heuristic picks
+    it); ``gamma`` is the dual-averaging shrinkage strength.  Both must be
+    finite and positive.  The other settings are the fixed values of Hoffman
+    & Gelman (arXiv:1111.4246): warm-up aims at a mean acceptance statistic
+    of ``target_accept`` = 0.8 with ``t0`` = 10 and ``kappa`` = 0.75; a tree
+    stops after ``max_depth`` = 10 doublings, or when the energy error
+    exceeds ``max_energy_error`` = 1000.
     """
 
     target_accept = 0.8
@@ -399,8 +393,8 @@ class Nuts(GradientStep):
 
     def __init__(self, model, vars=None, scaling=None, step_size=None, gamma=0.05):
         super().__init__(model, vars, scaling)
-        self.step_size = step_size
-        self.gamma = float(gamma)
+        self.step_size = None if step_size is None else _positive("step_size", step_size)
+        self.gamma = _positive("gamma", gamma)
         self._mu = None
         self._h_bar = 0.0
         self._log_eps_bar = 0.0

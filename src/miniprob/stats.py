@@ -220,33 +220,23 @@ def traceplot_data(trace: Trace, vars=None) -> dict:
     return out
 
 
+_PLOT_HEADERS = {"density": "x,density\n", "hist": "x,count\n", "draws": "draw,value\n"}
+
+
 def write_plot_data(trace: Trace, out_dir: str, vars=None) -> list[str]:
-    """One CSV per variable per panel under ``out_dir``; returns the paths."""
+    """One CSV per variable per panel under ``out_dir``; returns the paths.
+    ``tolist`` turns each column into Python floats, written by ``repr`` so
+    they read back exactly, or into ints."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for col, panels in traceplot_data(trace, vars).items():
-        if "density" in panels:
-            path = os.path.join(out_dir, f"{col}_density.csv")
-            xs, ys = panels["density"]
+        series = panels.pop("draws")
+        panels["draws"] = (np.arange(len(series)), series)
+        for panel, (xs, ys) in panels.items():
+            path = os.path.join(out_dir, f"{col}_{panel}.csv")
+            rows = zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())
             with open(path, "w", encoding="utf-8") as f:
-                f.write("x,density\n")
-                for x, y in zip(xs, ys):
-                    f.write(f"{float(x)!r},{float(y)!r}\n")
+                f.write(_PLOT_HEADERS[panel])
+                f.writelines(f"{x!r},{y!r}\n" for x, y in rows)
             written.append(path)
-        else:
-            path = os.path.join(out_dir, f"{col}_hist.csv")
-            xs, ys = panels["hist"]
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("x,count\n")
-                for x, y in zip(xs, ys):
-                    f.write(f"{int(x)},{int(y)}\n")
-            written.append(path)
-        path = os.path.join(out_dir, f"{col}_draws.csv")
-        series = panels["draws"]
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("draw,value\n")
-            for i, v in enumerate(series):
-                f.write(f"{i},{float(v)!r}\n" if series.dtype.kind == "f"
-                        else f"{i},{int(v)}\n")
-        written.append(path)
     return written

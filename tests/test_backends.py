@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from miniprob.backends import MemoryBackend, TextBackend, Trace, flat_names, loa
 from miniprob.exceptions import CorruptMeta, MissingChainFile, MissingInput, UnknownVariable
 
 LAYOUT = [("alpha", (), "float"), ("beta", (2,), "float"), ("k", (), "int")]
+
+
+def edit_line(path, i, edit):
+    """Rewrite line ``i`` of the text file at ``path`` as ``edit(line)``."""
+    lines = Path(path).read_text().splitlines()
+    lines[i] = edit(lines[i])
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def fill(backend, chains=1, draws=5, seed=0):
@@ -130,20 +138,15 @@ class TestTextBackend:
         meta["vars"][0]["name"] = name  # alpha's column, renamed
         with open(os.path.join(d, "meta.json"), "w") as f:
             json.dump(meta, f)
-        path = os.path.join(d, "chain-0.csv")
-        lines = open(path).read().splitlines()
-        lines[0] = ",".join(flat_names(str(name), ()) + lines[0].split(",")[1:])
-        open(path, "w").write("\n".join(lines) + "\n")
+        edit_line(os.path.join(d, "chain-0.csv"), 0,
+                  lambda h: ",".join(flat_names(str(name), ()) + h.split(",")[1:]))
         with pytest.raises(CorruptMeta, match=re.escape(repr(name))):
             load(d)
 
     def test_header_mismatch_detected(self, tmp_path):
         d = str(tmp_path / "t")
         fill(TextBackend(d), chains=1, draws=2)
-        path = os.path.join(d, "chain-0.csv")
-        lines = open(path).read().splitlines()
-        lines[0] = "wrong,header,entirely,x"
-        open(path, "w").write("\n".join(lines) + "\n")
+        edit_line(os.path.join(d, "chain-0.csv"), 0, lambda _: "wrong,header,entirely,x")
         with pytest.raises(CorruptMeta):
             load(d)
 
@@ -154,10 +157,7 @@ class TestTextBackend:
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         d = str(tmp_path / "t")
         fill(TextBackend(d), chains=1, draws=3)
-        path = os.path.join(d, "chain-0.csv")
-        lines = open(path).read().splitlines()
-        lines[2] = row
-        open(path, "w").write("\n".join(lines) + "\n")
+        edit_line(os.path.join(d, "chain-0.csv"), 2, lambda _: row)
         with pytest.raises(CorruptMeta, match=r"chain-0\.csv.* line 3"):
             load(d)
 

@@ -7,11 +7,13 @@ log-gamma and digamma moved to ``scipy.special`` (same gradient count, same
 switchpoint and missing-value columns, rates within 1.1e-13).  The linear
 and GLM-linear digests and counts were recorded again when a point
 ``scaling`` began to give HMC/NUTS a dense mass matrix from the full Hessian
-(their betas are nearly collinear); the disasters rates and the kernel
-models have exactly diagonal Hessians, so they keep the vector mass and
-their pins.  The kernel pins were recorded before the kernels' fixed
-settings became class constants and ``clone()`` became a deep copy; each of
-their chains runs on a clone.
+(their betas are nearly collinear).  The disasters rates and the kernel
+models have diagonal Hessians in ascending order, so the eigendecomposition
+of the mass is the identity and the matrix products of the one metric path
+give the bits of the former elementwise products: they keep their pins.
+The kernel pins were recorded before the kernels' fixed settings became
+class constants and ``clone()`` became a deep copy; each of their chains
+runs on a clone.
 Any change to the arithmetic of MAP, scaling, leapfrog or kernel bookkeeping
 moves the digest, and any extra or missing gradient evaluation moves the count.
 """

@@ -170,9 +170,8 @@ class TestSample:
                                     backend=TextBackend(str(tmp_path / "a"))))
         t2 = sample(m, SampleConfig(draws=200, steps=[Nuts(m)], seed=4, warmup=50,
                                     backend=TextBackend(str(tmp_path / "b"))))
-        a = open(tmp_path / "a" / "chain-0.csv").read()
-        b = open(tmp_path / "b" / "chain-0.csv").read()
-        assert a == b
+        a = (tmp_path / "a" / "chain-0.csv").read_text()
+        assert a == (tmp_path / "b" / "chain-0.csv").read_text()
         np.testing.assert_array_equal(t1["x"], t2["x"])
 
     def test_memory_and_text_identical(self, tmp_path):

@@ -21,6 +21,7 @@ from miniprob.samplers import (
     Nuts,
     Packer,
     Slice,
+    _metric,
     hessian,
     hessian_diag,
     leapfrog,
@@ -204,26 +205,27 @@ class TestLeapfrog:
     def test_hand_computed_step(self):
         m = normal_model()
         q, p, _, _ = leapfrog(Packer(m, ["x"]).logp_grad, np.array([1.0]), np.array([0.0]),
-                              eps=0.1, inv_mass=1.0)
+                              eps=0.1, inv_mass=np.eye(1))
         assert q[0] == pytest.approx(0.995, abs=1e-12)
         assert p[0] == pytest.approx(-0.09975, abs=1e-12)
 
     def test_reversibility(self):
         m = normal_model(mu=0.4, sd=1.7)
         logp_grad = Packer(m, ["x"]).logp_grad
+        inv_mass = np.full((1, 1), 0.5)
         rng = stream(21, 0)
         for _ in range(20):
             q0 = np.array([rng.standard_normal()])
             p0 = np.array([rng.standard_normal()])
-            q1, p1, _, _ = leapfrog(logp_grad, q0, p0, eps=0.3, inv_mass=0.5)
-            q2, p2, _, _ = leapfrog(logp_grad, q1, -p1, eps=0.3, inv_mass=0.5)
+            q1, p1, _, _ = leapfrog(logp_grad, q0, p0, eps=0.3, inv_mass=inv_mass)
+            q2, p2, _, _ = leapfrog(logp_grad, q1, -p1, eps=0.3, inv_mass=inv_mass)
             assert q2[0] == pytest.approx(q0[0], abs=1e-12)
             assert -p2[0] == pytest.approx(p0[0], abs=1e-12)
 
     def test_zero_step_is_identity(self):
         m = normal_model()
         q, p, _, _ = leapfrog(Packer(m, ["x"]).logp_grad, np.array([1.3]), np.array([-0.2]),
-                              eps=0.0, inv_mass=1.0)
+                              eps=0.0, inv_mass=np.eye(1))
         assert q[0] == 1.3
         assert p[0] == -0.2
 
@@ -261,16 +263,16 @@ class TestPacker:
 class TestScaling:
     def test_normal_sd2_curvature(self):
         m = normal_model(sd=2.0)
-        v = Nuts(m, scaling=m.test_point).mass
-        assert v.shape == (1,)
-        assert v[0] == pytest.approx(0.25, rel=1e-6)
+        mass = Nuts(m, scaling=m.test_point).mass
+        assert mass.shape == (1, 1)
+        assert mass[0, 0] == pytest.approx(0.25, rel=1e-6)
 
     def test_flat_direction_floored(self):
         m = Model()
         m.add_free("f", Flat())
         m.finalize()
-        v = Nuts(m, scaling=m.test_point).mass
-        assert v[0] == pytest.approx(1e-8)
+        mass = Nuts(m, scaling=m.test_point).mass
+        assert mass[0, 0] == pytest.approx(1e-8)
 
     @pytest.mark.parametrize("kernel", [Nuts, Hmc])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -341,7 +343,7 @@ class TestDenseMetric:
         corr = cov / np.outer(sd, sd)
         assert np.max(np.abs(np.corrcoef(draws.T) - corr)) < 0.05
 
-    def test_exactly_diagonal_hessian_keeps_a_vector_mass(self):
+    def test_exactly_diagonal_hessian_gives_its_floored_diagonal(self):
         m = Model()
         m.add_free("x", Normal(mu=1.0, sd=2.0), shape=3)
         m.add_free("e", Exponential(1.0))
@@ -349,11 +351,31 @@ class TestDenseMetric:
         h = hessian(m)
         assert not np.any(h - np.diag(np.diag(h)))
         step = Nuts(m)
-        assert step.mass.shape == step.inv_mass.shape == (4,)
-        assert np.array_equal(step.mass, np.maximum(hessian_diag(m), 1e-8))
+        floored = np.maximum(np.abs(hessian_diag(m)), 1e-8)
+        assert np.array_equal(step.mass, np.diag(floored))
+        assert np.array_equal(step.inv_mass, np.diag(1.0 / floored))
+
+    @pytest.mark.parametrize("diag", [[4.0, 2.0, 1.0], [2.0, 9.0, 0.5], [5.0, 5.0, 1e-12],
+                                      [-3.0, 2.0]],
+                             ids=["descending", "unordered", "tied_and_floored", "negative"])
+    def test_diagonal_matrix_gives_its_floored_absolute_diagonal(self, diag):
+        # eigh returns ascending eigenvalues, so out of order they come back permuted
+        mass, inv_mass, root = _metric(np.diag(diag))
+        floored = np.maximum(np.abs(diag), 1e-8)
+        assert np.array_equal(mass, np.diag(floored))
+        assert np.array_equal(inv_mass, np.diag(1.0 / floored))
+        # one nonzero per row and column: momenta are drawn permuted
+        assert np.count_nonzero(root) == len(diag)
+        assert np.array_equal(np.abs(root).max(axis=0), np.sqrt(floored))
+
+    def test_vector_scaling_is_the_mass_diagonal(self):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0), shape=3)
+        m.finalize()
+        step = Hmc(m, scaling=np.array([2.0, 0.5, 1e-9]))
+        assert np.array_equal(step.mass, np.diag([2.0, 0.5, 1e-8]))
 
     def test_indefinite_hessian_is_floored_by_absolute_eigenvalues(self):
-        from miniprob.samplers import _metric
         h = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
         mass, inv_mass, root = _metric(h)
         np.testing.assert_allclose(mass, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
@@ -398,6 +420,17 @@ class TestNuts:
         step = Nuts(m, scaling=np.array([1.0]))
         with pytest.raises(NonFiniteLogp):
             step.step({"u": np.array(9.0)}, stream(0, 0), False)
+
+
+@pytest.mark.parametrize("kernel, setting, bad", [
+    (Hmc, "step_size", np.nan), (Hmc, "step_size", np.inf), (Hmc, "step_size", 0.0),
+    (Nuts, "step_size", np.nan), (Nuts, "step_size", np.inf), (Nuts, "step_size", 0.0),
+    (Nuts, "step_size", -0.1), (Nuts, "gamma", np.nan), (Nuts, "gamma", np.inf),
+    (Nuts, "gamma", 0.0), (Nuts, "gamma", -1.0),
+])
+def test_bad_step_setting_rejected(kernel, setting, bad):
+    with pytest.raises(ValueError, match=setting):
+        kernel(normal_model(), **{setting: bad})
 
 
 class TestHmc:

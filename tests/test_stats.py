@@ -263,9 +263,26 @@ class TestTraceplotData:
             "beta__1_density.csv", "beta__1_draws.csv",
             "k_hist.csv", "k_draws.csv",
         ])
-        header = open(tmp_path / "alpha_density.csv").readline().strip()
-        assert header == "x,density"
-        header = open(tmp_path / "alpha_draws.csv").readline().strip()
-        assert header == "draw,value"
-        header = open(tmp_path / "k_hist.csv").readline().strip()
-        assert header == "x,count"
+        for name, header in [("alpha_density", "x,density"), ("alpha_draws", "draw,value"),
+                             ("k_hist", "x,count")]:
+            assert (tmp_path / f"{name}.csv").read_text().split("\n")[0] == header
+
+    def test_rows_read_back_exactly(self, tmp_path):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal(150) * 1e-7
+        k = rng.integers(-4, 3, size=150).astype(np.int64)
+        t = trace_of({"a": a, "k": k}, dtypes={"k": "int"})
+        write_plot_data(t, str(tmp_path))
+        plots = traceplot_data(t)
+
+        def rows(name):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+            return [line.split(",") for line in lines]
+
+        xs, ys = plots["a"]["density"]
+        assert [(float(x), float(y)) for x, y in rows("a_density")] == list(zip(xs, ys))
+        assert [(int(i), float(v)) for i, v in rows("a_draws")] == list(enumerate(a))
+        values, counts = histogram(k)
+        assert [(int(x), int(c)) for x, c in rows("k_hist")] == list(zip(values, counts))
+        # ints are written as ints, not as floats
+        assert [(int(i), int(v)) for i, v in rows("k_draws")] == list(enumerate(k))
