@@ -635,6 +635,17 @@ def eval_expr(expr: Expr, point: Mapping) -> np.ndarray:
     return _tape(expr).forward(point)[-1]
 
 
+def input_bytes(expr: Expr, point: Mapping) -> tuple[bytes, ...] | None:
+    """The converted bytes of every free input of ``expr`` at ``point``, the
+    bytes its tape compares; two points with equal bytes get equal values.
+    None when an opaque node lies below ``expr``: the tape runs those on
+    every call, so no earlier value may stand in for a call."""
+    tape = _tape(expr)
+    if tape.deps[tape.last] & 1:
+        return None
+    return tuple(_input_value(node, point).tobytes() for _, node in tape.inputs)
+
+
 # --- reverse-mode gradient -------------------------------------------------
 
 def grad(expr: Expr, wrt: Sequence[str], point: Mapping,

@@ -8,14 +8,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import optimize
 
 from .backends import MemoryBackend, Trace
 from .exceptions import MiniprobError, NonFiniteStart, SamplingError
 from .graph import Point
 from .model import Model
 from .rng import stream
-from .samplers import Packer, flatten_steps, validate_coverage
+from .samplers import Packer, _count, flatten_steps, validate_coverage
 
 _BIG = 1e100  # stand-in for an infinite objective so optimizers keep moving
 
@@ -30,7 +29,11 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
     everything else stays at its start/test value.  The returned point is
     expanded like a trace row (transformed coordinates, untransformed
     aliases and deterministics) and is never worse than the start point.
+    ``scipy.optimize`` is imported on the first call, not with the package:
+    sampling alone never loads it.
     """
+    from scipy import optimize
+
     point = model.initial_point(start)
     lp0 = model.logp(point)
     if not np.isfinite(lp0):
@@ -86,12 +89,10 @@ class SampleConfig:
     progress: Callable[[int, int, int], None] | None = None
 
     def __post_init__(self):
-        if self.draws < 1:
-            raise ValueError("draws must be >= 1")
-        if self.chains < 1:
-            raise ValueError("chains must be >= 1")
-        if self.warmup is not None and self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
+        _count("draws", self.draws, 1)
+        _count("chains", self.chains, 1)
+        if self.warmup is not None:
+            _count("warmup", self.warmup, 0)
 
 
 def sample(model: Model, config: SampleConfig) -> Trace:

@@ -70,6 +70,7 @@ class Model:
         self._logp_graph: Expr | None = None
         self._finalized = False
         self._var_index: dict[str, FreeVar] = {}
+        self._last: tuple | None = None  # see ``remember``
 
     # --- registration ------------------------------------------------------
 
@@ -215,6 +216,25 @@ class Model:
         names = self.continuous_names() if names is None else [self.resolve_name(n) for n in names]
         value, g = graph.value_and_grad(self.logp_graph, names, point)
         return float(value), g
+
+    # --- the last point a kernel returned --------------------------------------
+
+    def remember(self, point: Mapping, logp: float, grad=None, names=None) -> None:
+        """Record ``logp`` as the log density at ``point``, and ``grad`` as
+        its packed gradient over ``names`` when given, keyed by the converted
+        bytes of every free input (``graph.input_bytes``).  One record is
+        kept: the values at the point the last kernel step returned."""
+        key = graph.input_bytes(self.logp_graph, point)
+        self._last = None if key is None else (key, (logp, grad, names))
+
+    def recall(self, point: Mapping) -> tuple | None:
+        """The recorded (logp, grad, names) when ``point`` has the recorded
+        bytes now, else None.  ``logp`` and ``logp_and_dlogp`` never read
+        the record; a kernel that gets one skips its own call."""
+        if self._last is None:
+            return None
+        key, values = self._last
+        return values if graph.input_bytes(self.logp_graph, point) == key else None
 
     # --- variable bookkeeping ------------------------------------------------
 

@@ -7,6 +7,18 @@ seed a chain reproduces bit-for-bit.  One kernel instance serves one chain.
 only the model.  ``sample()`` steps only clones, so the kernels it is given
 stay unstepped and every chain starts fresh; a kernel stepped by hand before
 ``sample()`` carries its tuned state into every chain.
+
+Every kernel step ends by recording, on the model, the values it already
+holds at the point it returns (``Model.remember``): the log density, and the
+packed gradient with its names after a gradient kernel.  The next step skips
+its own evaluation at its start point when the record matches: Metropolis
+and Slice take the log density, ``GradientStep._start`` the log density and
+gradient when the names are its own.  The record is keyed by the converted
+bytes of every free input and is read only through that byte check
+(``Model.recall``), so a point changed in place, another chain's start or a
+caller's own point is evaluated afresh.  A skipped call would have returned
+the recorded bits, so chains do not move; a log density with an opaque node
+is never recorded.
 """
 
 from __future__ import annotations
@@ -154,6 +166,14 @@ def _positive(name: str, value) -> float:
     return x
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int; raises unless it is an integer (not a bool) of
+    at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
 
@@ -193,7 +213,8 @@ class Metropolis(StepMethod):
         return 1.0
 
     def step(self, point, rng, tuning=False):
-        lp_old = self.model.logp(point)
+        last = self.model.recall(point)
+        lp_old = self.model.logp(point) if last is None else last[0]
         proposal = dict(point)
         for name in self.vars:
             var = self.model.var(name)
@@ -209,6 +230,9 @@ class Metropolis(StepMethod):
         if accept:
             point = proposal
             self.accept_count += 1
+            self.model.remember(point, lp_new)
+        elif last is None:
+            self.model.remember(point, lp_old)
         if tuning and self.total_count >= self.tune_interval:
             self.scale *= self.tune_factor(self.accept_count / self.total_count)
             self.accept_count = 0
@@ -235,13 +259,15 @@ class Slice(StepMethod):
 
     def step(self, point, rng, tuning=False):
         point = dict(point)
-        lp = self.model.logp(point)
+        last = self.model.recall(point)
+        lp = self.model.logp(point) if last is None else last[0]
         if not np.isfinite(lp):
             raise NonFiniteLogp(f"slice sampler started at logp={lp}")
         for name in self.vars:
             point[name] = np.array(point[name], dtype=np.float64)
             for idx in np.ndindex(point[name].shape):
                 lp = self._update_coord(point, name, idx, lp, rng)
+        self.model.remember(point, lp)
         return point
 
     def _coord_logp(self, point, name, idx, value):
@@ -315,15 +341,28 @@ class GradientStep(StepMethod):
         self.mass, self.inv_mass, self._root = _metric(h)
 
     def _start(self, point):
-        """(q, logp, gradient) at ``point``, which becomes the base point."""
+        """(q, logp, gradient) at ``point``, which becomes the base point.
+        The model's record (``Model.recall``) stands in for the evaluation
+        when ``point`` still has the recorded bytes and the record holds a
+        gradient over this kernel's names; the checks below run either way."""
         q = self.packer.rebase(point)
-        lp, g = self.packer.logp_grad(q)
+        last = self.model.recall(point)
+        if last is not None and last[2] == self.packer.names:
+            lp, g = last[:2]
+        else:
+            lp, g = self.packer.logp_grad(q)
         name = type(self).__name__
         if not np.isfinite(lp):
             raise NonFiniteLogp(f"{name} started at logp={lp}")
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"{name} started at a point with non-finite gradient")
         return q, lp, g
+
+    def _finish(self, q, lp, g) -> dict:
+        """The point of ``q``, recorded with its log density and gradient."""
+        point = self.packer.point(q)
+        self.model.remember(point, lp, g, self.packer.names)
+        return point
 
     def _momentum(self, rng):
         return rng.standard_normal(self.packer.size) @ self._root
@@ -340,9 +379,7 @@ class Hmc(GradientStep):
     def __init__(self, model, vars=None, scaling=None, step_size=0.25, n_steps=4):
         super().__init__(model, vars, scaling)
         self.step_size = _positive("step_size", step_size)
-        if not n_steps >= 1:
-            raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
-        self.n_steps = int(n_steps)
+        self.n_steps = _count("n_steps", n_steps, 1)
         self.last_accepted = False
 
     def step(self, point, rng, tuning=False):
@@ -356,7 +393,7 @@ class Hmc(GradientStep):
         h1 = lp_new - self._kinetic(p_new)
         accept = np.log(rng.random()) < h1 - h0
         self.last_accepted = bool(accept)
-        return self.packer.point(q_new if accept else q)
+        return self._finish(q_new, lp_new, g_new) if accept else self._finish(q, lp, g)
 
 
 # one trajectory state, in the order ``leapfrog`` returns it
@@ -493,7 +530,7 @@ class Nuts(GradientStep):
             self._log_eps_bar = w * log_eps + (1.0 - w) * self._log_eps_bar
             self.step_size = math.exp(log_eps)
 
-        return self.packer.point(chosen.q)
+        return self._finish(chosen.q, chosen.lp, chosen.grad)
 
 
 def _disjoint_targets(steps) -> set[str]:

@@ -1,4 +1,7 @@
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,24 @@ def test_removed_names_are_not_exported():
 ], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters", "hessian", "hessian_diag"])
 def test_kernel_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+_STARTUP = """
+import sys
+import miniprob, miniprob.cli
+from miniprob import demos
+model, trace = demos.run_disasters(50, 1)
+miniprob.summary(trace)
+assert "scipy.optimize" not in sys.modules, "sampling loaded scipy.optimize"
+m = demos.linear_model(demos.simulate_linear_data(1))
+assert demos.find_map(m)["sigma"] > 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_sampling_never_imports_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(miniprob.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

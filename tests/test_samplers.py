@@ -433,6 +433,27 @@ def test_bad_step_setting_rejected(kernel, setting, bad):
         kernel(normal_model(), **{setting: bad})
 
 
+@pytest.mark.parametrize("setting, bad", [
+    ("n_steps", 2.5), ("n_steps", True), ("n_steps", 0),
+    ("draws", 2.5), ("draws", True), ("draws", 0),
+    ("chains", 1.5), ("chains", True), ("chains", 0),
+    ("warmup", 2.5), ("warmup", True), ("warmup", -1),
+])
+def test_bad_count_setting_rejected(setting, bad):
+    # rejected where it is given, not by ``range()`` once a run has started
+    with pytest.raises(ValueError, match=setting):
+        if setting == "n_steps":
+            Hmc(normal_model(), n_steps=bad)
+        else:
+            SampleConfig(**{"draws": 10, setting: bad})
+
+
+def test_numpy_integer_counts_accepted():
+    assert Hmc(normal_model(), n_steps=np.int64(3)).n_steps == 3
+    cfg = SampleConfig(draws=np.int32(5), chains=np.int64(2), warmup=np.uint8(0))
+    assert (cfg.draws, cfg.chains, cfg.warmup) == (5, 2, 0)
+
+
 class TestHmc:
     def test_normal_moments(self):
         m = normal_model()
@@ -509,3 +530,156 @@ class TestDeterminism:
         t1 = sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=9,
                                     chains=2, warmup=50))
         np.testing.assert_array_equal(t1.chains[1]["x"], t4.chains[1]["x"])
+
+
+def two_var_model() -> Model:
+    m = Model()
+    m.add_free("x", Normal(mu=1.0, sd=2.0), shape=3)
+    m.add_free("e", Exponential(1.0))
+    return m.finalize()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts Model.logp ("logp") and Model.logp_and_dlogp ("grad") calls."""
+    count = {"logp": 0, "grad": 0}
+    for key, attr in (("logp", "logp"), ("grad", "logp_and_dlogp")):
+        original = getattr(Model, attr)
+
+        def counted(self, *args, _key=key, _original=original, **kwargs):
+            count[_key] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, attr, counted)
+    return count
+
+
+class TestRecord:
+    """A kernel step skips the evaluation the previous step recorded for the
+    point it returned, and only that one."""
+
+    def run(self, steps, n, forget=False, touch=None):
+        """``n`` iterations of ``steps`` from the test point: the points after
+        each iteration.  ``forget`` clears the record before every step;
+        ``touch`` changes the returned point's arrays in place."""
+        m = steps[0].model
+        rng = stream(3, 0)
+        point = m.initial_point()
+        out = []
+        for i in range(n):
+            for s in steps:
+                if forget:
+                    m._last = None
+                point = s.step(point, rng, i < n // 2)
+                if touch is not None:
+                    touch(point)
+            out.append({k: np.array(v) for k, v in point.items()})
+        return out
+
+    @staticmethod
+    def same(a, b):
+        return all(x.keys() == y.keys() and all(x[k].tobytes() == y[k].tobytes() for k in x)
+                   for x, y in zip(a, b)) and len(a) == len(b)
+
+    @pytest.mark.parametrize("kernel", [Nuts, Hmc])
+    def test_lone_gradient_kernel_saves_one_gradient_per_step_after_the_first(
+            self, calls, kernel):
+        m = two_var_model()
+        step = kernel(m)
+        warmup, draws = 40, 60
+        cfg = SampleConfig(draws=draws, warmup=warmup, seed=3, steps=[step])
+        calls["grad"] = 0
+        sample(m, cfg)
+        reused = calls["grad"]
+        calls["grad"] = 0
+        m.recall = lambda point: None
+        sample(m, cfg)
+        assert calls["grad"] - reused == warmup + draws - 1
+
+    @pytest.mark.parametrize("kernels", [
+        [(Nuts, "x"), (Metropolis, "e"), (Slice, "e")],
+        # a gradient over other names is never reused
+        [(Nuts, "x"), (Hmc, "e")],
+    ], ids=["mixed", "two_gradient_kernels"])
+    def test_chains_are_unchanged_by_the_record(self, kernels):
+        m = two_var_model()
+        steps = lambda: [k(m, vars=[v]) for k, v in kernels]
+        assert self.same(self.run(steps(), 30), self.run(steps(), 30, forget=True))
+
+    def test_point_changed_in_place_is_evaluated_again(self, calls):
+        m = two_var_model()
+
+        def touch(point):
+            point["x"][0] += 0.25
+
+        touched = self.run([Nuts(m, vars=["x"])], 20, touch=touch)
+        assert calls["grad"] > 0
+        # every step after the first found its start changed: no call was skipped
+        per_step = calls["grad"]
+        calls["grad"] = 0
+        fresh = self.run([Nuts(m, vars=["x"])], 20, forget=True, touch=touch)
+        assert calls["grad"] == per_step
+        assert self.same(touched, fresh)
+
+    def test_gradient_kernel_start_matches_a_fresh_evaluation(self, calls):
+        m = two_var_model()
+        step = Nuts(m)
+        point = step.step(m.initial_point(), stream(1, 0), True)
+        point["x"][1] = -0.5
+        before = calls["grad"]
+        _, lp, g = step._start(point)
+        assert calls["grad"] == before + 1
+        assert lp == m.logp(point)
+        assert np.array_equal(g, step.packer.pack(m.dlogp(point, step.packer.names)))
+
+    def test_metropolis_after_nuts(self, calls):
+        m = two_var_model()
+        met, nuts = Metropolis(m, vars=["e"]), Nuts(m, vars=["x"])
+        rng = stream(4, 0)
+        point = m.initial_point()
+        logps, grads, rejected = [], [], []
+        for i in range(120):
+            tuning = i < 60
+            before = calls["logp"]
+            point = met.step(point, rng, tuning)
+            logps.append(calls["logp"] - before)
+            rejected.append(not met.last_accepted)
+            before = calls["grad"]
+            point = nuts.step(point, rng, tuning)
+            grads.append(calls["grad"] - before)
+        # the same chain with no record: the gradients each NUTS step needs
+        m.recall = lambda point: None
+        met, nuts = Metropolis(m, vars=["e"]), Nuts(m, vars=["x"])
+        rng = stream(4, 0)
+        point = m.initial_point()
+        saved = []
+        for i in range(120):
+            point = met.step(point, rng, i < 60)
+            before = calls["grad"]
+            point = nuts.step(point, rng, i < 60)
+            saved.append(calls["grad"] - before - grads[i])
+        assert logps == [2] + [1] * 119
+        assert 0 < sum(rejected[1:]) < 119
+        assert saved == [0] + [int(r) for r in rejected[1:]]
+
+    def test_slice_and_metropolis_reuse_the_log_density(self, calls):
+        m = two_var_model()
+        steps = [Slice(m, vars=["x"]), Metropolis(m, vars=["e"])]
+        counts = []
+        for forget in (False, True):
+            calls["logp"] = 0
+            self.run(steps, 1, forget=forget)
+            counts.append(calls["logp"])
+        # Slice starts with no record; Metropolis reuses the point Slice returned
+        assert counts[0] == counts[1] - 1
+
+    def test_opaque_log_density_is_never_recorded(self, calls):
+        m = Model()
+        x = m.add_free("x", Normal(mu=0.0, sd=1.0))
+        seen = graph.opaque_deterministic(lambda v: np.asarray(0.0), [x.value], ())
+        m.add_deterministic("seen", seen)
+        m.custom_density("y", lambda v: graph.sum_all(v * seen), testval=0.0)
+        m.finalize()
+        calls["logp"] = 0
+        self.run([Metropolis(m)], 5)
+        assert calls["logp"] == 10
