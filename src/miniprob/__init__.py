@@ -2,8 +2,8 @@
 
 Build a model from distribution recipes, get automatic transforms and a
 differentiable joint log posterior, find the MAP, sample with Metropolis /
-Slice / HMC / NUTS (alone or compounded), store traces in memory or on disk,
-and summarize the posterior.
+Slice / HMC / NUTS (a list of kernels, one per group of variables), store
+traces in memory or on disk, and summarize the posterior.
 """
 
 from . import graph
@@ -42,7 +42,6 @@ from .inference import SampleConfig, find_map, sample
 from .model import FreeVar, Model
 from .rng import stream
 from .samplers import (
-    CompoundStep,
     Hmc,
     Metropolis,
     Nuts,
@@ -56,7 +55,7 @@ from .stats import ess, hpd, mc_error, quantiles, summary, traceplot_data, write
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bernoulli", "BinomialFamily", "CompoundStep", "Custom", "DiscreteUniform",
+    "Bernoulli", "BinomialFamily", "Custom", "DiscreteUniform",
     "Expr", "Exponential", "Flat", "Formula", "FreeVar", "GaussianRandomWalk",
     "HalfNormal", "Hmc", "MemoryBackend", "Metropolis", "Model", "Normal",
     "NormalFamily", "Nuts", "Poisson", "SampleConfig", "Slice",

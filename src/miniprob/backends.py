@@ -3,8 +3,9 @@
 The durable layout is a directory with a ``meta.json`` file describing the
 variables, plus one ``chain-<k>.csv`` per chain.  Vector variables are
 flattened row-major into ``name__i`` columns; floats are written with
-``repr`` so every double round-trips exactly and a reloaded trace equals the
-in-memory one bit for bit.
+``repr`` so every double round-trips exactly.  ``TextBackend`` keeps the
+rows it writes and returns them from ``finish``; ``load`` reads a directory
+back bit for bit and checks each chain's row count against ``meta.json``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ from .graph import Point
 
 Layout = Sequence[tuple[str, tuple, str]]  # (name, shape, dtype)
 
+_DTYPES = {"int": np.int64, "float": np.float64}
+
+
+def _normalise(layout: Layout) -> list[tuple[str, tuple, str]]:
+    return [(name, tuple(shape), dtype) for name, shape, dtype in layout]
+
 
 def flat_names(name: str, shape: tuple) -> list[str]:
     if shape == ():
@@ -28,11 +35,16 @@ def flat_names(name: str, shape: tuple) -> list[str]:
     return [f"{name}__{i}" for i in range(n)]
 
 
+def _header(layout: Layout) -> str:
+    """The CSV header line of a chain file, without its newline."""
+    return ",".join(col for name, shape, _ in layout for col in flat_names(name, shape))
+
+
 class Trace:
     """Ordered draws per chain, queryable by variable name or position."""
 
     def __init__(self, layout: Layout, chains: list[dict[str, np.ndarray]]):
-        self.layout = [(name, tuple(shape), dtype) for name, shape, dtype in layout]
+        self.layout = _normalise(layout)
         self.chains = chains
 
     @property
@@ -81,10 +93,17 @@ def _row_from_point(layout: Layout, point: Mapping) -> list[np.ndarray]:
         if name not in point:
             raise MissingInput(f"recorded point is missing traced variable {name!r}")
         arr = np.asarray(point[name])
-        if arr.shape != tuple(shape):
-            raise MissingInput(f"traced variable {name!r}: shape {arr.shape} != {tuple(shape)}")
-        row.append(arr.astype(np.int64 if dtype == "int" else np.float64))
+        if arr.shape != shape:
+            raise MissingInput(f"traced variable {name!r}: shape {arr.shape} != {shape}")
+        row.append(arr.astype(_DTYPES[dtype]))
     return row
+
+
+def _stack(layout: Layout, rows: list) -> dict[str, np.ndarray]:
+    """One array per variable from rows of per-variable values."""
+    return {name: np.array([row[j] for row in rows], dtype=_DTYPES[dtype])
+            .reshape((len(rows),) + shape)
+            for j, (name, shape, dtype) in enumerate(layout)}
 
 
 class MemoryBackend:
@@ -95,102 +114,82 @@ class MemoryBackend:
         self._rows: list[list[list[np.ndarray]]] = []
 
     def start(self, layout: Layout, chains: int) -> None:
-        self.layout = [(n, tuple(s), d) for n, s, d in layout]
+        self.layout = _normalise(layout)
         self._rows = [[] for _ in range(chains)]
 
     def record(self, chain: int, point: Mapping) -> None:
         self._rows[chain].append(_row_from_point(self.layout, point))
 
     def finish(self) -> Trace:
-        chains = []
-        for rows in self._rows:
-            data = {}
-            for j, (name, shape, dtype) in enumerate(self.layout):
-                np_dtype = np.int64 if dtype == "int" else np.float64
-                stacked = np.empty((len(rows),) + tuple(shape), dtype=np_dtype)
-                for i, row in enumerate(rows):
-                    stacked[i] = row[j]
-                data[name] = stacked
-            chains.append(data)
-        return Trace(self.layout, chains)
+        return Trace(self.layout, [_stack(self.layout, rows) for rows in self._rows])
 
 
-def _format_value(v, dtype: str) -> str:
-    if dtype == "int":
-        return str(int(v))
-    return repr(float(v))
-
-
-class TextBackend:
-    """Writes one CSV per chain under a directory, plus a metadata file."""
+class TextBackend(MemoryBackend):
+    """A ``MemoryBackend`` that also writes one CSV per chain under a
+    directory, plus a metadata file; ``finish`` returns the rows it kept."""
 
     def __init__(self, directory: str):
+        super().__init__()
         self.directory = str(directory)
-        self.layout: Layout | None = None
         self._files = []
-        self._counts: list[int] = []
 
     def start(self, layout: Layout, chains: int) -> None:
-        self.layout = [(n, tuple(s), d) for n, s, d in layout]
-        header = ",".join(col for name, shape, _ in self.layout
-                          for col in flat_names(name, shape))
+        super().start(layout, chains)
+        self._files = []
         try:
             os.makedirs(self.directory, exist_ok=True)
             for k in range(chains):
                 f = open(os.path.join(self.directory, f"chain-{k}.csv"),
                          "w", encoding="utf-8", newline="\n")
-                f.write(header + "\n")
+                f.write(_header(self.layout) + "\n")
                 self._files.append(f)
         except OSError as e:
             raise IoFailure(f"cannot create trace directory {self.directory!r}: {e}") from e
-        self._counts = [0] * chains
 
     def record(self, chain: int, point: Mapping) -> None:
         row = _row_from_point(self.layout, point)
-        cells = []
-        for arr, (_, _, dtype) in zip(row, self.layout):
-            cells.extend(_format_value(v, dtype) for v in np.ravel(arr, order="C"))
+        # tolist gives Python ints and floats; repr writes each float so it reads back exactly
+        line = ",".join(repr(x) for arr in row for x in arr.ravel().tolist())
         try:
-            self._files[chain].write(",".join(cells) + "\n")
+            self._files[chain].write(line + "\n")
         except OSError as e:
             raise IoFailure(f"cannot write to trace chain file: {e}") from e
-        self._counts[chain] += 1
+        self._rows[chain].append(row)
 
     def finish(self) -> Trace:
+        meta = {
+            "version": 1,
+            "vars": [{"name": n, "shape": list(s), "dtype": d} for n, s, d in self.layout],
+            "chains": len(self._rows),
+            "draws": len(self._rows[0]) if self._rows else 0,
+        }
         try:
             for f in self._files:
                 f.close()
-            meta = {
-                "version": 1,
-                "vars": [{"name": n, "shape": list(s), "dtype": d}
-                         for n, s, d in self.layout],
-                "chains": len(self._files),
-                "draws": self._counts[0] if self._counts else 0,
-            }
             with open(os.path.join(self.directory, "meta.json"), "w",
                       encoding="utf-8") as f:
                 json.dump(meta, f, indent=1)
                 f.write("\n")
         except OSError as e:
             raise IoFailure(f"cannot finalize trace directory: {e}") from e
-        return load(self.directory)
+        return super().finish()
 
 
 def load(directory: str) -> Trace:
     """Reload a trace written by ``TextBackend``; values are reproduced exactly."""
-    meta_path = os.path.join(directory, "meta.json")
     try:
-        with open(meta_path, encoding="utf-8") as f:
+        with open(os.path.join(directory, "meta.json"), encoding="utf-8") as f:
             meta = json.load(f)
     except FileNotFoundError:
         raise CorruptMeta(f"no metadata file in {directory!r}") from None
     except (OSError, json.JSONDecodeError) as e:
         raise CorruptMeta(f"unreadable metadata in {directory!r}: {e}") from None
     try:
-        if meta["version"] != 1:
-            raise CorruptMeta(f"unsupported trace version {meta['version']!r}")
+        version = meta["version"]
+        if type(version) is not int or version != 1:
+            raise CorruptMeta(f"unsupported trace version {version!r}")
         layout = [(v["name"], v["shape"], v["dtype"]) for v in meta["vars"]]
-        n_chains = meta["chains"]
+        n_chains, draws = meta["chains"], meta["draws"]
     except (KeyError, TypeError) as e:
         raise CorruptMeta(f"malformed metadata in {directory!r}: {e}") from None
     if not layout:
@@ -198,6 +197,9 @@ def load(directory: str) -> Trace:
     if type(n_chains) is not int or n_chains < 1:
         raise CorruptMeta(f"metadata in {directory!r}: chains must be an int >= 1, "
                           f"got {n_chains!r}")
+    if type(draws) is not int or draws < 0:
+        raise CorruptMeta(f"metadata in {directory!r}: draws must be an int >= 0, "
+                          f"got {draws!r}")
     names = set()
     for name, shape, dtype in layout:
         if type(name) is not str or name in names:
@@ -207,16 +209,14 @@ def load(directory: str) -> Trace:
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise CorruptMeta(f"metadata in {directory!r}: shape of {name!r} must be "
                               f"a list of ints >= 0, got {shape!r}")
-        if dtype not in ("int", "float"):
+        if dtype not in _DTYPES:
             raise CorruptMeta(f"metadata in {directory!r}: dtype of {name!r} must be "
                               f"'int' or 'float', got {dtype!r}")
-    layout = [(name, tuple(shape), dtype) for name, shape, dtype in layout]
+    layout = _normalise(layout)
 
-    expected_header = ",".join(col for name, shape, _ in layout
-                               for col in flat_names(name, shape))
-    sizes = [int(np.prod(s, dtype=int)) if s else 1 for _, s, _ in layout]
-    convs = [np.int64 if dtype == "int" else float
-             for (_, _, dtype), size in zip(layout, sizes) for _ in range(size)]
+    ends = np.cumsum([len(flat_names(name, shape)) for name, shape, _ in layout]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    convs = [_DTYPES[dtype] for (_, _, dtype), (a, b) in zip(layout, spans) for _ in range(a, b)]
 
     chains = []
     for k in range(n_chains):
@@ -224,8 +224,7 @@ def load(directory: str) -> Trace:
         if not os.path.exists(path):
             raise MissingChainFile(f"chain file {path!r} is missing")
         with open(path, encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header != expected_header:
+            if f.readline().rstrip("\n") != _header(layout):
                 raise CorruptMeta(f"chain file {path!r} header does not match metadata")
             rows = []
             for line_no, line in enumerate(f, start=2):
@@ -235,15 +234,15 @@ def load(directory: str) -> Trace:
                 try:
                     if len(cells) != len(convs):
                         raise ValueError(f"{len(cells)} cells, the header has {len(convs)}")
-                    rows.append([conv(x) for conv, x in zip(convs, cells)])
+                    if not line.endswith("\n"):
+                        raise ValueError("the row is cut short: it has no newline")
+                    values = [conv(x) for conv, x in zip(convs, cells)]
                 except (ValueError, OverflowError) as e:
                     raise CorruptMeta(f"chain file {path!r} line {line_no}: {e}") from None
-        data = {}
-        pos = 0
-        for (name, shape, dtype), size in zip(layout, sizes):
-            np_dtype = np.int64 if dtype == "int" else np.float64
-            arr = np.array([row[pos:pos + size] for row in rows], dtype=np_dtype)
-            data[name] = arr.reshape((len(rows),) + shape)
-            pos += size
-        chains.append(data)
+                rows.append([values[a:b] for a, b in spans])
+        # meta counts chain 0; chains run in order, so only a later chain may stop short
+        if len(rows) > draws or (k == 0 and len(rows) != draws):
+            raise CorruptMeta(f"chain file {path!r} holds {len(rows)} rows; the metadata "
+                              f"lists {draws} draws")
+        chains.append(_stack(layout, rows))
     return Trace(layout, chains)

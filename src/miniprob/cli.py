@@ -1,8 +1,8 @@
 """Command-line surface: case-study demos, trace summaries, plot-data export.
 
-Exit codes: 0 success, 2 usage errors, 3 data errors (missing files, corrupt
-or mismatched traces, traces too short to summarize or holding NaN or
-infinite samples), 4 numeric failures during inference.
+Exit codes: 0 success, 2 usage errors, 3 data errors (missing files;
+corrupt, truncated or mismatched traces; traces too short to summarize or
+holding NaN or infinite samples), 4 numeric failures during inference.
 """
 
 from __future__ import annotations

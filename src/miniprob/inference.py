@@ -14,7 +14,7 @@ from .exceptions import MiniprobError, NonFiniteStart, SamplingError
 from .graph import Point
 from .model import Model
 from .rng import stream
-from .samplers import Packer, _count, flatten_steps, validate_coverage
+from .samplers import Packer, StepMethod, _count, validate_coverage
 
 _BIG = 1e100  # stand-in for an infinite objective so optimizers keep moving
 
@@ -91,6 +91,9 @@ class SampleConfig:
     def __post_init__(self):
         _count("draws", self.draws, 1)
         _count("chains", self.chains, 1)
+        if not (isinstance(self.steps, list)
+                and all(isinstance(s, StepMethod) for s in self.steps)):
+            raise ValueError(f"steps must be a list of step methods, got {self.steps!r}")
         if self.warmup is not None:
             _count("warmup", self.warmup, 0)
 
@@ -105,8 +108,7 @@ def sample(model: Model, config: SampleConfig) -> Trace:
     so a ``TextBackend`` directory keeps the rows recorded so far.
     """
     model.finalize()
-    steps = flatten_steps(config.steps)
-    validate_coverage(model, steps)
+    validate_coverage(model, config.steps)
 
     warmup = config.warmup
     if warmup is None:
@@ -118,7 +120,7 @@ def sample(model: Model, config: SampleConfig) -> Trace:
     try:
         for chain in range(config.chains):
             rng = stream(config.seed, chain)
-            chain_steps = [s.clone() for s in steps]
+            chain_steps = [s.clone() for s in config.steps]
             point = model.initial_point(config.start)
             for i in range(total):
                 tuning = i < warmup

@@ -533,49 +533,14 @@ class Nuts(GradientStep):
         return self._finish(chosen.q, chosen.lp, chosen.grad)
 
 
-def _disjoint_targets(steps) -> set[str]:
-    """Union of the steps' targets; raises if any variable is targeted twice."""
+def validate_coverage(model: Model, steps: Sequence[StepMethod]) -> None:
+    """Union of step targets must cover every free variable, with no overlaps."""
     seen: set[str] = set()
     for s in steps:
         dup = seen.intersection(s.vars)
         if dup:
             raise OverlappingTargets(f"variables targeted twice: {sorted(dup)}")
         seen.update(s.vars)
-    return seen
-
-
-class CompoundStep:
-    """Applies several step methods in order; targets must not overlap."""
-
-    def __init__(self, steps: Sequence[StepMethod]):
-        self.steps = list(steps)
-        _disjoint_targets(self.steps)
-        self.vars = [v for s in self.steps for v in s.vars]
-
-    def step(self, point, rng, tuning=False):
-        for s in self.steps:
-            point = s.step(point, rng, tuning)
-        return point
-
-    def clone(self):
-        return CompoundStep([s.clone() for s in self.steps])
-
-
-def flatten_steps(steps) -> list:
-    if isinstance(steps, (StepMethod, CompoundStep)):
-        steps = [steps]
-    out = []
-    for s in steps:
-        if isinstance(s, CompoundStep):
-            out.extend(s.steps)
-        else:
-            out.append(s)
-    return out
-
-
-def validate_coverage(model: Model, steps) -> None:
-    """Union of step targets must cover every free variable, with no overlaps."""
-    seen = _disjoint_targets(flatten_steps(steps))
     missing = [n for n in model.sampling_names() if n not in seen]
     if missing:
         raise UncoveredVariable(f"no step method targets {missing[0]!r}")

@@ -19,7 +19,7 @@ def test_exports_are_unique():
 
 
 def test_removed_names_are_not_exported():
-    removed = {"ObservedVar", "scaling_from_point"}
+    removed = {"CompoundStep", "ObservedVar", "scaling_from_point"}
     assert removed.isdisjoint(miniprob.__all__)
     assert not any(hasattr(miniprob, name) for name in removed)
 

@@ -165,21 +165,51 @@ class TestTextBackend:
         ("chains", "two"), ("chains", 0), ("chains", -1), ("chains", 1.0), ("chains", True),
         ("shape", ["a"]), ("shape", [-1]), ("shape", 2), ("shape", "2"),
         ("dtype", "complex"),
+        ("version", True), ("version", 2), ("version", "1"),
+        ("draws", -1), ("draws", 2.0), ("draws", True), ("draws", "2"),
+        ("draws", 3), ("draws", 1),
     ], ids=["chains_str", "chains_zero", "chains_negative", "chains_float", "chains_bool",
-            "shape_str_entry", "shape_negative", "shape_int", "shape_str", "dtype_complex"])
+            "shape_str_entry", "shape_negative", "shape_int", "shape_str", "dtype_complex",
+            "version_bool", "version_two", "version_str",
+            "draws_negative", "draws_float", "draws_bool", "draws_str",
+            "draws_above_rows", "draws_below_rows"])
     def test_malformed_meta_field(self, tmp_path, field, value):
         d = str(tmp_path / "t")
         fill(TextBackend(d), chains=1, draws=2)
         path = os.path.join(d, "meta.json")
         with open(path) as f:
             meta = json.load(f)
-        if field == "chains":
-            meta["chains"] = value
+        if field in ("chains", "version", "draws"):
+            meta[field] = value
         else:
             meta["vars"][1][field] = value
         with open(path, "w") as f:
             json.dump(meta, f)
         with pytest.raises(CorruptMeta, match=field):
+            load(d)
+
+    @pytest.mark.parametrize("chain, keep", [(0, 2), (0, 0), (1, 4)],
+                             ids=["chain0_cut", "chain0_header_only", "chain1_extra_row"])
+    def test_row_count_checked_against_meta(self, tmp_path, chain, keep):
+        d = str(tmp_path / "t")
+        fill(TextBackend(d), chains=2, draws=3)
+        path = Path(d, f"chain-{chain}.csv")
+        lines = path.read_text().splitlines()
+        lines = (lines + lines[-1:])[:1 + keep]  # cut at a line boundary, or repeat a row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptMeta, match=rf"chain-{chain}\.csv.* {keep} rows.* 3 draws"):
+            load(d)
+
+    def test_row_cut_inside_a_number(self, tmp_path):
+        d = str(tmp_path / "t")
+        b = TextBackend(d)
+        b.start([("x", (), "float")], 1)
+        for x in (0.5, 0.123456):
+            b.record(0, {"x": x})
+        b.finish()
+        path = Path(d, "chain-0.csv")
+        path.write_text(path.read_text()[:-2])  # "0.123456\n" becomes "0.12345"
+        with pytest.raises(CorruptMeta, match=r"chain-0\.csv.* line 3: the row is cut short"):
             load(d)
 
 

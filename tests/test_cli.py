@@ -77,6 +77,16 @@ def test_summary_of_non_finite_sample_is_a_data_error(tmp_path, capsys, cell):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_summary_of_truncated_trace_is_a_data_error(tmp_path, capsys):
+    write_trace(tmp_path, 200)
+    path = tmp_path / "chain-0.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:151]) + "\n")  # the header and 150 of 200 rows
+    assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "200 draws" in err and "Traceback" not in err
+
+
 def test_summary_of_short_trace_is_a_data_error(tmp_path):
     write_trace(tmp_path, 10)
     assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA

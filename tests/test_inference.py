@@ -130,6 +130,16 @@ class TestSample:
         with pytest.raises(ValueError):
             SampleConfig(draws=10, warmup=-4)
 
+    @pytest.mark.parametrize("steps", ["bare", "tuple", "not_a_step"])
+    def test_steps_must_be_a_list_of_step_methods(self, steps):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.finalize()
+        steps = {"bare": Metropolis(m), "tuple": (Metropolis(m),),
+                 "not_a_step": [Metropolis(m), "slice"]}[steps]
+        with pytest.raises(ValueError, match="list of step methods"):
+            SampleConfig(draws=10, steps=steps)
+
     def test_trace_length_with_discard(self):
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
@@ -184,6 +194,22 @@ class TestSample:
                                        warmup=50,
                                        backend=TextBackend(str(tmp_path / "t"))))
         np.testing.assert_array_equal(t_mem["x"], t_txt["x"])
+
+    def test_text_backend_reused_for_a_second_run(self, tmp_path):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.finalize()
+        text = TextBackend(str(tmp_path / "t"))
+
+        def run(backend, seed):
+            return sample(m, SampleConfig(draws=60, steps=[Metropolis(m)], seed=seed,
+                                          warmup=10, chains=2, backend=backend))
+
+        run(text, 1)
+        second = run(text, 2)
+        expected = run(MemoryBackend(), 2)
+        np.testing.assert_array_equal(second["x"], expected["x"])
+        np.testing.assert_array_equal(load(str(tmp_path / "t"))["x"], expected["x"])
 
     def test_progress_callback_cadence(self):
         m = Model()
@@ -243,6 +269,25 @@ class TestCrashMidSample:
         partial = load(str(tmp_path / "t"))
         assert partial.chain_length() == FailingMetropolis.FAIL_AT
         np.testing.assert_array_equal(partial["x"], full["x"][:FailingMetropolis.FAIL_AT])
+
+    def test_crash_in_a_later_chain_loads(self, tmp_path):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.finalize()
+
+        def fail_in_chain_1(chain, draw, total):
+            if chain == 1:
+                raise NonFiniteLogp("injected failure")
+
+        with pytest.raises(NonFiniteLogp):
+            sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=5, warmup=0,
+                                   chains=2, progress=fail_in_chain_1,
+                                   backend=TextBackend(str(tmp_path / "t"))))
+        full = sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=5, warmup=0,
+                                      chains=2))
+        partial = load(str(tmp_path / "t"))
+        assert (partial.chain_length(0), partial.chain_length(1)) == (150, 100)
+        np.testing.assert_array_equal(partial["x"], full["x"][:250])
 
     def test_no_file_left_open(self, tmp_path):
         script = ("import gc, sys\n"

@@ -15,7 +15,6 @@ from miniprob.inference import SampleConfig, sample
 from miniprob.model import Model
 from miniprob.rng import stream
 from miniprob.samplers import (
-    CompoundStep,
     Hmc,
     Metropolis,
     Nuts,
@@ -469,18 +468,10 @@ class TestHmc:
 
 
 class TestCompound:
-    def test_single_element_equals_plain_step(self):
-        m = normal_model()
-        t1 = sample(m, SampleConfig(draws=200, steps=[Metropolis(m)], seed=5,
-                                    warmup=50))
-        t2 = sample(m, SampleConfig(draws=200, steps=[CompoundStep([Metropolis(m)])],
-                                    seed=5, warmup=50))
-        np.testing.assert_array_equal(t1["x"], t2["x"])
-
     def test_overlap_rejected(self):
         m = normal_model()
         with pytest.raises(OverlappingTargets):
-            CompoundStep([Metropolis(m), Metropolis(m)])
+            sample(m, SampleConfig(draws=10, steps=[Metropolis(m), Metropolis(m)]))
 
     def test_uncovered_rejected(self):
         m = Model()
