@@ -38,7 +38,7 @@ from .graph import (
     sum_all,
     switch,
 )
-from .inference import SampleConfig, find_map, sample
+from .inference import find_map, sample
 from .model import FreeVar, Model
 from .rng import stream
 from .samplers import (
@@ -58,7 +58,7 @@ __all__ = [
     "Bernoulli", "BinomialFamily", "Custom", "DiscreteUniform",
     "Expr", "Exponential", "Flat", "Formula", "FreeVar", "GaussianRandomWalk",
     "HalfNormal", "Hmc", "MemoryBackend", "Metropolis", "Model", "Normal",
-    "NormalFamily", "Nuts", "Poisson", "SampleConfig", "Slice",
+    "NormalFamily", "Nuts", "Poisson", "Slice",
     "StudentT", "TextBackend", "Trace", "Uniform", "build_model", "concat",
     "const", "ess", "eval_expr", "exp", "find_map", "free_input", "grad",
     "graph", "hessian", "hessian_diag", "hpd", "lgamma", "leapfrog", "load", "log",

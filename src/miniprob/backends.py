@@ -136,15 +136,17 @@ class TextBackend(MemoryBackend):
     def start(self, layout: Layout, chains: int) -> None:
         super().start(layout, chains)
         self._files = []
+        path = self.directory
         try:
-            os.makedirs(self.directory, exist_ok=True)
+            os.makedirs(path, exist_ok=True)
             for k in range(chains):
-                f = open(os.path.join(self.directory, f"chain-{k}.csv"),
-                         "w", encoding="utf-8", newline="\n")
-                f.write(_header(self.layout) + "\n")
-                self._files.append(f)
+                path = os.path.join(self.directory, f"chain-{k}.csv")
+                self._files.append(open(path, "w", encoding="utf-8", newline="\n"))
+                self._files[-1].write(_header(self.layout) + "\n")
         except OSError as e:
-            raise IoFailure(f"cannot create trace directory {self.directory!r}: {e}") from e
+            for f in self._files:
+                f.close()
+            raise IoFailure(f"cannot create trace file {path!r}: {e}") from e
 
     def record(self, chain: int, point: Mapping) -> None:
         row = _row_from_point(self.layout, point)

@@ -1,13 +1,15 @@
 """Command-line surface: case-study demos, trace summaries, plot-data export.
 
-Exit codes: 0 success, 2 usage errors, 3 data errors (missing files;
-corrupt, truncated or mismatched traces; traces too short to summarize or
-holding NaN or infinite samples), 4 numeric failures during inference.
+Exit codes: 0 success, 2 usage errors, 3 data errors (missing, unreadable
+or malformed data files; corrupt, truncated or mismatched traces; traces too
+short to summarize or holding NaN or infinite samples; output that cannot be
+written), 4 numeric failures during inference.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -15,7 +17,8 @@ from . import demos
 from .backends import TextBackend, load
 from .exceptions import (
     CorruptMeta,
-    DataFileMissing,
+    DataFileError,
+    IoFailure,
     MiniprobError,
     MissingChainFile,
     NonFiniteSample,
@@ -52,9 +55,19 @@ def _progress(chain, draw, total):
     sys.stderr.flush()
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Raise an OS error from the block as ``IoFailure`` naming ``path``."""
+    try:
+        yield
+    except OSError as e:
+        raise IoFailure(f"cannot write {path!r}: {e}") from e
+
+
 def _run_demo(args) -> int:
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     backend = TextBackend(os.path.join(out_dir, "trace"))
     draws = args.draws if args.draws is not None else DEMO_DEFAULT_DRAWS[args.name]
     progress = None if args.quiet else _progress
@@ -71,10 +84,11 @@ def _run_demo(args) -> int:
         _, trace = demos.run_glm_logistic(draws, args.seed, backend, progress)
 
     _, text = summary(trace)
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
-        f.write(text + "\n")
     sys.stdout.write(text + "\n")
-    write_plot_data(trace, os.path.join(out_dir, "plots"))
+    with _writing(out_dir):
+        with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+        write_plot_data(trace, os.path.join(out_dir, "plots"))
     return EXIT_OK
 
 
@@ -89,7 +103,9 @@ def _run_summary(args) -> int:
 def _run_plotdata(args) -> int:
     trace = load(args.trace_dir)
     vars = [args.var] if args.var else None
-    for path in write_plot_data(trace, args.out, vars=vars):
+    with _writing(args.out):
+        paths = write_plot_data(trace, args.out, vars=vars)
+    for path in paths:
         sys.stdout.write(path + "\n")
     return EXIT_OK
 
@@ -131,7 +147,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DataFileMissing, CorruptMeta, MissingChainFile, NonFiniteSample,
+    except (CorruptMeta, DataFileError, IoFailure, MissingChainFile, NonFiniteSample,
             TooFewSamples, UnknownVariable) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_DATA

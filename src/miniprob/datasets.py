@@ -3,11 +3,12 @@ years missing, marked -999) and a 400-day daily-return fixture."""
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
-from .exceptions import DataFileMissing
+from .exceptions import DataFileError
 
 MISSING_SENTINEL = -999
 
@@ -36,14 +37,28 @@ def sp500_fixture_path() -> str:
 
 
 def load_returns(path: str | None = None) -> np.ndarray:
-    """Daily returns, one per line, most recent last; bundled fixture by default."""
+    """Daily returns, one per line, most recent last; bundled fixture by
+    default.  A missing file, a value that is not a finite number and fewer
+    than 2 returns raise ``DataFileError`` naming the file (and the line)."""
     path = sp500_fixture_path() if path is None else path
-    if not os.path.exists(path):
-        raise DataFileMissing(f"returns file {path!r} does not exist")
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataFileError(f"cannot read returns file {path!r}: {e}") from None
     values = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                values.append(float(line))
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                value = float(line)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataFileError(f"returns file {path!r} line {line_no}: "
+                                    f"{line!r} is not a finite number")
+            values.append(value)
+    if len(values) < 2:
+        raise DataFileError(f"returns file {path!r} holds {len(values)} returns, "
+                            "fewer than 2")
     return np.asarray(values, dtype=np.float64)

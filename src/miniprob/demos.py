@@ -22,7 +22,7 @@ from .distributions import (
     StudentT,
 )
 from .glm import BinomialFamily, build_model
-from .inference import SampleConfig, find_map, sample
+from .inference import find_map, sample
 from .model import Model
 from .rng import DATA_STREAM, stream
 from .samplers import Metropolis, Nuts
@@ -59,9 +59,8 @@ def run_linear(draws: int, seed: int, backend=None, progress=None):
     model = linear_model(data)
     start = find_map(model, method="direction_set")
     step = Nuts(model, scaling=start)
-    cfg = SampleConfig(draws=draws, steps=[step], start=start, seed=seed,
-                       backend=backend, progress=progress)
-    return model, start, sample(model, cfg)
+    return model, start, sample(model, draws, [step], start=start, seed=seed,
+                                backend=backend, progress=progress)
 
 
 def disasters_model() -> Model:
@@ -85,9 +84,8 @@ def run_disasters(draws: int, seed: int, backend=None, progress=None):
         Nuts(model, vars=["early_rate", "late_rate"]),
         Metropolis(model, vars=["switchpoint", "disasters.missing_values"]),
     ]
-    cfg = SampleConfig(draws=draws, steps=steps, seed=seed, backend=backend,
-                       progress=progress)
-    return model, sample(model, cfg)
+    return model, sample(model, draws, steps, seed=seed, backend=backend,
+                         progress=progress)
 
 
 def sp500_model(returns: np.ndarray) -> Model:
@@ -111,13 +109,11 @@ def run_sp500(draws: int, seed: int, data_path=None, backend=None, progress=None
     start = find_map(model, vars=["s"], method="quasi_newton")
 
     pilot_step = Nuts(model, scaling=start)
-    pilot = sample(model, SampleConfig(draws=50, steps=[pilot_step],
-                                       start=start, seed=seed))
+    pilot = sample(model, 50, [pilot_step], start=start, seed=seed)
     restart = pilot[-1]
     step = Nuts(model, scaling=restart, gamma=0.25)
-    cfg = SampleConfig(draws=draws, steps=[step], start=restart, seed=seed + 1,
-                       backend=backend, progress=progress)
-    return model, sample(model, cfg)
+    return model, sample(model, draws, [step], start=restart, seed=seed + 1,
+                         backend=backend, progress=progress)
 
 
 def glm_logistic_table(seed: int) -> dict[str, np.ndarray]:
@@ -130,15 +126,12 @@ def run_glm_linear(draws: int, seed: int, backend=None, progress=None):
     model = build_model("y ~ x1 + x2", simulate_linear_data(seed))
     start = find_map(model, method="quasi_newton")
     step = Nuts(model, scaling=start)
-    cfg = SampleConfig(draws=draws, steps=[step], start=start, seed=seed,
-                       backend=backend, progress=progress)
-    return model, sample(model, cfg)
+    return model, sample(model, draws, [step], start=start, seed=seed,
+                         backend=backend, progress=progress)
 
 
 def run_glm_logistic(draws: int, seed: int, backend=None, progress=None):
     model = build_model("y ~ x1 + x2", glm_logistic_table(seed),
                         family=BinomialFamily())
-    step = Metropolis(model)
-    cfg = SampleConfig(draws=draws, steps=[step], seed=seed, backend=backend,
-                       progress=progress)
-    return model, sample(model, cfg)
+    return model, sample(model, draws, [Metropolis(model)], seed=seed,
+                         backend=backend, progress=progress)

@@ -138,5 +138,5 @@ class NonBinaryResponse(MiniprobError, ValueError):
 
 # --- cli ---
 
-class DataFileMissing(MiniprobError, FileNotFoundError):
-    pass
+class DataFileError(MiniprobError, ValueError):
+    """A data file is missing, unreadable or holds a malformed value."""

@@ -1,10 +1,10 @@
-"""Inference drivers: MAP optimization over ``samplers.Packer`` vectors and
-the sample loop."""
+"""Inference drivers: ``find_map`` optimizes over ``samplers.Packer``
+vectors; ``sample(model, draws, steps, *, start, chains, seed, backend,
+warmup, discard_tuned, progress)`` runs the paper's sample loop."""
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -76,52 +76,35 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
     return model.expand_point(point)
 
 
-@dataclass
-class SampleConfig:
-    draws: int
-    steps: list = field(default_factory=list)
-    start: Mapping | None = None
-    chains: int = 1
-    seed: int = 0
-    backend: object | None = None
-    discard_tuned: bool = True
-    warmup: int | None = None  # default: min(500, draws // 2)
-    progress: Callable[[int, int, int], None] | None = None
+def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = None,
+           chains: int = 1, seed: int = 0, backend=None, warmup: int | None = None,
+           discard_tuned: bool = True, progress: Callable | None = None) -> Trace:
+    """Draw ``draws`` per chain with the step methods in the list ``steps``.
 
-    def __post_init__(self):
-        _count("draws", self.draws, 1)
-        _count("chains", self.chains, 1)
-        if not (isinstance(self.steps, list)
-                and all(isinstance(s, StepMethod) for s in self.steps)):
-            raise ValueError(f"steps must be a list of step methods, got {self.steps!r}")
-        if self.warmup is not None:
-            _count("warmup", self.warmup, 0)
-
-
-def sample(model: Model, config: SampleConfig) -> Trace:
-    """Run the configured step methods for each chain and return the trace.
-
-    Chain k draws from the random stream (seed, k), so any chain count with
-    the same seed reproduces bit-identically chain by chain.  Warm-up draws
-    tune the kernels and are recorded only when ``discard_tuned`` is off.
-    When a draw fails, the backend is finished before the error propagates,
-    so a ``TextBackend`` directory keeps the rows recorded so far.
+    Chain k starts at ``start`` and draws from the random stream (seed, k),
+    so a seed reproduces each chain bit-identically at any chain count.  The
+    first ``warmup`` draws (default min(500, draws // 2)) tune the kernels and
+    are recorded only when ``discard_tuned`` is off.  ``backend`` defaults to
+    memory; ``progress(chain, draw, total)`` is called every 100 draws.  Bad
+    counts raise ``ValueError`` before the model or backend is touched; after
+    a failed draw the backend is still finished, keeping the rows so far.
     """
+    draws = _count("draws", draws, 1)
+    chains = _count("chains", chains, 1)
+    warmup = min(500, draws // 2) if warmup is None else _count("warmup", warmup, 0)
+    if not (isinstance(steps, list) and all(isinstance(s, StepMethod) for s in steps)):
+        raise ValueError(f"steps must be a list of step methods, got {steps!r}")
     model.finalize()
-    validate_coverage(model, config.steps)
+    validate_coverage(model, steps)
+    backend = MemoryBackend() if backend is None else backend
+    backend.start(model.trace_layout(), chains)
 
-    warmup = config.warmup
-    if warmup is None:
-        warmup = min(500, config.draws // 2)
-    backend = config.backend if config.backend is not None else MemoryBackend()
-    backend.start(model.trace_layout(), config.chains)
-
-    total = warmup + config.draws
+    total = warmup + draws
     try:
-        for chain in range(config.chains):
-            rng = stream(config.seed, chain)
-            chain_steps = [s.clone() for s in config.steps]
-            point = model.initial_point(config.start)
+        for chain in range(chains):
+            rng = stream(seed, chain)
+            chain_steps = [s.clone() for s in steps]
+            point = model.initial_point(start)
             for i in range(total):
                 tuning = i < warmup
                 try:
@@ -129,10 +112,10 @@ def sample(model: Model, config: SampleConfig) -> Trace:
                         point = s.step(point, rng, tuning)
                 except MiniprobError as e:
                     raise SamplingError(f"chain {chain}, draw {i}: {e}") from e
-                if not config.discard_tuned or i >= warmup:
+                if not discard_tuned or i >= warmup:
                     backend.record(chain, model.expand_point(point))
-                if config.progress is not None and ((i + 1) % 100 == 0 or i + 1 == total):
-                    config.progress(chain, i + 1, total)
+                if progress is not None and ((i + 1) % 100 == 0 or i + 1 == total):
+                    progress(chain, i + 1, total)
     except BaseException:
         # keep the rows recorded so far loadable; the original error is the one to report
         with contextlib.suppress(MiniprobError):

@@ -19,7 +19,7 @@ def test_exports_are_unique():
 
 
 def test_removed_names_are_not_exported():
-    removed = {"CompoundStep", "ObservedVar", "scaling_from_point"}
+    removed = {"CompoundStep", "ObservedVar", "SampleConfig", "scaling_from_point"}
     assert removed.isdisjoint(miniprob.__all__)
     assert not any(hasattr(miniprob, name) for name in removed)
 
@@ -32,7 +32,10 @@ def test_removed_names_are_not_exported():
     (demos.run_disasters, ["draws", "seed", "backend", "progress"]),
     (miniprob.hessian, ["model", "point", "vars"]),
     (miniprob.hessian_diag, ["model", "point", "vars"]),
-], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters", "hessian", "hessian_diag"])
+    (miniprob.sample, ["model", "draws", "steps", "start", "chains", "seed", "backend",
+                       "warmup", "discard_tuned", "progress"]),
+], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters", "hessian", "hessian_diag",
+        "sample"])
 def test_kernel_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
 

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from miniprob.backends import MemoryBackend, TextBackend, Trace, flat_names, load
-from miniprob.exceptions import CorruptMeta, MissingChainFile, MissingInput, UnknownVariable
+from miniprob.exceptions import (
+    CorruptMeta,
+    IoFailure,
+    MissingChainFile,
+    MissingInput,
+    UnknownVariable,
+)
 
 LAYOUT = [("alpha", (), "float"), ("beta", (2,), "float"), ("k", (), "int")]
 
@@ -110,6 +116,16 @@ class TestTextBackend:
         assert meta["chains"] == 2
         assert meta["draws"] == 4
         assert meta["vars"][1] == {"name": "beta", "shape": [2], "dtype": "float"}
+
+    def test_failed_start_names_the_chain_file_and_closes_the_others(self, tmp_path):
+        # chain-0.csv is opened before chain-1.csv fails; an unclosed file
+        # would surface as a ResourceWarning, an error under this suite
+        d = tmp_path / "t"
+        (d / "chain-1.csv").mkdir(parents=True)
+        b = TextBackend(str(d))
+        with pytest.raises(IoFailure, match=r"cannot create trace file .*chain-1\.csv"):
+            b.start([("x", (), "float")], 2)
+        assert b._files[0].closed
 
     def test_empty_directory_is_corrupt(self, tmp_path):
         with pytest.raises(CorruptMeta):

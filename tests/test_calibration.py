@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from miniprob import Hmc, Metropolis, Model, Normal, Nuts, SampleConfig, Slice, sample
+from miniprob import Hmc, Metropolis, Model, Normal, Nuts, Slice, sample
 
 REPLICATIONS = 100
 WARMUP, DRAWS, THIN = 50, 45, 5
@@ -33,8 +33,7 @@ def rank_counts(kernel, model_obs_sd=1.0) -> np.ndarray:
         m = Model()
         mu = m.add_free("mu", Normal(mu=0.0, sd=1.0))
         m.add_observed("y", Normal(mu=mu.value, sd=model_obs_sd), y)
-        trace = sample(m, SampleConfig(draws=DRAWS, warmup=WARMUP, steps=[kernel(m)],
-                                       seed=r))
+        trace = sample(m, DRAWS, [kernel(m)], warmup=WARMUP, seed=r)
         ranks.append(int(np.sum(trace["mu"][THIN - 1::THIN] < mu_true)))
     return np.bincount(np.array(ranks) // 2, minlength=5)
 

@@ -7,7 +7,8 @@ from scipy.special import gammaln
 
 from miniprob import demos
 from miniprob.datasets import disasters_data, load_returns
-from miniprob.inference import SampleConfig, find_map, sample
+from miniprob.exceptions import DataFileError
+from miniprob.inference import find_map, sample
 from miniprob.samplers import Nuts
 
 
@@ -40,6 +41,32 @@ def exact_disasters_posterior() -> dict[str, tuple[float, float]]:
     }
 
 
+@pytest.mark.parametrize("text, match", [
+    ("0.01\nabc\n0.02\n", "line 2: 'abc'"),
+    ("# returns\n0.01\nnan\n", "line 3: 'nan'"),
+    ("0.01\n-inf\n", "line 2: '-inf'"),
+    ("0.01\n", "1 returns"),
+    ("# no data\n\n", "0 returns"),
+], ids=["not_a_number", "nan", "infinite", "one_return", "no_returns"])
+def test_malformed_returns_file_is_a_data_error(tmp_path, text, match):
+    path = tmp_path / "returns.csv"
+    path.write_text(text)
+    with pytest.raises(DataFileError, match=match) as exc:
+        load_returns(str(path))
+    assert str(path) in str(exc.value)
+
+
+def test_missing_returns_file_is_a_data_error(tmp_path):
+    with pytest.raises(DataFileError, match="absent.csv"):
+        load_returns(str(tmp_path / "absent.csv"))
+
+
+def test_two_returns_load(tmp_path):
+    path = tmp_path / "returns.csv"
+    path.write_text("# two days\n0.01\n\n-0.02\n")
+    np.testing.assert_array_equal(load_returns(str(path)), [0.01, -0.02])
+
+
 def test_exact_disasters_posterior():
     exact = exact_disasters_posterior()
     assert exact["switchpoint"] == pytest.approx((1889.784, 2.4406), abs=1e-3)
@@ -62,8 +89,7 @@ def test_sp500_short_run_is_finite_and_positive():
     model = demos.sp500_model(load_returns())
     start = find_map(model, vars=["s"], method="quasi_newton")
     step = Nuts(model, scaling=start)
-    trace = sample(model, SampleConfig(draws=20, warmup=10, steps=[step],
-                                       start=start, seed=1))
+    trace = sample(model, 20, [step], warmup=10, start=start, seed=1)
     assert len(trace) == 20
     for name in trace.names:
         assert np.all(np.isfinite(trace.get(name))), name

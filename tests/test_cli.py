@@ -124,3 +124,37 @@ def test_summary_of_meta_listing_a_name_twice_is_a_data_error(tmp_path, capsys):
     assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blocked", ["out", "out/trace", "out/summary.txt"])
+def test_demo_output_that_cannot_be_written_is_a_data_error(tmp_path, capsys, blocked):
+    # a file where the output or trace directory goes, a directory where summary.txt goes
+    path = tmp_path / blocked
+    path.parent.mkdir(exist_ok=True)
+    if blocked.endswith(".txt"):
+        path.mkdir()
+    else:
+        path.write_text("not a directory")
+    assert cli.main(["demo", "linear", "--draws", "20", "--quiet",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+def test_plotdata_out_naming_a_file_is_a_data_error(tmp_path, capsys):
+    write_trace(tmp_path / "trace", 200)
+    out = tmp_path / "plots"
+    out.write_text("not a directory")
+    assert cli.main(["plotdata", str(tmp_path / "trace"), "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
+def test_sp500_malformed_returns_file_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "returns.csv"
+    data.write_text("0.01\n0.02\nabc\n")
+    out = tmp_path / "out"
+    assert cli.main(["demo", "sp500", "--draws", "20", "--quiet", "--data", str(data),
+                     "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3" in err and "Traceback" not in err

@@ -31,7 +31,7 @@ import pytest
 
 from miniprob import demos
 from miniprob.distributions import Exponential, Normal
-from miniprob.inference import SampleConfig, sample
+from miniprob.inference import sample
 from miniprob.model import Model
 from miniprob.samplers import Hmc, Metropolis, Nuts, Slice
 
@@ -86,5 +86,5 @@ def kernel_model() -> Model:
 ], ids=["slice", "hmc", "nuts_metropolis"])
 def test_two_chain_kernel_trace_is_pinned(grad_calls, steps, draws, sha_prefix, calls):
     m = kernel_model()
-    trace = sample(m, SampleConfig(draws=draws, steps=steps(m), seed=3, chains=2))
+    trace = sample(m, draws, steps(m), seed=3, chains=2)
     assert (trace_sha256(trace)[:16], grad_calls[0]) == (sha_prefix, calls)

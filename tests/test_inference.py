@@ -12,7 +12,7 @@ from miniprob.backends import MemoryBackend, TextBackend, load
 from miniprob.distributions import DiscreteUniform, Exponential, Normal
 from miniprob.exceptions import NonFiniteLogp, NonFiniteStart, SamplingError, UncoveredVariable
 from miniprob.graph import opaque_deterministic
-from miniprob.inference import SampleConfig, find_map, sample
+from miniprob.inference import find_map, sample
 from miniprob.model import Model
 from miniprob.samplers import Metropolis, Nuts, Packer, hessian_diag
 
@@ -127,8 +127,10 @@ class TestHessianDiag:
 
 class TestSample:
     def test_negative_warmup_rejected(self):
-        with pytest.raises(ValueError):
-            SampleConfig(draws=10, warmup=-4)
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        with pytest.raises(ValueError, match="warmup"):
+            sample(m, 10, [Metropolis(m)], warmup=-4)
 
     @pytest.mark.parametrize("steps", ["bare", "tuple", "not_a_step"])
     def test_steps_must_be_a_list_of_step_methods(self, steps):
@@ -138,30 +140,27 @@ class TestSample:
         steps = {"bare": Metropolis(m), "tuple": (Metropolis(m),),
                  "not_a_step": [Metropolis(m), "slice"]}[steps]
         with pytest.raises(ValueError, match="list of step methods"):
-            SampleConfig(draws=10, steps=steps)
+            sample(m, 10, steps)
 
     def test_trace_length_with_discard(self):
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        t = sample(m, SampleConfig(draws=400, steps=[Metropolis(m)], seed=1,
-                                   warmup=100, discard_tuned=True))
+        t = sample(m, 400, [Metropolis(m)], seed=1, warmup=100, discard_tuned=True)
         assert len(t) == 400
 
     def test_trace_length_without_discard(self):
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        t = sample(m, SampleConfig(draws=400, steps=[Metropolis(m)], seed=1,
-                                   warmup=100, discard_tuned=False))
+        t = sample(m, 400, [Metropolis(m)], seed=1, warmup=100, discard_tuned=False)
         assert len(t) == 500
 
     def test_default_warmup_rule(self):
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        t = sample(m, SampleConfig(draws=50, steps=[Metropolis(m)], seed=1,
-                                   discard_tuned=False))
+        t = sample(m, 50, [Metropolis(m)], seed=1, discard_tuned=False)
         assert len(t) == 50 + 25  # min(500, draws // 2)
 
     def test_coverage_required(self):
@@ -170,16 +169,16 @@ class TestSample:
         m.add_free("b", Normal(mu=0.0, sd=1.0))
         m.finalize()
         with pytest.raises(UncoveredVariable):
-            sample(m, SampleConfig(draws=10, steps=[Metropolis(m, vars=["a"])], seed=0))
+            sample(m, 10, [Metropolis(m, vars=["a"])], seed=0)
 
     def test_same_seed_identical_backends(self, tmp_path):
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        t1 = sample(m, SampleConfig(draws=200, steps=[Nuts(m)], seed=4, warmup=50,
-                                    backend=TextBackend(str(tmp_path / "a"))))
-        t2 = sample(m, SampleConfig(draws=200, steps=[Nuts(m)], seed=4, warmup=50,
-                                    backend=TextBackend(str(tmp_path / "b"))))
+        t1 = sample(m, 200, [Nuts(m)], seed=4, warmup=50,
+                    backend=TextBackend(str(tmp_path / "a")))
+        t2 = sample(m, 200, [Nuts(m)], seed=4, warmup=50,
+                    backend=TextBackend(str(tmp_path / "b")))
         a = (tmp_path / "a" / "chain-0.csv").read_text()
         assert a == (tmp_path / "b" / "chain-0.csv").read_text()
         np.testing.assert_array_equal(t1["x"], t2["x"])
@@ -188,11 +187,9 @@ class TestSample:
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        t_mem = sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=8,
-                                       warmup=50, backend=MemoryBackend()))
-        t_txt = sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=8,
-                                       warmup=50,
-                                       backend=TextBackend(str(tmp_path / "t"))))
+        t_mem = sample(m, 150, [Metropolis(m)], seed=8, warmup=50, backend=MemoryBackend())
+        t_txt = sample(m, 150, [Metropolis(m)], seed=8, warmup=50,
+                       backend=TextBackend(str(tmp_path / "t")))
         np.testing.assert_array_equal(t_mem["x"], t_txt["x"])
 
     def test_text_backend_reused_for_a_second_run(self, tmp_path):
@@ -202,8 +199,8 @@ class TestSample:
         text = TextBackend(str(tmp_path / "t"))
 
         def run(backend, seed):
-            return sample(m, SampleConfig(draws=60, steps=[Metropolis(m)], seed=seed,
-                                          warmup=10, chains=2, backend=backend))
+            return sample(m, 60, [Metropolis(m)], seed=seed, warmup=10, chains=2,
+                          backend=backend)
 
         run(text, 1)
         second = run(text, 2)
@@ -216,19 +213,18 @@ class TestSample:
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
         calls = []
-        t = sample(m, SampleConfig(draws=250, steps=[Metropolis(m)], seed=1,
-                                   warmup=0, progress=lambda c, d, t_: calls.append((c, d, t_))))
+        t = sample(m, 250, [Metropolis(m)], seed=1, warmup=0,
+                   progress=lambda c, d, t_: calls.append((c, d, t_)))
         assert calls == [(0, 100, 250), (0, 200, 250), (0, 250, 250)]
 
     def test_last_point_restart(self):
         m = Model()
         m.add_free("e", Exponential(1.0))
         m.finalize()
-        t = sample(m, SampleConfig(draws=100, steps=[Metropolis(m)], seed=2, warmup=20))
+        t = sample(m, 100, [Metropolis(m)], seed=2, warmup=20)
         last = t[-1]
         assert set(last) == {"e_log", "e"}
-        t2 = sample(m, SampleConfig(draws=10, steps=[Metropolis(m)], seed=3,
-                                    start=last, warmup=0, discard_tuned=False))
+        t2 = sample(m, 10, [Metropolis(m)], seed=3, start=last, warmup=0, discard_tuned=False)
         assert np.isfinite(t2["e"]).all()
 
 
@@ -253,10 +249,9 @@ def crash_mid_sample(directory: str) -> None:
     m = Model()
     m.add_free("x", Normal(mu=0.0, sd=1.0))
     m.finalize()
-    cfg = SampleConfig(draws=20, steps=[FailingMetropolis(m)], seed=5, warmup=0,
-                       backend=TextBackend(directory))
     with pytest.raises(SamplingError, match=f"draw {FailingMetropolis.FAIL_AT}:"):
-        sample(m, cfg)
+        sample(m, 20, [FailingMetropolis(m)], seed=5, warmup=0,
+               backend=TextBackend(directory))
 
 
 class TestCrashMidSample:
@@ -265,7 +260,7 @@ class TestCrashMidSample:
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        full = sample(m, SampleConfig(draws=20, steps=[Metropolis(m)], seed=5, warmup=0))
+        full = sample(m, 20, [Metropolis(m)], seed=5, warmup=0)
         partial = load(str(tmp_path / "t"))
         assert partial.chain_length() == FailingMetropolis.FAIL_AT
         np.testing.assert_array_equal(partial["x"], full["x"][:FailingMetropolis.FAIL_AT])
@@ -280,11 +275,9 @@ class TestCrashMidSample:
                 raise NonFiniteLogp("injected failure")
 
         with pytest.raises(NonFiniteLogp):
-            sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=5, warmup=0,
-                                   chains=2, progress=fail_in_chain_1,
-                                   backend=TextBackend(str(tmp_path / "t"))))
-        full = sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=5, warmup=0,
-                                      chains=2))
+            sample(m, 150, [Metropolis(m)], seed=5, warmup=0, chains=2,
+                   progress=fail_in_chain_1, backend=TextBackend(str(tmp_path / "t")))
+        full = sample(m, 150, [Metropolis(m)], seed=5, warmup=0, chains=2)
         partial = load(str(tmp_path / "t"))
         assert (partial.chain_length(0), partial.chain_length(1)) == (150, 100)
         np.testing.assert_array_equal(partial["x"], full["x"][:250])

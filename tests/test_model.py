@@ -417,15 +417,14 @@ class TestCustomDensity:
 
 class TestPriorSamplingThroughTransform:
     def test_exponential_moments_via_nuts(self):
-        from miniprob.inference import SampleConfig, sample
+        from miniprob.inference import sample
         from miniprob.samplers import Nuts
 
         m = Model()
         m.add_free("e", Exponential(1.0))
         m.finalize()
         step = Nuts(m, scaling=np.array([1.0]))
-        cfg = SampleConfig(draws=20000, steps=[step], seed=3, warmup=500)
-        trace = sample(m, cfg)
+        trace = sample(m, 20000, [step], seed=3, warmup=500)
         x = trace["e"]
         assert x.shape == (20000,)
         assert 0.93 <= float(np.mean(x)) <= 1.07

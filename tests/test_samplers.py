@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from miniprob import graph
-from miniprob.distributions import Exponential, Flat, Normal
+from miniprob import demos, graph
+from miniprob.backends import TextBackend
+from miniprob.distributions import DiscreteUniform, Exponential, Flat, Normal
 from miniprob.exceptions import (
+    IntegerDifferentiation,
     NonFiniteGradient,
     NonFiniteLogp,
     OverlappingTargets,
     UncoveredVariable,
 )
 from miniprob.graph import const, switch, cmp_ge
-from miniprob.inference import SampleConfig, sample
+from miniprob.inference import sample
 from miniprob.model import Model
 from miniprob.rng import stream
 from miniprob.samplers import (
@@ -115,8 +117,7 @@ class TestMetropolis:
     def test_standard_normal_moments(self):
         m = normal_model()
         step = Metropolis(m)
-        cfg = SampleConfig(draws=20000, steps=[step], seed=5, warmup=2000)
-        trace = sample(m, cfg)
+        trace = sample(m, 20000, [step], seed=5, warmup=2000)
         x = trace["x"]
         assert abs(float(np.mean(x))) < 0.05
         assert 0.9 < float(np.var(x)) < 1.1
@@ -331,8 +332,7 @@ class TestDenseMetric:
         step = Nuts(m, scaling={"b": mean})
         assert step.mass.shape == (3, 3)
         np.testing.assert_allclose(step.mass @ step.inv_mass, np.eye(3), atol=1e-9)
-        trace = sample(m, SampleConfig(draws=3000, steps=[step], start={"b": mean},
-                                       seed=8, warmup=500))
+        trace = sample(m, 3000, [step], start={"b": mean}, seed=8, warmup=500)
         draws = trace["b"]
         cov = np.linalg.inv(precision)
         sd = np.sqrt(np.diag(cov))
@@ -438,19 +438,39 @@ def test_bad_step_setting_rejected(kernel, setting, bad):
     ("chains", 1.5), ("chains", True), ("chains", 0),
     ("warmup", 2.5), ("warmup", True), ("warmup", -1),
 ])
-def test_bad_count_setting_rejected(setting, bad):
-    # rejected where it is given, not by ``range()`` once a run has started
+def test_bad_count_setting_rejected(setting, bad, tmp_path):
+    # rejected where it is given, not by ``range()`` once a run has started:
+    # no trace directory is made
+    m = normal_model()
     with pytest.raises(ValueError, match=setting):
         if setting == "n_steps":
             Hmc(normal_model(), n_steps=bad)
         else:
-            SampleConfig(**{"draws": 10, setting: bad})
+            sample(m, **{"draws": 10, "steps": [Metropolis(m)],
+                         "backend": TextBackend(str(tmp_path / "t")), setting: bad})
+    assert not (tmp_path / "t").exists()
 
 
 def test_numpy_integer_counts_accepted():
     assert Hmc(normal_model(), n_steps=np.int64(3)).n_steps == 3
-    cfg = SampleConfig(draws=np.int32(5), chains=np.int64(2), warmup=np.uint8(0))
-    assert (cfg.draws, cfg.chains, cfg.warmup) == (5, 2, 0)
+    m = normal_model()
+    trace = sample(m, np.int32(5), [Metropolis(m)], chains=np.int64(2), warmup=np.uint8(0))
+    assert (trace.chain_length(0), trace.n_chains) == (5, 2)
+
+
+@pytest.mark.parametrize("kernel", [Nuts, Hmc, Slice])
+def test_kernels_reject_integer_targets(kernel):
+    m = Model()
+    m.add_free("x", Normal(mu=0.0, sd=1.0))
+    m.add_free("k", DiscreteUniform(0, 5))
+    with pytest.raises(IntegerDifferentiation, match="'k'"):
+        kernel(m.finalize(), vars=["x", "k"])
+
+
+def test_nuts_default_targets_include_the_disasters_switchpoint():
+    # default targets are every free variable, so the integer one is refused
+    with pytest.raises(IntegerDifferentiation, match="'switchpoint'"):
+        Nuts(demos.disasters_model())
 
 
 class TestHmc:
@@ -471,7 +491,7 @@ class TestCompound:
     def test_overlap_rejected(self):
         m = normal_model()
         with pytest.raises(OverlappingTargets):
-            sample(m, SampleConfig(draws=10, steps=[Metropolis(m), Metropolis(m)]))
+            sample(m, 10, [Metropolis(m), Metropolis(m)])
 
     def test_uncovered_rejected(self):
         m = Model()
@@ -504,22 +524,20 @@ class TestClone:
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
         m = normal_model()
-        a = sample(m, SampleConfig(draws=300, steps=[Nuts(m)], seed=42, warmup=100))
-        b = sample(m, SampleConfig(draws=300, steps=[Nuts(m)], seed=42, warmup=100))
+        a = sample(m, 300, [Nuts(m)], seed=42, warmup=100)
+        b = sample(m, 300, [Nuts(m)], seed=42, warmup=100)
         np.testing.assert_array_equal(a["x"], b["x"])
 
     def test_chains_are_distinct_but_reproducible(self):
         m = normal_model()
-        t4 = sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=9,
-                                    chains=4, warmup=50))
+        t4 = sample(m, 150, [Metropolis(m)], seed=9, chains=4, warmup=50)
         assert t4.n_chains == 4
         chains = [t4.chains[c]["x"] for c in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.array_equal(chains[i], chains[j])
         # chain k depends only on (seed, k), not on how many chains ran
-        t1 = sample(m, SampleConfig(draws=150, steps=[Metropolis(m)], seed=9,
-                                    chains=2, warmup=50))
+        t1 = sample(m, 150, [Metropolis(m)], seed=9, chains=2, warmup=50)
         np.testing.assert_array_equal(t1.chains[1]["x"], t4.chains[1]["x"])
 
 
@@ -578,13 +596,12 @@ class TestRecord:
         m = two_var_model()
         step = kernel(m)
         warmup, draws = 40, 60
-        cfg = SampleConfig(draws=draws, warmup=warmup, seed=3, steps=[step])
         calls["grad"] = 0
-        sample(m, cfg)
+        sample(m, draws, [step], warmup=warmup, seed=3)
         reused = calls["grad"]
         calls["grad"] = 0
         m.recall = lambda point: None
-        sample(m, cfg)
+        sample(m, draws, [step], warmup=warmup, seed=3)
         assert calls["grad"] - reused == warmup + draws - 1
 
     @pytest.mark.parametrize("kernels", [
