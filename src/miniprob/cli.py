@@ -1,5 +1,8 @@
 """Command-line surface: case-study demos, trace summaries, plot-data export.
 
+``--data`` names the returns file of the sp500 demo; with any other demo it
+is a usage error.
+
 Exit codes: 0 success, 2 usage errors, 3 data errors (missing, unreadable
 or malformed data files; corrupt, truncated or mismatched traces; traces too
 short to summarize or holding NaN or infinite samples; output that cannot be
@@ -27,12 +30,13 @@ from .exceptions import (
 )
 from .stats import summary, write_plot_data
 
-DEMO_DEFAULT_DRAWS = {
-    "linear": 2000,
-    "sp500": 2000,
-    "disasters": 10000,
-    "glm_linear": 2000,
-    "glm_logistic": 5000,
+# name: (run function, default draws); each run function returns the trace last
+DEMOS = {
+    "linear": (demos.run_linear, 2000),
+    "sp500": (demos.run_sp500, 2000),
+    "disasters": (demos.run_disasters, 10000),
+    "glm_linear": (demos.run_glm_linear, 2000),
+    "glm_logistic": (demos.run_glm_logistic, 5000),
 }
 
 EXIT_OK = 0
@@ -68,21 +72,11 @@ def _run_demo(args) -> int:
     out_dir = args.out
     with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
-    backend = TextBackend(os.path.join(out_dir, "trace"))
-    draws = args.draws if args.draws is not None else DEMO_DEFAULT_DRAWS[args.name]
-    progress = None if args.quiet else _progress
-
-    if args.name == "linear":
-        _, _, trace = demos.run_linear(draws, args.seed, backend, progress)
-    elif args.name == "disasters":
-        _, trace = demos.run_disasters(draws, args.seed, backend, progress)
-    elif args.name == "sp500":
-        _, trace = demos.run_sp500(draws, args.seed, args.data, backend, progress)
-    elif args.name == "glm_linear":
-        _, trace = demos.run_glm_linear(draws, args.seed, backend, progress)
-    else:
-        _, trace = demos.run_glm_logistic(draws, args.seed, backend, progress)
-
+    run, default_draws = DEMOS[args.name]
+    data = {} if args.data is None else {"data_path": args.data}
+    trace = run(default_draws if args.draws is None else args.draws, args.seed,
+                backend=TextBackend(os.path.join(out_dir, "trace")),
+                progress=None if args.quiet else _progress, **data)[-1]
     _, text = summary(trace)
     sys.stdout.write(text + "\n")
     with _writing(out_dir):
@@ -117,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a bundled case-study workflow")
-    demo.add_argument("name", choices=sorted(DEMO_DEFAULT_DRAWS))
+    demo.add_argument("name", choices=sorted(DEMOS))
     demo.add_argument("--draws", type=_positive_int, default=None,
                       help="posterior draws (default depends on the demo)")
     demo.add_argument("--seed", type=int, default=os.environ.get("MINIPROB_SEED", "1"),
@@ -125,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--out", default="miniprob_out",
                       help="output directory for trace/, summary.txt, plots/")
     demo.add_argument("--data", default=None,
-                      help="returns CSV for the sp500 demo (bundled fixture by default)")
+                      help="returns CSV for the sp500 demo only (bundled fixture by default)")
     demo.add_argument("--quiet", action="store_true", help="suppress progress output")
     demo.set_defaults(fn=_run_demo)
 
@@ -145,6 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "demo" and args.data is not None and args.name != "sp500":
+        parser.error(f"--data applies to the sp500 demo only, not {args.name!r}")
     try:
         return args.fn(args)
     except (CorruptMeta, DataFileError, IoFailure, MissingChainFile, NonFiniteSample,

@@ -41,18 +41,22 @@ class Formula:
         return f"{self.response} ~ {' + '.join(rhs)}"
 
 
-class Family:
-    kind = "normal"
-
-
-class NormalFamily(Family):
+class NormalFamily:
     """Identity link, Normal errors with an unknown scale."""
 
+    def observe(self, model: Model, name: str, eta, y: np.ndarray) -> None:
+        sd = model.add_free("sd", HalfNormal(sd=NOISE_PRIOR_SD))
+        model.add_observed(name, Normal(mu=eta, sd=sd.value), y)
 
-class BinomialFamily(Family):
+
+class BinomialFamily:
     """Logit link, Bernoulli (0/1) response."""
 
-    kind = "binomial"
+    def observe(self, model: Model, name: str, eta, y: np.ndarray) -> None:
+        if not np.all(np.isin(y, (0.0, 1.0))):
+            raise NonBinaryResponse(
+                f"binomial family needs a 0/1 response, got values outside {{0, 1}}")
+        model.add_observed(name, Bernoulli(p=graph.sigmoid(eta)), y.astype(np.int64))
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -119,8 +123,9 @@ def _column(table, name: str) -> np.ndarray:
     return np.asarray(col, dtype=np.float64)
 
 
-def build_model(formula: Formula | str, table, family: Family | None = None) -> Model:
-    """Model with one coefficient per term: eta = Intercept + sum(beta_i * x_i).
+def build_model(formula: Formula | str, table, family=None) -> Model:
+    """Model with one coefficient per term: eta = Intercept + sum(beta_i * x_i),
+    and the response observed by ``family.observe`` (default ``NormalFamily``).
 
     Normal family: response ~ Normal(eta, sd) with a HalfNormal prior on sd.
     Binomial family: response in {0, 1}, response ~ Bernoulli(sigmoid(eta)).
@@ -148,15 +153,5 @@ def build_model(formula: Formula | str, table, family: Family | None = None) -> 
     if eta is None:
         eta = graph.const(np.zeros_like(y))
 
-    if family.kind == "normal":
-        sd = model.add_free("sd", HalfNormal(sd=NOISE_PRIOR_SD))
-        model.add_observed(formula.response, Normal(mu=eta, sd=sd.value), y)
-    elif family.kind == "binomial":
-        if not np.all(np.isin(y, (0.0, 1.0))):
-            raise NonBinaryResponse(
-                f"binomial family needs a 0/1 response, got values outside {{0, 1}}")
-        model.add_observed(formula.response, Bernoulli(p=graph.sigmoid(eta)),
-                           y.astype(np.int64))
-    else:
-        raise ValueError(f"unknown family kind {family.kind!r}")
+    family.observe(model, formula.response, eta, y)
     return model

@@ -257,7 +257,8 @@ def switch(cond, a, b) -> Expr:
 
 
 def index(x, key) -> Expr:
-    """Static integer index or integer-array gather along the first axis."""
+    """Static integer index or integer-array gather along the first axis; a
+    rank-1 slice (``slice_``) is an index node keyed by its ``slice``."""
     x = as_expr(x)
     if not x.shape:
         raise ShapeMismatch("cannot index a scalar expression")
@@ -280,8 +281,7 @@ def slice_(x, slc: slice) -> Expr:
     if slc.step is not None and slc.step <= 0:
         raise ShapeMismatch("slice step must be positive")
     n = len(range(*slc.indices(x.shape[0])))
-    return Expr("slice", (x,), shape=(n,), dtype=x.dtype,
-                payload=(slc.start, slc.stop, slc.step))
+    return Expr("index", (x,), shape=(n,), dtype=x.dtype, payload=slc)
 
 
 def concat(parts: Iterable) -> Expr:
@@ -416,7 +416,6 @@ _FORWARD = {
     "switch": "where({0}, {1}, {2})",  # a nonzero (or NaN) condition picks {1}
     "concat": "concatenate(({a},))",
     "index": "{0}[{k}]",
-    "slice": "{0}[{k}]",
     "opaque": "call({k}, {n}, {a})",
 }
 _SCALAR = {
@@ -445,7 +444,6 @@ _BACKWARD = {
     "sum_all": ("full({s[0]}, float({g}))",),
     "switch": (None, "where({0}, {g}, 0.0)", "where({0}, 0.0, {g})"),
     "index": ("scatter({s[0]}, {k}, {g})",),
-    "slice": ("scatter({s[0]}, {k}, {g})",),
 }
 _NAMESPACE = {
     "absolute": np.absolute, "add": np.add, "asarray": np.asarray,
@@ -519,9 +517,8 @@ class _Tape:
                 for a in self.operands[i]:
                     deps[i] |= deps[a]
                 self.steps.append(i)
-                p = node.payload  # an index key, slice bounds or opaque function
-                if p is not None:
-                    self.namespace[f"k{i}"] = slice(*p) if node.kind == "slice" else p
+                if node.payload is not None:  # an index key or opaque function
+                    self.namespace[f"k{i}"] = node.payload
         self.state = (values, None)
 
     def _source(self, i: int, template: str, refs: list[str], **fields) -> str:

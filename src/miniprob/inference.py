@@ -32,6 +32,8 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
     ``scipy.optimize`` is imported on the first call, not with the package:
     sampling alone never loads it.
     """
+    if method not in ("quasi_newton", "direction_set"):
+        raise ValueError(f"unknown method {method!r}; use quasi_newton or direction_set")
     from scipy import optimize
 
     point = model.initial_point(start)
@@ -57,7 +59,7 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
 
             res = optimize.minimize(objective, packer.start, jac=True, method="BFGS",
                                     options={"gtol": 1e-8, "maxiter": 5000})
-        elif method == "direction_set":
+        else:  # direction_set
             def objective(x):
                 lp = packer.logp(x)
                 return _BIG if not np.isfinite(lp) else -lp
@@ -65,8 +67,6 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
             res = optimize.minimize(objective, packer.start, method="Powell",
                                     options={"xtol": 1e-8, "ftol": 1e-8,
                                              "maxiter": 5000, "maxfev": 500000})
-        else:
-            raise ValueError(f"unknown method {method!r}; use quasi_newton or direction_set")
 
         found = packer.point(np.atleast_1d(res.x))
         lp_final = model.logp(found)

@@ -13,12 +13,12 @@ order so registration order cannot change the result.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import graph
-from .distributions import Custom, Distribution
+from .distributions import Distribution
 from .exceptions import (
     AllMissing,
     DuplicateName,
@@ -130,11 +130,6 @@ class Model:
             self._terms[var.name] = term
         self._test_point[var.sampling_name] = np.asarray(var.sampling_testval)
 
-    def custom_density(self, name: str, logp_fn: Callable[[Expr], Expr],
-                       shape=(), testval=None, dtype="float") -> FreeVar:
-        """Free variable with an arbitrary log density; never transformed."""
-        return self.add_free(name, Custom(logp_fn, dtype=dtype), shape, testval)
-
     def add_observed(self, name: str, dist: Distribution, data, mask=None) -> None:
         self._check_open()
         data = as_dtype(data, dist.dtype, name)
@@ -158,6 +153,9 @@ class Model:
             n_miss = int(mask.sum())
 
             full_testval = dist.default_testval(data.shape, self._eval_param)
+            if full_testval is None:
+                raise TestvalOutsideSupport(
+                    f"{name}: a custom density has no test value for the masked entries")
             miss_var = FreeVar(miss_name, dist, (n_miss,), None, full_testval[mask])
             # observed entries stay constants; masked entries read the free input
             composed = graph.concat([const(data[~mask]), miss_var.input])

@@ -1,5 +1,5 @@
 """MCMC transition kernels and ``Packer``, the flat-vector log density that
-the gradient kernels, the Hessian scaling and ``find_map`` evaluate.
+Slice, the gradient kernels, the Hessian scaling and ``find_map`` evaluate.
 
 All kernels are pure functions of (state, point, rng stream): with the same
 seed a chain reproduces bit-for-bit.  One kernel instance serves one chain.
@@ -44,11 +44,15 @@ from .model import Model
 class Packer:
     """The named sampling coordinates of a model as one flat vector.  Every
     other coordinate is held at the base point: ``start`` overlaid on the test
-    point, until ``rebase``."""
+    point, until ``rebase``.  An integer variable among ``names`` raises
+    ``IntegerDifferentiation``."""
 
     def __init__(self, model: Model, names: Sequence[str], start: Mapping | None = None):
         self.model = model
         self.names = list(names)
+        for n in self.names:
+            if model.var(n).dtype == "int":
+                raise IntegerDifferentiation(f"cannot target integer variable {n!r}")
         self.shapes = [model.var(n).shape for n in self.names]
         self.sizes = [int(np.prod(s, dtype=int)) if s else 1 for s in self.shapes]
         self.offsets = np.cumsum([0] + self.sizes).tolist()
@@ -241,61 +245,59 @@ class Metropolis(StepMethod):
 
 
 class Slice(StepMethod):
-    """Univariate slice sampler with geometric step-out and shrinkage,
-    applied coordinate-wise to each target variable."""
+    """Univariate slice sampler with geometric step-out and shrinkage (Neal,
+    arXiv:physics/0009028), applied to each coordinate of the ``Packer``
+    vector of its targets in turn."""
 
     MAX_EXPANSIONS = 1000
     width = 1.0
 
     def __init__(self, model, vars=None):
         super().__init__(model, vars)
-        for n in self.vars:
-            if self.model.var(n).dtype == "int":
-                raise IntegerDifferentiation(
-                    f"slice sampling needs a continuous variable, got {n!r}")
+        self.packer = Packer(model, self.vars)
 
     def _default_vars(self, model):
         return model.continuous_names()
 
     def step(self, point, rng, tuning=False):
-        point = dict(point)
         last = self.model.recall(point)
-        lp = self.model.logp(point) if last is None else last[0]
+        q = self.packer.rebase(point)
+        views = self.packer._views(q)  # the point of ``q``, written through ``q``
+        lp = self.model.logp(views) if last is None else last[0]
         if not np.isfinite(lp):
             raise NonFiniteLogp(f"slice sampler started at logp={lp}")
-        for name in self.vars:
-            point[name] = np.array(point[name], dtype=np.float64)
-            for idx in np.ndindex(point[name].shape):
-                lp = self._update_coord(point, name, idx, lp, rng)
+        for i in range(self.packer.size):
+            lp = self._update_coord(q, views, i, lp, rng)
+        point = self.packer.point(q)
         self.model.remember(point, lp)
         return point
 
-    def _coord_logp(self, point, name, idx, value):
-        point[name][idx] = value
-        return self.model.logp(point)
+    def _coord_logp(self, q, views, i, value):
+        q[i] = value
+        return self.model.logp(views)
 
-    def _update_coord(self, point, name, idx, lp, rng):
-        x0 = float(point[name][idx])
+    def _update_coord(self, q, views, i, lp, rng):
+        x0 = float(q[i])
         log_u = lp + math.log(rng.random())
         left = x0 - self.width * rng.random()
         right = left + self.width
 
         w = self.width
         for _ in range(self.MAX_EXPANSIONS):
-            if self._coord_logp(point, name, idx, left) <= log_u:
+            if self._coord_logp(q, views, i, left) <= log_u:
                 break
             left -= w
             w *= 2.0
         w = self.width
         for _ in range(self.MAX_EXPANSIONS):
-            if self._coord_logp(point, name, idx, right) <= log_u:
+            if self._coord_logp(q, views, i, right) <= log_u:
                 break
             right += w
             w *= 2.0
 
         while True:
             x1 = left + (right - left) * rng.random()
-            lp1 = self._coord_logp(point, name, idx, x1)
+            lp1 = self._coord_logp(q, views, i, x1)
             if lp1 >= log_u:
                 return lp1
             if x1 > x0:
@@ -304,7 +306,7 @@ class Slice(StepMethod):
                 left = x1
             if right - left < 1e-300 or x1 == x0:
                 # degenerate shrink: the current point is always in the slice
-                return self._coord_logp(point, name, idx, x0)
+                return self._coord_logp(q, views, i, x0)
 
 
 class GradientStep(StepMethod):
@@ -322,10 +324,6 @@ class GradientStep(StepMethod):
 
     def __init__(self, model, vars=None, scaling=None):
         super().__init__(model, vars)
-        for n in self.vars:
-            if self.model.var(n).dtype == "int":
-                raise IntegerDifferentiation(
-                    f"gradient-based sampler cannot target integer variable {n!r}")
         self.packer = Packer(model, self.vars)
         if scaling is None:
             scaling = model.test_point

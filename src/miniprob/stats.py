@@ -113,7 +113,7 @@ def _flat_series(trace: Trace, name: str):
     values = trace[name]
     shape = trace.var_shapes[name]
     cols = flat_names(name, shape)
-    flat = values.reshape(values.shape[0], -1)
+    flat = values.reshape(values.shape[0], len(cols))
     for j, col in enumerate(cols):
         yield col, flat[:, j]
 
@@ -182,6 +182,8 @@ def kde(samples, n_points: int = 200):
     extended by three bandwidths."""
     x = np.asarray(samples, dtype=np.float64).ravel()
     n = x.size
+    if n == 0:
+        raise TooFewSamples("kde needs at least 1 sample")
     bw = float(np.std(x)) * n ** (-1.0 / 5.0)
     if bw <= 0:
         bw = 1e-8
@@ -198,6 +200,8 @@ def kde(samples, n_points: int = 200):
 def histogram(samples):
     """Integer-bin histogram: one bin per integer between min and max."""
     x = np.asarray(samples).astype(np.int64)
+    if x.size == 0:
+        raise TooFewSamples("histogram needs at least 1 sample")
     lo, hi = int(x.min()), int(x.max())
     values = np.arange(lo, hi + 1)
     counts = np.bincount(x - lo, minlength=hi - lo + 1)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import miniprob
-from miniprob import demos
+from miniprob import demos, glm
 
 
 def test_every_exported_name_resolves():
@@ -22,6 +22,8 @@ def test_removed_names_are_not_exported():
     removed = {"CompoundStep", "ObservedVar", "SampleConfig", "scaling_from_point"}
     assert removed.isdisjoint(miniprob.__all__)
     assert not any(hasattr(miniprob, name) for name in removed)
+    assert not hasattr(miniprob.Model, "custom_density")
+    assert not hasattr(glm, "Family")
 
 
 @pytest.mark.parametrize("fn, params", [

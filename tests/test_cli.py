@@ -50,6 +50,16 @@ def test_malformed_seed_variable_is_a_usage_error_for_demo_only(tmp_path, capsys
     assert not out.exists()
 
 
+def test_data_outside_sp500_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "linear", "--draws", "20", "--quiet", "--data",
+                  str(tmp_path / "absent.csv"), "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--data" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_summary_of_missing_directory_is_a_data_error(tmp_path):
     assert cli.main(["summary", str(tmp_path / "absent")]) == cli.EXIT_DATA
 
@@ -90,6 +100,20 @@ def test_summary_of_truncated_trace_is_a_data_error(tmp_path, capsys):
 def test_summary_of_short_trace_is_a_data_error(tmp_path):
     write_trace(tmp_path, 10)
     assert cli.main(["summary", str(tmp_path)]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("command", ["summary", "plotdata"])
+def test_empty_trace_is_a_data_error(tmp_path, capsys, command):
+    # a run that fails at draw 0 leaves a valid trace with no rows
+    backend = TextBackend(str(tmp_path / "trace"))
+    backend.start([("x", (), "float"), ("k", (2,), "int")], 1)
+    backend.finish()
+    argv = [command, str(tmp_path / "trace")]
+    if command == "plotdata":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -9,7 +9,7 @@ import miniprob
 from conftest import finite_diff_grad, rel_err
 from miniprob import demos
 from miniprob.backends import MemoryBackend, TextBackend, load
-from miniprob.distributions import DiscreteUniform, Exponential, Normal
+from miniprob.distributions import Custom, DiscreteUniform, Exponential, Normal
 from miniprob.exceptions import NonFiniteLogp, NonFiniteStart, SamplingError, UncoveredVariable
 from miniprob.graph import opaque_deterministic
 from miniprob.inference import find_map, sample
@@ -62,10 +62,19 @@ class TestFindMap:
         mp = find_map(disasters_model, vars=["switchpoint", "early_rate"])
         assert int(mp["switchpoint"]) == 1900  # untouched test value
 
+    @pytest.mark.parametrize("vars", [None, ["switchpoint"]], ids=["discrete_only", "held"])
+    def test_unknown_method_rejected_when_nothing_moves(self, disasters_model, vars):
+        # nothing continuous to optimize: a discrete-only model, or only discrete targets
+        m = disasters_model
+        if vars is None:
+            m = Model()
+            m.add_free("k", DiscreteUniform(0, 5))
+        with pytest.raises(ValueError, match="bogus"):
+            find_map(m, vars=vars, method="bogus")
+
     def test_nonfinite_start_rejected(self):
         m = Model()
-        m.custom_density("v", lambda v: -abs(v) * 0.0 + _neg_inf_below_zero(v),
-                         testval=1.0)
+        m.add_free("v", Custom(lambda v: -abs(v) * 0.0 + _neg_inf_below_zero(v)), testval=1.0)
         m.finalize()
         with pytest.raises(NonFiniteStart):
             find_map(m, start={"v": -2.0})
@@ -75,8 +84,7 @@ class TestFindMap:
         m = Model()
         x = m.add_free("x", Normal(mu=2.0, sd=1.0))
         blocked = opaque_deterministic(lambda v: np.asarray(float(v)), [x.value], ())
-        m.custom_density("y", lambda v: Normal(mu=blocked, sd=1.0).logp_expr(v),
-                         testval=0.0)
+        m.add_free("y", Custom(lambda v: Normal(mu=blocked, sd=1.0).logp_expr(v)), testval=0.0)
         m.finalize()
         mp = find_map(m, method="direction_set")
         assert np.isfinite(mp["x"])

@@ -5,6 +5,7 @@ from conftest import rel_err
 from miniprob import graph
 from miniprob.distributions import (
     Bernoulli,
+    Custom,
     DiscreteUniform,
     Exponential,
     Flat,
@@ -131,8 +132,8 @@ class TestTestvalRule:
     def test_rejected_custom_density_can_be_retried(self):
         m = Model()
         with pytest.raises(TESTVAL_ERROR):
-            m.custom_density("eps", lambda v: -graph.log(abs(v)), testval=0.0)
-        m.custom_density("eps", lambda v: -graph.log(abs(v)), testval=1.0)
+            m.add_free("eps", Custom(lambda v: -graph.log(abs(v))), testval=0.0)
+        m.add_free("eps", Custom(lambda v: -graph.log(abs(v))), testval=1.0)
         assert m.sampling_names() == ["eps"]
         assert m.logp({"eps": 1.0}) == 0.0
 
@@ -330,8 +331,8 @@ class TestMissingData:
             composed = graph.concat([const(data[~mask]), v])[perm]
             return Poisson(r2.value).logp_expr(composed)
 
-        m2.custom_density("holes", spliced_poisson, shape=(2,),
-                          testval=np.array([1, 1]), dtype="int")
+        m2.add_free("holes", Custom(spliced_poisson, dtype="int"), shape=(2,),
+                    testval=np.array([1, 1]))
         m2.finalize()
 
         for ks in [(0, 0), (2, 1), (5, 3)]:
@@ -372,6 +373,14 @@ class TestMissingData:
         point = {"y.missing_values": np.array([2.0])} if mask else {}
         assert m.logp(point) == pytest.approx(-0.5 * 5.0 - np.log(2.0 * np.pi), rel=1e-12)
 
+    def test_masked_custom_density_is_rejected_and_leaves_the_model_unchanged(self):
+        # a custom density has no default value to fill the masked entries
+        m = Model()
+        with pytest.raises(TESTVAL_ERROR, match="^y: a custom density"):
+            m.add_observed("y", Custom(lambda v: -v * v), [1.0, 2.0], mask=[False, True])
+        m.add_observed("y", Normal(mu=0.0, sd=1.0), [1.0, 2.0], mask=[False, True])
+        assert m.finalize().sampling_names() == ["y.missing_values"]
+
     def test_masked_gradient_flows_to_rate(self):
         data = np.array([3, -999, 2])
         mask = data == -999
@@ -387,19 +396,19 @@ class TestMissingData:
 class TestCustomDensity:
     def test_cauchy_like_term(self):
         m = Model()
-        m.custom_density("beta", lambda v: -1.5 * graph.log(1.0 + v * v), testval=0.0)
+        m.add_free("beta", Custom(lambda v: -1.5 * graph.log(1.0 + v * v)), testval=0.0)
         m.finalize()
         assert m.logp({"beta": 0.0}) == pytest.approx(0.0, abs=1e-12)
 
     def test_reciprocal_abs_term(self):
         m = Model()
-        m.custom_density("eps", lambda v: -graph.log(abs(v)), testval=1.0)
+        m.add_free("eps", Custom(lambda v: -graph.log(abs(v))), testval=1.0)
         m.finalize()
         assert m.logp({"eps": 1.0}) == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_of_custom(self):
         m = Model()
-        m.custom_density("beta", lambda v: -1.5 * graph.log(1.0 + v * v), testval=0.0)
+        m.add_free("beta", Custom(lambda v: -1.5 * graph.log(1.0 + v * v)), testval=0.0)
         m.finalize()
         g = m.dlogp({"beta": 1.0})
         assert g["beta"] == pytest.approx(-1.5)
@@ -407,12 +416,12 @@ class TestCustomDensity:
     def test_testval_with_neg_inf_density_rejected(self):
         m = Model()
         with pytest.raises(TESTVAL_ERROR):
-            m.custom_density("eps", lambda v: -graph.log(abs(v)), testval=0.0)
+            m.add_free("eps", Custom(lambda v: -graph.log(abs(v))), testval=0.0)
 
     def test_testval_required(self):
         m = Model()
         with pytest.raises(TESTVAL_ERROR):
-            m.custom_density("x", lambda v: -v * v)
+            m.add_free("x", Custom(lambda v: -v * v))
 
 
 class TestPriorSamplingThroughTransform:

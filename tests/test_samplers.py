@@ -4,7 +4,7 @@ from scipy import stats as sps
 
 from miniprob import demos, graph
 from miniprob.backends import TextBackend
-from miniprob.distributions import DiscreteUniform, Exponential, Flat, Normal
+from miniprob.distributions import Custom, DiscreteUniform, Exponential, Flat, Normal
 from miniprob.exceptions import (
     IntegerDifferentiation,
     NonFiniteGradient,
@@ -47,7 +47,7 @@ def box_model(lo=-3.0, hi=3.0):
         inb = graph.mul(cmp_ge(v, lo), cmp_ge(hi, v))
         return graph.sum_all(switch(inb, const(0.0), const(NEG_INF)))
 
-    m.custom_density("u", box_logp, testval=0.5 * (lo + hi))
+    m.add_free("u", Custom(box_logp), testval=0.5 * (lo + hi))
     return m.finalize()
 
 
@@ -134,7 +134,7 @@ class TestMetropolis:
                                  const(np.log(probs[0]))))
             return graph.sum_all(switch(inb, body, const(NEG_INF)))
 
-        m.custom_density("state", logp3, testval=1, dtype="int")
+        m.add_free("state", Custom(logp3, dtype="int"), testval=1)
         m.finalize()
         step = Metropolis(m, scale=1.2)
         rng = stream(11, 0)
@@ -154,7 +154,7 @@ class TestSlice:
         def exp_logp(v):
             return graph.sum_all(switch(cmp_ge(v, 0.0), -v, const(NEG_INF)))
 
-        m.custom_density("e", exp_logp, testval=1.0)
+        m.add_free("e", Custom(exp_logp), testval=1.0)
         m.finalize()
         step = Slice(m)
         rng = stream(3, 0)
@@ -187,7 +187,7 @@ class TestSlice:
             at_c = graph.mul(cmp_ge(v, c), cmp_ge(c, v))
             return graph.sum_all(switch(at_c, const(0.0), const(NEG_INF)))
 
-        m.custom_density("v", spike, testval=c)
+        m.add_free("v", Custom(spike), testval=c)
         m.finalize()
         step = Slice(m)
         rng = stream(2, 0)
@@ -458,8 +458,9 @@ def test_numpy_integer_counts_accepted():
     assert (trace.chain_length(0), trace.n_chains) == (5, 2)
 
 
-@pytest.mark.parametrize("kernel", [Nuts, Hmc, Slice])
+@pytest.mark.parametrize("kernel", [Nuts, Hmc, Slice, hessian])
 def test_kernels_reject_integer_targets(kernel):
+    # one check, in ``Packer``, serves every kernel and ``hessian``
     m = Model()
     m.add_free("x", Normal(mu=0.0, sd=1.0))
     m.add_free("k", DiscreteUniform(0, 5))
@@ -686,7 +687,7 @@ class TestRecord:
         x = m.add_free("x", Normal(mu=0.0, sd=1.0))
         seen = graph.opaque_deterministic(lambda v: np.asarray(0.0), [x.value], ())
         m.add_deterministic("seen", seen)
-        m.custom_density("y", lambda v: graph.sum_all(v * seen), testval=0.0)
+        m.add_free("y", Custom(lambda v: graph.sum_all(v * seen)), testval=0.0)
         m.finalize()
         calls["logp"] = 0
         self.run([Metropolis(m)], 5)

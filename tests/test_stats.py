@@ -153,6 +153,12 @@ def test_non_finite_sample_rejected(stat, bad):
         stat(x)
 
 
+@pytest.mark.parametrize("panel", [kde, histogram])
+def test_empty_series_rejected(panel):
+    with pytest.raises(TooFewSamples):
+        panel(np.array([]))
+
+
 def test_summary_of_non_finite_trace_rejected():
     x = np.random.default_rng(4).normal(size=(200, 2))
     x[50, 1] = np.nan
