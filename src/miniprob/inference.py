@@ -86,14 +86,16 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     first ``warmup`` draws (default min(500, draws // 2)) tune the kernels and
     are recorded only when ``discard_tuned`` is off.  ``backend`` defaults to
     memory; ``progress(chain, draw, total)`` is called every 100 draws.  Bad
-    counts raise ``ValueError`` before the model or backend is touched; after
-    a failed draw the backend is still finished, keeping the rows so far.
+    counts or a model with no free variable raise ``ValueError`` before the
+    backend starts; after a failed draw it is still finished, keeping its rows.
     """
     draws = _count("draws", draws, 1)
     chains = _count("chains", chains, 1)
     warmup = min(500, draws // 2) if warmup is None else _count("warmup", warmup, 0)
     if not (isinstance(steps, list) and all(isinstance(s, StepMethod) for s in steps)):
         raise ValueError(f"steps must be a list of step methods, got {steps!r}")
+    if not model.free_vars:
+        raise ValueError("model has no free variables to sample")
     model.finalize()
     validate_coverage(model, steps)
     backend = MemoryBackend() if backend is None else backend

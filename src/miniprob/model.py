@@ -9,6 +9,8 @@ inside the transform's domain, and give the variable's own term a finite log
 density.  The joint log posterior is the sum of all prior terms (with
 Jacobian corrections) and observed likelihood terms; terms are summed in name
 order so registration order cannot change the result.
+``finalize`` freezes the model and lists the trace columns as expressions; a
+row evaluates all but the sampling inputs with ``eval_expr``, as logp does.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class Model:
         self._names: set[str] = set()
         self._terms: dict[str, Expr] = {}
         self._test_point: Point = {}
-        self._logp_graph: Expr | None = None
-        self._finalized = False
+        self._logp_graph: Expr | None = None  # set by ``finalize``, which freezes the model
+        self._rows: list[tuple[str, Expr]] = []  # (name, expression) per trace column
         self._var_index: dict[str, FreeVar] = {}
         self._last: tuple | None = None  # see ``remember``
 
@@ -81,7 +83,7 @@ class Model:
         self._names.update(names)
 
     def _check_open(self):
-        if self._finalized:
+        if self._logp_graph is not None:
             raise ModelFrozen("model is finalized; no further variables can be added")
 
     def _eval_param(self, expr: Expr):
@@ -177,7 +179,7 @@ class Model:
     # --- finalization and evaluation ----------------------------------------
 
     def finalize(self) -> "Model":
-        if self._finalized:
+        if self._logp_graph is not None:
             return self
         if self._terms:
             total = None
@@ -187,7 +189,11 @@ class Model:
         else:
             total = const(0.0)
         self._logp_graph = total
-        self._finalized = True
+        for v in self.free_vars:
+            self._rows.append((v.sampling_name, v.input))
+            if v.transform is not None:
+                self._rows.append((v.name, v.value))
+        self._rows += self.deterministics
         lp = self.logp(self._test_point)
         if not np.isfinite(lp):
             raise NonFiniteLogp(f"log posterior is {lp} at the test point")
@@ -200,18 +206,17 @@ class Model:
 
     @property
     def test_point(self) -> Point:
-        self.finalize()
-        return {k: np.array(v) for k, v in self._test_point.items()}
+        return self.initial_point()
 
     def logp(self, point: Mapping) -> float:
         return float(eval_expr(self.logp_graph, point))
 
     def dlogp(self, point: Mapping, names: Sequence[str] | None = None) -> Point:
-        names = self.continuous_names() if names is None else [self.resolve_name(n) for n in names]
+        names = self.continuous_names() if names is None else self.resolve_names(names)
         return graph.grad(self.logp_graph, names, point)
 
     def logp_and_dlogp(self, point: Mapping, names: Sequence[str] | None = None):
-        names = self.continuous_names() if names is None else [self.resolve_name(n) for n in names]
+        names = self.continuous_names() if names is None else self.resolve_names(names)
         value, g = graph.value_and_grad(self.logp_graph, names, point)
         return float(value), g
 
@@ -242,13 +247,10 @@ class Model:
         except KeyError:
             raise UnknownVariable(f"no free variable named {name!r}") from None
 
-    def resolve_name(self, name: str) -> str:
-        return self.var(name).sampling_name
-
     def resolve_names(self, names) -> list[str]:
         out = []
         for n in names:
-            v = n.sampling_name if isinstance(n, FreeVar) else self.resolve_name(n)
+            v = (n if isinstance(n, FreeVar) else self.var(n)).sampling_name
             if v not in out:
                 out.append(v)
         return out
@@ -269,7 +271,10 @@ class Model:
                 if v.sampling_name in start:
                     raw = np.array(start[v.sampling_name])
                 elif v.transform is not None and v.name in start:
-                    raw = np.asarray(v.transform.forward(np.asarray(start[v.name])))
+                    try:
+                        raw = np.asarray(v.transform.forward(np.asarray(start[v.name])))
+                    except OutsideSupport as e:
+                        raise OutsideSupport(f"start value for {v.name!r}: {e}") from None
                 else:
                     continue
                 if raw.shape != v.shape:
@@ -281,25 +286,13 @@ class Model:
     # --- trace support ---------------------------------------------------------
 
     def trace_layout(self) -> list[tuple[str, tuple, str]]:
-        """Ordered (name, shape, dtype) entries recorded per draw: sampling
-        coordinates, untransformed aliases, then deterministics."""
-        layout = []
-        for v in self.free_vars:
-            layout.append((v.sampling_name, v.shape, v.dtype))
-            if v.transform is not None:
-                layout.append((v.name, v.shape, "float"))
-        for name, expr in self.deterministics:
-            layout.append((name, expr.shape, expr.dtype))
-        return layout
+        """Ordered (name, shape, dtype) per trace column: each sampling
+        coordinate and its untransformed alias, then the deterministics."""
+        return [(name, expr.shape, expr.dtype) for name, expr in self.finalize()._rows]
 
     def expand_point(self, point: Mapping) -> Point:
-        """Add untransformed aliases and deterministic values to a sampling point."""
-        row: Point = {}
-        for v in self.free_vars:
-            val = np.asarray(point[v.sampling_name])
-            row[v.sampling_name] = val
-            if v.transform is not None:
-                row[v.name] = np.asarray(v.transform.backward(val))
-        for name, expr in self.deterministics:
-            row[name] = np.asarray(eval_expr(expr, point))
-        return row
+        """The trace row of a sampling point: its sampling coordinates as
+        given, and the value of each alias and deterministic expression."""
+        return {name: np.asarray(point[name] if expr.input_name == name
+                                  else eval_expr(expr, point))
+                for name, expr in self.finalize()._rows}

@@ -158,6 +158,12 @@ class StepMethod:
     def step(self, point: dict, rng: np.random.Generator, tuning: bool) -> dict:
         raise NotImplementedError
 
+    def _checked(self, lp: float) -> float:
+        """``lp``, the log density at a step's start; ``NonFiniteLogp`` unless finite."""
+        if not math.isfinite(lp):
+            raise NonFiniteLogp(f"{type(self).__name__} started at logp={lp}")
+        return lp
+
     def clone(self) -> "StepMethod":
         return copy.deepcopy(self, {id(self.model): self.model})
 
@@ -218,7 +224,7 @@ class Metropolis(StepMethod):
 
     def step(self, point, rng, tuning=False):
         last = self.model.recall(point)
-        lp_old = self.model.logp(point) if last is None else last[0]
+        lp_old = self._checked(self.model.logp(point) if last is None else last[0])
         proposal = dict(point)
         for name in self.vars:
             var = self.model.var(name)
@@ -263,9 +269,7 @@ class Slice(StepMethod):
         last = self.model.recall(point)
         q = self.packer.rebase(point)
         views = self.packer._views(q)  # the point of ``q``, written through ``q``
-        lp = self.model.logp(views) if last is None else last[0]
-        if not np.isfinite(lp):
-            raise NonFiniteLogp(f"slice sampler started at logp={lp}")
+        lp = self._checked(self.model.logp(views) if last is None else last[0])
         for i in range(self.packer.size):
             lp = self._update_coord(q, views, i, lp, rng)
         point = self.packer.point(q)
@@ -349,11 +353,10 @@ class GradientStep(StepMethod):
             lp, g = last[:2]
         else:
             lp, g = self.packer.logp_grad(q)
-        name = type(self).__name__
-        if not np.isfinite(lp):
-            raise NonFiniteLogp(f"{name} started at logp={lp}")
+        self._checked(lp)
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"{name} started at a point with non-finite gradient")
+            raise NonFiniteGradient(f"{type(self).__name__} started at a point with "
+                                    "non-finite gradient")
         return q, lp, g
 
     def _finish(self, q, lp, g) -> dict:

@@ -7,6 +7,7 @@ sequential structure they need.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -118,6 +119,15 @@ def _flat_series(trace: Trace, name: str):
         yield col, flat[:, j]
 
 
+@contextlib.contextmanager
+def _column(col: str):
+    """Put the trace column ``col`` in front of a sample error from the block."""
+    try:
+        yield
+    except (TooFewSamples, NonFiniteSample) as e:
+        raise type(e)(f"{col}: {e}") from None
+
+
 def _resolve_vars(trace: Trace, vars):
     if vars is None:
         return trace.names
@@ -133,17 +143,17 @@ def _rows_for(trace: Trace, name: str) -> list[SummaryRow]:
     rows = []
     for col, series in _flat_series(trace, name):
         ordered = np.sort(series)
-        lo, hi = hpd(ordered)
-        q = quantiles(ordered)
-        rows.append(SummaryRow(
-            name=col,
-            mean=float(np.mean(ordered)),
-            sd=float(np.std(ordered)),
-            mc_error=mc_error(series),
-            hpd_lower=lo,
-            hpd_upper=hi,
-            quantiles={p: float(v) for p, v in zip(QUANTILES, q)},
-        ))
+        with _column(col):
+            lo, hi = hpd(ordered)
+            rows.append(SummaryRow(
+                name=col,
+                mean=float(np.mean(ordered)),
+                sd=float(np.std(ordered)),
+                mc_error=mc_error(series),
+                hpd_lower=lo,
+                hpd_upper=hi,
+                quantiles={p: float(v) for p, v in zip(QUANTILES, quantiles(ordered))},
+            ))
     return rows
 
 
@@ -180,7 +190,7 @@ def summary(trace: Trace, vars=None) -> tuple[list[SummaryRow], str]:
 def kde(samples, n_points: int = 200):
     """Gaussian kernel density with Scott's bandwidth over the data range
     extended by three bandwidths."""
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _finite(samples, "kde")
     n = x.size
     if n == 0:
         raise TooFewSamples("kde needs at least 1 sample")
@@ -216,10 +226,11 @@ def traceplot_data(trace: Trace, vars=None) -> dict:
         dtype = trace.var_dtypes[name]
         for col, series in _flat_series(trace, name):
             panels = {"draws": series}
-            if dtype == "int":
-                panels["hist"] = histogram(series)
-            else:
-                panels["density"] = kde(series)
+            with _column(col):
+                if dtype == "int":
+                    panels["hist"] = histogram(series)
+                else:
+                    panels["density"] = kde(series)
             out[col] = panels
     return out
 
@@ -230,10 +241,12 @@ _PLOT_HEADERS = {"density": "x,density\n", "hist": "x,count\n", "draws": "draw,v
 def write_plot_data(trace: Trace, out_dir: str, vars=None) -> list[str]:
     """One CSV per variable per panel under ``out_dir``; returns the paths.
     ``tolist`` turns each column into Python floats, written by ``repr`` so
-    they read back exactly, or into ints."""
+    they read back exactly, or into ints.  ``out_dir`` is made only once
+    every panel is computed."""
+    data = traceplot_data(trace, vars)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for col, panels in traceplot_data(trace, vars).items():
+    for col, panels in data.items():
         series = panels.pop("draws")
         panels["draws"] = (np.arange(len(series)), series)
         for panel, (xs, ys) in panels.items():

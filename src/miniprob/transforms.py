@@ -2,13 +2,14 @@
 
 Positive variables use a log transform, two-sided intervals a scaled
 log-odds transform.  Log densities in the unconstrained space pick up the
-log of |dx/dy| so the pushforward density still integrates to one.
+log of |dx/dy| so the pushforward density still integrates to one.  The
+way back is the graph ``backward_expr`` only, which the log density and the
+trace rows both evaluate; ``forward`` checks and maps untransformed values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from . import graph
 from .exceptions import OutsideSupport
@@ -22,9 +23,6 @@ class LogTransform:
         if np.any(x <= 0):
             raise OutsideSupport("log transform requires strictly positive values")
         return np.log(x)
-
-    def backward(self, y):
-        return np.exp(np.asarray(y, dtype=np.float64))
 
     def backward_expr(self, y: graph.Expr) -> graph.Expr:
         return graph.exp(y)
@@ -53,10 +51,6 @@ class IntervalTransform:
                 f"interval transform requires values inside ({self.lower}, {self.upper})")
         p = (x - self.lower) / (self.upper - self.lower)
         return np.log(p) - np.log1p(-p)
-
-    def backward(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        return self.lower + (self.upper - self.lower) * special.expit(y)
 
     def backward_expr(self, y: graph.Expr) -> graph.Expr:
         return self.lower + (self.upper - self.lower) * graph.sigmoid(y)

@@ -7,6 +7,7 @@ import pytest
 
 import miniprob
 from miniprob import demos, glm
+from miniprob.transforms import IntervalTransform, LogTransform
 
 
 def test_every_exported_name_resolves():
@@ -23,6 +24,9 @@ def test_removed_names_are_not_exported():
     assert removed.isdisjoint(miniprob.__all__)
     assert not any(hasattr(miniprob, name) for name in removed)
     assert not hasattr(miniprob.Model, "custom_density")
+    assert not hasattr(miniprob.Model, "resolve_name")
+    assert not hasattr(LogTransform, "backward")
+    assert not hasattr(IntervalTransform, "backward")
     assert not hasattr(glm, "Family")
 
 

@@ -33,23 +33,6 @@ def test_draws_below_one_is_a_usage_error(tmp_path, capsys, draws):
     assert not out.exists()
 
 
-def test_malformed_seed_variable_is_a_usage_error_for_demo_only(tmp_path, capsys,
-                                                                 monkeypatch):
-    monkeypatch.setenv("MINIPROB_SEED", "abc")
-    write_trace(tmp_path / "trace", 200)
-    assert cli.main(["summary", str(tmp_path / "trace")]) == cli.EXIT_OK
-    assert cli.main(["plotdata", str(tmp_path / "trace"), "--out",
-                     str(tmp_path / "plots")]) == cli.EXIT_OK
-    capsys.readouterr()
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["demo", "linear", "--quiet", "--out", str(out)])
-    assert exc.value.code == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "--seed" in err and "'abc'" in err and "Traceback" not in err
-    assert not out.exists()
-
-
 def test_data_outside_sp500_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -112,8 +95,25 @@ def test_empty_trace_is_a_data_error(tmp_path, capsys, command):
     if command == "plotdata":
         argv += ["--out", str(tmp_path / "plots")]
     assert cli.main(argv) == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    # the error names the column, and plotdata leaves no output directory behind
+    message = {"summary": "hpd needs at least 2 samples",
+               "plotdata": "kde needs at least 1 sample"}[command]
+    assert capsys.readouterr() == ("", f"error: x: {message}\n")
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_plotdata_of_non_finite_sample_is_a_data_error(tmp_path, capsys, cell):
+    write_trace(tmp_path / "trace", 200)
+    path = tmp_path / "trace" / "chain-0.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = cell
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "plots"
+    assert cli.main(["plotdata", str(tmp_path / "trace"), "--out", str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr() == (
+        "", "error: x: kde needs finite samples, got 1 NaN or infinite\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -14,7 +14,8 @@ from miniprob.exceptions import NonFiniteLogp, NonFiniteStart, SamplingError, Un
 from miniprob.graph import opaque_deterministic
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
-from miniprob.samplers import Metropolis, Nuts, Packer, hessian_diag
+from miniprob.rng import stream
+from miniprob.samplers import Metropolis, Nuts, Packer, Slice, hessian_diag
 
 
 class TestFindMap:
@@ -149,6 +150,35 @@ class TestSample:
                  "not_a_step": [Metropolis(m), "slice"]}[steps]
         with pytest.raises(ValueError, match="list of step methods"):
             sample(m, 10, steps)
+
+    @pytest.mark.parametrize("backend", ["memory", "text"])
+    def test_model_without_free_variables_rejected(self, tmp_path, backend):
+        m = Model()
+        m.add_observed("y", Normal(mu=0.0, sd=1.0), np.array([0.1, -0.3]))
+        directory = tmp_path / "trace"
+        chosen = MemoryBackend() if backend == "memory" else TextBackend(str(directory))
+        with pytest.raises(ValueError, match="no free variables"):
+            sample(m, 5, [], backend=chosen)
+        assert chosen.layout is None and not directory.exists()
+
+    @pytest.mark.parametrize("start", [{"x": np.nan}, {"x": -np.inf}, {"sigma_log": np.inf}],
+                             ids=["x_nan", "x_neg_inf", "sigma_log_inf"])
+    def test_metropolis_rejects_a_non_finite_start(self, start):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.add_free("sigma", Exponential(1.0))
+        with pytest.raises(SamplingError, match="draw 0: Metropolis started at logp=") as exc:
+            sample(m, 50, [Metropolis(m)], start=start)
+        assert isinstance(exc.value.__cause__, NonFiniteLogp)
+
+    @pytest.mark.parametrize("kernel", [Metropolis, Slice, Nuts])
+    def test_every_kernel_names_itself_at_a_non_finite_start(self, kernel):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.finalize()
+        point = m.initial_point({"x": np.nan})
+        with pytest.raises(NonFiniteLogp, match=f"^{kernel.__name__} started at logp=nan$"):
+            kernel(m).step(point, stream(0, 0), False)
 
     def test_trace_length_with_discard(self):
         m = Model()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from conftest import rel_err
 from miniprob import graph
@@ -17,7 +18,13 @@ from miniprob.distributions import (
     Uniform,
 )
 from miniprob import exceptions
-from miniprob.exceptions import AllMissing, DuplicateName, ModelFrozen, ShapeMismatch
+from miniprob.exceptions import (
+    AllMissing,
+    DuplicateName,
+    ModelFrozen,
+    OutsideSupport,
+    ShapeMismatch,
+)
 
 # referenced via the module so pytest does not try to collect it as a test class
 TESTVAL_ERROR = exceptions.TestvalOutsideSupport
@@ -26,24 +33,31 @@ from miniprob.model import Model
 from miniprob.transforms import IntervalTransform, LogTransform
 
 
+def backward(t, ys):
+    """The untransformed value of ``ys`` through ``t``'s graph, as a trace row
+    and the log density evaluate it."""
+    ys = np.asarray(ys, dtype=np.float64)
+    return eval_expr(t.backward_expr(graph.free_input("y", ys.shape)), {"y": ys})
+
+
 class TestTransforms:
     def test_log_round_trip(self):
         t = LogTransform()
         assert t.forward(1.0) == pytest.approx(0.0)
-        assert t.backward(0.0) == pytest.approx(1.0)
+        assert backward(t, 0.0) == pytest.approx(1.0)
         xs = np.exp(np.linspace(-5, 5, 11))
-        np.testing.assert_allclose(t.backward(t.forward(xs)), xs, rtol=1e-12)
+        np.testing.assert_allclose(backward(t, t.forward(xs)), xs, rtol=1e-12)
 
     def test_interval_unit_midpoint(self):
         t = IntervalTransform(0.0, 1.0)
-        assert t.backward(0.0) == pytest.approx(0.5)
+        assert backward(t, 0.0) == pytest.approx(0.5)
         y = graph.free_input("y", ())
         jac = eval_expr(t.log_jacobian_expr(y), {"y": 0.0})
         assert float(jac) == pytest.approx(2 * np.log(0.5), abs=1e-12)
 
     def test_interval_wide(self):
         t = IntervalTransform(-100.0, 100.0)
-        assert t.backward(0.0) == pytest.approx(0.0)
+        assert backward(t, 0.0) == pytest.approx(0.0)
         y = graph.free_input("y", ())
         jac = eval_expr(t.log_jacobian_expr(y), {"y": 0.0})
         assert float(jac) == pytest.approx(np.log(200.0) - 1.3862943611198906, abs=1e-9)
@@ -51,16 +65,7 @@ class TestTransforms:
     def test_round_trip_identity_within_1e12(self):
         t = IntervalTransform(-2.0, 7.0)
         xs = np.linspace(-1.999, 6.999, 101)
-        np.testing.assert_allclose(t.backward(t.forward(xs)), xs, atol=1e-12)
-
-    @pytest.mark.parametrize("t", [LogTransform(), IntervalTransform(-2.0, 7.0),
-                                   IntervalTransform(0.0, 1.0)],
-                             ids=["log", "interval", "unit"])
-    def test_backward_is_byte_equal_to_its_expr(self, t):
-        # recorded rows use ``backward``; the log density uses ``backward_expr``
-        ys = np.random.default_rng(7).normal(0.0, 10.0, 1000)
-        expr = t.backward_expr(graph.free_input("y", ys.shape))
-        assert t.backward(ys).tobytes() == eval_expr(expr, {"y": ys}).tobytes()
+        np.testing.assert_allclose(backward(t, t.forward(xs)), xs, atol=1e-12)
 
 
 class TestAddFree:
@@ -160,6 +165,19 @@ class TestTestvalRule:
         m.add_free("e", Exponential(1.0), testval=2.0)
         assert m.sampling_names() == ["e_log"]
         assert m.test_point == {"e_log": np.log(2.0)}
+
+
+@pytest.mark.parametrize("dist, start, message", [
+    (Exponential(1.0), -1.0, "log transform requires strictly positive values"),
+    (Uniform(0.0, 4.0), 5.0, "interval transform requires values inside (0.0, 4.0)"),
+], ids=["log", "interval"])
+def test_start_outside_the_transform_domain_names_the_variable(dist, start, message):
+    m = Model()
+    m.add_free("v", dist)
+    m.finalize()
+    with pytest.raises(OutsideSupport) as exc:
+        m.initial_point({"v": start})
+    assert str(exc.value) == f"start value for 'v': {message}"
 
 
 class TestDiscreteValuesNotTruncated:
@@ -271,6 +289,27 @@ class TestDeterministics:
         np.testing.assert_allclose(row["volatility_process"], [1.0, 1.0])
         row = m.expand_point({"s": np.array([0.5, 0.5])})
         np.testing.assert_allclose(row["volatility_process"], np.exp(-1.0))
+
+    def test_row_follows_the_layout(self):
+        m = Model()
+        a = m.add_free("a", Normal(mu=0.0, sd=1.0))
+        m.add_deterministic("twice", a.value * 2.0)
+        m.add_deterministic("same", a.value)
+        m.add_free("b", Exponential(1.0))
+        m.add_free("u", Uniform(-2.0, 7.0), shape=3)
+        layout = m.trace_layout()
+        assert layout == [("a", (), "float"), ("b_log", (), "float"), ("b", (), "float"),
+                          ("u_interval", (3,), "float"), ("u", (3,), "float"),
+                          ("twice", (), "float"), ("same", (), "float")]
+        y = np.array([-1.0, 0.0, 2.5])
+        point = {"a": np.asarray(0.5), "b_log": np.asarray(-0.3), "u_interval": y}
+        row = m.expand_point(point)
+        assert [(n, row[n].shape) for n in row] == [(n, s) for n, s, _ in layout]
+        assert row["u_interval"] is y
+        # each alias is the inverse transform of its sampling coordinate
+        assert row["b"].tobytes() == np.exp(np.float64(-0.3)).tobytes()
+        assert row["u"].tobytes() == (-2.0 + 9.0 * special.expit(y)).tobytes()
+        assert row["twice"] == 1.0 and row["same"] == 0.5
 
     def test_unnamed_expressions_not_recorded(self, linear_model):
         names = [n for n, _, _ in linear_model.trace_layout()]
