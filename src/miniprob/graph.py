@@ -632,15 +632,11 @@ def eval_expr(expr: Expr, point: Mapping) -> np.ndarray:
     return _tape(expr).forward(point)[-1]
 
 
-def input_bytes(expr: Expr, point: Mapping) -> tuple[bytes, ...] | None:
-    """The converted bytes of every free input of ``expr`` at ``point``, the
-    bytes its tape compares; two points with equal bytes get equal values.
-    None when an opaque node lies below ``expr``: the tape runs those on
+def has_opaque(expr: Expr) -> bool:
+    """Whether an opaque node lies below ``expr``: its tape runs those on
     every call, so no earlier value may stand in for a call."""
     tape = _tape(expr)
-    if tape.deps[tape.last] & 1:
-        return None
-    return tuple(_input_value(node, point).tobytes() for _, node in tape.inputs)
+    return bool(tape.deps[tape.last] & 1)
 
 
 # --- reverse-mode gradient -------------------------------------------------

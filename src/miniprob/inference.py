@@ -1,6 +1,7 @@
 """Inference drivers: ``find_map`` optimizes over ``samplers.Packer``
 vectors; ``sample(model, draws, steps, *, start, chains, seed, backend,
-warmup, discard_tuned, progress)`` runs the paper's sample loop."""
+warmup, progress)`` runs the paper's sample loop, which hands each step the
+log density (and gradient) that the step before it left at its point."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .backends import MemoryBackend, Trace
 from .exceptions import MiniprobError, NonFiniteStart, SamplingError
-from .graph import Point
+from .graph import Point, has_opaque
 from .model import Model
 from .rng import stream
 from .samplers import Packer, StepMethod, _count, validate_coverage
@@ -78,16 +79,19 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
 
 def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = None,
            chains: int = 1, seed: int = 0, backend=None, warmup: int | None = None,
-           discard_tuned: bool = True, progress: Callable | None = None) -> Trace:
+           progress: Callable | None = None) -> Trace:
     """Draw ``draws`` per chain with the step methods in the list ``steps``.
 
     Chain k starts at ``start`` and draws from the random stream (seed, k),
     so a seed reproduces each chain bit-identically at any chain count.  The
     first ``warmup`` draws (default min(500, draws // 2)) tune the kernels and
-    are recorded only when ``discard_tuned`` is off.  ``backend`` defaults to
-    memory; ``progress(chain, draw, total)`` is called every 100 draws.  Bad
-    counts or a model with no free variable raise ``ValueError`` before the
-    backend starts; after a failed draw it is still finished, keeping its rows.
+    are not recorded.  Each step gets the ``known`` values that the step
+    before it left (``StepMethod.step``); a chain's first step evaluates its
+    start, and nothing is handed on when the log density has an opaque node.
+    ``backend`` defaults to memory; ``progress(chain, draw, total)`` is
+    called every 100 draws.  Bad counts, a bad ``start`` or a model with no
+    free variable raise before the backend starts; after a failed draw it is
+    still finished, keeping its rows.
     """
     draws = _count("draws", draws, 1)
     chains = _count("chains", chains, 1)
@@ -96,8 +100,9 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
         raise ValueError(f"steps must be a list of step methods, got {steps!r}")
     if not model.free_vars:
         raise ValueError("model has no free variables to sample")
-    model.finalize()
+    origin = model.initial_point(start)
     validate_coverage(model, steps)
+    handoff = not has_opaque(model.logp_graph)
     backend = MemoryBackend() if backend is None else backend
     backend.start(model.trace_layout(), chains)
 
@@ -106,15 +111,16 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
         for chain in range(chains):
             rng = stream(seed, chain)
             chain_steps = [s.clone() for s in steps]
-            point = model.initial_point(start)
+            point, known = dict(origin), None
             for i in range(total):
                 tuning = i < warmup
                 try:
                     for s in chain_steps:
-                        point = s.step(point, rng, tuning)
+                        point = s.step(point, rng, tuning, known)
+                        known = s.known if handoff else None
                 except MiniprobError as e:
                     raise SamplingError(f"chain {chain}, draw {i}: {e}") from e
-                if not discard_tuned or i >= warmup:
+                if i >= warmup:
                     backend.record(chain, model.expand_point(point))
                 if progress is not None and ((i + 1) % 100 == 0 or i + 1 == total):
                     progress(chain, i + 1, total)

@@ -72,7 +72,6 @@ class Model:
         self._logp_graph: Expr | None = None  # set by ``finalize``, which freezes the model
         self._rows: list[tuple[str, Expr]] = []  # (name, expression) per trace column
         self._var_index: dict[str, FreeVar] = {}
-        self._last: tuple | None = None  # see ``remember``
 
     # --- registration ------------------------------------------------------
 
@@ -220,25 +219,6 @@ class Model:
         value, g = graph.value_and_grad(self.logp_graph, names, point)
         return float(value), g
 
-    # --- the last point a kernel returned --------------------------------------
-
-    def remember(self, point: Mapping, logp: float, grad=None, names=None) -> None:
-        """Record ``logp`` as the log density at ``point``, and ``grad`` as
-        its packed gradient over ``names`` when given, keyed by the converted
-        bytes of every free input (``graph.input_bytes``).  One record is
-        kept: the values at the point the last kernel step returned."""
-        key = graph.input_bytes(self.logp_graph, point)
-        self._last = None if key is None else (key, (logp, grad, names))
-
-    def recall(self, point: Mapping) -> tuple | None:
-        """The recorded (logp, grad, names) when ``point`` has the recorded
-        bytes now, else None.  ``logp`` and ``logp_and_dlogp`` never read
-        the record; a kernel that gets one skips its own call."""
-        if self._last is None:
-            return None
-        key, values = self._last
-        return values if graph.input_bytes(self.logp_graph, point) == key else None
-
     # --- variable bookkeeping ------------------------------------------------
 
     def var(self, name: str) -> FreeVar:
@@ -250,7 +230,7 @@ class Model:
     def resolve_names(self, names) -> list[str]:
         out = []
         for n in names:
-            v = (n if isinstance(n, FreeVar) else self.var(n)).sampling_name
+            v = self.var(n).sampling_name
             if v not in out:
                 out.append(v)
         return out
@@ -263,10 +243,16 @@ class Model:
 
     def initial_point(self, start: Mapping | None = None) -> Point:
         """Test point overlaid with ``start``; accepts transformed names or
-        untransformed aliases (aliases are forward-transformed)."""
+        untransformed aliases (aliases are forward-transformed).  Any other
+        trace column (a deterministic) is ignored, and a key that names no
+        column raises ``UnknownVariable``."""
         self.finalize()
         point = {k: np.array(v) for k, v in self._test_point.items()}
         if start:
+            columns = {name for name, _ in self._rows}
+            unknown = [k for k in start if k not in columns]
+            if unknown:
+                raise UnknownVariable(f"start names no variable: {', '.join(map(repr, unknown))}")
             for v in self.free_vars:
                 if v.sampling_name in start:
                     raw = np.array(start[v.sampling_name])

@@ -8,17 +8,13 @@ only the model.  ``sample()`` steps only clones, so the kernels it is given
 stay unstepped and every chain starts fresh; a kernel stepped by hand before
 ``sample()`` carries its tuned state into every chain.
 
-Every kernel step ends by recording, on the model, the values it already
-holds at the point it returns (``Model.remember``): the log density, and the
-packed gradient with its names after a gradient kernel.  The next step skips
-its own evaluation at its start point when the record matches: Metropolis
-and Slice take the log density, ``GradientStep._start`` the log density and
-gradient when the names are its own.  The record is keyed by the converted
-bytes of every free input and is read only through that byte check
-(``Model.recall``), so a point changed in place, another chain's start or a
-caller's own point is evaluated afresh.  A skipped call would have returned
-the recorded bits, so chains do not move; a log density with an opaque node
-is never recorded.
+``step(point, rng, tuning, known)`` may be handed ``known``, the (log
+density, packed gradient or None, names or None) already evaluated at
+``point``, and it leaves ``self.known`` for the point it returns.  Metropolis
+and Slice take the log density from it, ``GradientStep._start`` the log
+density and gradient when the names are its own; with no ``known`` a step
+evaluates its start.  A skipped call would have returned the same bits, so
+chains do not move.
 """
 
 from __future__ import annotations
@@ -146,6 +142,8 @@ def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q=None):
 # --- step method base ---------------------------------------------------------
 
 class StepMethod:
+    known = None  # (logp, packed gradient or None, names or None) after a step
+
     def __init__(self, model: Model, vars=None):
         model.finalize()
         self.model = model
@@ -155,7 +153,8 @@ class StepMethod:
     def _default_vars(self, model):
         return model.sampling_names()
 
-    def step(self, point: dict, rng: np.random.Generator, tuning: bool) -> dict:
+    def step(self, point: dict, rng: np.random.Generator, tuning: bool = False,
+             known: tuple | None = None) -> dict:
         raise NotImplementedError
 
     def _checked(self, lp: float) -> float:
@@ -222,9 +221,8 @@ class Metropolis(StepMethod):
             return 1.1
         return 1.0
 
-    def step(self, point, rng, tuning=False):
-        last = self.model.recall(point)
-        lp_old = self._checked(self.model.logp(point) if last is None else last[0])
+    def step(self, point, rng, tuning=False, known=None):
+        lp_old = self._checked(self.model.logp(point) if known is None else known[0])
         proposal = dict(point)
         for name in self.vars:
             var = self.model.var(name)
@@ -240,9 +238,9 @@ class Metropolis(StepMethod):
         if accept:
             point = proposal
             self.accept_count += 1
-            self.model.remember(point, lp_new)
-        elif last is None:
-            self.model.remember(point, lp_old)
+            self.known = (lp_new, None, None)
+        else:
+            self.known = (lp_old, None, None) if known is None else known
         if tuning and self.total_count >= self.tune_interval:
             self.scale *= self.tune_factor(self.accept_count / self.total_count)
             self.accept_count = 0
@@ -265,16 +263,14 @@ class Slice(StepMethod):
     def _default_vars(self, model):
         return model.continuous_names()
 
-    def step(self, point, rng, tuning=False):
-        last = self.model.recall(point)
+    def step(self, point, rng, tuning=False, known=None):
         q = self.packer.rebase(point)
         views = self.packer._views(q)  # the point of ``q``, written through ``q``
-        lp = self._checked(self.model.logp(views) if last is None else last[0])
+        lp = self._checked(self.model.logp(views) if known is None else known[0])
         for i in range(self.packer.size):
             lp = self._update_coord(q, views, i, lp, rng)
-        point = self.packer.point(q)
-        self.model.remember(point, lp)
-        return point
+        self.known = (lp, None, None)
+        return self.packer.point(q)
 
     def _coord_logp(self, q, views, i, value):
         q[i] = value
@@ -315,42 +311,32 @@ class Slice(StepMethod):
 
 class GradientStep(StepMethod):
     """Shared machinery for HMC-family kernels: packing, the checked start of
-    a step, and the mass matrix from ``scaling``, in one of two forms:
-
-    - a point (``Mapping``; default: the test point): the negative Hessian
-      there, by ``hessian``;
-    - a finite, strictly positive vector (or scalar): the diagonal of the mass.
-
-    ``_metric`` turns either into a dense mass with its absolute eigenvalues
-    floored at 1e-8: momentum is drawn through ``V sqrt(|L|)`` of the
-    eigendecomposition ``V L V'``, and the kinetic energy and the position
-    update use the inverse mass."""
+    a step, and the mass matrix from ``scaling``, a point (default: the test
+    point).  ``_metric`` turns the negative Hessian there (``hessian``) into
+    a dense mass with its absolute eigenvalues floored at 1e-8: momentum is
+    drawn through ``V sqrt(|L|)`` of the eigendecomposition ``V L V'``, and
+    the kinetic energy and the position update use the inverse mass."""
 
     def __init__(self, model, vars=None, scaling=None):
         super().__init__(model, vars)
         self.packer = Packer(model, self.vars)
         if scaling is None:
             scaling = model.test_point
-        if isinstance(scaling, Mapping):
-            h = hessian(model, scaling, self.vars)
-            if not np.all(np.isfinite(h)):
-                raise NonFiniteGradient(f"Hessian at the scaling point is not finite: {h}")
-        else:
-            v = np.broadcast_to(np.asarray(scaling, dtype=np.float64), (self.packer.size,))
-            if not np.all(np.isfinite(v) & (v > 0)):
-                raise ValueError("scaling vector must be finite and strictly positive")
-            h = np.diag(v)
+        if not isinstance(scaling, Mapping):
+            raise ValueError("scaling must be None (the test point) or a point, "
+                             f"got {scaling!r}")
+        h = hessian(model, scaling, self.vars)
+        if not np.all(np.isfinite(h)):
+            raise NonFiniteGradient(f"Hessian at the scaling point is not finite: {h}")
         self.mass, self.inv_mass, self._root = _metric(h)
 
-    def _start(self, point):
+    def _start(self, point, known):
         """(q, logp, gradient) at ``point``, which becomes the base point.
-        The model's record (``Model.recall``) stands in for the evaluation
-        when ``point`` still has the recorded bytes and the record holds a
-        gradient over this kernel's names; the checks below run either way."""
+        ``known`` stands in for the evaluation when it holds a gradient over
+        this kernel's names; the checks below run either way."""
         q = self.packer.rebase(point)
-        last = self.model.recall(point)
-        if last is not None and last[2] == self.packer.names:
-            lp, g = last[:2]
+        if known is not None and known[2] == self.packer.names:
+            lp, g = known[:2]
         else:
             lp, g = self.packer.logp_grad(q)
         self._checked(lp)
@@ -360,10 +346,9 @@ class GradientStep(StepMethod):
         return q, lp, g
 
     def _finish(self, q, lp, g) -> dict:
-        """The point of ``q``, recorded with its log density and gradient."""
-        point = self.packer.point(q)
-        self.model.remember(point, lp, g, self.packer.names)
-        return point
+        """The point of ``q``; leaves its log density and gradient as ``known``."""
+        self.known = (lp, g, self.packer.names)
+        return self.packer.point(q)
 
     def _momentum(self, rng):
         return rng.standard_normal(self.packer.size) @ self._root
@@ -374,7 +359,7 @@ class GradientStep(StepMethod):
 
 class Hmc(GradientStep):
     """Plain Hamiltonian Monte Carlo with a fixed step size and path length.
-    ``scaling`` is a point or a mass-diagonal vector, as in ``GradientStep``.
+    ``scaling`` is a point, as in ``GradientStep``.
     ``step_size`` must be finite and positive, ``n_steps`` at least 1."""
 
     def __init__(self, model, vars=None, scaling=None, step_size=0.25, n_steps=4):
@@ -383,8 +368,8 @@ class Hmc(GradientStep):
         self.n_steps = _count("n_steps", n_steps, 1)
         self.last_accepted = False
 
-    def step(self, point, rng, tuning=False):
-        q, lp, g = self._start(point)
+    def step(self, point, rng, tuning=False, known=None):
+        q, lp, g = self._start(point, known)
         p = self._momentum(rng)
         h0 = lp - self._kinetic(p)
         q_new, p_new, lp_new, g_new = q, p, lp, g
@@ -411,8 +396,8 @@ def no_uturn(dq: np.ndarray, p_minus: np.ndarray, p_plus: np.ndarray) -> bool:
 class Nuts(GradientStep):
     """No-U-Turn sampler: dynamic trajectory doubling with slice selection and
     dual-averaging step-size adaptation during warm-up.  ``scaling`` is a
-    point or a mass-diagonal vector, as in ``GradientStep``; the U-turn check
-    reads the momenta, ``no_uturn(dq, p-, p+)``.
+    point, as in ``GradientStep``; the U-turn check reads the momenta,
+    ``no_uturn(dq, p-, p+)``.
 
     ``step_size``, when given, is the first step size (else a heuristic picks
     it); ``gamma`` is the dual-averaging shrinkage strength.  Both must be
@@ -489,8 +474,8 @@ class Nuts(GradientStep):
             n_alpha += n_alpha2
         return ends, prop, n1, keep, alpha, n_alpha
 
-    def step(self, point, rng, tuning=False):
-        q, lp, g = self._start(point)
+    def step(self, point, rng, tuning=False, known=None):
+        q, lp, g = self._start(point, known)
         if self._mu is None:
             if self.step_size is None:
                 self.step_size = self._find_reasonable_eps(q, lp, g, rng)

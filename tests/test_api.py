@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import miniprob
-from miniprob import demos, glm
+from miniprob import demos, glm, graph
 from miniprob.transforms import IntervalTransform, LogTransform
 
 
@@ -25,6 +25,9 @@ def test_removed_names_are_not_exported():
     assert not any(hasattr(miniprob, name) for name in removed)
     assert not hasattr(miniprob.Model, "custom_density")
     assert not hasattr(miniprob.Model, "resolve_name")
+    assert not hasattr(miniprob.Model, "remember")
+    assert not hasattr(miniprob.Model, "recall")
+    assert not hasattr(graph, "input_bytes")
     assert not hasattr(LogTransform, "backward")
     assert not hasattr(IntervalTransform, "backward")
     assert not hasattr(glm, "Family")
@@ -39,7 +42,7 @@ def test_removed_names_are_not_exported():
     (miniprob.hessian, ["model", "point", "vars"]),
     (miniprob.hessian_diag, ["model", "point", "vars"]),
     (miniprob.sample, ["model", "draws", "steps", "start", "chains", "seed", "backend",
-                       "warmup", "discard_tuned", "progress"]),
+                       "warmup", "progress"]),
 ], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters", "hessian", "hessian_diag",
         "sample"])
 def test_kernel_parameters(fn, params):

@@ -15,11 +15,11 @@ The kernel pins were recorded before the kernels' fixed settings became
 class constants and ``clone()`` became a deep copy; each of their chains
 runs on a clone.
 The gradient counts, and no digest, were recorded again when a kernel step
-began to reuse the log density and gradient that the previous step recorded
-for the point it returned (``Model.remember``): a lone NUTS or HMC chain
-makes one gradient fewer per step after its first, and NUTS beside
-Metropolis one fewer after each rejected Metropolis step.  Each skipped call
-would have returned the recorded bits, so no chain moves.
+began to reuse the log density and gradient that the previous step left for
+the point it returned (now handed on by ``sample`` as ``known``): a lone
+NUTS or HMC chain makes one gradient fewer per step after its first, and
+NUTS beside Metropolis one fewer after each rejected Metropolis step.  Each
+skipped call would have returned the same bits, so no chain moves.
 Any change to the arithmetic of MAP, scaling, leapfrog or kernel bookkeeping
 moves the digest, and any extra or missing gradient evaluation moves the count.
 """

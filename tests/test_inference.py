@@ -10,7 +10,14 @@ from conftest import finite_diff_grad, rel_err
 from miniprob import demos
 from miniprob.backends import MemoryBackend, TextBackend, load
 from miniprob.distributions import Custom, DiscreteUniform, Exponential, Normal
-from miniprob.exceptions import NonFiniteLogp, NonFiniteStart, SamplingError, UncoveredVariable
+from miniprob.exceptions import (
+    NonFiniteLogp,
+    NonFiniteStart,
+    SamplingError,
+    ShapeMismatch,
+    UncoveredVariable,
+    UnknownVariable,
+)
 from miniprob.graph import opaque_deterministic
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
@@ -161,6 +168,18 @@ class TestSample:
             sample(m, 5, [], backend=chosen)
         assert chosen.layout is None and not directory.exists()
 
+    @pytest.mark.parametrize("start, error", [
+        ({"x": np.zeros(3)}, ShapeMismatch), ({"sigmaa": 1.0}, UnknownVariable),
+    ], ids=["shape", "misspelt"])
+    def test_bad_start_rejected_before_the_backend_starts(self, tmp_path, start, error):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.add_free("sigma", Exponential(1.0))
+        directory = tmp_path / "tb"
+        with pytest.raises(error):
+            sample(m, 10, [Metropolis(m)], start=start, backend=TextBackend(str(directory)))
+        assert not directory.exists()
+
     @pytest.mark.parametrize("start", [{"x": np.nan}, {"x": -np.inf}, {"sigma_log": np.inf}],
                              ids=["x_nan", "x_neg_inf", "sigma_log_inf"])
     def test_metropolis_rejects_a_non_finite_start(self, start):
@@ -184,22 +203,17 @@ class TestSample:
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        t = sample(m, 400, [Metropolis(m)], seed=1, warmup=100, discard_tuned=True)
+        t = sample(m, 400, [Metropolis(m)], seed=1, warmup=100)
         assert len(t) == 400
-
-    def test_trace_length_without_discard(self):
-        m = Model()
-        m.add_free("x", Normal(mu=0.0, sd=1.0))
-        m.finalize()
-        t = sample(m, 400, [Metropolis(m)], seed=1, warmup=100, discard_tuned=False)
-        assert len(t) == 500
 
     def test_default_warmup_rule(self):
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        t = sample(m, 50, [Metropolis(m)], seed=1, discard_tuned=False)
-        assert len(t) == 50 + 25  # min(500, draws // 2)
+        totals = set()
+        t = sample(m, 50, [Metropolis(m)], seed=1, progress=lambda c, d, t_: totals.add(t_))
+        assert totals == {50 + 25}  # min(500, draws // 2)
+        assert len(t) == 50
 
     def test_coverage_required(self):
         m = Model()
@@ -262,7 +276,7 @@ class TestSample:
         t = sample(m, 100, [Metropolis(m)], seed=2, warmup=20)
         last = t[-1]
         assert set(last) == {"e_log", "e"}
-        t2 = sample(m, 10, [Metropolis(m)], seed=3, start=last, warmup=0, discard_tuned=False)
+        t2 = sample(m, 10, [Metropolis(m)], seed=3, start=last, warmup=0)
         assert np.isfinite(t2["e"]).all()
 
 
@@ -275,11 +289,11 @@ class FailingMetropolis(Metropolis):
         super().__init__(*args, **kwargs)
         self.draws = 0
 
-    def step(self, point, rng, tuning=False):
+    def step(self, point, rng, tuning=False, known=None):
         if self.draws == self.FAIL_AT:
             raise NonFiniteLogp("injected failure")
         self.draws += 1
-        return super().step(point, rng, tuning)
+        return super().step(point, rng, tuning, known)
 
 
 def crash_mid_sample(directory: str) -> None:

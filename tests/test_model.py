@@ -3,7 +3,7 @@ import pytest
 from scipy import special
 
 from conftest import rel_err
-from miniprob import graph
+from miniprob import demos, graph
 from miniprob.distributions import (
     Bernoulli,
     Custom,
@@ -24,6 +24,7 @@ from miniprob.exceptions import (
     ModelFrozen,
     OutsideSupport,
     ShapeMismatch,
+    UnknownVariable,
 )
 
 # referenced via the module so pytest does not try to collect it as a test class
@@ -178,6 +179,25 @@ def test_start_outside_the_transform_domain_names_the_variable(dist, start, mess
     with pytest.raises(OutsideSupport) as exc:
         m.initial_point({"v": start})
     assert str(exc.value) == f"start value for 'v': {message}"
+
+
+def test_start_naming_no_variable_is_rejected():
+    from miniprob.inference import find_map
+    m = demos.disasters_model()
+    with pytest.raises(UnknownVariable, match="^start names no variable: 'early_rat'$"):
+        m.initial_point({"early_rat": 5.0})
+    with pytest.raises(UnknownVariable, match="'sigmaa', 'y'$"):
+        find_map(m, start={"early_rate": 2.0, "sigmaa": 3.0, "y": 1.0})
+
+
+def test_every_trace_column_is_a_start():
+    m = Model()
+    x = m.add_free("x", Normal(mu=0.0, sd=1.0))
+    m.add_free("e", Exponential(1.0))
+    m.add_deterministic("twice", x.value * 2.0)
+    row = m.expand_point(m.initial_point({"x": 1.5, "e": 2.0}))
+    assert list(row) == ["x", "e_log", "e", "twice"]
+    assert m.initial_point(row) == {"x": 1.5, "e_log": np.log(2.0)}
 
 
 class TestDiscreteValuesNotTruncated:
@@ -471,7 +491,7 @@ class TestPriorSamplingThroughTransform:
         m = Model()
         m.add_free("e", Exponential(1.0))
         m.finalize()
-        step = Nuts(m, scaling=np.array([1.0]))
+        step = Nuts(m, scaling=m.test_point)  # unit curvature at e_log = 0
         trace = sample(m, 20000, [step], seed=3, warmup=500)
         x = trace["e"]
         assert x.shape == (20000,)

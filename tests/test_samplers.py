@@ -39,13 +39,15 @@ def normal_model(mu=0.0, sd=1.0):
     return m.finalize()
 
 
-def box_model(lo=-3.0, hi=3.0):
-    """Uniform density on a box via a custom term, kept untransformed."""
+def box_model(lo=-3.0, hi=3.0, curvature=0.0):
+    """Density exp(-curvature * u**2 / 2) on a box via a custom term, kept
+    untransformed; uniform by default."""
     m = Model()
 
     def box_logp(v):
         inb = graph.mul(cmp_ge(v, lo), cmp_ge(hi, v))
-        return graph.sum_all(switch(inb, const(0.0), const(NEG_INF)))
+        inside = const(0.0) if curvature == 0.0 else -0.5 * curvature * v * v
+        return graph.sum_all(switch(inb, inside, const(NEG_INF)))
 
     m.add_free("u", Custom(box_logp), testval=0.5 * (lo + hi))
     return m.finalize()
@@ -284,6 +286,17 @@ class TestScaling:
             kernel(m, scaling=np.array([bad, 1.0]))
 
     @pytest.mark.parametrize("kernel", [Nuts, Hmc])
+    @pytest.mark.parametrize("scaling", [np.array([1.0, 2.0]), 1.0, [1.0, 2.0]],
+                             ids=["vector", "scalar", "list"])
+    def test_scaling_other_than_a_point_rejected(self, kernel, scaling):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0), shape=2)
+        m.finalize()
+        with pytest.raises(ValueError, match=r"^scaling must be None \(the test point\) or a "
+                                             "point, got"):
+            kernel(m, scaling=scaling)
+
+    @pytest.mark.parametrize("kernel", [Nuts, Hmc])
     def test_non_finite_hessian_diagonal_rejected(self, kernel):
         m = normal_model()
         with pytest.raises(NonFiniteGradient, match="Hessian"):
@@ -367,12 +380,12 @@ class TestDenseMetric:
         assert np.count_nonzero(root) == len(diag)
         assert np.array_equal(np.abs(root).max(axis=0), np.sqrt(floored))
 
-    def test_vector_scaling_is_the_mass_diagonal(self):
+    def test_point_scaling_is_the_floored_hessian(self):
         m = Model()
-        m.add_free("x", Normal(mu=0.0, sd=1.0), shape=3)
+        m.add_free("x", Normal(mu=0.0, sd=np.array([0.5, 2.0, 1e9]) ** 0.5), shape=3)
         m.finalize()
-        step = Hmc(m, scaling=np.array([2.0, 0.5, 1e-9]))
-        assert np.array_equal(step.mass, np.diag([2.0, 0.5, 1e-8]))
+        step = Hmc(m, scaling=m.test_point)
+        np.testing.assert_allclose(step.mass, np.diag([2.0, 0.5, 1e-8]), rtol=1e-9, atol=1e-15)
 
     def test_indefinite_hessian_is_floored_by_absolute_eigenvalues(self):
         h = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
@@ -390,9 +403,9 @@ class TestNuts:
         assert no_uturn(dq, np.array([0.5, -4.0]), np.array([2.0, 3.0]))
 
     def test_never_returns_neg_inf_logp(self):
-        m = box_model(-2.0, 2.0)
-        # curvature is zero inside the box; provide an explicit unit scaling
-        step = Nuts(m, scaling=np.array([1.0]), step_size=0.7)
+        # unit curvature at the test point gives a unit mass
+        m = box_model(-2.0, 2.0, curvature=1.0)
+        step = Nuts(m, step_size=0.7)
         rng = stream(13, 0)
         point = m.initial_point()
         for _ in range(2000):
@@ -416,7 +429,7 @@ class TestNuts:
 
     def test_nonfinite_start_raises(self):
         m = box_model(0.0, 1.0)
-        step = Nuts(m, scaling=np.array([1.0]))
+        step = Nuts(m)
         with pytest.raises(NonFiniteLogp):
             step.step({"u": np.array(9.0)}, stream(0, 0), False)
 
@@ -565,24 +578,22 @@ def calls(monkeypatch):
 
 
 class TestRecord:
-    """A kernel step skips the evaluation the previous step recorded for the
-    point it returned, and only that one."""
+    """A kernel step skips the evaluation that the step before it handed on
+    as ``known`` for the point it returned, and only that one."""
 
-    def run(self, steps, n, forget=False, touch=None):
-        """``n`` iterations of ``steps`` from the test point: the points after
-        each iteration.  ``forget`` clears the record before every step;
-        ``touch`` changes the returned point's arrays in place."""
+    @staticmethod
+    def run(steps, n, handoff):
+        """``n`` iterations of ``steps`` from the test point, the first half
+        tuning, each step handed the previous step's ``known`` when
+        ``handoff``: the points after each iteration."""
         m = steps[0].model
         rng = stream(3, 0)
-        point = m.initial_point()
+        point, known = m.initial_point(), None
         out = []
         for i in range(n):
             for s in steps:
-                if forget:
-                    m._last = None
-                point = s.step(point, rng, i < n // 2)
-                if touch is not None:
-                    touch(point)
+                point = s.step(point, rng, i < n // 2, known if handoff else None)
+                known = s.known
             out.append({k: np.array(v) for k, v in point.items()})
         return out
 
@@ -598,12 +609,17 @@ class TestRecord:
         step = kernel(m)
         warmup, draws = 40, 60
         calls["grad"] = 0
-        sample(m, draws, [step], warmup=warmup, seed=3)
-        reused = calls["grad"]
+        trace = sample(m, draws, [step], warmup=warmup, seed=3)
+        handed = calls["grad"]
         calls["grad"] = 0
-        m.recall = lambda point: None
-        sample(m, draws, [step], warmup=warmup, seed=3)
-        assert calls["grad"] - reused == warmup + draws - 1
+        # the same chain stepped by hand, with nothing known
+        hand, rng, point = step.clone(), stream(3, 0), m.initial_point()
+        rows = []
+        for i in range(warmup + draws):
+            point = hand.step(point, rng, i < warmup)
+            rows.append(point["x"])
+        assert calls["grad"] - handed == warmup + draws - 1
+        np.testing.assert_array_equal(trace["x"], rows[warmup:])
 
     @pytest.mark.parametrize("kernels", [
         [(Nuts, "x"), (Metropolis, "e"), (Slice, "e")],
@@ -613,74 +629,73 @@ class TestRecord:
     def test_chains_are_unchanged_by_the_record(self, kernels):
         m = two_var_model()
         steps = lambda: [k(m, vars=[v]) for k, v in kernels]
-        assert self.same(self.run(steps(), 30), self.run(steps(), 30, forget=True))
-
-    def test_point_changed_in_place_is_evaluated_again(self, calls):
-        m = two_var_model()
-
-        def touch(point):
-            point["x"][0] += 0.25
-
-        touched = self.run([Nuts(m, vars=["x"])], 20, touch=touch)
-        assert calls["grad"] > 0
-        # every step after the first found its start changed: no call was skipped
-        per_step = calls["grad"]
-        calls["grad"] = 0
-        fresh = self.run([Nuts(m, vars=["x"])], 20, forget=True, touch=touch)
-        assert calls["grad"] == per_step
-        assert self.same(touched, fresh)
+        assert self.same(self.run(steps(), 30, True), self.run(steps(), 30, False))
 
     def test_gradient_kernel_start_matches_a_fresh_evaluation(self, calls):
         m = two_var_model()
         step = Nuts(m)
         point = step.step(m.initial_point(), stream(1, 0), True)
-        point["x"][1] = -0.5
         before = calls["grad"]
-        _, lp, g = step._start(point)
-        assert calls["grad"] == before + 1
+        _, lp, g = step._start(point, step.known)
+        assert calls["grad"] == before
         assert lp == m.logp(point)
         assert np.array_equal(g, step.packer.pack(m.dlogp(point, step.packer.names)))
+        # a gradient over other names is evaluated again, to the same bits
+        _, lp2, g2 = step._start(point, (lp, g[:3], ["x"]))
+        assert calls["grad"] == before + 1
+        assert lp2 == lp and np.array_equal(g2, g)
 
     def test_metropolis_after_nuts(self, calls):
         m = two_var_model()
-        met, nuts = Metropolis(m, vars=["e"]), Nuts(m, vars=["x"])
-        rng = stream(4, 0)
-        point = m.initial_point()
-        logps, grads, rejected = [], [], []
-        for i in range(120):
-            tuning = i < 60
-            before = calls["logp"]
-            point = met.step(point, rng, tuning)
-            logps.append(calls["logp"] - before)
-            rejected.append(not met.last_accepted)
-            before = calls["grad"]
-            point = nuts.step(point, rng, tuning)
-            grads.append(calls["grad"] - before)
-        # the same chain with no record: the gradients each NUTS step needs
-        m.recall = lambda point: None
-        met, nuts = Metropolis(m, vars=["e"]), Nuts(m, vars=["x"])
-        rng = stream(4, 0)
-        point = m.initial_point()
-        saved = []
-        for i in range(120):
-            point = met.step(point, rng, i < 60)
-            before = calls["grad"]
-            point = nuts.step(point, rng, i < 60)
-            saved.append(calls["grad"] - before - grads[i])
-        assert logps == [2] + [1] * 119
+
+        def run(handoff):
+            met, nuts = Metropolis(m, vars=["e"]), Nuts(m, vars=["x"])
+            rng = stream(4, 0)
+            point, known = m.initial_point(), None
+            logps, grads, rejected = [], [], []
+            for i in range(120):
+                tuning = i < 60
+                before = calls["logp"]
+                point = met.step(point, rng, tuning, known)
+                logps.append(calls["logp"] - before)
+                rejected.append(not met.last_accepted)
+                known = met.known if handoff else None
+                before = calls["grad"]
+                point = nuts.step(point, rng, tuning, known)
+                grads.append(calls["grad"] - before)
+                known = nuts.known if handoff else None
+            return logps, grads, rejected
+
+        logps, grads, rejected = run(handoff=True)
+        alone_logps, alone_grads, alone_rejected = run(handoff=False)
+        assert rejected == alone_rejected
         assert 0 < sum(rejected[1:]) < 119
+        # one log density saved per step after the first ...
+        assert alone_logps == [2] * 120
+        assert logps == [2] + [1] * 119
+        # ... and the NUTS gradient survives each rejected Metropolis step
+        saved = [a - b for a, b in zip(alone_grads, grads)]
         assert saved == [0] + [int(r) for r in rejected[1:]]
 
     def test_slice_and_metropolis_reuse_the_log_density(self, calls):
         m = two_var_model()
         steps = [Slice(m, vars=["x"]), Metropolis(m, vars=["e"])]
         counts = []
-        for forget in (False, True):
+        for handoff in (True, False):
             calls["logp"] = 0
-            self.run(steps, 1, forget=forget)
+            self.run([s.clone() for s in steps], 1, handoff)
             counts.append(calls["logp"])
-        # Slice starts with no record; Metropolis reuses the point Slice returned
+        # Slice starts with nothing known; Metropolis reuses the point Slice returned
         assert counts[0] == counts[1] - 1
+
+    @staticmethod
+    def spy(kernel, seen):
+        """A subclass of ``kernel`` that appends each ``known`` it is handed to ``seen``."""
+        class Spy(kernel):
+            def step(self, point, rng, tuning=False, known=None):
+                seen.append(known)
+                return super().step(point, rng, tuning, known)
+        return Spy
 
     def test_opaque_log_density_is_never_recorded(self, calls):
         m = Model()
@@ -689,6 +704,19 @@ class TestRecord:
         m.add_deterministic("seen", seen)
         m.add_free("y", Custom(lambda v: graph.sum_all(v * seen)), testval=0.0)
         m.finalize()
+        known = []
         calls["logp"] = 0
-        self.run([Metropolis(m)], 5)
+        sample(m, 5, [self.spy(Metropolis, known)(m)], warmup=0)
+        assert known == [None] * 5
         assert calls["logp"] == 10
+
+    def test_each_chain_evaluates_its_start(self):
+        m = two_var_model()
+        known = []
+        steps = [self.spy(Nuts, known)(m, vars=["x"]), self.spy(Slice, known)(m, vars=["e"])]
+        sample(m, 3, steps, warmup=2, chains=2)
+        per_chain = 2 * (3 + 2)
+        assert len(known) == 2 * per_chain
+        for chain in (known[:per_chain], known[per_chain:]):
+            assert chain[0] is None
+            assert all(k is not None for k in chain[1:])
