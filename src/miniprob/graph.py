@@ -14,10 +14,11 @@ whose converted bytes changed since the previous successful call; bit 0 counts
 as changed on every call, and the first call runs every node, so a node fed
 only by constants runs once.  The code that runs is generated Python: one
 straight-line function per change mask, made on the mask's first call, with
-one line per node it runs, and one backward function per set of names, with
-one line per adjoint contribution into a slot whose mask meets those names'
-bits.  The lines call the same numpy kernels in the order of a full sweep, so
-neither reuse, pruning nor generation changes a bit.
+one line per node it runs, and one backward function per ordered list of
+names, with one line per adjoint contribution into a slot whose mask meets
+those names' bits; it writes the gradient as one packed vector.  The lines
+call the same numpy kernels in the order of a full sweep, so neither reuse,
+pruning nor generation changes a bit.
 
 A 0-d slot below the root holds a numpy scalar, not a 0-d array: a 0-d
 constant, input copy or ``sum_all``, and the backward seed.  A ufunc on 0-d
@@ -340,6 +341,14 @@ def _input_value(node: Expr, point: Mapping) -> np.ndarray:
     return as_dtype(arr, node.dtype, name)
 
 
+def _size(point: Mapping, name: str) -> int:
+    """How many zeros ``grad`` gives ``name``, a wanted name that no node reads."""
+    try:
+        return np.size(point[name])
+    except (KeyError, TypeError):
+        raise MissingInput(f"free input {name!r} not present in point") from None
+
+
 def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
     """``raw`` as an int64 array for the "int" dtype, else as float64.  An
     int value must be integral and finite; it is never truncated."""
@@ -446,14 +455,13 @@ _BACKWARD = {
     "index": ("scatter({s[0]}, {k}, {g})",),
 }
 _NAMESPACE = {
-    "absolute": np.absolute, "add": np.add, "asarray": np.asarray,
-    "concatenate": np.concatenate, "exp": np.exp, "expit": special.expit,
-    "float64": np.float64, "full": np.full, "gammaln": special.gammaln, "inf": np.inf,
-    "log": np.log, "power": np.power, "psi": special.psi, "sign": np.sign,
-    "sqrt": np.sqrt, "true_divide": np.true_divide, "where": np.where,
-    "G": _guarded, "scatter": _scatter, "call": _call, "ONE": np.float64(1.0),
-    "ZERO": np.float64(0.0), "NEG_INF": np.float64(-np.inf),
-    "SEED": np.float64(1.0),
+    "absolute": np.absolute, "add": np.add, "asarray": np.asarray, "concatenate": np.concatenate,
+    "empty": np.empty, "exp": np.exp, "expit": special.expit, "float64": np.float64,
+    "full": np.full, "gammaln": special.gammaln, "inf": np.inf, "log": np.log, "power": np.power,
+    "psi": special.psi, "sign": np.sign, "size": _size, "sqrt": np.sqrt,
+    "true_divide": np.true_divide, "where": np.where, "zeros": np.zeros, "G": _guarded,
+    "scatter": _scatter, "call": _call, "NoGradient": NoGradient, "ONE": np.float64(1.0),
+    "ZERO": np.float64(0.0), "NEG_INF": np.float64(-np.inf), "SEED": np.float64(1.0),
 }
 
 
@@ -468,9 +476,9 @@ def _rule(node: Expr, j: int) -> str | None:
     return _BACKWARD[node.kind][j]
 
 
-def _define(lines: list[str], ret: str, namespace: dict) -> Callable:
-    """``def run(v)`` with the body ``lines`` returning ``ret``, compiled once."""
-    src = "def run(v):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {ret}\n"
+def _define(lines: list[str], ret: str, namespace: dict, args: str = "v") -> Callable:
+    """``def run(args)`` with the body ``lines`` returning ``ret``, compiled once."""
+    src = f"def run({args}):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {ret}\n"
     scope: dict = {}
     exec(compile(src, "<miniprob tape>", "exec"), namespace, scope)
     return scope["run"]
@@ -486,10 +494,10 @@ class _Tape:
     ``forward`` replaces both at once, after its pass succeeds.  ``runs``
     holds at most one generated function per distinct change mask (key None
     for the first call), which runs the steps listed in its ``steps``, and
-    ``plans`` one backward pass per set of names.  Every 0-d slot but the
-    root's holds a numpy scalar, which the 0-d kernels run on at a tenth of
-    the cost of a 0-d array.  A tape is not safe to evaluate from two
-    threads at once."""
+    ``plans`` one backward pass per ordered tuple of names.  Every 0-d slot
+    but the root's holds a numpy scalar, which the 0-d kernels run on at a
+    tenth of the cost of a 0-d array.  A tape is not safe to evaluate from
+    two threads at once."""
 
     def __init__(self, root: Expr):
         self.order = order = topo_order(root)
@@ -499,7 +507,7 @@ class _Tape:
         self.steps: list[int] = []
         self.deps = deps = [0] * len(order)
         self.runs: dict = {}
-        self.plans: dict[frozenset, tuple] = {}
+        self.plans: dict[tuple, Callable] = {}
         self.namespace = dict(_NAMESPACE)
         values: list = [None] * len(order)
         self.last = last = len(order) - 1
@@ -573,38 +581,37 @@ class _Tape:
         self.state = (values, seen)
         return values
 
-    def plan(self, wrt: Sequence[str]) -> tuple:
-        """(shape of each wanted input by name, the generated backward pass,
-        whether an opaque node lies on a differentiated path) for one set of
-        names.  The pass maps each wanted name that receives an adjoint to
-        it."""
-        key = frozenset(wrt)
-        if key in self.plans:
-            return self.plans[key]
+    def plan(self, wrt: tuple) -> Callable:
+        """The generated backward pass for one ordered tuple of names, given
+        the slots and the point: a new vector of each name's adjoint, zeros
+        where none reaches it, in ``grad``'s layout.  It raises
+        ``NoGradient`` if an opaque node lies on a differentiated path."""
+        if wrt in self.plans:
+            return self.plans[wrt]
+        if len(set(wrt)) < len(wrt):
+            raise DuplicateName(f"a name is listed twice in {list(wrt)}")
         order, operands, deps = self.order, self.operands, self.deps
-        shapes: dict[str, tuple] = {}
+        slots = {node.input_name: i for i, node in self.inputs if node.input_name in wrt}
         bits = 0
-        for k, (i, node) in enumerate(self.inputs):
-            if node.input_name in key:
-                if node.dtype == "int":
-                    raise IntegerDifferentiation(
-                        f"cannot differentiate through integer input {node.input_name!r}")
-                shapes[node.input_name] = node.shape
-                bits |= 2 << k
+        for name, i in slots.items():
+            if order[i].dtype == "int":
+                raise IntegerDifferentiation(f"cannot differentiate through integer input {name!r}")
+            bits |= deps[i]
         # One line per adjoint contribution, in the order of the full reverse
         # sweep; the first into a slot starts its adjoint, and one from a
         # node with a shape into a 0-d child is summed.  Children whose mask
         # meets no requested bit get none; nothing they receive could flow
         # into a requested gradient.
         last = self.last
-        lines, has, blocked = [f"a{last} = SEED"], {last}, False
+        lines, has = [f"a{last} = SEED"], {last}
         for i in reversed(range(len(order))):
             if i not in has or not deps[i] & bits:
                 continue
             node = order[i]
             if node.kind == "opaque":
-                blocked = True
-                continue
+                lines = ['raise NoGradient("gradient requested through an opaque '
+                         'deterministic node")']
+                break
             refs = [f"v[{a}]" for a in operands[i]]
             for j, child in enumerate(operands[i]):
                 rule = _rule(node, j)
@@ -615,10 +622,21 @@ class _Tape:
                     c = f"add.reduce({c}, axis=None)"
                 lines.append(f"a{child} = a{child} + {c}" if child in has else f"a{child} = {c}")
                 has.add(child)
-        ret = ", ".join(f"{n.input_name!r}: a{i}" for i, n in self.inputs
-                        if i in has and n.input_name in shapes)
-        self.plans[key] = (shapes, _quiet(_define(lines, f"{{{ret}}}", self.namespace)), blocked)
-        return self.plans[key]
+        off, writes = "0", []  # the compiler folds the constant offsets
+        for j, name in enumerate(wrt):
+            if name not in slots:  # no node reads it: sized by the point
+                lines.append(f"z{j} = size(p, {name!r})")
+                off += f" + z{j}"
+                continue
+            i = slots[name]
+            end = f"{off} + {int(np.prod(order[i].shape, dtype=int))}"
+            if i in has:
+                flat = ".ravel()" if len(order[i].shape) > 1 else ""
+                writes.append(f"out[{off}:{end}] = a{i}{flat}")
+            off = end
+        lines.append(f"out = {'empty' if len(writes) == len(wrt) else 'zeros'}({off})")
+        self.plans[wrt] = _quiet(_define(lines + writes, "out", self.namespace, "v, p"))
+        return self.plans[wrt]
 
 
 def _tape(expr: Expr) -> _Tape:
@@ -642,34 +660,25 @@ def has_opaque(expr: Expr) -> bool:
 # --- reverse-mode gradient -------------------------------------------------
 
 def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
-         values: list | None = None) -> Point:
-    """Reverse-mode gradient of a scalar ``expr`` for the named free inputs.
-
-    One backward pass serves every requested name; ``values`` are the slots
-    of a forward pass at ``point`` when the caller already has them.
-    ``switch`` conditions and comparison results are treated as constants;
-    paths through opaque nodes raise ``NoGradient``; integer inputs raise
-    ``IntegerDifferentiation``.
+         values: list | None = None) -> np.ndarray:
+    """Reverse-mode gradient of a scalar ``expr`` as one new float64 vector:
+    the block of each name in ``wrt``, raveled in C order, in that order.  A
+    name that ``expr`` does not read gets as many zeros as ``point`` holds;
+    one listed twice raises ``DuplicateName``, an integer input
+    ``IntegerDifferentiation`` and a path through an opaque node
+    ``NoGradient``.  ``switch`` conditions and comparison results are
+    treated as constants.  ``values`` are the slots of a forward pass at
+    ``point`` when the caller already has them.
     """
     if expr.shape != ():
         raise NonScalarObjective(f"objective has shape {expr.shape}, expected a scalar")
     tape = _tape(expr)
-    shapes, backward, blocked = tape.plan(wrt)
-    if values is None:
-        values = tape.forward(point)
-    if blocked:
-        raise NoGradient("gradient requested through an opaque deterministic node")
-    adjoints = backward(values)
-    out: Point = {}
-    for name in wrt:
-        out[name] = g = np.zeros(shapes.get(name, ()))
-        if name in adjoints:
-            g[...] = adjoints[name]
-    return out
+    backward = tape.plan(tuple(wrt))
+    return backward(tape.forward(point) if values is None else values, point)
 
 
 def value_and_grad(expr: Expr, wrt: Sequence[str], point: Mapping):
-    """Forward value and reverse-mode gradient sharing one forward pass."""
+    """The value of ``expr`` and its ``grad`` vector, sharing one forward pass."""
     values = _tape(expr).forward(point)
     g = grad(expr, wrt, point, values=values)
     return values[-1], g

@@ -210,11 +210,14 @@ class Model:
     def logp(self, point: Mapping) -> float:
         return float(eval_expr(self.logp_graph, point))
 
-    def dlogp(self, point: Mapping, names: Sequence[str] | None = None) -> Point:
+    def dlogp(self, point: Mapping, names: Sequence[str] | None = None) -> np.ndarray:
+        """The gradient of ``logp`` at ``point`` over ``names`` (default: the
+        continuous ones) as one new vector, laid out as ``graph.grad``'s."""
         names = self.continuous_names() if names is None else self.resolve_names(names)
         return graph.grad(self.logp_graph, names, point)
 
     def logp_and_dlogp(self, point: Mapping, names: Sequence[str] | None = None):
+        """(``logp``, ``dlogp``) at ``point``, sharing one forward pass."""
         names = self.continuous_names() if names is None else self.resolve_names(names)
         value, g = graph.value_and_grad(self.logp_graph, names, point)
         return float(value), g
@@ -243,9 +246,11 @@ class Model:
 
     def initial_point(self, start: Mapping | None = None) -> Point:
         """Test point overlaid with ``start``; accepts transformed names or
-        untransformed aliases (aliases are forward-transformed).  Any other
-        trace column (a deterministic) is ignored, and a key that names no
-        column raises ``UnknownVariable``."""
+        untransformed aliases (aliases are forward-transformed).  Given both,
+        the alias must match the value that the sampling name gives it, as a
+        trace row does, to a relative 1e-12, or ``DuplicateName`` is raised.
+        Any other trace column (a deterministic) is ignored, and a key that
+        names no column raises ``UnknownVariable``."""
         self.finalize()
         point = {k: np.array(v) for k, v in self._test_point.items()}
         if start:
@@ -267,6 +272,13 @@ class Model:
                     raise ShapeMismatch(
                         f"start value for {v.sampling_name!r}: expected {v.shape}, got {raw.shape}")
                 point[v.sampling_name] = as_dtype(raw, v.dtype, v.sampling_name)
+                if v.sampling_name in start and v.name in start and v.transform is not None:
+                    alias = np.asarray(start[v.name], dtype=np.float64)
+                    value = eval_expr(v.value, {v.sampling_name: point[v.sampling_name]})
+                    if alias.shape != v.shape or not np.allclose(alias, value, rtol=1e-12,
+                                                                 atol=0.0, equal_nan=True):
+                        raise DuplicateName(f"start gives {v.sampling_name!r} and its alias "
+                                            f"{v.name!r} values that disagree")
         return point
 
     # --- trace support ---------------------------------------------------------

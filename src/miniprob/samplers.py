@@ -38,14 +38,15 @@ from .model import Model
 
 
 class Packer:
-    """The named sampling coordinates of a model as one flat vector.  Every
-    other coordinate is held at the base point: ``start`` overlaid on the test
-    point, until ``rebase``.  An integer variable among ``names`` raises
-    ``IntegerDifferentiation``."""
+    """The named sampling coordinates of a model as one flat vector, laid out
+    as ``Model.dlogp`` lays out the gradient; ``names`` are resolved as
+    ``Model.resolve_names`` does.  Every other coordinate is held at the base
+    point: ``start`` overlaid on the test point, until ``rebase``.  An
+    integer variable among ``names`` raises ``IntegerDifferentiation``."""
 
     def __init__(self, model: Model, names: Sequence[str], start: Mapping | None = None):
         self.model = model
-        self.names = list(names)
+        self.names = model.resolve_names(names)
         for n in self.names:
             if model.var(n).dtype == "int":
                 raise IntegerDifferentiation(f"cannot target integer variable {n!r}")
@@ -55,17 +56,14 @@ class Packer:
         self.size = self.offsets[-1]
         self.start = self.rebase(model.initial_point(start))
 
-    def pack(self, point: Mapping) -> np.ndarray:
-        out = np.empty(self.size)
-        for name, size, off in zip(self.names, self.sizes, self.offsets):
-            out[off:off + size] = np.asarray(point[name], dtype=np.float64).reshape(size)
-        return out
-
     def rebase(self, point: Mapping) -> np.ndarray:
         """Hold the other coordinates at ``point`` from now on; returns the
         vector of ``point``."""
         self._base = dict(point)
-        return self.pack(point)
+        out = np.empty(self.size)
+        for name, size, off in zip(self.names, self.sizes, self.offsets):
+            out[off:off + size] = np.asarray(point[name], dtype=np.float64).reshape(size)
+        return out
 
     def point(self, vec: np.ndarray) -> Point:
         return self._views(vec.copy())
@@ -81,8 +79,7 @@ class Packer:
         return self.model.logp(self._views(vec))
 
     def logp_grad(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
-        lp, g = self.model.logp_and_dlogp(self._views(vec), self.names)
-        return lp, self.pack(g)
+        return self.model.logp_and_dlogp(self._views(vec), self.names)
 
 
 # --- Hessian-based scaling --------------------------------------------------
@@ -124,14 +121,11 @@ def _metric(h: np.ndarray):
 
 # --- leapfrog ----------------------------------------------------------------
 
-def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q=None):
+def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q):
     """One leapfrog step on flat vectors: ``logp_grad(q)`` returns the log
     density and its gradient, as ``Packer.logp_grad`` does; ``inv_mass`` is
-    the inverse mass, a symmetric square matrix; ``grad_q``,
-    when known, saves one evaluation.  Returns (q, p, logp, gradient) at the
-    end."""
-    if grad_q is None:
-        _, grad_q = logp_grad(q)
+    the inverse mass, a symmetric square matrix; ``grad_q`` is the gradient
+    at ``q``.  Returns (q, p, logp, gradient) at the end."""
     p_half = p + 0.5 * eps * grad_q
     q_new = q + (eps * p_half) @ inv_mass
     lp_new, g_new = logp_grad(q_new)

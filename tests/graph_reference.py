@@ -8,7 +8,8 @@ against it byte for byte.  It computes each node with the same numpy and
 ``scipy.special`` calls as the tape, on 0-d arrays where the tape holds numpy
 scalars, and keeps its own copy of the NaN guard of the backward pass, so a
 mismatch points at input reuse, pruning, scalar forms or summation order
-rather than at a kernel.
+rather than at a kernel.  ``grad`` returns one array per name, and ``pack``
+lays such a dict out as the tape's gradient vector.
 """
 
 from __future__ import annotations
@@ -218,13 +219,22 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
     out: Point = {}
     for name in wrt:
         node = wanted.get(name)
-        if node is None:
-            out[name] = np.zeros(())
+        if node is None:  # a name no node reads: zeros of its value's shape
+            out[name] = np.zeros(np.shape(point[name]))
         else:
             a = adjoint.get(id(node))
             out[name] = np.zeros(node.shape) if a is None else np.broadcast_to(
                 np.asarray(a, dtype=np.float64), node.shape).copy()
     return out
+
+
+def pack(grads: Mapping, wrt: Sequence[str]) -> np.ndarray:
+    """The gradient dict ``grads`` as ``miniprob.graph.grad`` returns it: one
+    float64 vector of each name's array, raveled in C order, in ``wrt``
+    order.  Every byte is copied, so the sign of zero and NaN payloads
+    survive."""
+    return np.concatenate([np.empty(0)] + [np.asarray(grads[n], dtype=np.float64).ravel()
+                                           for n in wrt])
 
 
 def value_and_grad(expr: Expr, wrt: Sequence[str], point: Mapping):

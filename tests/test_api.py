@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import miniprob
-from miniprob import demos, glm, graph
+from miniprob import demos, glm, graph, samplers
 from miniprob.transforms import IntervalTransform, LogTransform
 
 
@@ -31,6 +31,7 @@ def test_removed_names_are_not_exported():
     assert not hasattr(LogTransform, "backward")
     assert not hasattr(IntervalTransform, "backward")
     assert not hasattr(glm, "Family")
+    assert not hasattr(samplers.Packer, "pack")
 
 
 @pytest.mark.parametrize("fn, params", [
@@ -41,12 +42,18 @@ def test_removed_names_are_not_exported():
     (demos.run_disasters, ["draws", "seed", "backend", "progress"]),
     (miniprob.hessian, ["model", "point", "vars"]),
     (miniprob.hessian_diag, ["model", "point", "vars"]),
+    (miniprob.leapfrog, ["logp_grad", "q", "p", "eps", "inv_mass", "grad_q"]),
     (miniprob.sample, ["model", "draws", "steps", "start", "chains", "seed", "backend",
                        "warmup", "progress"]),
 ], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters", "hessian", "hessian_diag",
-        "sample"])
+        "leapfrog", "sample"])
 def test_kernel_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+def test_leapfrog_needs_the_start_gradient():
+    grad_q = inspect.signature(miniprob.leapfrog).parameters["grad_q"]
+    assert grad_q.default is inspect.Parameter.empty
 
 
 _STARTUP = """

@@ -131,8 +131,8 @@ class TestHessianDiag:
             xp, xm = x0.copy(), x0.copy()
             xp[i] += h
             xm[i] -= h
-            gp = packer.pack(linear_model.dlogp(packer.point(xp), names))
-            gm = packer.pack(linear_model.dlogp(packer.point(xm), names))
+            gp = linear_model.dlogp(packer.point(xp), names)
+            gm = linear_model.dlogp(packer.point(xm), names)
             oracle = -(gp[i] - gm[i]) / (2 * h)
             assert got[i] == pytest.approx(oracle, rel=1e-3, abs=1e-5)
 
@@ -362,6 +362,6 @@ class TestDemoGradients:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = x0 + rng.uniform(-0.5, 0.5, x0.size)
-            ad = packer.pack(linear_model.dlogp(packer.point(x), names))
+            ad = linear_model.dlogp(packer.point(x), names)
             fd = finite_diff_grad(f, x, h=1e-6)
             assert rel_err(ad, fd) < 1e-6

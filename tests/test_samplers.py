@@ -206,8 +206,9 @@ class TestSlice:
 class TestLeapfrog:
     def test_hand_computed_step(self):
         m = normal_model()
-        q, p, _, _ = leapfrog(Packer(m, ["x"]).logp_grad, np.array([1.0]), np.array([0.0]),
-                              eps=0.1, inv_mass=np.eye(1))
+        logp_grad, q0 = Packer(m, ["x"]).logp_grad, np.array([1.0])
+        q, p, _, _ = leapfrog(logp_grad, q0, np.array([0.0]), eps=0.1, inv_mass=np.eye(1),
+                              grad_q=logp_grad(q0)[1])
         assert q[0] == pytest.approx(0.995, abs=1e-12)
         assert p[0] == pytest.approx(-0.09975, abs=1e-12)
 
@@ -219,15 +220,17 @@ class TestLeapfrog:
         for _ in range(20):
             q0 = np.array([rng.standard_normal()])
             p0 = np.array([rng.standard_normal()])
-            q1, p1, _, _ = leapfrog(logp_grad, q0, p0, eps=0.3, inv_mass=inv_mass)
-            q2, p2, _, _ = leapfrog(logp_grad, q1, -p1, eps=0.3, inv_mass=inv_mass)
+            q1, p1, _, g1 = leapfrog(logp_grad, q0, p0, eps=0.3, inv_mass=inv_mass,
+                                     grad_q=logp_grad(q0)[1])
+            q2, p2, _, _ = leapfrog(logp_grad, q1, -p1, eps=0.3, inv_mass=inv_mass, grad_q=g1)
             assert q2[0] == pytest.approx(q0[0], abs=1e-12)
             assert -p2[0] == pytest.approx(p0[0], abs=1e-12)
 
     def test_zero_step_is_identity(self):
         m = normal_model()
-        q, p, _, _ = leapfrog(Packer(m, ["x"]).logp_grad, np.array([1.3]), np.array([-0.2]),
-                              eps=0.0, inv_mass=np.eye(1))
+        logp_grad, q0 = Packer(m, ["x"]).logp_grad, np.array([1.3])
+        q, p, _, _ = leapfrog(logp_grad, q0, np.array([-0.2]), eps=0.0, inv_mass=np.eye(1),
+                              grad_q=logp_grad(q0)[1])
         assert q[0] == 1.3
         assert p[0] == -0.2
 
@@ -253,6 +256,53 @@ class TestPacker:
         vec[0] = 4.0
         # the old bytes of "x" with a new "s": the tape reuses its copy of "x"
         check(np.array([0.5, 0.75, 3.0]))
+
+    def test_unread_vector_variable_gets_a_zero_block(self):
+        # the log density reads "a" only; "f" still takes three coordinates
+        m = Model()
+        m.add_free("a", Normal(mu=0.0, sd=1.0))
+        m.add_free("f", Flat(), shape=3, testval=np.zeros(3))
+        m.finalize()
+        lp, g = Packer(m, ["a", "f"]).logp_grad(np.array([0.5, 1.0, 2.0, 3.0]))
+        assert lp == pytest.approx(-0.125 - 0.5 * np.log(2.0 * np.pi), rel=1e-12)
+        np.testing.assert_array_equal(g, [-0.5, 0.0, 0.0, 0.0])
+        assert g.shape == (4,)
+        step = Nuts(m)
+        point = step.step(m.initial_point(), stream(0, 0))
+        assert point["f"].shape == (3,) and step.known[1].shape == (4,)
+
+    def test_returned_gradient_is_a_fresh_vector(self):
+        # NUTS keeps gradients in its tree nodes and in ``known``, so writing
+        # into one must not reach a later result or the tape
+        m = Model()
+        m.add_free("x", Normal(mu=1.0, sd=2.0), shape=3)
+        m.add_free("e", Exponential(1.0))
+        packer = Packer(m.finalize(), ["x", "e_log"])
+        vec, other = np.array([0.5, -1.0, 2.0, 0.3]), np.array([1.0, 1.0, 1.0, -0.2])
+        lp, first = packer.logp_grad(vec)
+        want = first.tobytes()
+        _, again = packer.logp_grad(vec)  # an unchanged point reruns no kernel
+        _, moved = packer.logp_grad(other)
+        _, back = packer.logp_grad(vec)
+        results = [first, again, moved, back]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(results)
+                       for b in results[i + 1:])
+        for g in results:
+            g[:] = np.nan
+        assert packer.logp(vec) == lp
+        for v in (vec, other, vec):
+            _, g = packer.logp_grad(v)
+            assert all(not np.shares_memory(g, r) for r in results)
+        assert packer.logp_grad(vec)[1].tobytes() == want
+
+    def test_aliases_and_repeats_resolve_to_sampling_names(self):
+        # the gradient has one block per resolved name, so the vector must too
+        m = Model()
+        m.add_free("e", Exponential(1.0))
+        packer = Packer(m.finalize(), ["e", "e_log"])
+        assert packer.names == ["e_log"] and packer.size == 1
+        lp, g = packer.logp_grad(np.array([0.0]))
+        assert lp == -1.0 and g.shape == (1,)
 
     def test_point_owns_its_arrays(self):
         packer = Packer(normal_model(), ["x"])
@@ -639,7 +689,7 @@ class TestRecord:
         _, lp, g = step._start(point, step.known)
         assert calls["grad"] == before
         assert lp == m.logp(point)
-        assert np.array_equal(g, step.packer.pack(m.dlogp(point, step.packer.names)))
+        assert np.array_equal(g, m.dlogp(point, step.packer.names))
         # a gradient over other names is evaluated again, to the same bits
         _, lp2, g2 = step._start(point, (lp, g[:3], ["x"]))
         assert calls["grad"] == before + 1

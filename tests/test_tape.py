@@ -47,8 +47,7 @@ def check_against_reference(model, point):
     ref_lp, ref_g = reference.value_and_grad(expr, names, point)
     assert as_bytes(lp) == as_bytes(float(ref_lp))
     assert as_bytes(model.logp(point)) == as_bytes(float(ref_lp))
-    for n in names:
-        assert as_bytes(g[n]) == as_bytes(ref_g[n]), n
+    assert as_bytes(g) == as_bytes(reference.pack(ref_g, names))
 
 
 def random_points(model, n, seed):
@@ -118,9 +117,7 @@ def test_every_wrt_subset_matches_reference(name):
     for wrt in subsets(model.continuous_names()):
         g = graph.grad(model.logp_graph, wrt, point)
         ref = reference.grad(model.logp_graph, wrt, point)
-        assert list(g) == wrt
-        for n in wrt:
-            assert as_bytes(g[n]) == as_bytes(ref[n]), (wrt, n)
+        assert as_bytes(g) == as_bytes(reference.pack(ref, wrt)), wrt
 
 
 def _edge_graphs():
@@ -169,14 +166,14 @@ def _edge_graphs():
 @pytest.mark.parametrize("label, expr, point", list(_edge_graphs()),
                          ids=[label for label, _, _ in _edge_graphs()])
 def test_edge_graph_matches_reference(label, expr, point):
+    wrt = [n for n in ("x", "y") if n in point]  # read by ``expr`` or not
     for _ in range(2):  # the first call compiles, the second reuses the tape
-        value, g = graph.value_and_grad(expr, ["x", "y"], point)
-        ref_value, ref_g = reference.value_and_grad(expr, ["x", "y"], point)
+        value, g = graph.value_and_grad(expr, wrt, point)
+        ref_value, ref_g = reference.value_and_grad(expr, wrt, point)
         assert as_bytes(value) == as_bytes(ref_value)
         assert type(value) is type(ref_value)
         assert as_bytes(eval_expr(expr, point)) == as_bytes(ref_value)
-        for n in ("x", "y"):
-            assert as_bytes(g[n]) == as_bytes(ref_g[n]), n
+        assert as_bytes(g) == as_bytes(reference.pack(ref_g, wrt))
 
 
 class TestFolding:
@@ -222,7 +219,7 @@ class TestFolding:
         node = opaque_deterministic(lambda v: np.asarray(float(v) * 2.0), [y], ())
         expr = x * x + node
         for _ in range(2):
-            assert graph.grad(expr, ["x"], {"x": 3.0, "y": 1.0})["x"] == 6.0
+            assert list(graph.grad(expr, ["x"], {"x": 3.0, "y": 1.0})) == [6.0]
         with pytest.raises(NoGradient):
             graph.grad(expr, ["x", "y"], {"x": 3.0, "y": 1.0})
 
@@ -254,8 +251,9 @@ class TestFolding:
             point = {"x": x, "k": k}
             want = {"x": np.asarray(x, dtype=np.float64), "k": np.int64(2)}
             for tape_out, ref_out in [(eval_expr(expr, point), eval_expr(expr, want)),
-                                      (graph.grad(expr, ["x"], point)["x"],
-                                       reference.grad(expr, ["x"], want)["x"])]:
+                                      (graph.grad(expr, ["x"], point),
+                                       reference.pack(reference.grad(expr, ["x"], want),
+                                                      ["x"]))]:
                 assert as_bytes(tape_out) == as_bytes(ref_out), (x, k)
 
 
@@ -282,8 +280,8 @@ def test_lgamma_edge_inputs_match_reference(kind, x):
         out, ref = eval_expr(node, point), reference.forward(node, point)[id(node)]
     else:
         expr = graph.sum_all(node)
-        out, ref = (graph.grad(expr, ["x"], point)["x"],
-                    reference.grad(expr, ["x"], point)["x"])
+        out, ref = (graph.grad(expr, ["x"], point),
+                    reference.pack(reference.grad(expr, ["x"], point), ["x"]))
     assert type(out) is type(ref)
     assert as_bytes(out) == as_bytes(ref)
 
@@ -375,7 +373,7 @@ class TestReuse:
             ref_value, ref_g = reference.value_and_grad(expr, ["x"], point)
             value, g = graph.value_and_grad(expr, ["x"], point)
             assert as_bytes(value) == as_bytes(ref_value)
-            assert as_bytes(g["x"]) == as_bytes(ref_g["x"])
+            assert as_bytes(g) == as_bytes(reference.pack(ref_g, ["x"]))
 
     def test_tape_keeps_no_reference_to_the_callers_array(self):
         x, y = free_input("x", (2,)), free_input("y", ())
