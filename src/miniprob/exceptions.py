@@ -5,13 +5,15 @@ class MiniprobError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- graph evaluation / differentiation ---
-
-class MissingInput(MiniprobError, KeyError):
-    """A free input required by the graph is absent from the point."""
-
+class _Unquoted(MiniprobError, KeyError):
     def __str__(self):  # KeyError quotes its message otherwise
         return self.args[0] if self.args else ""
+
+
+# --- graph evaluation / differentiation ---
+
+class MissingInput(_Unquoted):
+    """A free input required by the graph is absent from the point."""
 
 
 class ShapeMismatch(MiniprobError, ValueError):
@@ -92,9 +94,8 @@ class MissingChainFile(MiniprobError, FileNotFoundError):
     pass
 
 
-class UnknownVariable(MiniprobError, KeyError):
-    def __str__(self):
-        return self.args[0] if self.args else ""
+class UnknownVariable(_Unquoted):
+    pass
 
 
 class TooFewSamples(MiniprobError, ValueError):
@@ -127,9 +128,8 @@ class ResponseInTerms(MiniprobError, ValueError):
     pass
 
 
-class UnknownColumn(MiniprobError, KeyError):
-    def __str__(self):
-        return self.args[0] if self.args else ""
+class UnknownColumn(_Unquoted):
+    pass
 
 
 class NonBinaryResponse(MiniprobError, ValueError):

@@ -89,15 +89,17 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     before it left (``StepMethod.step``); a chain's first step evaluates its
     start, and nothing is handed on when the log density has an opaque node.
     ``backend`` defaults to memory; ``progress(chain, draw, total)`` is
-    called every 100 draws.  Bad counts, a bad ``start`` or a model with no
-    free variable raise before the backend starts; after a failed draw it is
-    still finished, keeping its rows.
+    called every 100 draws.  Bad counts, a bad ``start``, a step built on
+    another model or a model with no free variable raise before the backend
+    starts; after a failed draw it is still finished, keeping its rows.
     """
     draws = _count("draws", draws, 1)
     chains = _count("chains", chains, 1)
     warmup = min(500, draws // 2) if warmup is None else _count("warmup", warmup, 0)
     if not (isinstance(steps, list) and all(isinstance(s, StepMethod) for s in steps)):
         raise ValueError(f"steps must be a list of step methods, got {steps!r}")
+    if any(s.model is not model for s in steps):
+        raise ValueError("every step method must be built on the model being sampled")
     if not model.free_vars:
         raise ValueError("model has no free variables to sample")
     origin = model.initial_point(start)

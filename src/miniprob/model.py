@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import graph
+from .backends import flat_names
 from .distributions import Distribution
 from .exceptions import (
     AllMissing,
@@ -43,14 +44,13 @@ def _as_shape(shape) -> tuple:
 
 
 class FreeVar:
-    """A sampled variable: dtype, optional transform, test value."""
+    """A sampled variable: dtype, optional transform, sampling-space test value."""
 
     def __init__(self, name, dist, shape, transform, testval):
         self.name = name
         self.shape = shape
         self.transform = transform
         self.dtype = dist.dtype
-        self.testval = testval  # untransformed space
         self.sampling_testval = transform.forward(testval) if transform else testval
         self.sampling_name = transform.var_name(name) if transform else name
         self.input = free_input(self.sampling_name, shape, dtype=self.dtype)
@@ -75,11 +75,20 @@ class Model:
 
     # --- registration ------------------------------------------------------
 
-    def _claim_name(self, *names):
-        for n in names:
+    def _claim_name(self, *columns):
+        """Claim each (name, shape) and the trace columns ``flat_names`` gives
+        it.  A name already claimed raises ``DuplicateName``.  An empty name,
+        or one holding ``,`` ``/`` ``\\`` or a line break, cannot head a CSV
+        column or name a plot file, and raises ``ValueError``."""
+        claimed = []
+        for name, shape in columns:
+            if not name or any(c in name for c in ",/\\\n\r"):
+                raise ValueError(f"variable name {name!r} cannot name a trace column")
+            claimed += [name] + flat_names(name, shape) if shape else [name]
+        for n in claimed:
             if n in self._names:
                 raise DuplicateName(f"variable name {n!r} already in use")
-        self._names.update(names)
+        self._names.update(claimed)
 
     def _check_open(self):
         if self._logp_graph is not None:
@@ -119,7 +128,7 @@ class Model:
         if not np.isfinite(tv_logp):
             raise TestvalOutsideSupport(
                 f"{name}: log density is {tv_logp} at the test value {testval!r}")
-        self._claim_name(name, *([var.sampling_name] if var.transform else []))
+        self._claim_name((name, shape), *([(var.sampling_name, shape)] if var.transform else []))
         self._register_free(var, term)
         return var
 
@@ -165,15 +174,16 @@ class Model:
             perm[mask] = data.shape[0] - n_miss + np.arange(n_miss)
             term = dist.logp_expr(composed[perm])
         # claimed only now, so that a rejected variable leaves its names free
-        self._claim_name(name, *([] if miss_var is None else [miss_name]))
+        self._claim_name((name, ()), *([] if miss_var is None else [(miss_name, (n_miss,))]))
         if miss_var is not None:
             self._register_free(miss_var, None)
         self._terms[name] = term
 
     def add_deterministic(self, name: str, expr) -> None:
         self._check_open()
-        self._claim_name(name)
-        self.deterministics.append((name, graph.as_expr(expr)))
+        expr = graph.as_expr(expr)
+        self._claim_name((name, expr.shape))
+        self.deterministics.append((name, expr))
 
     # --- finalization and evaluation ----------------------------------------
 

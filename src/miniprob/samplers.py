@@ -14,7 +14,8 @@ density, packed gradient or None, names or None) already evaluated at
 and Slice take the log density from it, ``GradientStep._start`` the log
 density and gradient when the names are its own; with no ``known`` a step
 evaluates its start.  A skipped call would have returned the same bits, so
-chains do not move.
+chains do not move.  Hmc and Nuts step ``leapfrog`` nodes and make every
+accept, slice and stop decision from ``GradientStep._energy``.
 """
 
 from __future__ import annotations
@@ -121,16 +122,18 @@ def _metric(h: np.ndarray):
 
 # --- leapfrog ----------------------------------------------------------------
 
+_Node = namedtuple("_Node", "q p lp grad")  # one trajectory state
+
+
 def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q):
     """One leapfrog step on flat vectors: ``logp_grad(q)`` returns the log
     density and its gradient, as ``Packer.logp_grad`` does; ``inv_mass`` is
     the inverse mass, a symmetric square matrix; ``grad_q`` is the gradient
-    at ``q``.  Returns (q, p, logp, gradient) at the end."""
+    at ``q``.  Returns the ``_Node`` (q, p, lp, grad) at the end."""
     p_half = p + 0.5 * eps * grad_q
     q_new = q + (eps * p_half) @ inv_mass
     lp_new, g_new = logp_grad(q_new)
-    p_new = p_half + 0.5 * eps * g_new
-    return q_new, p_new, lp_new, g_new
+    return _Node(q_new, p_half + 0.5 * eps * g_new, lp_new, g_new)
 
 
 # --- step method base ---------------------------------------------------------
@@ -305,18 +308,18 @@ class Slice(StepMethod):
 
 class GradientStep(StepMethod):
     """Shared machinery for HMC-family kernels: packing, the checked start of
-    a step, and the mass matrix from ``scaling``, a point (default: the test
-    point).  ``_metric`` turns the negative Hessian there (``hessian``) into
-    a dense mass with its absolute eigenvalues floored at 1e-8: momentum is
-    drawn through ``V sqrt(|L|)`` of the eigendecomposition ``V L V'``, and
-    the kinetic energy and the position update use the inverse mass."""
+    a step, the energy, and the mass matrix from ``scaling``, a point
+    (default: the test point).  ``_metric`` turns the negative Hessian there
+    (``hessian``) into a dense mass with its absolute eigenvalues floored at
+    1e-8: momentum is drawn through ``V sqrt(|L|)`` of ``V L V'``, and the
+    kinetic energy and the position update use the inverse mass.  The energy
+    of a node, ``logp(q) - p'M^-1 p / 2``, is -inf wherever it is not finite,
+    so a non-finite proposal is never accepted."""
 
     def __init__(self, model, vars=None, scaling=None):
         super().__init__(model, vars)
         self.packer = Packer(model, self.vars)
-        if scaling is None:
-            scaling = model.test_point
-        if not isinstance(scaling, Mapping):
+        if scaling is not None and not isinstance(scaling, Mapping):
             raise ValueError("scaling must be None (the test point) or a point, "
                              f"got {scaling!r}")
         h = hessian(model, scaling, self.vars)
@@ -339,16 +342,21 @@ class GradientStep(StepMethod):
                                     "non-finite gradient")
         return q, lp, g
 
-    def _finish(self, q, lp, g) -> dict:
-        """The point of ``q``; leaves its log density and gradient as ``known``."""
-        self.known = (lp, g, self.packer.names)
-        return self.packer.point(q)
+    def _finish(self, node: _Node) -> dict:
+        """The point of ``node``; leaves its log density and gradient as ``known``."""
+        self.known = (node.lp, node.grad, self.packer.names)
+        return self.packer.point(node.q)
 
     def _momentum(self, rng):
         return rng.standard_normal(self.packer.size) @ self._root
 
     def _kinetic(self, p):
         return 0.5 * float(np.dot(p @ self.inv_mass, p))
+
+    def _energy(self, node: _Node) -> float:
+        """``node.lp`` less the kinetic energy of ``node.p``; -inf unless finite."""
+        h = node.lp - self._kinetic(node.p)
+        return h if math.isfinite(h) else -math.inf
 
 
 class Hmc(GradientStep):
@@ -364,20 +372,13 @@ class Hmc(GradientStep):
 
     def step(self, point, rng, tuning=False, known=None):
         q, lp, g = self._start(point, known)
-        p = self._momentum(rng)
-        h0 = lp - self._kinetic(p)
-        q_new, p_new, lp_new, g_new = q, p, lp, g
+        start = node = _Node(q, self._momentum(rng), lp, g)
         for _ in range(self.n_steps):
-            q_new, p_new, lp_new, g_new = leapfrog(
-                self.packer.logp_grad, q_new, p_new, self.step_size, self.inv_mass, g_new)
-        h1 = lp_new - self._kinetic(p_new)
-        accept = np.log(rng.random()) < h1 - h0
+            node = leapfrog(self.packer.logp_grad, node.q, node.p, self.step_size,
+                            self.inv_mass, node.grad)
+        accept = np.log(rng.random()) < self._energy(node) - self._energy(start)
         self.last_accepted = bool(accept)
-        return self._finish(q_new, lp_new, g_new) if accept else self._finish(q, lp, g)
-
-
-# one trajectory state, in the order ``leapfrog`` returns it
-_Node = namedtuple("_Node", "q p lp grad")
+        return self._finish(node if accept else start)
 
 
 def no_uturn(dq: np.ndarray, p_minus: np.ndarray, p_plus: np.ndarray) -> bool:
@@ -424,13 +425,10 @@ class Nuts(GradientStep):
     def _find_reasonable_eps(self, q, lp, g, rng):
         eps = 1.0
         p = self._momentum(rng)
-        h0 = lp - self._kinetic(p)
+        h0 = self._energy(_Node(q, p, lp, g))
 
         def ratio(e):
-            _, p1, lp1, _ = leapfrog(self.packer.logp_grad, q, p, e, self.inv_mass, g)
-            h1 = lp1 - self._kinetic(p1)
-            d = h1 - h0
-            return d if np.isfinite(d) else -np.inf
+            return self._energy(leapfrog(self.packer.logp_grad, q, p, e, self.inv_mass, g)) - h0
 
         a = 1.0 if ratio(eps) > math.log(0.5) else -1.0
         for _ in range(100):
@@ -445,13 +443,12 @@ class Nuts(GradientStep):
         """2**depth leapfrog steps from ``start``.  Returns ([left, right],
         proposal, n_valid, keep_going, alpha, n_alpha)."""
         if depth == 0:
-            node = _Node(*leapfrog(self.packer.logp_grad, start.q, start.p,
-                                   direction * eps, self.inv_mass, start.grad))
-            h = node.lp - self._kinetic(node.p) if math.isfinite(node.lp) else -np.inf
+            node = leapfrog(self.packer.logp_grad, start.q, start.p,
+                            direction * eps, self.inv_mass, start.grad)
+            h = self._energy(node)
             n_valid = int(log_u <= h)
             keep = h - log_u > -self.max_energy_error
-            alpha = min(1.0, math.exp(min(h - h0, 0.0))) if math.isfinite(h) else 0.0
-            return [node, node], node, n_valid, keep, alpha, 1
+            return [node, node], node, n_valid, keep, math.exp(min(h - h0, 0.0)), 1
 
         ends, prop, n1, keep, alpha, n_alpha = self._build_tree(
             start, log_u, direction, depth - 1, eps, h0, rng)
@@ -460,7 +457,7 @@ class Nuts(GradientStep):
             more, prop2, n2, keep2, alpha2, n_alpha2 = self._build_tree(
                 ends[edge], log_u, direction, depth - 1, eps, h0, rng)
             ends[edge] = more[edge]
-            if n2 > 0 and rng.random() < n2 / max(n1 + n2, 1):
+            if n2 > 0 and rng.random() < n2 / (n1 + n2):
                 prop = prop2
             keep = keep2 and no_uturn(ends[1].q - ends[0].q, ends[0].p, ends[1].p)
             n1 += n2
@@ -476,11 +473,9 @@ class Nuts(GradientStep):
             self._mu = math.log(10.0 * self.step_size)
         eps = self.step_size if (tuning or self._m == 0) else math.exp(self._log_eps_bar)
 
-        p0 = self._momentum(rng)
-        h0 = lp - self._kinetic(p0)
+        chosen = _Node(q, self._momentum(rng), lp, g)
+        h0 = self._energy(chosen)
         log_u = h0 + math.log(rng.random())
-
-        chosen = _Node(q, p0, lp, g)
         ends = [chosen, chosen]
         n = 1
         depth = 0
@@ -510,7 +505,7 @@ class Nuts(GradientStep):
             self._log_eps_bar = w * log_eps + (1.0 - w) * self._log_eps_bar
             self.step_size = math.exp(log_eps)
 
-        return self._finish(chosen.q, chosen.lp, chosen.grad)
+        return self._finish(chosen)
 
 
 def validate_coverage(model: Model, steps: Sequence[StepMethod]) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import Trace, flat_names
-from .exceptions import NonFiniteSample, TooFewSamples, UnknownVariable
+from .exceptions import NonFiniteSample, TooFewSamples
 
 QUANTILES = (2.5, 25.0, 50.0, 75.0, 97.5)
 
@@ -110,13 +110,11 @@ class SummaryRow:
 
 
 def _flat_series(trace: Trace, name: str):
-    """Yields (flat_name, 1-D series) for each component of a variable."""
+    """(flat_name, 1-D series) for each component of a variable; an unknown
+    ``name`` raises ``UnknownVariable`` from ``Trace.get`` on the call."""
     values = trace[name]
-    shape = trace.var_shapes[name]
-    cols = flat_names(name, shape)
-    flat = values.reshape(values.shape[0], len(cols))
-    for j, col in enumerate(cols):
-        yield col, flat[:, j]
+    cols = flat_names(name, trace.var_shapes[name])
+    return zip(cols, values.reshape(values.shape[0], len(cols)).T)
 
 
 @contextlib.contextmanager
@@ -126,17 +124,6 @@ def _column(col: str):
         yield
     except (TooFewSamples, NonFiniteSample) as e:
         raise type(e)(f"{col}: {e}") from None
-
-
-def _resolve_vars(trace: Trace, vars):
-    if vars is None:
-        return trace.names
-    out = []
-    for v in vars:
-        if v not in trace.var_shapes:
-            raise UnknownVariable(f"no variable {v!r} in trace")
-        out.append(v)
-    return out
 
 
 def _rows_for(trace: Trace, name: str) -> list[SummaryRow]:
@@ -180,7 +167,7 @@ def summary(trace: Trace, vars=None) -> tuple[list[SummaryRow], str]:
     """Per-component posterior statistics plus the formatted text report."""
     all_rows: list[SummaryRow] = []
     blocks = []
-    for name in _resolve_vars(trace, vars):
+    for name in (trace.names if vars is None else vars):
         rows = _rows_for(trace, name)
         all_rows.extend(rows)
         blocks.append(_format_block(name, rows))
@@ -219,18 +206,18 @@ def histogram(samples):
 
 
 def traceplot_data(trace: Trace, vars=None) -> dict:
-    """Per flattened component: a marginal panel (KDE for real variables,
-    integer histogram for discrete) and the sequential draws panel."""
+    """Per flattened component, its panels in order, each an (x, y) pair: the
+    marginal (``"density"``, a KDE, for real variables; ``"hist"``, an
+    integer histogram, for discrete ones), then ``"draws"``, (draw index,
+    value).  A name not in the trace raises ``UnknownVariable``."""
     out = {}
-    for name in _resolve_vars(trace, vars):
-        dtype = trace.var_dtypes[name]
-        for col, series in _flat_series(trace, name):
-            panels = {"draws": series}
+    for name in (trace.names if vars is None else vars):
+        columns = _flat_series(trace, name)  # first, so an unknown name is UnknownVariable
+        discrete = trace.var_dtypes[name] == "int"
+        for col, series in columns:
             with _column(col):
-                if dtype == "int":
-                    panels["hist"] = histogram(series)
-                else:
-                    panels["density"] = kde(series)
+                panels = {"hist": histogram(series)} if discrete else {"density": kde(series)}
+            panels["draws"] = (np.arange(len(series)), series)
             out[col] = panels
     return out
 
@@ -247,8 +234,6 @@ def write_plot_data(trace: Trace, out_dir: str, vars=None) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for col, panels in data.items():
-        series = panels.pop("draws")
-        panels["draws"] = (np.arange(len(series)), series)
         for panel, (xs, ys) in panels.items():
             path = os.path.join(out_dir, f"{col}_{panel}.csv")
             rows = zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())

@@ -90,7 +90,7 @@ class TestAddFree:
         v = m.add_free("switchpoint", DiscreteUniform(1851, 1962))
         assert v.sampling_name == "switchpoint"
         assert v.dtype == "int"
-        assert v.testval == 1906
+        assert m.test_point["switchpoint"] == 1906
 
     def test_duplicate_name_rejected(self):
         m = Model()
@@ -109,6 +109,51 @@ class TestAddFree:
         m.finalize()
         with pytest.raises(ModelFrozen):
             m.add_free("y", Normal(mu=0.0, sd=1.0))
+
+
+def _add(m, kind, name, shape=()):
+    """Register ``name`` of ``shape`` as a ``kind`` of variable."""
+    if kind == "free":
+        m.add_free(name, Normal(mu=0.0, sd=1.0), shape=shape)
+    elif kind == "positive":  # sampled as ``name + "_log"``, traced under both names
+        m.add_free(name, Exponential(1.0), shape=shape)
+    elif kind == "masked":  # its missing entries are traced as ``name + ".missing_values"``
+        m.add_observed(name, Poisson(1.0), np.ones(shape[0] + 1, dtype=np.int64),
+                       mask=np.arange(shape[0] + 1) > 0)
+    elif kind == "observed":
+        m.add_observed(name, Normal(mu=0.0, sd=1.0), np.zeros(shape))
+    else:
+        m.add_deterministic(name, const(np.zeros(shape)))
+
+
+class TestNames:
+    @pytest.mark.parametrize("kind", ["free", "masked", "observed", "deterministic"])
+    @pytest.mark.parametrize("name", ["", ",", "a,b", "a/b", "a\\b", "a\nb", "a\rb"])
+    def test_name_that_cannot_be_a_trace_column_is_rejected(self, kind, name):
+        # "a\nb" ran and then failed to load; "a/b" failed to write its plot files
+        m = Model()
+        with pytest.raises(ValueError, match="cannot name a trace column"):
+            _add(m, kind, name, (2,))
+        assert m.finalize().trace_layout() == [] and m.logp({}) == 0.0
+
+    @pytest.mark.parametrize("first, second, column", [
+        (("free", "x", (2,)), ("free", "x__0", ()), "x__0"),
+        (("free", "x__1", ()), ("free", "x", (2,)), "x__1"),
+        (("free", "x", (2,)), ("deterministic", "x__1", ()), "x__1"),
+        (("deterministic", "d", (3,)), ("observed", "d__2", ()), "d__2"),
+        (("positive", "e", (2,)), ("free", "e_log__1", ()), "e_log__1"),
+        (("free", "e_log__0", ()), ("positive", "e", (2,)), "e_log__0"),
+        (("masked", "y", (2,)), ("free", "y.missing_values__1", ()), "y.missing_values__1"),
+    ], ids=["vector_first", "scalar_first", "deterministic", "observed", "sampling_name",
+            "sampling_name_taken", "missing_values"])
+    def test_each_trace_column_is_claimed_once(self, first, second, column):
+        # a scalar "x__0" beside a vector x gave the header x__0,x__1,x__0
+        m = Model()
+        _add(m, *first)
+        with pytest.raises(DuplicateName, match=f"'{column}'"):
+            _add(m, *second)
+        names = [name for name, _, _ in m.finalize().trace_layout()]
+        assert second[1] not in names
 
 
 # Each family's boundary test values: every one is rejected by the same rule.

@@ -23,6 +23,7 @@ from miniprob.samplers import (
     Packer,
     Slice,
     _metric,
+    _Node,
     hessian,
     hessian_diag,
     leapfrog,
@@ -225,6 +226,17 @@ class TestLeapfrog:
             q2, p2, _, _ = leapfrog(logp_grad, q1, -p1, eps=0.3, inv_mass=inv_mass, grad_q=g1)
             assert q2[0] == pytest.approx(q0[0], abs=1e-12)
             assert -p2[0] == pytest.approx(p0[0], abs=1e-12)
+
+    def test_returns_a_node_that_unpacks_as_four_values(self):
+        m = normal_model()
+        logp_grad, q0 = Packer(m, ["x"]).logp_grad, np.array([1.0])
+        node = leapfrog(logp_grad, q0, np.array([0.5]), eps=0.1, inv_mass=np.eye(1),
+                        grad_q=logp_grad(q0)[1])
+        q, p, lp, grad = node
+        assert isinstance(node, _Node)
+        assert node.q is q and node.p is p and node.lp is lp and node.grad is grad
+        lp_q, grad_q = logp_grad(q)
+        assert lp == lp_q and np.array_equal(grad, grad_q)
 
     def test_zero_step_is_identity(self):
         m = normal_model()
@@ -537,7 +549,35 @@ def test_nuts_default_targets_include_the_disasters_switchpoint():
         Nuts(demos.disasters_model())
 
 
+class TestEnergy:
+    @pytest.mark.parametrize("lp", [np.inf, -np.inf, np.nan])
+    def test_non_finite_log_density_gives_minus_infinity(self, lp):
+        step = Hmc(normal_model())
+        assert step._energy(_Node(np.zeros(1), np.array([0.5]), lp, np.zeros(1))) == -np.inf
+
+    def test_overflowed_kinetic_energy_gives_minus_infinity(self):
+        step = Hmc(normal_model())
+        with np.errstate(over="ignore"):
+            assert step._energy(_Node(np.zeros(1), np.array([1e200]), 0.0, np.zeros(1))) == -np.inf
+
+    def test_finite_energy_keeps_its_bits(self):
+        step = Hmc(regression_model()[0])
+        p = stream(3, 0).standard_normal(step.packer.size)
+        node = _Node(np.zeros(step.packer.size), p, -12.345, np.zeros(step.packer.size))
+        assert step._energy(node).hex() == (-12.345 - step._kinetic(p)).hex()
+
+
 class TestHmc:
+    def test_infinite_log_density_is_rejected(self):
+        # logp is +inf above 2: the energy rule makes that -inf, so the
+        # proposal is rejected, as NUTS rejects it; no draw lands there
+        m = Model()
+        m.add_free("v", Custom(lambda v: switch(cmp_ge(v, 2.0), const(np.inf), -0.5 * v * v)),
+                   testval=0.0)
+        m.finalize()
+        v = sample(m, 200, [Hmc(m, step_size=0.9, n_steps=3)], seed=1, warmup=0)["v"]
+        assert v.max() < 2.0
+
     def test_normal_moments(self):
         m = normal_model()
         step = Hmc(m, step_size=0.4, n_steps=6)
@@ -556,6 +596,13 @@ class TestCompound:
         m = normal_model()
         with pytest.raises(OverlappingTargets):
             sample(m, 10, [Metropolis(m), Metropolis(m)])
+
+    def test_step_built_on_another_model_rejected(self, tmp_path):
+        # the kernel would sample its own model, here centred at 50
+        a, b = normal_model(0.0), normal_model(50.0)
+        with pytest.raises(ValueError, match="model being sampled"):
+            sample(a, 10, [Nuts(b)], backend=TextBackend(str(tmp_path / "t")))
+        assert not (tmp_path / "t").exists()
 
     def test_uncovered_rejected(self):
         m = Model()

@@ -227,6 +227,20 @@ class TestSummary:
         assert (r1[0].hpd_lower, r1[0].hpd_upper) == (r2[0].hpd_lower, r2[0].hpd_upper)
 
 
+@pytest.mark.parametrize("export", [
+    summary, traceplot_data, lambda t, vars: write_plot_data(t, "plots", vars)],
+    ids=["summary", "traceplot_data", "write_plot_data"])
+def test_unknown_name_rejected_before_anything_is_written(export, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(16)
+    t = trace_of({"a": rng.standard_normal(150),
+                  "k": rng.integers(0, 3, size=150).astype(np.int64)}, dtypes={"k": "int"})
+    for vars in (["zzz"], ["a", "zzz"], ["k", "zzz"]):
+        with pytest.raises(UnknownVariable, match="^no variable 'zzz' in trace$"):
+            export(t, vars=vars)
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestTraceplotData:
     def test_kde_integrates_to_one(self):
         rng = np.random.default_rng(11)
@@ -290,5 +304,9 @@ class TestTraceplotData:
         assert [(int(i), float(v)) for i, v in rows("a_draws")] == list(enumerate(a))
         values, counts = histogram(k)
         assert [(int(x), int(c)) for x, c in rows("k_hist")] == list(zip(values, counts))
+        # each panel is an (x, y) pair, the marginal first
+        assert list(plots["k"]) == ["hist", "draws"]
+        draws_x, draws_y = plots["k"]["draws"]
+        assert np.array_equal(draws_x, np.arange(150)) and np.array_equal(draws_y, k)
         # ints are written as ints, not as floats
         assert [(int(i), int(v)) for i, v in rows("k_draws")] == list(enumerate(k))
