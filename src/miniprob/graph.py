@@ -8,10 +8,10 @@ bit-identical output.
 
 The first evaluation of a root compiles it into a tape cached on the root.
 Each node of ``topo_order`` gets an integer slot in a list of values and one
-dependency mask: bit ``k + 1`` for each free input ``k`` below it, bit 0 for
-each opaque node.  A call runs only the nodes whose mask meets the inputs
-whose converted bytes changed since the previous successful call; bit 0 counts
-as changed on every call, and the first call runs every node, so a node fed
+dependency mask: bit ``k`` for each free input ``k`` below it.  Every node,
+an opaque one too, must be a pure function of its operands: a call runs only
+the nodes whose mask meets the inputs whose converted bytes changed since the
+previous successful call, and the first call runs every node, so a node fed
 only by constants runs once.  The code that runs is generated Python: one
 straight-line function per change mask, made on the mask's first call, with
 one line per node it runs, and one backward function per ordered list of
@@ -23,7 +23,7 @@ pruning nor generation changes a bit.
 A 0-d slot below the root holds a numpy scalar, not a 0-d array: a 0-d
 constant, input copy or ``sum_all``, and the backward seed.  A ufunc on 0-d
 arrays costs about ten times the same scalar operation, and gives the same
-bits.  The root keeps its kernel's type; opaque functions get read-only arrays.
+bits.  The root keeps its kernel's type; opaque results are read-only copies.
 
 Free inputs are read and checked on every call, and a tape holds one node per
 input name.  It keeps its own read-only copy of each input and replaces its
@@ -299,7 +299,7 @@ def concat(parts: Iterable) -> Expr:
 
 def opaque_deterministic(fn: Callable, inputs: Sequence, out_shape: Sequence[int],
                          dtype: str = "float") -> Expr:
-    """Black-box array function node: evaluates by calling ``fn``, has no gradient."""
+    """Black-box node without a gradient: ``fn`` must be pure; its result is copied."""
     inputs = tuple(as_expr(x) for x in inputs)
     return Expr("opaque", inputs, shape=tuple(out_shape), dtype=dtype, payload=fn)
 
@@ -388,9 +388,9 @@ def _scatter(shape, key, g):
 
 
 def _call(fn, shape, *args):
-    # the arguments are slots a later call may reuse, or scalars, and the
-    # result may be an array ``fn`` keeps, which the tape must not seal
-    v = _read_only(np.asarray(fn(*[_read_only(np.asarray(a)) for a in args])))
+    # the arguments are slots a later call may reuse, or scalars; the result
+    # may be an array ``fn`` keeps and writes again, so the slot owns a copy
+    v = _read_only(np.array(fn(*[_read_only(np.asarray(a)) for a in args])))
     if v.shape != shape:
         raise ShapeMismatch(f"opaque node: declared shape {shape}, fn returned {v.shape}")
     return v
@@ -488,16 +488,16 @@ class _Tape:
     """One root compiled to integer slots, in ``topo_order``: ``inputs``
     holds the ``(slot, node)`` of each free input, ``steps`` the slot of
     every other non-constant node, and ``deps`` each slot's dependency mask.
-    A step runs when its mask meets the bits that changed since ``state``,
-    the previous successful call: its slot values and the bytes of each
-    converted input, or None before the first call, which runs every step.
-    ``forward`` replaces both at once, after its pass succeeds.  ``runs``
-    holds at most one generated function per distinct change mask (key None
-    for the first call), which runs the steps listed in its ``steps``, and
-    ``plans`` one backward pass per ordered tuple of names.  Every 0-d slot
-    but the root's holds a numpy scalar, which the 0-d kernels run on at a
-    tenth of the cost of a 0-d array.  A tape is not safe to evaluate from
-    two threads at once."""
+    Each step is pure, so it runs only when its mask meets the bits that
+    changed since ``state``, the previous successful call: its slot values
+    and the bytes of each converted input, or None before the first call,
+    which runs every step.  ``forward`` replaces both at once, after its pass
+    succeeds.  ``runs`` holds at most one generated function per distinct
+    change mask (key None for the first call), which runs the steps listed in
+    its ``steps``, and ``plans`` one backward pass per ordered tuple of names.
+    Every 0-d slot but the root's holds a numpy scalar, which the 0-d kernels
+    run on at a tenth of the cost of a 0-d array.  A tape is not safe to
+    evaluate from two threads at once."""
 
     def __init__(self, root: Expr):
         self.order = order = topo_order(root)
@@ -518,10 +518,9 @@ class _Tape:
             elif node.kind == "free_input":
                 if any(n.input_name == node.input_name for _, n in self.inputs):
                     raise DuplicateName(f"two free inputs are named {node.input_name!r}")
-                deps[i] = 2 << len(self.inputs)
+                deps[i] = 1 << len(self.inputs)
                 self.inputs.append((i, node))
             else:
-                deps[i] = int(node.kind == "opaque")
                 for a in self.operands[i]:
                     deps[i] |= deps[a]
                 self.steps.append(i)
@@ -553,13 +552,13 @@ class _Tape:
     @_quiet
     def forward(self, point: Mapping) -> list:
         values, seen = self.state
-        changed = 1
+        changed = 0
         fresh = []
         for k, (i, node) in enumerate(self.inputs):
             arr = _input_value(node, point)
             raw = arr.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN payloads
             if seen is None or raw != seen[k]:
-                changed |= 2 << k
+                changed |= 1 << k
                 fresh.append((k, i, raw, arr))
         key = None if seen is None else changed
         if key not in self.runs:
@@ -648,13 +647,6 @@ def _tape(expr: Expr) -> _Tape:
 def eval_expr(expr: Expr, point: Mapping) -> np.ndarray:
     """Evaluate ``expr`` bottom-up at ``point`` with 64-bit arithmetic."""
     return _tape(expr).forward(point)[-1]
-
-
-def has_opaque(expr: Expr) -> bool:
-    """Whether an opaque node lies below ``expr``: its tape runs those on
-    every call, so no earlier value may stand in for a call."""
-    tape = _tape(expr)
-    return bool(tape.deps[tape.last] & 1)
 
 
 # --- reverse-mode gradient -------------------------------------------------

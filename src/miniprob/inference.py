@@ -11,11 +11,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .backends import MemoryBackend, Trace
-from .exceptions import MiniprobError, NonFiniteStart, SamplingError
-from .graph import Point, has_opaque
+from .exceptions import MiniprobError, SamplingError
+from .graph import Point
 from .model import Model
 from .rng import stream
-from .samplers import Packer, StepMethod, _count, validate_coverage
+from .samplers import Packer, StepMethod, _count, _start_logp, validate_coverage
 
 _BIG = 1e100  # stand-in for an infinite objective so optimizers keep moving
 
@@ -38,9 +38,7 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
     from scipy import optimize
 
     point = model.initial_point(start)
-    lp0 = model.logp(point)
-    if not np.isfinite(lp0):
-        raise NonFiniteStart(f"log posterior is {lp0} at the optimization start")
+    lp0 = _start_logp(model, point, "optimization start")
 
     if vars is None:
         names = model.continuous_names()
@@ -86,8 +84,8 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     so a seed reproduces each chain bit-identically at any chain count.  The
     first ``warmup`` draws (default min(500, draws // 2)) tune the kernels and
     are not recorded.  Each step gets the ``known`` values that the step
-    before it left (``StepMethod.step``); a chain's first step evaluates its
-    start, and nothing is handed on when the log density has an opaque node.
+    before it left (``StepMethod.step``), as every graph node, an opaque one
+    too, is pure; a chain's first step evaluates its start.
     ``backend`` defaults to memory; ``progress(chain, draw, total)`` is
     called every 100 draws.  Bad counts, a bad ``start``, a step built on
     another model or a model with no free variable raise before the backend
@@ -103,8 +101,8 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     if not model.free_vars:
         raise ValueError("model has no free variables to sample")
     origin = model.initial_point(start)
+    _start_logp(model, origin, "sampling start")
     validate_coverage(model, steps)
-    handoff = not has_opaque(model.logp_graph)
     backend = MemoryBackend() if backend is None else backend
     backend.start(model.trace_layout(), chains)
 
@@ -119,7 +117,7 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
                 try:
                     for s in chain_steps:
                         point = s.step(point, rng, tuning, known)
-                        known = s.known if handoff else None
+                        known = s.known
                 except MiniprobError as e:
                     raise SamplingError(f"chain {chain}, draw {i}: {e}") from e
                 if i >= warmup:

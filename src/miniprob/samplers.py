@@ -15,7 +15,8 @@ and Slice take the log density from it, ``GradientStep._start`` the log
 density and gradient when the names are its own; with no ``known`` a step
 evaluates its start.  A skipped call would have returned the same bits, so
 chains do not move.  Hmc and Nuts step ``leapfrog`` nodes and make every
-accept, slice and stop decision from ``GradientStep._energy``.
+accept, slice and stop decision from ``GradientStep._energy``.  Every kernel
+takes a log density or energy that is not finite as -inf (``_or_neg_inf``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .exceptions import (
     IntegerDifferentiation,
     NonFiniteGradient,
     NonFiniteLogp,
+    NonFiniteStart,
     OverlappingTargets,
     UncoveredVariable,
 )
@@ -85,14 +87,24 @@ class Packer:
 
 # --- Hessian-based scaling --------------------------------------------------
 
+def _start_logp(model: Model, point: Mapping, what: str) -> float:
+    """The log posterior at ``point``; ``NonFiniteStart`` unless it is finite."""
+    lp = model.logp(point)
+    if not math.isfinite(lp):
+        raise NonFiniteStart(f"log posterior is {lp} at the {what}")
+    return lp
+
+
 def hessian(model: Model, point: Mapping | None = None,
             vars: Sequence[str] | None = None) -> np.ndarray:
     """Unclipped negative Hessian of the log posterior at ``point`` (the test
     point when omitted), over ``vars`` (default: the continuous variables).
     Row i is the central difference of the reverse-mode gradient along
-    coordinate i; the matrix is symmetric up to the differencing error."""
+    coordinate i; the matrix is symmetric up to the differencing error.  A
+    point whose log posterior is not finite raises ``NonFiniteStart``."""
     names = model.continuous_names() if vars is None else model.resolve_names(vars)
     packer = Packer(model, names, point)
+    _start_logp(model, packer.point(packer.start), "scaling point")
     x = packer.start
     rows = np.empty((packer.size, packer.size))
     for i in range(packer.size):
@@ -180,6 +192,11 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _or_neg_inf(lp: float) -> float:
+    """``lp``, or -inf where it is not finite: no kernel moves to such a point."""
+    return lp if math.isfinite(lp) else -math.inf
+
+
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
 
@@ -228,7 +245,7 @@ class Metropolis(StepMethod):
                 delta = _round_half_away(delta)
             # a ufunc on 0-d arrays returns a scalar; keep the proposal an array
             proposal[name] = np.asarray(np.asarray(point[name]) + delta)
-        lp_new = self.model.logp(proposal)
+        lp_new = _or_neg_inf(self.model.logp(proposal))
         accept = np.log(rng.random()) < lp_new - lp_old
         self.total_count += 1
         self.last_accepted = bool(accept)
@@ -271,7 +288,7 @@ class Slice(StepMethod):
 
     def _coord_logp(self, q, views, i, value):
         q[i] = value
-        return self.model.logp(views)
+        return _or_neg_inf(self.model.logp(views))
 
     def _update_coord(self, q, views, i, lp, rng):
         x0 = float(q[i])
@@ -355,8 +372,7 @@ class GradientStep(StepMethod):
 
     def _energy(self, node: _Node) -> float:
         """``node.lp`` less the kinetic energy of ``node.p``; -inf unless finite."""
-        h = node.lp - self._kinetic(node.p)
-        return h if math.isfinite(h) else -math.inf
+        return _or_neg_inf(node.lp - self._kinetic(node.p))
 
 
 class Hmc(GradientStep):

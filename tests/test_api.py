@@ -28,6 +28,7 @@ def test_removed_names_are_not_exported():
     assert not hasattr(miniprob.Model, "remember")
     assert not hasattr(miniprob.Model, "recall")
     assert not hasattr(graph, "input_bytes")
+    assert not hasattr(graph, "has_opaque")
     assert not hasattr(LogTransform, "backward")
     assert not hasattr(IntervalTransform, "backward")
     assert not hasattr(glm, "Family")

@@ -7,9 +7,12 @@ from scipy.special import gammaln
 
 from miniprob import demos
 from miniprob.datasets import disasters_data, load_returns
+from miniprob.distributions import DiscreteUniform, Exponential, Poisson
 from miniprob.exceptions import DataFileError
+from miniprob.graph import opaque_deterministic
 from miniprob.inference import find_map, sample
-from miniprob.samplers import Nuts
+from miniprob.model import Model
+from miniprob.samplers import Metropolis, Nuts
 
 
 def exact_disasters_posterior() -> dict[str, tuple[float, float]]:
@@ -83,6 +86,55 @@ def test_disasters_matches_exact_posterior(seed):
         draws = trace.get(name).astype(float)
         assert abs(draws.mean() - mean) < 0.75 * sd, name
         assert 0.5 * sd < draws.std() < 2.0 * sd, name
+
+
+def test_as_op_disasters_calls_its_function_once_per_proposal():
+    """The paper's arbitrary deterministic: the rate switch as a black-box
+    function of (switchpoint, early rate, late rate), sampled by Metropolis."""
+    counts, mask, years = disasters_data()
+    calls = []
+
+    def rate(s, e, l):
+        calls.append(1)
+        return np.where(years <= s, e, l)
+
+    m = Model()
+    s = m.add_free("switchpoint", DiscreteUniform(int(years.min()), int(years.max())),
+                   testval=1900)
+    e = m.add_free("early_rate", Exponential(1.0))
+    l = m.add_free("late_rate", Exponential(1.0))
+    m.add_observed("disasters", Poisson(opaque_deterministic(rate, [s.value, e.value, l.value],
+                                                             years.shape)), counts, mask=mask)
+    m.finalize()  # evaluates the test point, where the chain starts
+    calls.clear()
+    trace = sample(m, 1000, [Metropolis(m)], seed=1)
+    assert len(calls) == 1500  # every proposal moves the rates: 500 tuning, 1000 kept
+    # the graph's own switch gives the same chain, to the bit
+    same = demos.disasters_model()
+    expected = sample(same, 1000, [Metropolis(same)], seed=1)
+    assert trace.names == expected.names
+    for name in trace.names:
+        np.testing.assert_array_equal(trace.get(name), expected.get(name))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_linear_matches_least_squares(seed):
+    # x2 == x1 / 5 in the simulated data, so only alpha, beta0 + beta1 / 5
+    # and sigma are identified; compare them with least squares of y on
+    # [1, x1].  A minimum ESS near 450 puts a mean's Monte Carlo error near
+    # 0.05 sd.  The bounds were fixed before the first run.
+    data = demos.simulate_linear_data(seed)
+    np.testing.assert_allclose(data["x2"], data["x1"] / 5.0, atol=1e-15)
+    design = np.column_stack([np.ones_like(data["x1"]), data["x1"]])
+    coef, rss, _, _ = np.linalg.lstsq(design, data["y"], rcond=None)
+    scale = np.sqrt(rss[0] / (len(data["y"]) - 2))
+    se = scale * np.sqrt(np.diag(np.linalg.inv(design.T @ design)))
+    _, _, trace = demos.run_linear(500, seed)
+    beta = trace.get("beta")
+    for draws, mean, sd in zip([trace.get("alpha"), beta[:, 0] + beta[:, 1] / 5.0], coef, se):
+        assert abs(draws.mean() - mean) < 0.5 * sd
+        assert 0.75 * sd < draws.std() < 1.25 * sd
+    assert 0.9 * scale < trace.get("sigma").mean() < 1.1 * scale
 
 
 def test_sp500_short_run_is_finite_and_positive():

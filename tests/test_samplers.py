@@ -9,6 +9,7 @@ from miniprob.exceptions import (
     IntegerDifferentiation,
     NonFiniteGradient,
     NonFiniteLogp,
+    NonFiniteStart,
     OverlappingTargets,
     UncoveredVariable,
 )
@@ -360,9 +361,20 @@ class TestScaling:
 
     @pytest.mark.parametrize("kernel", [Nuts, Hmc])
     def test_non_finite_hessian_diagonal_rejected(self, kernel):
-        m = normal_model()
+        # the log density is finite at the scaling point, but its gradient
+        # is NaN at the lower point of the central difference, below zero
+        m = Model()
+        m.add_free("x", Custom(graph.sqrt), testval=1.0)
+        m.finalize()
         with pytest.raises(NonFiniteGradient, match="Hessian"):
-            kernel(m, scaling={"x": np.array(np.nan)})
+            kernel(m, scaling={"x": np.array(5e-5)})
+
+    def test_scaling_point_with_a_non_finite_log_posterior_rejected(self):
+        m = demos.disasters_model()  # a switchpoint of 3000 is outside its support
+        with pytest.raises(NonFiniteStart, match="-inf at the scaling point"):
+            hessian(m, {"switchpoint": 3000}, ["early_rate"])
+        with pytest.raises(NonFiniteStart):
+            Nuts(m, vars=["early_rate", "late_rate"], scaling={"switchpoint": 3000})
 
     def test_hessian_diag_unclipped(self):
         m = Model()
@@ -567,14 +579,25 @@ class TestEnergy:
         assert step._energy(node).hex() == (-12.345 - step._kinetic(p)).hex()
 
 
+def infinite_above_two_model():
+    """logp is +inf from 2 up: every kernel takes that as -inf and rejects
+    the proposal, so no draw lands there."""
+    m = Model()
+    m.add_free("v", Custom(lambda v: switch(cmp_ge(v, 2.0), const(np.inf), -0.5 * v * v)),
+               testval=0.0)
+    return m.finalize()
+
+
+@pytest.mark.parametrize("kernel", [lambda m: Metropolis(m, scale=3.0), Slice],
+                         ids=["Metropolis", "Slice"])
+def test_infinite_log_density_is_rejected(kernel):
+    m = infinite_above_two_model()
+    assert sample(m, 300, [kernel(m)], seed=1, warmup=0)["v"].max() < 2.0
+
+
 class TestHmc:
     def test_infinite_log_density_is_rejected(self):
-        # logp is +inf above 2: the energy rule makes that -inf, so the
-        # proposal is rejected, as NUTS rejects it; no draw lands there
-        m = Model()
-        m.add_free("v", Custom(lambda v: switch(cmp_ge(v, 2.0), const(np.inf), -0.5 * v * v)),
-                   testval=0.0)
-        m.finalize()
+        m = infinite_above_two_model()
         v = sample(m, 200, [Hmc(m, step_size=0.9, n_steps=3)], seed=1, warmup=0)["v"]
         assert v.max() < 2.0
 
@@ -794,18 +817,30 @@ class TestRecord:
                 return super().step(point, rng, tuning, known)
         return Spy
 
-    def test_opaque_log_density_is_never_recorded(self, calls):
+    def test_opaque_log_density_is_handed_on(self):
+        doubled = []
+
+        def double(v):
+            doubled.append(float(v))
+            return np.asarray(2.0 * v)
+
         m = Model()
         x = m.add_free("x", Normal(mu=0.0, sd=1.0))
-        seen = graph.opaque_deterministic(lambda v: np.asarray(0.0), [x.value], ())
-        m.add_deterministic("seen", seen)
-        m.add_free("y", Custom(lambda v: graph.sum_all(v * seen)), testval=0.0)
-        m.finalize()
+        twice = graph.opaque_deterministic(double, [x.value], ())
+        m.add_free("y", Custom(lambda v: -0.5 * (v - twice) ** 2.0), testval=0.0)
+        m.finalize()  # evaluates the test point
+        doubled.clear()
         known = []
-        calls["logp"] = 0
-        sample(m, 5, [self.spy(Metropolis, known)(m)], warmup=0)
-        assert known == [None] * 5
-        assert calls["logp"] == 10
+        trace = sample(m, 20, [self.spy(Metropolis, known)(m)], warmup=0, seed=2)
+        assert known[0] is None and all(k is not None for k in known[1:])
+        assert len(doubled) == 20  # once per proposal
+        # the same chain stepped by hand, with nothing known
+        hand, rng, point = Metropolis(m), stream(2, 0), m.initial_point()
+        rows = []
+        for _ in range(20):
+            point = hand.step(point, rng)
+            rows.append((point["x"], point["y"]))
+        np.testing.assert_array_equal(np.column_stack([trace["x"], trace["y"]]), rows)
 
     def test_each_chain_evaluates_its_start(self):
         m = two_var_model()
