@@ -47,7 +47,6 @@ from .samplers import (
     Nuts,
     Slice,
     hessian,
-    hessian_diag,
     leapfrog,
 )
 from .stats import ess, hpd, mc_error, quantiles, summary, traceplot_data, write_plot_data
@@ -61,7 +60,7 @@ __all__ = [
     "NormalFamily", "Nuts", "Poisson", "Slice",
     "StudentT", "TextBackend", "Trace", "Uniform", "build_model", "concat",
     "const", "ess", "eval_expr", "exp", "find_map", "free_input", "grad",
-    "graph", "hessian", "hessian_diag", "hpd", "lgamma", "leapfrog", "load", "log",
+    "graph", "hessian", "hpd", "lgamma", "leapfrog", "load", "log",
     "mc_error", "opaque_deterministic", "parse_formula", "quantiles", "sample",
     "sigmoid", "sqrt", "stream", "sum_all", "summary", "switch",
     "traceplot_data", "write_plot_data",

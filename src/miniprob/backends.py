@@ -16,7 +16,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import CorruptMeta, IoFailure, MissingChainFile, MissingInput, UnknownVariable
+from .exceptions import (
+    CorruptMeta,
+    DuplicateName,
+    IoFailure,
+    MissingChainFile,
+    MissingInput,
+    UnknownVariable,
+)
 from .graph import Point
 
 Layout = Sequence[tuple[str, tuple, str]]  # (name, shape, dtype)
@@ -33,6 +40,25 @@ def flat_names(name: str, shape: tuple) -> list[str]:
         return [name]
     n = int(np.prod(shape, dtype=int))
     return [f"{name}__{i}" for i in range(n)]
+
+
+def claim_columns(taken: set, columns) -> list[str]:
+    """Each (name, shape) of ``columns`` with the trace columns ``flat_names``
+    gives it.  A name that is not a string, is empty, or holds ``,`` ``/``
+    ``\\``, a line break or a NUL cannot head a CSV column or name a plot
+    file, and raises ``ValueError``; one met twice, or already in ``taken``,
+    raises ``DuplicateName``."""
+    claimed = []
+    for name, shape in columns:
+        if type(name) is not str or not name or any(c in name for c in ",/\\\n\r\0"):
+            raise ValueError(f"variable name {name!r} cannot name a trace column")
+        claimed += [name] + flat_names(name, shape) if shape else [name]
+    seen = set(taken)
+    for n in claimed:
+        if n in seen:
+            raise DuplicateName(f"variable name {n!r} already in use")
+        seen.add(n)
+    return claimed
 
 
 def _header(layout: Layout) -> str:
@@ -178,14 +204,16 @@ class TextBackend(MemoryBackend):
 
 
 def load(directory: str) -> Trace:
-    """Reload a trace written by ``TextBackend``; values are reproduced exactly."""
+    """Reload a trace written by ``TextBackend``; values are reproduced exactly.
+    An unreadable file or a broken rule of the format raises ``CorruptMeta``."""
+    path = os.path.join(directory, "meta.json")
     try:
-        with open(os.path.join(directory, "meta.json"), encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             meta = json.load(f)
     except FileNotFoundError:
         raise CorruptMeta(f"no metadata file in {directory!r}") from None
-    except (OSError, json.JSONDecodeError) as e:
-        raise CorruptMeta(f"unreadable metadata in {directory!r}: {e}") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CorruptMeta(f"unreadable metadata file {path!r}: {e}") from None
     try:
         version = meta["version"]
         if type(version) is not int or version != 1:
@@ -202,12 +230,7 @@ def load(directory: str) -> Trace:
     if type(draws) is not int or draws < 0:
         raise CorruptMeta(f"metadata in {directory!r}: draws must be an int >= 0, "
                           f"got {draws!r}")
-    names = set()
     for name, shape, dtype in layout:
-        if type(name) is not str or name in names:
-            raise CorruptMeta(f"metadata in {directory!r}: variable name {name!r} "
-                              f"is not a string or is listed twice")
-        names.add(name)
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise CorruptMeta(f"metadata in {directory!r}: shape of {name!r} must be "
                               f"a list of ints >= 0, got {shape!r}")
@@ -215,6 +238,10 @@ def load(directory: str) -> Trace:
             raise CorruptMeta(f"metadata in {directory!r}: dtype of {name!r} must be "
                               f"'int' or 'float', got {dtype!r}")
     layout = _normalise(layout)
+    try:
+        claim_columns(set(), [(name, shape) for name, shape, _ in layout])
+    except ValueError as e:
+        raise CorruptMeta(f"metadata in {directory!r}: {e}") from None
 
     ends = np.cumsum([len(flat_names(name, shape)) for name, shape, _ in layout]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
@@ -225,23 +252,26 @@ def load(directory: str) -> Trace:
         path = os.path.join(directory, f"chain-{k}.csv")
         if not os.path.exists(path):
             raise MissingChainFile(f"chain file {path!r} is missing")
-        with open(path, encoding="utf-8") as f:
-            if f.readline().rstrip("\n") != _header(layout):
-                raise CorruptMeta(f"chain file {path!r} header does not match metadata")
-            rows = []
-            for line_no, line in enumerate(f, start=2):
-                if not line.strip():
-                    continue
-                cells = line.rstrip("\n").split(",")
-                try:
-                    if len(cells) != len(convs):
-                        raise ValueError(f"{len(cells)} cells, the header has {len(convs)}")
-                    if not line.endswith("\n"):
-                        raise ValueError("the row is cut short: it has no newline")
-                    values = [conv(x) for conv, x in zip(convs, cells)]
-                except (ValueError, OverflowError) as e:
-                    raise CorruptMeta(f"chain file {path!r} line {line_no}: {e}") from None
-                rows.append([values[a:b] for a, b in spans])
+        try:
+            with open(path, encoding="utf-8") as f:
+                if f.readline().rstrip("\n") != _header(layout):
+                    raise CorruptMeta(f"chain file {path!r} header does not match metadata")
+                rows = []
+                for line_no, line in enumerate(f, start=2):
+                    if not line.strip():
+                        continue
+                    cells = line.rstrip("\n").split(",")
+                    try:
+                        if len(cells) != len(convs):
+                            raise ValueError(f"{len(cells)} cells, the header has {len(convs)}")
+                        if not line.endswith("\n"):
+                            raise ValueError("the row is cut short: it has no newline")
+                        values = [conv(x) for conv, x in zip(convs, cells)]
+                    except (ValueError, OverflowError) as e:
+                        raise CorruptMeta(f"chain file {path!r} line {line_no}: {e}") from None
+                    rows.append([values[a:b] for a, b in spans])
+        except (OSError, UnicodeDecodeError) as e:
+            raise CorruptMeta(f"unreadable chain file {path!r}: {e}") from None
         # meta counts chain 0; chains run in order, so only a later chain may stop short
         if len(rows) > draws or (k == 0 and len(rows) != draws):
             raise CorruptMeta(f"chain file {path!r} holds {len(rows)} rows; the metadata "

@@ -93,8 +93,7 @@ def sp500_model(returns: np.ndarray) -> Model:
     model = Model()
     nu = model.add_free("nu", Exponential(0.1), testval=0.1)
     sigma = model.add_free("sigma", Exponential(50.0), testval=0.1)
-    s = model.add_free("s", GaussianRandomWalk(tau=sigma.value ** -2.0, length=n),
-                       shape=n)
+    s = model.add_free("s", GaussianRandomWalk(tau=sigma.value ** -2.0), shape=n)
     volatility = graph.exp(-2.0 * s.value)
     model.add_deterministic("volatility_process", volatility)
     model.add_observed("r", StudentT(nu=nu.value, lam=1.0 / volatility), returns)

@@ -92,20 +92,13 @@ class Distribution:
 
 
 class Normal(Distribution):
-    """Normal density, parameterized by sd or by precision tau = 1/sd^2."""
+    """Normal density with mean mu and standard deviation sd."""
 
-    def __init__(self, mu=0.0, sd=None, tau=None):
-        if (sd is None) == (tau is None):
-            raise ValueError("Normal takes exactly one of sd or tau")
+    def __init__(self, mu=0.0, sd=1.0):
         self.mu = _param(mu)
-        if sd is not None:
-            self.sd = _param(sd)
-            self._mask = _positive_mask(self.sd)
-            self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
-        else:
-            self.tau = _param(tau)
-            self._mask = _positive_mask(self.tau)
-            self.sd = None
+        self.sd = _param(sd)
+        self._mask = _positive_mask(self.sd)
+        self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
 
     def _logp(self, x):
         d = graph.sub(x, self.mu)
@@ -140,8 +133,6 @@ class Uniform(Distribution):
     def __init__(self, lower, upper):
         self.lower = float(lower)
         self.upper = float(upper)
-        if not self.upper > self.lower:
-            raise ValueError("Uniform requires upper > lower")
         self.transform = IntervalTransform(self.lower, self.upper)
 
     def _logp(self, x):
@@ -231,19 +222,16 @@ class StudentT(Distribution):
 
 class GaussianRandomWalk(Distribution):
     """Vector prior: increments are iid Normal with precision tau; the first
-    element gets a flat (zero) contribution."""
+    element gets a flat (zero) contribution.  The value's shape sets the
+    walk's length."""
 
-    def __init__(self, tau, length=None):
+    def __init__(self, tau):
         self.tau = _param(tau)
         self._mask = _positive_mask(self.tau)
-        self.length = None if length is None else int(length)
 
     def _logp(self, x):
         if len(x.shape) != 1 or x.shape[0] < 2:
             raise ValueError("GaussianRandomWalk needs a vector value of length >= 2")
-        if self.length is not None and x.shape[0] != self.length:
-            raise ValueError(
-                f"GaussianRandomWalk length {self.length} != value length {x.shape[0]}")
         d = x[1:] - x[:-1]
         return (0.5 * graph.log(self.tau) - 0.5 * np.log(2.0 * np.pi)
                 - 0.5 * self.tau * d * d)

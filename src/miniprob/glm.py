@@ -36,10 +36,6 @@ class Formula:
     terms: list = field(default_factory=list)
     intercept: bool = True
 
-    def format(self) -> str:
-        rhs = (["0"] if not self.intercept else []) + list(self.terms)
-        return f"{self.response} ~ {' + '.join(rhs)}"
-
 
 class NormalFamily:
     """Identity link, Normal errors with an unknown scale."""

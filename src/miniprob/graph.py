@@ -259,20 +259,23 @@ def switch(cond, a, b) -> Expr:
 
 def index(x, key) -> Expr:
     """Static integer index or integer-array gather along the first axis; a
-    rank-1 slice (``slice_``) is an index node keyed by its ``slice``."""
+    rank-1 slice (``slice_``) is an index node keyed by its ``slice``.  A key
+    that is not an integer (a bool or float too) or is out of bounds raises
+    ``ShapeMismatch``."""
     x = as_expr(x)
     if not x.shape:
         raise ShapeMismatch("cannot index a scalar expression")
-    if isinstance(key, (int, np.integer)):
-        key = int(key)
-        if not -x.shape[0] <= key < x.shape[0]:
-            raise ShapeMismatch(f"index {key} out of bounds for axis of length {x.shape[0]}")
-        shape = x.shape[1:]
+    keys = np.asarray(key)
+    if isinstance(key, bool) or keys.dtype.kind not in "iu":
+        raise ShapeMismatch(f"index keys must be integers, got {key!r}")
+    if keys.size and not (-x.shape[0] <= keys.min() and keys.max() < x.shape[0]):
+        raise ShapeMismatch(f"index {key} out of bounds for axis of length {x.shape[0]}")
+    if keys.ndim == 0:
+        key = int(keys)
     else:
-        key = np.asarray(key, dtype=np.int64)
+        key = keys.astype(np.int64)
         key.flags.writeable = False
-        shape = key.shape + x.shape[1:]
-    return Expr("index", (x,), shape=shape, dtype=x.dtype, payload=key)
+    return Expr("index", (x,), shape=keys.shape + x.shape[1:], dtype=x.dtype, payload=key)
 
 
 def slice_(x, slc: slice) -> Expr:

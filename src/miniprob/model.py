@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import graph
-from .backends import flat_names
+from .backends import claim_columns
 from .distributions import Distribution
 from .exceptions import (
     AllMissing,
@@ -76,19 +76,8 @@ class Model:
     # --- registration ------------------------------------------------------
 
     def _claim_name(self, *columns):
-        """Claim each (name, shape) and the trace columns ``flat_names`` gives
-        it.  A name already claimed raises ``DuplicateName``.  An empty name,
-        or one holding ``,`` ``/`` ``\\`` or a line break, cannot head a CSV
-        column or name a plot file, and raises ``ValueError``."""
-        claimed = []
-        for name, shape in columns:
-            if not name or any(c in name for c in ",/\\\n\r"):
-                raise ValueError(f"variable name {name!r} cannot name a trace column")
-            claimed += [name] + flat_names(name, shape) if shape else [name]
-        for n in claimed:
-            if n in self._names:
-                raise DuplicateName(f"variable name {n!r} already in use")
-        self._names.update(claimed)
+        """Claim each (name, shape) and its trace columns by ``claim_columns``."""
+        self._names.update(claim_columns(self._names, columns))
 
     def _check_open(self):
         if self._logp_graph is not None:
@@ -212,10 +201,6 @@ class Model:
     def logp_graph(self) -> Expr:
         self.finalize()
         return self._logp_graph
-
-    @property
-    def test_point(self) -> Point:
-        return self.initial_point()
 
     def logp(self, point: Mapping) -> float:
         return float(eval_expr(self.logp_graph, point))

@@ -16,7 +16,8 @@ density and gradient when the names are its own; with no ``known`` a step
 evaluates its start.  A skipped call would have returned the same bits, so
 chains do not move.  Hmc and Nuts step ``leapfrog`` nodes and make every
 accept, slice and stop decision from ``GradientStep._energy``.  Every kernel
-takes a log density or energy that is not finite as -inf (``_or_neg_inf``).
+takes a log density or energy that is not finite as -inf (``_or_neg_inf``);
+Hmc and Nuts step under the tape's errstate, so an energy overflow warns nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .exceptions import (
     OverlappingTargets,
     UncoveredVariable,
 )
-from .graph import Point
+from .graph import Point, _quiet
 from .model import Model
 
 
@@ -123,13 +124,13 @@ def hessian_diag(model: Model, point: Mapping | None = None,
 
 
 def _metric(h: np.ndarray):
-    """(mass, inverse mass, momentum factor) of a square matrix ``h``, as
-    matrices.  ``h`` is symmetrised and eigendecomposed, its absolute
-    eigenvalues are floored at 1e-8 (an indefinite Hessian becomes positive
-    definite), and the mass is the matrix they make."""
+    """(inverse mass, momentum factor) of the mass that a square matrix ``h``
+    gives, as matrices.  ``h`` is symmetrised and eigendecomposed, and the
+    mass is the matrix of its absolute eigenvalues floored at 1e-8 (an
+    indefinite Hessian becomes positive definite)."""
     lam, vecs = np.linalg.eigh(0.5 * (h + h.T))
     lam = np.maximum(np.abs(lam), 1e-8)
-    return (vecs * lam) @ vecs.T, (vecs / lam) @ vecs.T, (vecs * np.sqrt(lam)).T
+    return (vecs / lam) @ vecs.T, (vecs * np.sqrt(lam)).T
 
 
 # --- leapfrog ----------------------------------------------------------------
@@ -342,7 +343,7 @@ class GradientStep(StepMethod):
         h = hessian(model, scaling, self.vars)
         if not np.all(np.isfinite(h)):
             raise NonFiniteGradient(f"Hessian at the scaling point is not finite: {h}")
-        self.mass, self.inv_mass, self._root = _metric(h)
+        self.inv_mass, self._root = _metric(h)
 
     def _start(self, point, known):
         """(q, logp, gradient) at ``point``, which becomes the base point.
@@ -384,8 +385,8 @@ class Hmc(GradientStep):
         super().__init__(model, vars, scaling)
         self.step_size = _positive("step_size", step_size)
         self.n_steps = _count("n_steps", n_steps, 1)
-        self.last_accepted = False
 
+    @_quiet
     def step(self, point, rng, tuning=False, known=None):
         q, lp, g = self._start(point, known)
         start = node = _Node(q, self._momentum(rng), lp, g)
@@ -393,7 +394,6 @@ class Hmc(GradientStep):
             node = leapfrog(self.packer.logp_grad, node.q, node.p, self.step_size,
                             self.inv_mass, node.grad)
         accept = np.log(rng.random()) < self._energy(node) - self._energy(start)
-        self.last_accepted = bool(accept)
         return self._finish(node if accept else start)
 
 
@@ -481,6 +481,7 @@ class Nuts(GradientStep):
             n_alpha += n_alpha2
         return ends, prop, n1, keep, alpha, n_alpha
 
+    @_quiet
     def step(self, point, rng, tuning=False, known=None):
         q, lp, g = self._start(point, known)
         if self._mu is None:

@@ -195,14 +195,12 @@ def kde(samples, n_points: int = 200):
 
 
 def histogram(samples):
-    """Integer-bin histogram: one bin per integer between min and max."""
+    """Integer-bin histogram: one bin per distinct value, in ascending order,
+    so its size is bounded by the number of samples, not by their range."""
     x = np.asarray(samples).astype(np.int64)
     if x.size == 0:
         raise TooFewSamples("histogram needs at least 1 sample")
-    lo, hi = int(x.min()), int(x.max())
-    values = np.arange(lo, hi + 1)
-    counts = np.bincount(x - lo, minlength=hi - lo + 1)
-    return values, counts
+    return np.unique(x, return_counts=True)
 
 
 def traceplot_data(trace: Trace, vars=None) -> dict:

@@ -20,7 +20,8 @@ def test_exports_are_unique():
 
 
 def test_removed_names_are_not_exported():
-    removed = {"CompoundStep", "ObservedVar", "SampleConfig", "scaling_from_point"}
+    removed = {"CompoundStep", "ObservedVar", "SampleConfig", "scaling_from_point",
+               "hessian_diag"}
     assert removed.isdisjoint(miniprob.__all__)
     assert not any(hasattr(miniprob, name) for name in removed)
     assert not hasattr(miniprob.Model, "custom_density")
@@ -33,6 +34,15 @@ def test_removed_names_are_not_exported():
     assert not hasattr(IntervalTransform, "backward")
     assert not hasattr(glm, "Family")
     assert not hasattr(samplers.Packer, "pack")
+    assert not hasattr(miniprob.Model, "test_point")
+    assert not hasattr(miniprob.Formula, "format")
+    m = miniprob.Model()
+    m.add_free("x", miniprob.Normal())
+    for kernel in (miniprob.Nuts(m), miniprob.Hmc(m)):
+        assert not hasattr(kernel, "mass")
+        assert not hasattr(kernel, "last_accepted")
+    assert "tau" not in inspect.signature(miniprob.Normal).parameters
+    assert "length" not in inspect.signature(miniprob.GaussianRandomWalk).parameters
 
 
 @pytest.mark.parametrize("fn, params", [
@@ -42,12 +52,14 @@ def test_removed_names_are_not_exported():
     (miniprob.Slice, ["model", "vars"]),
     (demos.run_disasters, ["draws", "seed", "backend", "progress"]),
     (miniprob.hessian, ["model", "point", "vars"]),
-    (miniprob.hessian_diag, ["model", "point", "vars"]),
+    (samplers.hessian_diag, ["model", "point", "vars"]),
+    (miniprob.Normal, ["mu", "sd"]),
+    (miniprob.GaussianRandomWalk, ["tau"]),
     (miniprob.leapfrog, ["logp_grad", "q", "p", "eps", "inv_mass", "grad_q"]),
     (miniprob.sample, ["model", "draws", "steps", "start", "chains", "seed", "backend",
                        "warmup", "progress"]),
 ], ids=["Nuts", "Hmc", "Metropolis", "Slice", "run_disasters", "hessian", "hessian_diag",
-        "leapfrog", "sample"])
+        "Normal", "GaussianRandomWalk", "leapfrog", "sample"])
 def test_kernel_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
 

@@ -150,6 +150,69 @@ def test_summary_of_meta_listing_a_name_twice_is_a_data_error(tmp_path, capsys):
     assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
 
 
+def write_raw_trace(directory, layout, rows):
+    """A trace written by hand: ``layout`` lists meta.json's (name, shape,
+    dtype) entries, ``rows`` the chain file's lines after its header."""
+    os.makedirs(directory)
+    meta = {"version": 1, "chains": 1, "draws": len(rows),
+            "vars": [{"name": n, "shape": s, "dtype": d} for n, s, d in layout]}
+    (directory / "meta.json").write_text(json.dumps(meta))
+    header = ",".join(n if not s else ",".join(f"{n}__{i}" for i in range(s[0]))
+                      for n, s, _ in layout)
+    (directory / "chain-0.csv").write_text("\n".join([header] + rows) + "\n")
+
+
+@pytest.mark.parametrize("command", ["summary", "plotdata"])
+@pytest.mark.parametrize("layout, row, name", [
+    ([("../../escaped", [], "float")], "{0}", "'../../escaped'"),
+    ([("a", [2], "float"), ("a__0", [], "float")], "{0},{1},{2}", "'a__0'"),
+], ids=["path_in_name", "flattened_names_collide"])
+def test_trace_name_that_cannot_be_a_column_is_a_data_error(tmp_path, capsys, command,
+                                                            layout, row, name):
+    # "../../escaped" wrote its plot files two levels above --out; "a__0"
+    # overwrote the first column of "a" with its own draws
+    trace = tmp_path / "trace"
+    write_raw_trace(trace, layout, [row.format(i, -i, 2.0 * i) for i in range(200)])
+    argv = [command, str(trace)] + (["--out", str(trace / "plots")]
+                                    if command == "plotdata" else [])
+    assert cli.main(argv) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and name in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["trace"]
+    assert sorted(os.listdir(trace)) == ["chain-0.csv", "meta.json"]
+
+
+@pytest.mark.parametrize("command", ["summary", "plotdata"])
+@pytest.mark.parametrize("damage", ["meta_byte", "row_byte", "chain_is_a_directory"])
+def test_trace_file_that_cannot_be_read_is_a_data_error(tmp_path, capsys, command, damage):
+    write_trace(tmp_path / "trace", 200)
+    path = tmp_path / "trace" / ("meta.json" if damage == "meta_byte" else "chain-0.csv")
+    if damage == "chain_is_a_directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        lines = path.read_bytes().split(b"\n")
+        lines[-3] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+    argv = [command, str(tmp_path / "trace")] + (["--out", str(tmp_path / "plots")]
+                                                 if command == "plotdata" else [])
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(path)) in err and "Traceback" not in err
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("rows", [["0", "9223372036854775807"],
+                                  ["-9223372036854775808", "9223372036854775807"]],
+                         ids=["overflow", "full_int64_span"])
+def test_plotdata_bins_an_int_column_of_any_span(tmp_path, capsys, rows):
+    # one bin per integer of the span overflowed, or asked for 2**64 bins
+    write_raw_trace(tmp_path / "trace", [("k", [], "int")], rows)
+    assert cli.main(["plotdata", str(tmp_path / "trace"), "--out", str(tmp_path / "plots")]) == 0
+    hist = (tmp_path / "plots" / "k_hist.csv").read_text()
+    assert hist == "x,count\n" + "".join(f"{k},1\n" for k in rows)
+
+
 @pytest.mark.parametrize("blocked", ["out", "out/trace", "out/summary.txt"])
 def test_demo_output_that_cannot_be_written_is_a_data_error(tmp_path, capsys, blocked):
     # a file where the output or trace directory goes, a directory where summary.txt goes

@@ -111,24 +111,11 @@ def _strip_sum(expr):
 
 
 class TestParameterizations:
-    def test_sd_and_tau_agree_exactly(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            sd = float(np.exp(rng.uniform(-2, 2)))
-            tau = 1.0 / (sd * sd)
-            xs = rng.normal(size=50) * 3.0
-            a = Normal(mu=0.25, sd=sd)
-            b = Normal(mu=0.25, tau=tau)
-            v = graph.free_input("v", xs.shape)
-            va = eval_expr(a.logp_expr(v), {"v": xs})
-            vb = eval_expr(b.logp_expr(v), {"v": xs})
-            assert float(va) == float(vb)
-
-    def test_normal_requires_exactly_one_scale(self):
-        with pytest.raises(ValueError):
-            Normal(mu=0.0)
-        with pytest.raises(ValueError):
-            Normal(mu=0.0, sd=1.0, tau=1.0)
+    def test_normal_defaults_to_the_standard_normal(self):
+        xs = np.linspace(-3.0, 3.0, 13)
+        v = graph.free_input("v", xs.shape)
+        got = eval_expr(_strip_sum(Normal().logp_expr(v)), {"v": xs})
+        np.testing.assert_allclose(got, -0.5 * np.log(2 * np.pi) - 0.5 * xs * xs, rtol=1e-15)
 
     def test_student_t_approaches_normal(self):
         lam = 2.0
@@ -151,12 +138,11 @@ class TestParameterizations:
 
     @pytest.mark.parametrize("make", [
         lambda v: Normal(mu=0.0, sd=v),
-        lambda v: Normal(mu=0.0, tau=v),
         lambda v: HalfNormal(sd=v),
         lambda v: Exponential(rate=v),
         lambda v: StudentT(nu=v),
         lambda v: StudentT(nu=3.0, lam=v),
-    ], ids=["normal_sd", "normal_tau", "half_normal", "exponential", "student_t_nu",
+    ], ids=["normal_sd", "half_normal", "exponential", "student_t_nu",
             "student_t_lam"])
     def test_nan_constant_scale_rejected(self, make):
         with pytest.raises(ValueError):
@@ -220,7 +206,7 @@ class TestExprParameters:
 
     def test_random_walk_with_expr_tau(self):
         s = graph.free_input("sigma", ())
-        d = GaussianRandomWalk(tau=s ** -2.0, length=3)
+        d = GaussianRandomWalk(tau=s ** -2.0)
         x = np.array([0.0, 1.0, -1.0])
         v = float(eval_expr(d.logp_expr(const(x)), {"sigma": 2.0}))
         tau = 0.25

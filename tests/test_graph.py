@@ -96,8 +96,31 @@ class TestEval:
         pt = {"x": np.array([1.0, 2.0, 3.0, 4.0])}
         np.testing.assert_array_equal(eval_expr(x[1:], pt), [2.0, 3.0, 4.0])
         assert eval_expr(x[2], pt) == 3.0
-        np.testing.assert_array_equal(
-            eval_expr(x[np.array([3, 0])], pt), [4.0, 1.0])
+        for key in (np.array([3, 0]), np.array([-1, 0]), np.array([2, 2], dtype=np.uint8),
+                    [[1], [0]]):
+            np.testing.assert_array_equal(eval_expr(x[key], pt), pt["x"][key])
+
+    @pytest.mark.parametrize("key", [np.array([True, False, True]), np.array([0.7, 2.9]),
+                                     True, 1.0, [0.0]],
+                             ids=["bool_array", "float_array", "bool", "float", "float_list"])
+    def test_non_integer_key_rejected(self, key):
+        # the bool mask gathered [20, 10, 20] and the floats were truncated
+        with pytest.raises(ShapeMismatch, match="must be integers"):
+            free_input("x", (3,))[key]
+
+    @pytest.mark.parametrize("key", [3, -4, np.array([0, 5]), np.array([-4, 0]), [[0], [3]]],
+                             ids=["int", "negative_int", "array", "negative_array", "nested"])
+    def test_out_of_bounds_key_rejected_when_built(self, key):
+        with pytest.raises(ShapeMismatch, match="out of bounds"):
+            free_input("x", (3,))[key]
+
+    def test_index_keeps_its_own_copy_of_the_key(self):
+        # the node froze the caller's int64 array, which it had aliased
+        key = np.array([2, 0])
+        e = free_input("x", (3,))[key]
+        key[0] = 1
+        np.testing.assert_array_equal(eval_expr(e, {"x": np.array([10.0, 20.0, 30.0])}),
+                                      [30.0, 10.0])
 
     def test_concat(self):
         a = free_input("a", (2,))

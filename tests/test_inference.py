@@ -54,14 +54,14 @@ class TestFindMap:
         assert float(mp["twice_x"]) == 2.0 * float(mp["x"])
 
     def test_never_worse_than_start(self, linear_model):
-        start = linear_model.test_point
+        start = linear_model.initial_point()
         mp = find_map(linear_model)
         pt = linear_model.initial_point(mp)
         assert linear_model.logp(pt) >= linear_model.logp(start)
 
     def test_subset_holds_others_fixed(self, linear_model):
         mp = find_map(linear_model, vars=["alpha"])
-        tp = linear_model.test_point
+        tp = linear_model.initial_point()
         np.testing.assert_array_equal(mp["beta"], tp["beta"])
         assert float(mp["sigma_log"]) == float(tp["sigma_log"])
         assert float(mp["alpha"]) != float(tp["alpha"])

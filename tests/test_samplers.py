@@ -4,7 +4,7 @@ from scipy import stats as sps
 
 from miniprob import demos, graph
 from miniprob.backends import TextBackend
-from miniprob.distributions import Custom, DiscreteUniform, Exponential, Flat, Normal
+from miniprob.distributions import Custom, DiscreteUniform, Exponential, Flat, Normal, Poisson
 from miniprob.exceptions import (
     IntegerDifferentiation,
     NonFiniteGradient,
@@ -328,16 +328,16 @@ class TestPacker:
 class TestScaling:
     def test_normal_sd2_curvature(self):
         m = normal_model(sd=2.0)
-        mass = Nuts(m, scaling=m.test_point).mass
-        assert mass.shape == (1, 1)
-        assert mass[0, 0] == pytest.approx(0.25, rel=1e-6)
+        inv_mass = Nuts(m, scaling=m.initial_point()).inv_mass
+        assert inv_mass.shape == (1, 1)
+        assert inv_mass[0, 0] == pytest.approx(4.0, rel=1e-6)
 
     def test_flat_direction_floored(self):
         m = Model()
         m.add_free("f", Flat())
         m.finalize()
-        mass = Nuts(m, scaling=m.test_point).mass
-        assert mass[0, 0] == pytest.approx(1e-8)
+        inv_mass = Nuts(m, scaling=m.initial_point()).inv_mass
+        assert inv_mass[0, 0] == pytest.approx(1e8)
 
     @pytest.mark.parametrize("kernel", [Nuts, Hmc])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -380,7 +380,7 @@ class TestScaling:
         m = Model()
         m.add_free("f", Flat())
         m.finalize()
-        assert abs(hessian_diag(m, m.test_point)[0]) < 1e-8
+        assert abs(hessian_diag(m, m.initial_point())[0]) < 1e-8
 
     def test_exponential_transformed_curvature_is_one(self):
         m = Model()
@@ -417,8 +417,8 @@ class TestDenseMetric:
     def test_nuts_recovers_the_gaussian_posterior(self):
         m, precision, mean = regression_model()
         step = Nuts(m, scaling={"b": mean})
-        assert step.mass.shape == (3, 3)
-        np.testing.assert_allclose(step.mass @ step.inv_mass, np.eye(3), atol=1e-9)
+        assert step.inv_mass.shape == (3, 3)
+        np.testing.assert_allclose(hessian(m, {"b": mean}) @ step.inv_mass, np.eye(3), atol=1e-9)
         trace = sample(m, 3000, [step], start={"b": mean}, seed=8, warmup=500)
         draws = trace["b"]
         cov = np.linalg.inv(precision)
@@ -438,7 +438,6 @@ class TestDenseMetric:
         assert not np.any(h - np.diag(np.diag(h)))
         step = Nuts(m)
         floored = np.maximum(np.abs(hessian_diag(m)), 1e-8)
-        assert np.array_equal(step.mass, np.diag(floored))
         assert np.array_equal(step.inv_mass, np.diag(1.0 / floored))
 
     @pytest.mark.parametrize("diag", [[4.0, 2.0, 1.0], [2.0, 9.0, 0.5], [5.0, 5.0, 1e-12],
@@ -446,9 +445,8 @@ class TestDenseMetric:
                              ids=["descending", "unordered", "tied_and_floored", "negative"])
     def test_diagonal_matrix_gives_its_floored_absolute_diagonal(self, diag):
         # eigh returns ascending eigenvalues, so out of order they come back permuted
-        mass, inv_mass, root = _metric(np.diag(diag))
+        inv_mass, root = _metric(np.diag(diag))
         floored = np.maximum(np.abs(diag), 1e-8)
-        assert np.array_equal(mass, np.diag(floored))
         assert np.array_equal(inv_mass, np.diag(1.0 / floored))
         # one nonzero per row and column: momenta are drawn permuted
         assert np.count_nonzero(root) == len(diag)
@@ -458,13 +456,13 @@ class TestDenseMetric:
         m = Model()
         m.add_free("x", Normal(mu=0.0, sd=np.array([0.5, 2.0, 1e9]) ** 0.5), shape=3)
         m.finalize()
-        step = Hmc(m, scaling=m.test_point)
-        np.testing.assert_allclose(step.mass, np.diag([2.0, 0.5, 1e-8]), rtol=1e-9, atol=1e-15)
+        step = Hmc(m, scaling=m.initial_point())
+        np.testing.assert_allclose(step.inv_mass, np.diag([0.5, 2.0, 1e8]), rtol=1e-9, atol=1e-15)
 
     def test_indefinite_hessian_is_floored_by_absolute_eigenvalues(self):
         h = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
-        mass, inv_mass, root = _metric(h)
-        np.testing.assert_allclose(mass, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
+        inv_mass, root = _metric(h)
+        mass = np.array([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(mass @ inv_mass, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(root.T @ root, mass, atol=1e-12)
 
@@ -571,6 +569,15 @@ class TestEnergy:
         step = Hmc(normal_model())
         with np.errstate(over="ignore"):
             assert step._energy(_Node(np.zeros(1), np.array([1e200]), 0.0, np.zeros(1))) == -np.inf
+
+    def test_overflowed_kinetic_energy_warns_nothing(self):
+        # a momentum at this seed overflows p'M^-1 p in a step; the test
+        # settings raise any RuntimeWarning as an error
+        m = Model()
+        rate = m.add_free("rate", Exponential(1.0))
+        m.add_observed("y", Poisson(rate.value), np.array([1, 0, 1, 0, 1]))
+        m.finalize()
+        assert np.all(np.isfinite(sample(m, 45, [Nuts(m)], warmup=50, seed=27)["rate"]))
 
     def test_finite_energy_keeps_its_bits(self):
         step = Hmc(regression_model()[0])

@@ -264,10 +264,11 @@ class TestTraceplotData:
         for panels in data.values():
             assert "density" in panels and "draws" in panels
 
-    def test_histogram_bins_every_integer(self):
-        values, counts = histogram(np.array([3, 5, 5, 7]))
-        np.testing.assert_array_equal(values, [3, 4, 5, 6, 7])
-        np.testing.assert_array_equal(counts, [1, 0, 2, 0, 1])
+    def test_histogram_bins_each_value_drawn(self):
+        # one bin per value drawn: a wide span costs nothing, and no bin is empty
+        values, counts = histogram(np.array([7, 3, 5, 5, -2**63, 2**63 - 1]))
+        np.testing.assert_array_equal(values, [-2**63, 3, 5, 7, 2**63 - 1])
+        np.testing.assert_array_equal(counts, [1, 1, 2, 1, 1])
 
     def test_file_naming(self, tmp_path):
         rng = np.random.default_rng(14)

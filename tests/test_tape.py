@@ -54,7 +54,7 @@ def random_points(model, n, seed):
     """The test point, then ``n`` seeded perturbations of it; integer
     coordinates move by whole steps and may leave the support."""
     rng = np.random.default_rng(seed)
-    base = model.test_point
+    base = model.initial_point()
     yield base
     for _ in range(n):
         point = {}
