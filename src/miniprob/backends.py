@@ -11,17 +11,17 @@ back bit for bit and checks each chain's row count against ``meta.json``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import (
-    CorruptMeta,
+    DataError,
     DuplicateName,
     IoFailure,
-    MissingChainFile,
-    MissingInput,
+    ShapeMismatch,
     UnknownVariable,
 )
 from .graph import Point
@@ -117,10 +117,10 @@ def _row_from_point(layout: Layout, point: Mapping) -> list[np.ndarray]:
     row = []
     for name, shape, dtype in layout:
         if name not in point:
-            raise MissingInput(f"recorded point is missing traced variable {name!r}")
+            raise UnknownVariable(f"recorded point is missing traced variable {name!r}")
         arr = np.asarray(point[name])
         if arr.shape != shape:
-            raise MissingInput(f"traced variable {name!r}: shape {arr.shape} != {shape}")
+            raise ShapeMismatch(f"traced variable {name!r}: shape {arr.shape} != {shape}")
         row.append(arr.astype(_DTYPES[dtype]))
     return row
 
@@ -203,46 +203,61 @@ class TextBackend(MemoryBackend):
         return super().finish()
 
 
+def _first_line(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.readline()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"unreadable chain file {path!r}: {e}") from None
+
+
 def load(directory: str) -> Trace:
     """Reload a trace written by ``TextBackend``; values are reproduced exactly.
-    An unreadable file or a broken rule of the format raises ``CorruptMeta``."""
+    An unreadable file or a broken rule of the format raises ``DataError``."""
     path = os.path.join(directory, "meta.json")
     try:
         with open(path, encoding="utf-8") as f:
             meta = json.load(f)
     except FileNotFoundError:
-        raise CorruptMeta(f"no metadata file in {directory!r}") from None
+        raise DataError(f"no metadata file in {directory!r}") from None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CorruptMeta(f"unreadable metadata file {path!r}: {e}") from None
+        raise DataError(f"unreadable metadata file {path!r}: {e}") from None
     try:
         version = meta["version"]
         if type(version) is not int or version != 1:
-            raise CorruptMeta(f"unsupported trace version {version!r}")
+            raise DataError(f"unsupported trace version {version!r}")
         layout = [(v["name"], v["shape"], v["dtype"]) for v in meta["vars"]]
         n_chains, draws = meta["chains"], meta["draws"]
     except (KeyError, TypeError) as e:
-        raise CorruptMeta(f"malformed metadata in {directory!r}: {e}") from None
+        raise DataError(f"malformed metadata in {directory!r}: {e}") from None
     if not layout:
-        raise CorruptMeta(f"metadata in {directory!r} lists no variables")
+        raise DataError(f"metadata in {directory!r} lists no variables")
     if type(n_chains) is not int or n_chains < 1:
-        raise CorruptMeta(f"metadata in {directory!r}: chains must be an int >= 1, "
-                          f"got {n_chains!r}")
+        raise DataError(f"metadata in {directory!r}: chains must be an int >= 1, "
+                        f"got {n_chains!r}")
     if type(draws) is not int or draws < 0:
-        raise CorruptMeta(f"metadata in {directory!r}: draws must be an int >= 0, "
-                          f"got {draws!r}")
+        raise DataError(f"metadata in {directory!r}: draws must be an int >= 0, "
+                        f"got {draws!r}")
     for name, shape, dtype in layout:
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-            raise CorruptMeta(f"metadata in {directory!r}: shape of {name!r} must be "
-                              f"a list of ints >= 0, got {shape!r}")
+            raise DataError(f"metadata in {directory!r}: shape of {name!r} must be "
+                            f"a list of ints >= 0, got {shape!r}")
         if dtype not in _DTYPES:
-            raise CorruptMeta(f"metadata in {directory!r}: dtype of {name!r} must be "
-                              f"'int' or 'float', got {dtype!r}")
+            raise DataError(f"metadata in {directory!r}: dtype of {name!r} must be "
+                            f"'int' or 'float', got {dtype!r}")
     layout = _normalise(layout)
+    # checked before any column name is built, so that the cost of a load follows
+    # the size of its files, not the sizes that meta.json declares
+    width = sum(math.prod(shape) for _, shape, _ in layout)
+    path = os.path.join(directory, "chain-0.csv")
+    if width and width != _first_line(path).count(",") + 1:
+        raise DataError(f"chain file {path!r} header does not match metadata")
     try:
         claim_columns(set(), [(name, shape) for name, shape, _ in layout])
     except ValueError as e:
-        raise CorruptMeta(f"metadata in {directory!r}: {e}") from None
+        raise DataError(f"metadata in {directory!r}: {e}") from None
 
+    header = _header(layout)
     ends = np.cumsum([len(flat_names(name, shape)) for name, shape, _ in layout]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
     convs = [_DTYPES[dtype] for (_, _, dtype), (a, b) in zip(layout, spans) for _ in range(a, b)]
@@ -250,12 +265,10 @@ def load(directory: str) -> Trace:
     chains = []
     for k in range(n_chains):
         path = os.path.join(directory, f"chain-{k}.csv")
-        if not os.path.exists(path):
-            raise MissingChainFile(f"chain file {path!r} is missing")
         try:
             with open(path, encoding="utf-8") as f:
-                if f.readline().rstrip("\n") != _header(layout):
-                    raise CorruptMeta(f"chain file {path!r} header does not match metadata")
+                if f.readline().rstrip("\n") != header:
+                    raise DataError(f"chain file {path!r} header does not match metadata")
                 rows = []
                 for line_no, line in enumerate(f, start=2):
                     if not line.strip():
@@ -268,13 +281,13 @@ def load(directory: str) -> Trace:
                             raise ValueError("the row is cut short: it has no newline")
                         values = [conv(x) for conv, x in zip(convs, cells)]
                     except (ValueError, OverflowError) as e:
-                        raise CorruptMeta(f"chain file {path!r} line {line_no}: {e}") from None
+                        raise DataError(f"chain file {path!r} line {line_no}: {e}") from None
                     rows.append([values[a:b] for a, b in spans])
         except (OSError, UnicodeDecodeError) as e:
-            raise CorruptMeta(f"unreadable chain file {path!r}: {e}") from None
+            raise DataError(f"unreadable chain file {path!r}: {e}") from None
         # meta counts chain 0; chains run in order, so only a later chain may stop short
         if len(rows) > draws or (k == 0 and len(rows) != draws):
-            raise CorruptMeta(f"chain file {path!r} holds {len(rows)} rows; the metadata "
-                              f"lists {draws} draws")
+            raise DataError(f"chain file {path!r} holds {len(rows)} rows; the metadata "
+                            f"lists {draws} draws")
         chains.append(_stack(layout, rows))
     return Trace(layout, chains)

@@ -1,13 +1,14 @@
 """Command-line surface: case-study demos, trace summaries, plot-data export.
 
 ``--data`` names the returns file of the sp500 demo; with any other demo it
-is a usage error.  ``--seed`` defaults to 1.  ``plotdata`` computes every
-panel before it writes, and a sample error names the trace column.
+is a usage error, as is a ``--draws`` too small to summarize.  ``--seed``
+defaults to 1.  ``plotdata`` computes every panel before it writes, and a
+sample error names the trace column.
 
-Exit codes: 0 success, 2 usage errors, 3 data errors (missing, unreadable
-or malformed data files; corrupt, truncated or mismatched traces; traces too
-short to summarize or holding NaN or infinite samples; output that cannot be
-written), 4 numeric failures during inference.
+Exit codes: 0 success, 2 usage errors, 3 any ``DataError`` (a missing,
+unreadable or malformed data file or trace, samples too few or not finite to
+summarize, output that cannot be written), 4 any other ``MiniprobError`` (a
+numeric failure during inference).
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ import sys
 from . import demos
 from .backends import TextBackend, load
 from .exceptions import (
-    CorruptMeta,
-    DataFileError,
+    DataError,
     IoFailure,
     MiniprobError,
-    MissingChainFile,
-    NonFiniteSample,
-    TooFewSamples,
-    UnknownVariable,
 )
-from .stats import summary, write_plot_data
+from .stats import MC_BATCHES, summary, write_plot_data
 
 # name: (run function, default draws); each run function returns the trace last
 DEMOS = {
@@ -46,10 +42,11 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _positive_int(text: str) -> int:
+def _draws(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < MC_BATCHES:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {MC_BATCHES}, the fewest a summary takes, got {value}")
     return value
 
 
@@ -113,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run a bundled case-study workflow")
     demo.add_argument("name", choices=sorted(DEMOS))
-    demo.add_argument("--draws", type=_positive_int, default=None,
+    demo.add_argument("--draws", type=_draws, default=None,
                       help="posterior draws (default depends on the demo)")
     demo.add_argument("--seed", type=int, default=1, help="random seed (default 1)")
     demo.add_argument("--out", default="miniprob_out",
@@ -143,8 +140,7 @@ def main(argv=None) -> int:
         parser.error(f"--data applies to the sp500 demo only, not {args.name!r}")
     try:
         return args.fn(args)
-    except (CorruptMeta, DataFileError, IoFailure, MissingChainFile, NonFiniteSample,
-            TooFewSamples, UnknownVariable) as e:
+    except DataError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_DATA
     except MiniprobError as e:

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from .exceptions import DataFileError
+from .exceptions import DataError
 
 MISSING_SENTINEL = -999
 
@@ -39,13 +39,13 @@ def sp500_fixture_path() -> str:
 def load_returns(path: str | None = None) -> np.ndarray:
     """Daily returns, one per line, most recent last; bundled fixture by
     default.  A missing file, a value that is not a finite number and fewer
-    than 2 returns raise ``DataFileError`` naming the file (and the line)."""
+    than 2 returns raise ``DataError`` naming the file (and the line)."""
     path = sp500_fixture_path() if path is None else path
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
     except (OSError, UnicodeDecodeError) as e:
-        raise DataFileError(f"cannot read returns file {path!r}: {e}") from None
+        raise DataError(f"cannot read returns file {path!r}: {e}") from None
     values = []
     for line_no, line in enumerate(lines, 1):
         line = line.strip()
@@ -55,10 +55,10 @@ def load_returns(path: str | None = None) -> np.ndarray:
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise DataFileError(f"returns file {path!r} line {line_no}: "
-                                    f"{line!r} is not a finite number")
+                raise DataError(f"returns file {path!r} line {line_no}: "
+                                f"{line!r} is not a finite number")
             values.append(value)
     if len(values) < 2:
-        raise DataFileError(f"returns file {path!r} holds {len(values)} returns, "
-                            "fewer than 2")
+        raise DataError(f"returns file {path!r} holds {len(values)} returns, "
+                        "fewer than 2")
     return np.asarray(values, dtype=np.float64)

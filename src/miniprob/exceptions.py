@@ -1,142 +1,70 @@
-"""Error types raised across the toolkit."""
+"""Error types raised across the toolkit: one class per outcome that a caller
+tells apart.  Each keeps a builtin base, so ``except ValueError`` (or
+``KeyError``, ``TypeError``, ``RuntimeError``, ``OSError``) still catches it.
+The command line exits 3 on a ``DataError`` and 4 on any other error here."""
 
 
 class MiniprobError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class _Unquoted(MiniprobError, KeyError):
+class DataError(MiniprobError, ValueError):
+    """Bad input data: a missing, unreadable or malformed data file or trace,
+    or samples too few or not finite for a statistic."""
+
+
+class IoFailure(DataError, OSError):
+    """An output file or directory cannot be written."""
+
+
+class UnknownVariable(DataError, KeyError):
+    """A name that no variable, trace column, data column or graph input has."""
+
     def __str__(self):  # KeyError quotes its message otherwise
         return self.args[0] if self.args else ""
 
 
-# --- graph evaluation / differentiation ---
-
-class MissingInput(_Unquoted):
-    """A free input required by the graph is absent from the point."""
-
-
 class ShapeMismatch(MiniprobError, ValueError):
-    pass
+    """Shapes that do not fit together, or an objective that is not a scalar."""
 
-
-class NonScalarObjective(MiniprobError, ValueError):
-    pass
-
-
-class IntegerDifferentiation(MiniprobError, TypeError):
-    pass
-
-
-class NoGradient(MiniprobError, TypeError):
-    """The backward path crosses a node with no defined gradient."""
-
-
-# --- model construction ---
 
 class DuplicateName(MiniprobError, ValueError):
     pass
 
 
-class TestvalOutsideSupport(MiniprobError, ValueError):
-    pass
-
-
-class AllMissing(MiniprobError, ValueError):
-    pass
-
-
 class OutsideSupport(MiniprobError, ValueError):
-    pass
+    """A value, a test value among them, outside a variable's support."""
 
 
 class ModelFrozen(MiniprobError, RuntimeError):
     pass
 
 
-# --- sampling / optimization ---
+class NoGradient(MiniprobError, TypeError):
+    """A gradient through an opaque node or with respect to an integer."""
+
 
 class NonFiniteLogp(MiniprobError, ValueError):
-    pass
+    """A log density, or its gradient or Hessian, that is not finite."""
 
 
-class NonFiniteGradient(MiniprobError, ValueError):
-    pass
-
-
-class NonFiniteStart(MiniprobError, ValueError):
-    pass
-
-
-class UncoveredVariable(MiniprobError, ValueError):
-    pass
-
-
-class OverlappingTargets(MiniprobError, ValueError):
-    pass
+class StepTargets(MiniprobError, ValueError):
+    """Step methods that leave a free variable out or target one twice."""
 
 
 class SamplingError(MiniprobError, RuntimeError):
     """Wraps a sampler failure, annotated with (chain, draw)."""
 
 
-# --- traces / backends ---
+class FormulaError(MiniprobError, ValueError):
+    """A formula that does not parse or does not fit its data.  A syntax
+    error carries its ``offset`` in ``text``, and its message says what was
+    expected there."""
 
-class IoFailure(MiniprobError, OSError):
-    pass
-
-
-class CorruptMeta(MiniprobError, ValueError):
-    pass
-
-
-class MissingChainFile(MiniprobError, FileNotFoundError):
-    pass
-
-
-class UnknownVariable(_Unquoted):
-    pass
-
-
-class TooFewSamples(MiniprobError, ValueError):
-    pass
-
-
-class NonFiniteSample(MiniprobError, ValueError):
-    """A summary statistic was asked of samples holding NaN or infinity."""
-
-
-# --- glm ---
-
-class FormulaSyntaxError(MiniprobError, ValueError):
-    """Formula text failed to parse; carries the byte offset of the error."""
-
-    def __init__(self, offset, expected, text=""):
+    def __init__(self, message, offset=None, text=""):
         self.offset = offset
-        self.expected = expected
-        msg = f"at offset {offset}: expected {expected}"
-        if text:
-            msg += f" in {text!r}"
-        super().__init__(msg)
-
-
-class DuplicateTerm(MiniprobError, ValueError):
-    pass
-
-
-class ResponseInTerms(MiniprobError, ValueError):
-    pass
-
-
-class UnknownColumn(_Unquoted):
-    pass
-
-
-class NonBinaryResponse(MiniprobError, ValueError):
-    pass
-
-
-# --- cli ---
-
-class DataFileError(MiniprobError, ValueError):
-    """A data file is missing, unreadable or holds a malformed value."""
+        if offset is not None:
+            message = f"at offset {offset}: expected {message}"
+            if text:
+                message += f" in {text!r}"
+        super().__init__(message)

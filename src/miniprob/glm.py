@@ -16,11 +16,9 @@ import numpy as np
 from . import graph
 from .distributions import Bernoulli, HalfNormal, Normal
 from .exceptions import (
-    DuplicateTerm,
-    FormulaSyntaxError,
-    NonBinaryResponse,
-    ResponseInTerms,
-    UnknownColumn,
+    FormulaError,
+    ShapeMismatch,
+    UnknownVariable,
 )
 from .model import Model
 
@@ -50,7 +48,7 @@ class BinomialFamily:
 
     def observe(self, model: Model, name: str, eta, y: np.ndarray) -> None:
         if not np.all(np.isin(y, (0.0, 1.0))):
-            raise NonBinaryResponse(
+            raise FormulaError(
                 f"binomial family needs a 0/1 response, got values outside {{0, 1}}")
         model.add_observed(name, Bernoulli(p=graph.sigmoid(eta)), y.astype(np.int64))
 
@@ -65,7 +63,7 @@ def _read_ident(text: str, pos: int, expected: str) -> tuple[str, int]:
     pos = _skip_ws(text, pos)
     m = _IDENT.match(text, pos)
     if not m:
-        raise FormulaSyntaxError(pos, expected, text)
+        raise FormulaError(expected, pos, text)
     return m.group(0), m.end()
 
 
@@ -74,7 +72,7 @@ def parse_formula(text: str) -> Formula:
     response, pos = _read_ident(text, 0, "response identifier")
     pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != "~":
-        raise FormulaSyntaxError(pos, "'~'", text)
+        raise FormulaError("'~'", pos, text)
     pos += 1
 
     terms: list[str] = []
@@ -84,29 +82,29 @@ def parse_formula(text: str) -> Formula:
         intercept = False
         pos = _skip_ws(text, pos + 1)
         if pos >= len(text) or text[pos] != "+":
-            raise FormulaSyntaxError(pos, "'+' followed by a term", text)
+            raise FormulaError("'+' followed by a term", pos, text)
         pos += 1
 
     while True:
         pos = _skip_ws(text, pos)
         if pos < len(text) and text[pos] in ":*":
-            raise FormulaSyntaxError(
-                pos, "a plain column name (interactions are not supported)", text)
+            raise FormulaError("a plain column name (interactions are not supported)",
+                               pos, text)
         term, pos = _read_ident(text, pos, "term identifier")
         after = _skip_ws(text, pos)
         if after < len(text) and text[after] in ":*":
-            raise FormulaSyntaxError(
-                after, "'+' or end of formula (interactions are not supported)", text)
+            raise FormulaError("'+' or end of formula (interactions are not supported)",
+                               after, text)
         if term == response:
-            raise ResponseInTerms(f"response {response!r} also appears as a term")
+            raise FormulaError(f"response {response!r} also appears as a term")
         if term in terms:
-            raise DuplicateTerm(f"term {term!r} appears twice")
+            raise FormulaError(f"term {term!r} appears twice")
         terms.append(term)
         pos = after
         if pos >= len(text):
             break
         if text[pos] != "+":
-            raise FormulaSyntaxError(pos, "'+' or end of formula", text)
+            raise FormulaError("'+' or end of formula", pos, text)
         pos += 1
     return Formula(response=response, terms=terms, intercept=intercept)
 
@@ -115,7 +113,7 @@ def _column(table, name: str) -> np.ndarray:
     try:
         col = table[name]
     except (KeyError, IndexError):
-        raise UnknownColumn(f"no column {name!r} in the data table") from None
+        raise UnknownVariable(f"no column {name!r} in the data table") from None
     return np.asarray(col, dtype=np.float64)
 
 
@@ -141,7 +139,7 @@ def build_model(formula: Formula | str, table, family=None) -> Model:
     for term in formula.terms:
         x = _column(table, term)
         if x.shape != y.shape:
-            raise UnknownColumn(f"column {term!r} length {x.shape} != response {y.shape}")
+            raise ShapeMismatch(f"column {term!r} length {x.shape} != response {y.shape}")
         beta = model.add_free(term, Normal(mu=0.0, sd=COEF_PRIOR_SD))
         contrib = beta.value * graph.const(x)
         eta = contrib if eta is None else eta + contrib

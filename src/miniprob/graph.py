@@ -40,11 +40,9 @@ from scipy import special
 
 from .exceptions import (
     DuplicateName,
-    IntegerDifferentiation,
-    MissingInput,
     NoGradient,
-    NonScalarObjective,
     ShapeMismatch,
+    UnknownVariable,
 )
 
 Point = dict[str, np.ndarray]
@@ -334,7 +332,7 @@ def _input_value(node: Expr, point: Mapping) -> np.ndarray:
     try:
         raw = point[name]
     except (KeyError, TypeError):
-        raise MissingInput(f"free input {name!r} not present in point") from None
+        raise UnknownVariable(f"free input {name!r} not present in point") from None
     if type(raw) is np.ndarray and raw.dtype is _DTYPES[node.dtype] and raw.shape == node.shape:
         return raw  # what the checks and conversions below would return
     arr = np.asarray(raw)
@@ -349,7 +347,7 @@ def _size(point: Mapping, name: str) -> int:
     try:
         return np.size(point[name])
     except (KeyError, TypeError):
-        raise MissingInput(f"free input {name!r} not present in point") from None
+        raise UnknownVariable(f"free input {name!r} not present in point") from None
 
 
 def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
@@ -597,7 +595,7 @@ class _Tape:
         bits = 0
         for name, i in slots.items():
             if order[i].dtype == "int":
-                raise IntegerDifferentiation(f"cannot differentiate through integer input {name!r}")
+                raise NoGradient(f"cannot differentiate through integer input {name!r}")
             bits |= deps[i]
         # One line per adjoint contribution, in the order of the full reverse
         # sweep; the first into a slot starts its adjoint, and one from a
@@ -659,14 +657,13 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
     """Reverse-mode gradient of a scalar ``expr`` as one new float64 vector:
     the block of each name in ``wrt``, raveled in C order, in that order.  A
     name that ``expr`` does not read gets as many zeros as ``point`` holds;
-    one listed twice raises ``DuplicateName``, an integer input
-    ``IntegerDifferentiation`` and a path through an opaque node
-    ``NoGradient``.  ``switch`` conditions and comparison results are
+    one listed twice raises ``DuplicateName``, and an integer input or a
+    path through an opaque node ``NoGradient``.  ``switch`` conditions and comparison results are
     treated as constants.  ``values`` are the slots of a forward pass at
     ``point`` when the caller already has them.
     """
     if expr.shape != ():
-        raise NonScalarObjective(f"objective has shape {expr.shape}, expected a scalar")
+        raise ShapeMismatch(f"objective has shape {expr.shape}, expected a scalar")
     tape = _tape(expr)
     backward = tape.plan(tuple(wrt))
     return backward(tape.forward(point) if values is None else values, point)

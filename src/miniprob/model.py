@@ -23,13 +23,12 @@ from . import graph
 from .backends import claim_columns
 from .distributions import Distribution
 from .exceptions import (
-    AllMissing,
+    DataError,
     DuplicateName,
     ModelFrozen,
     NonFiniteLogp,
     OutsideSupport,
     ShapeMismatch,
-    TestvalOutsideSupport,
     UnknownVariable,
 )
 from .graph import Expr, Point, as_dtype, const, eval_expr, free_input
@@ -88,26 +87,25 @@ class Model:
 
     def add_free(self, name: str, dist: Distribution, shape=(), testval=None) -> FreeVar:
         """Register a free variable sampled through ``dist.transform``.  A
-        rejected test value raises ``TestvalOutsideSupport``, or
-        ``ShapeMismatch`` for a shape that does not broadcast, and leaves the
-        model unchanged."""
+        rejected test value raises ``OutsideSupport``, or ``ShapeMismatch``
+        for a shape that does not broadcast, and leaves the model unchanged."""
         self._check_open()
         shape = _as_shape(shape)
         if testval is None:
             testval = dist.default_testval(shape, self._eval_param)
             if testval is None:
-                raise TestvalOutsideSupport(f"{name}: a custom density needs an explicit testval")
+                raise OutsideSupport(f"{name}: a custom density needs an explicit testval")
         try:
             testval = np.array(np.broadcast_to(testval, shape))
         except ValueError:
             raise ShapeMismatch(f"{name}: test value of shape {np.shape(testval)} does not "
                                 f"broadcast to {shape}") from None
         if not np.all(np.isfinite(testval)):
-            raise TestvalOutsideSupport(f"{name}: test value {testval!r} is not finite")
+            raise OutsideSupport(f"{name}: test value {testval!r} is not finite")
         try:
             var = FreeVar(name, dist, shape, dist.transform, as_dtype(testval, dist.dtype, name))
         except (ShapeMismatch, OutsideSupport) as e:
-            raise TestvalOutsideSupport(f"{name}: {e}") from None
+            raise OutsideSupport(f"{name}: {e}") from None
 
         term = dist.logp_expr(var.value)
         if var.transform is not None:
@@ -115,7 +113,7 @@ class Model:
         point = {**self._test_point, var.sampling_name: np.asarray(var.sampling_testval)}
         tv_logp = float(eval_expr(term, point))
         if not np.isfinite(tv_logp):
-            raise TestvalOutsideSupport(
+            raise OutsideSupport(
                 f"{name}: log density is {tv_logp} at the test value {testval!r}")
         self._claim_name((name, shape), *([(var.sampling_name, shape)] if var.transform else []))
         self._register_free(var, term)
@@ -138,7 +136,7 @@ class Model:
                 raise ShapeMismatch(
                     f"{name}: mask shape {mask.shape} != data shape {data.shape}")
             if mask.all():
-                raise AllMissing(f"{name}: every entry is masked")
+                raise DataError(f"{name}: every entry is masked")
             if not mask.any():
                 mask = None
 
@@ -153,7 +151,7 @@ class Model:
 
             full_testval = dist.default_testval(data.shape, self._eval_param)
             if full_testval is None:
-                raise TestvalOutsideSupport(
+                raise OutsideSupport(
                     f"{name}: a custom density has no test value for the masked entries")
             miss_var = FreeVar(miss_name, dist, (n_miss,), None, full_testval[mask])
             # observed entries stay constants; masked entries read the free input

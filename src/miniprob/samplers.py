@@ -30,12 +30,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exceptions import (
-    IntegerDifferentiation,
-    NonFiniteGradient,
+    NoGradient,
     NonFiniteLogp,
-    NonFiniteStart,
-    OverlappingTargets,
-    UncoveredVariable,
+    StepTargets,
 )
 from .graph import Point, _quiet
 from .model import Model
@@ -46,14 +43,14 @@ class Packer:
     as ``Model.dlogp`` lays out the gradient; ``names`` are resolved as
     ``Model.resolve_names`` does.  Every other coordinate is held at the base
     point: ``start`` overlaid on the test point, until ``rebase``.  An
-    integer variable among ``names`` raises ``IntegerDifferentiation``."""
+    integer variable among ``names`` raises ``NoGradient``."""
 
     def __init__(self, model: Model, names: Sequence[str], start: Mapping | None = None):
         self.model = model
         self.names = model.resolve_names(names)
         for n in self.names:
             if model.var(n).dtype == "int":
-                raise IntegerDifferentiation(f"cannot target integer variable {n!r}")
+                raise NoGradient(f"cannot target integer variable {n!r}")
         self.shapes = [model.var(n).shape for n in self.names]
         self.sizes = [int(np.prod(s, dtype=int)) if s else 1 for s in self.shapes]
         self.offsets = np.cumsum([0] + self.sizes).tolist()
@@ -89,10 +86,10 @@ class Packer:
 # --- Hessian-based scaling --------------------------------------------------
 
 def _start_logp(model: Model, point: Mapping, what: str) -> float:
-    """The log posterior at ``point``; ``NonFiniteStart`` unless it is finite."""
+    """The log posterior at ``point``; ``NonFiniteLogp`` unless it is finite."""
     lp = model.logp(point)
     if not math.isfinite(lp):
-        raise NonFiniteStart(f"log posterior is {lp} at the {what}")
+        raise NonFiniteLogp(f"log posterior is {lp} at the {what}")
     return lp
 
 
@@ -102,7 +99,7 @@ def hessian(model: Model, point: Mapping | None = None,
     point when omitted), over ``vars`` (default: the continuous variables).
     Row i is the central difference of the reverse-mode gradient along
     coordinate i; the matrix is symmetric up to the differencing error.  A
-    point whose log posterior is not finite raises ``NonFiniteStart``."""
+    point whose log posterior is not finite raises ``NonFiniteLogp``."""
     names = model.continuous_names() if vars is None else model.resolve_names(vars)
     packer = Packer(model, names, point)
     _start_logp(model, packer.point(packer.start), "scaling point")
@@ -342,7 +339,7 @@ class GradientStep(StepMethod):
                              f"got {scaling!r}")
         h = hessian(model, scaling, self.vars)
         if not np.all(np.isfinite(h)):
-            raise NonFiniteGradient(f"Hessian at the scaling point is not finite: {h}")
+            raise NonFiniteLogp(f"Hessian at the scaling point is not finite: {h}")
         self.inv_mass, self._root = _metric(h)
 
     def _start(self, point, known):
@@ -356,8 +353,8 @@ class GradientStep(StepMethod):
             lp, g = self.packer.logp_grad(q)
         self._checked(lp)
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"{type(self).__name__} started at a point with "
-                                    "non-finite gradient")
+            raise NonFiniteLogp(f"{type(self).__name__} started at a point with "
+                                "non-finite gradient")
         return q, lp, g
 
     def _finish(self, node: _Node) -> dict:
@@ -531,8 +528,8 @@ def validate_coverage(model: Model, steps: Sequence[StepMethod]) -> None:
     for s in steps:
         dup = seen.intersection(s.vars)
         if dup:
-            raise OverlappingTargets(f"variables targeted twice: {sorted(dup)}")
+            raise StepTargets(f"variables targeted twice: {sorted(dup)}")
         seen.update(s.vars)
     missing = [n for n in model.sampling_names() if n not in seen]
     if missing:
-        raise UncoveredVariable(f"no step method targets {missing[0]!r}")
+        raise StepTargets(f"no step method targets {missing[0]!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import Trace, flat_names
-from .exceptions import NonFiniteSample, TooFewSamples
+from .exceptions import DataError
 
 QUANTILES = (2.5, 25.0, 50.0, 75.0, 97.5)
 
@@ -28,11 +28,11 @@ def quantiles(samples, probs=QUANTILES) -> np.ndarray:
 
 def _finite(samples, what: str) -> np.ndarray:
     """``samples`` as a flat float64 array; NaN or infinity raises
-    ``NonFiniteSample``, since no statistic of them would be meaningful."""
+    ``DataError``, since no statistic of them would be meaningful."""
     x = np.asarray(samples, dtype=np.float64).ravel()
     bad = np.count_nonzero(~np.isfinite(x))
     if bad:
-        raise NonFiniteSample(f"{what} needs finite samples, got {bad} NaN or infinite")
+        raise DataError(f"{what} needs finite samples, got {bad} NaN or infinite")
     return x
 
 
@@ -48,21 +48,24 @@ def hpd(samples, alpha: float = 0.05) -> tuple[float, float]:
     x = np.sort(_finite(samples, "hpd"))
     n = x.size
     if n < 2:
-        raise TooFewSamples("hpd needs at least 2 samples")
+        raise DataError("hpd needs at least 2 samples")
     m = min(n, int(math.ceil((1.0 - alpha) * n)))
     widths = x[m - 1:] - x[:n - m + 1]
     i = int(np.argmin(widths))
     return float(x[i]), float(x[i + m - 1])
 
 
-def mc_error(samples, batches: int = 20) -> float:
+MC_BATCHES = 20  # mc_error's default batch count, so the fewest samples a summary takes
+
+
+def mc_error(samples, batches: int = MC_BATCHES) -> float:
     """Batch-means Monte Carlo standard error of the mean."""
     if batches < 2:
         raise ValueError(f"mc_error needs at least 2 batches, got {batches}")
     x = _finite(samples, "mc_error")
     n = x.size
     if n < batches:
-        raise TooFewSamples(f"mc_error needs at least {batches} samples, got {n}")
+        raise DataError(f"mc_error needs at least {batches} samples, got {n}")
     size = n // batches
     means = x[:batches * size].reshape(batches, size).mean(axis=1)
     return float(np.std(means, ddof=1) / np.sqrt(batches))
@@ -75,7 +78,7 @@ def ess(samples) -> float:
     x = _finite(samples, "ess")
     n = x.size
     if n < 100:
-        raise TooFewSamples(f"ess needs at least 100 samples, got {n}")
+        raise DataError(f"ess needs at least 100 samples, got {n}")
     x = x - x.mean()
     var0 = float(np.dot(x, x)) / n
     if var0 == 0.0:
@@ -122,7 +125,7 @@ def _column(col: str):
     """Put the trace column ``col`` in front of a sample error from the block."""
     try:
         yield
-    except (TooFewSamples, NonFiniteSample) as e:
+    except DataError as e:
         raise type(e)(f"{col}: {e}") from None
 
 
@@ -180,7 +183,7 @@ def kde(samples, n_points: int = 200):
     x = _finite(samples, "kde")
     n = x.size
     if n == 0:
-        raise TooFewSamples("kde needs at least 1 sample")
+        raise DataError("kde needs at least 1 sample")
     bw = float(np.std(x)) * n ** (-1.0 / 5.0)
     if bw <= 0:
         bw = 1e-8
@@ -199,7 +202,7 @@ def histogram(samples):
     so its size is bounded by the number of samples, not by their range."""
     x = np.asarray(samples).astype(np.int64)
     if x.size == 0:
-        raise TooFewSamples("histogram needs at least 1 sample")
+        raise DataError("histogram needs at least 1 sample")
     return np.unique(x, return_counts=True)
 
 

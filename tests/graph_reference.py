@@ -20,9 +20,7 @@ import numpy as np
 from scipy import special
 
 from miniprob.exceptions import (
-    IntegerDifferentiation,
     NoGradient,
-    NonScalarObjective,
     ShapeMismatch,
 )
 from miniprob.graph import (
@@ -116,7 +114,7 @@ def _grad_meta(order: list[Expr], wrt: Sequence[str]):
     for node in order:
         if node.kind == "free_input" and node.input_name in key:
             if node.dtype == "int":
-                raise IntegerDifferentiation(
+                raise NoGradient(
                     f"cannot differentiate through integer input {node.input_name!r}")
             wanted[node.input_name] = node
     reaches: set[int] = set()
@@ -131,7 +129,7 @@ def _grad_meta(order: list[Expr], wrt: Sequence[str]):
 def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
          values: dict[int, np.ndarray] | None = None) -> Point:
     if expr.shape != ():
-        raise NonScalarObjective(f"objective has shape {expr.shape}, expected a scalar")
+        raise ShapeMismatch(f"objective has shape {expr.shape}, expected a scalar")
     order = topo_order(expr)
     wanted, reaches = _grad_meta(order, wrt)
 

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import miniprob
-from miniprob import demos, glm, graph, samplers
+from miniprob import demos, exceptions, glm, graph, samplers
 from miniprob.transforms import IntervalTransform, LogTransform
 
 
@@ -43,6 +44,74 @@ def test_removed_names_are_not_exported():
         assert not hasattr(kernel, "last_accepted")
     assert "tau" not in inspect.signature(miniprob.Normal).parameters
     assert "length" not in inspect.signature(miniprob.GaussianRandomWalk).parameters
+    for name in _REMOVED_ERRORS:
+        assert not hasattr(exceptions, name), name
+
+
+# each folded into the class of the outcome it reports, or gone with the rule it kept
+_REMOVED_ERRORS = [
+    "_Unquoted", "MissingInput", "NonScalarObjective", "IntegerDifferentiation",
+    "TestvalOutsideSupport", "AllMissing", "NonFiniteGradient", "NonFiniteStart",
+    "UncoveredVariable", "OverlappingTargets", "CorruptMeta", "MissingChainFile",
+    "TooFewSamples", "NonFiniteSample", "FormulaSyntaxError", "DuplicateTerm",
+    "ResponseInTerms", "UnknownColumn", "NonBinaryResponse", "DataFileError",
+]
+
+# every error class, with the builtin exceptions it still is
+_ERRORS = {
+    "MiniprobError": {Exception},
+    "DataError": {ValueError},
+    "IoFailure": {ValueError, OSError},
+    "UnknownVariable": {ValueError, KeyError},
+    "ShapeMismatch": {ValueError},
+    "DuplicateName": {ValueError},
+    "OutsideSupport": {ValueError},
+    "ModelFrozen": {RuntimeError},
+    "NoGradient": {TypeError},
+    "NonFiniteLogp": {ValueError},
+    "StepTargets": {ValueError},
+    "SamplingError": {RuntimeError},
+    "FormulaError": {ValueError},
+}
+
+
+def _error_classes():
+    return {name: c for name, c in vars(exceptions).items()
+            if isinstance(c, type) and issubclass(c, BaseException)}
+
+
+def _builtin_bases(cls):
+    """The most derived builtin exception classes that ``cls`` derives from."""
+    found = [b for b in cls.__mro__ if b.__module__ == "builtins" and b is not object]
+    return {b for b in found if not any(o is not b and issubclass(o, b) for o in found)}
+
+
+def test_error_classes_and_their_builtin_bases():
+    classes = _error_classes()
+    assert sorted(classes) == sorted(_ERRORS)
+    for name, cls in classes.items():
+        assert issubclass(cls, exceptions.MiniprobError), name
+        assert _builtin_bases(cls) == _ERRORS[name], name
+    # the command line's exit-3 rule: every data error and nothing else
+    data = {name for name, cls in classes.items() if issubclass(cls, exceptions.DataError)}
+    assert data == {"DataError", "IoFailure", "UnknownVariable"}
+
+
+def test_every_error_class_is_raised():
+    src = os.path.dirname(os.path.abspath(miniprob.__file__))
+    raised = set()
+    for file in os.listdir(src):
+        if file.endswith(".py"):
+            with open(os.path.join(src, file), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    classes = _error_classes()
+    dead = [name for name, cls in classes.items()
+            if not any(issubclass(classes[r], cls) for r in raised if r in classes)]
+    assert dead == []
 
 
 @pytest.mark.parametrize("fn, params", [

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,9 @@ import pytest
 
 from miniprob.backends import MemoryBackend, TextBackend, Trace, flat_names, load
 from miniprob.exceptions import (
-    CorruptMeta,
+    DataError,
     IoFailure,
-    MissingChainFile,
-    MissingInput,
+    ShapeMismatch,
     UnknownVariable,
 )
 
@@ -58,8 +58,14 @@ class TestMemoryBackend:
     def test_missing_name_rejected(self):
         b = MemoryBackend()
         b.start(LAYOUT, 1)
-        with pytest.raises(MissingInput):
+        with pytest.raises(UnknownVariable, match="recorded point is missing traced variable 'k'"):
             b.record(0, {"alpha": 1.0, "beta": np.zeros(2)})
+
+    def test_wrong_shape_rejected(self):
+        b = MemoryBackend()
+        b.start([("a", (2,), "float")], 1)
+        with pytest.raises(ShapeMismatch, match=r"traced variable 'a': shape \(3,\) != \(2,\)"):
+            b.record(0, {"a": np.zeros(3)})
 
     def test_negative_indexing_returns_point(self):
         trace, rows = fill(MemoryBackend(), draws=7)
@@ -128,21 +134,38 @@ class TestTextBackend:
         assert b._files[0].closed
 
     def test_empty_directory_is_corrupt(self, tmp_path):
-        with pytest.raises(CorruptMeta):
+        with pytest.raises(DataError, match="no metadata file"):
             load(str(tmp_path))
 
     def test_missing_chain_file(self, tmp_path):
         d = str(tmp_path / "t")
         fill(TextBackend(d), chains=2, draws=4)
         os.remove(os.path.join(d, "chain-1.csv"))
-        with pytest.raises(MissingChainFile):
+        with pytest.raises(DataError, match=r"unreadable chain file .*chain-1\.csv"):
             load(d)
+
+    def test_declared_size_is_checked_before_names_are_built(self, tmp_path):
+        # building the 200000 declared column names would take some 25 MB
+        d = tmp_path / "t"
+        d.mkdir()
+        meta = {"version": 1, "vars": [{"name": "x", "shape": [200000], "dtype": "float"}],
+                "chains": 1, "draws": 0}
+        (d / "meta.json").write_text(json.dumps(meta))
+        (d / "chain-0.csv").write_text("x\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"chain-0\.csv.* header does not match metadata"):
+                load(str(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_garbled_meta(self, tmp_path):
         d = tmp_path / "t"
         d.mkdir()
         (d / "meta.json").write_text("{not json")
-        with pytest.raises(CorruptMeta):
+        with pytest.raises(DataError, match="unreadable metadata file"):
             load(str(d))
 
     @pytest.mark.parametrize("name", ["beta", 3, ["alpha"]], ids=["twice", "int", "list"])
@@ -156,14 +179,14 @@ class TestTextBackend:
             json.dump(meta, f)
         edit_line(os.path.join(d, "chain-0.csv"), 0,
                   lambda h: ",".join(flat_names(str(name), ()) + h.split(",")[1:]))
-        with pytest.raises(CorruptMeta, match=re.escape(repr(name))):
+        with pytest.raises(DataError, match=re.escape(repr(name))):
             load(d)
 
     def test_header_mismatch_detected(self, tmp_path):
         d = str(tmp_path / "t")
         fill(TextBackend(d), chains=1, draws=2)
         edit_line(os.path.join(d, "chain-0.csv"), 0, lambda _: "wrong,header,entirely,x")
-        with pytest.raises(CorruptMeta):
+        with pytest.raises(DataError, match="header does not match metadata"):
             load(d)
 
     @pytest.mark.parametrize("row", ["0.1,0.2,0.3", "0.1,0.2,0.3,4,5", "0.1,abc,0.3,4",
@@ -174,7 +197,7 @@ class TestTextBackend:
         d = str(tmp_path / "t")
         fill(TextBackend(d), chains=1, draws=3)
         edit_line(os.path.join(d, "chain-0.csv"), 2, lambda _: row)
-        with pytest.raises(CorruptMeta, match=r"chain-0\.csv.* line 3"):
+        with pytest.raises(DataError, match=r"chain-0\.csv.* line 3"):
             load(d)
 
     @pytest.mark.parametrize("field, value", [
@@ -201,7 +224,7 @@ class TestTextBackend:
             meta["vars"][1][field] = value
         with open(path, "w") as f:
             json.dump(meta, f)
-        with pytest.raises(CorruptMeta, match=field):
+        with pytest.raises(DataError, match=field):
             load(d)
 
     @pytest.mark.parametrize("chain, keep", [(0, 2), (0, 0), (1, 4)],
@@ -213,7 +236,7 @@ class TestTextBackend:
         lines = path.read_text().splitlines()
         lines = (lines + lines[-1:])[:1 + keep]  # cut at a line boundary, or repeat a row
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorruptMeta, match=rf"chain-{chain}\.csv.* {keep} rows.* 3 draws"):
+        with pytest.raises(DataError, match=rf"chain-{chain}\.csv.* {keep} rows.* 3 draws"):
             load(d)
 
     def test_row_cut_inside_a_number(self, tmp_path):
@@ -225,7 +248,7 @@ class TestTextBackend:
         b.finish()
         path = Path(d, "chain-0.csv")
         path.write_text(path.read_text()[:-2])  # "0.123456\n" becomes "0.12345"
-        with pytest.raises(CorruptMeta, match=r"chain-0\.csv.* line 3: the row is cut short"):
+        with pytest.raises(DataError, match=r"chain-0\.csv.* line 3: the row is cut short"):
             load(d)
 
 

@@ -8,7 +8,7 @@ from scipy.special import gammaln
 from miniprob import demos
 from miniprob.datasets import disasters_data, load_returns
 from miniprob.distributions import DiscreteUniform, Exponential, Poisson
-from miniprob.exceptions import DataFileError
+from miniprob.exceptions import DataError
 from miniprob.graph import opaque_deterministic
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
@@ -54,13 +54,13 @@ def exact_disasters_posterior() -> dict[str, tuple[float, float]]:
 def test_malformed_returns_file_is_a_data_error(tmp_path, text, match):
     path = tmp_path / "returns.csv"
     path.write_text(text)
-    with pytest.raises(DataFileError, match=match) as exc:
+    with pytest.raises(DataError, match=match) as exc:
         load_returns(str(path))
     assert str(path) in str(exc.value)
 
 
 def test_missing_returns_file_is_a_data_error(tmp_path):
-    with pytest.raises(DataFileError, match="absent.csv"):
+    with pytest.raises(DataError, match="absent.csv"):
         load_returns(str(tmp_path / "absent.csv"))
 
 

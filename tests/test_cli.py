@@ -23,8 +23,8 @@ def test_demo_writes_summary_trace_and_plots(tmp_path):
     assert os.listdir(out / "plots")
 
 
-@pytest.mark.parametrize("draws", ["0", "-3"])
-def test_draws_below_one_is_a_usage_error(tmp_path, capsys, draws):
+@pytest.mark.parametrize("draws", ["0", "-3", "19"])
+def test_draws_below_the_summary_minimum_is_a_usage_error(tmp_path, capsys, draws):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         cli.main(["demo", "linear", "--draws", draws, "--quiet", "--out", str(out)])

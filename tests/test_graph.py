@@ -7,11 +7,9 @@ from conftest import finite_diff_grad, rel_err
 from miniprob import graph
 from miniprob.exceptions import (
     DuplicateName,
-    IntegerDifferentiation,
-    MissingInput,
     NoGradient,
-    NonScalarObjective,
     ShapeMismatch,
+    UnknownVariable,
 )
 from miniprob.graph import (
     concat,
@@ -53,7 +51,7 @@ class TestEval:
 
     def test_missing_input(self):
         x = free_input("x", ())
-        with pytest.raises(MissingInput):
+        with pytest.raises(UnknownVariable, match="free input 'x' not present in point"):
             eval_expr(x + 1.0, {})
 
     def test_shape_mismatch_at_eval(self):
@@ -154,13 +152,13 @@ class TestGrad:
 
     def test_nonscalar_objective_rejected(self):
         x = free_input("x", (2,))
-        with pytest.raises(NonScalarObjective):
+        with pytest.raises(ShapeMismatch, match="expected a scalar"):
             grad(x * x, ["x"], {"x": np.zeros(2)})
 
     def test_integer_input_rejected(self):
         k = free_input("k", (), dtype="int")
         expr = graph.sum_all(k * 2.0)
-        with pytest.raises(IntegerDifferentiation):
+        with pytest.raises(NoGradient, match="cannot differentiate through integer input 'k'"):
             grad(expr, ["k"], {"k": 3})
 
     def test_switch_treats_condition_as_constant(self):
@@ -184,7 +182,7 @@ class TestGrad:
 
     def test_unread_name_missing_from_the_point(self):
         x = free_input("x", ())
-        with pytest.raises(MissingInput):
+        with pytest.raises(UnknownVariable, match="free input 'y' not present in point"):
             grad(x * x, ["x", "y"], {"x": 1.0})
 
     def test_name_listed_twice_rejected(self):

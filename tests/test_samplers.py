@@ -6,12 +6,9 @@ from miniprob import demos, graph
 from miniprob.backends import TextBackend
 from miniprob.distributions import Custom, DiscreteUniform, Exponential, Flat, Normal, Poisson
 from miniprob.exceptions import (
-    IntegerDifferentiation,
-    NonFiniteGradient,
+    NoGradient,
     NonFiniteLogp,
-    NonFiniteStart,
-    OverlappingTargets,
-    UncoveredVariable,
+    StepTargets,
 )
 from miniprob.graph import const, switch, cmp_ge
 from miniprob.inference import sample
@@ -366,14 +363,14 @@ class TestScaling:
         m = Model()
         m.add_free("x", Custom(graph.sqrt), testval=1.0)
         m.finalize()
-        with pytest.raises(NonFiniteGradient, match="Hessian"):
+        with pytest.raises(NonFiniteLogp, match="Hessian at the scaling point is not finite"):
             kernel(m, scaling={"x": np.array(5e-5)})
 
     def test_scaling_point_with_a_non_finite_log_posterior_rejected(self):
         m = demos.disasters_model()  # a switchpoint of 3000 is outside its support
-        with pytest.raises(NonFiniteStart, match="-inf at the scaling point"):
+        with pytest.raises(NonFiniteLogp, match="-inf at the scaling point"):
             hessian(m, {"switchpoint": 3000}, ["early_rate"])
-        with pytest.raises(NonFiniteStart):
+        with pytest.raises(NonFiniteLogp, match="at the scaling point"):
             Nuts(m, vars=["early_rate", "late_rate"], scaling={"switchpoint": 3000})
 
     def test_hessian_diag_unclipped(self):
@@ -549,13 +546,13 @@ def test_kernels_reject_integer_targets(kernel):
     m = Model()
     m.add_free("x", Normal(mu=0.0, sd=1.0))
     m.add_free("k", DiscreteUniform(0, 5))
-    with pytest.raises(IntegerDifferentiation, match="'k'"):
+    with pytest.raises(NoGradient, match="cannot target integer variable 'k'"):
         kernel(m.finalize(), vars=["x", "k"])
 
 
 def test_nuts_default_targets_include_the_disasters_switchpoint():
     # default targets are every free variable, so the integer one is refused
-    with pytest.raises(IntegerDifferentiation, match="'switchpoint'"):
+    with pytest.raises(NoGradient, match="cannot target integer variable 'switchpoint'"):
         Nuts(demos.disasters_model())
 
 
@@ -624,7 +621,7 @@ class TestHmc:
 class TestCompound:
     def test_overlap_rejected(self):
         m = normal_model()
-        with pytest.raises(OverlappingTargets):
+        with pytest.raises(StepTargets, match="variables targeted twice"):
             sample(m, 10, [Metropolis(m), Metropolis(m)])
 
     def test_step_built_on_another_model_rejected(self, tmp_path):
@@ -639,7 +636,7 @@ class TestCompound:
         m.add_free("a", Normal(mu=0.0, sd=1.0))
         m.add_free("b", Normal(mu=0.0, sd=1.0))
         m.finalize()
-        with pytest.raises(UncoveredVariable):
+        with pytest.raises(StepTargets, match="no step method targets 'b'"):
             validate_coverage(m, [Metropolis(m, vars=["a"])])
 
     def test_coverage_ok_with_split(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from miniprob.backends import MemoryBackend
-from miniprob.exceptions import NonFiniteSample, TooFewSamples, UnknownVariable
+from miniprob.exceptions import DataError, UnknownVariable
 from miniprob.stats import (
     ess,
     histogram,
@@ -83,7 +83,7 @@ class TestHpd:
         assert hi - lo <= q[1] - q[0] + 1e-12
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match="hpd needs at least 2 samples"):
             hpd(np.array([1.0]))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
@@ -108,7 +108,7 @@ class TestMcError:
         assert mc_error(x) == 0.0
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match="mc_error needs at least 20 samples, got 10"):
             mc_error(np.arange(10.0))
 
     @pytest.mark.parametrize("batches", [1, 0])
@@ -140,7 +140,7 @@ class TestEss:
         assert ess(np.full(500, 1.5)) == 0.0
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match="ess needs at least 100 samples, got 50"):
             ess(np.arange(50.0))
 
 
@@ -149,20 +149,20 @@ class TestEss:
 def test_non_finite_sample_rejected(stat, bad):
     x = np.random.default_rng(3).normal(size=200)
     x[17] = bad
-    with pytest.raises(NonFiniteSample):
+    with pytest.raises(DataError, match="needs finite samples"):
         stat(x)
 
 
 @pytest.mark.parametrize("panel", [kde, histogram])
 def test_empty_series_rejected(panel):
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DataError, match="needs at least 1 sample"):
         panel(np.array([]))
 
 
 def test_summary_of_non_finite_trace_rejected():
     x = np.random.default_rng(4).normal(size=(200, 2))
     x[50, 1] = np.nan
-    with pytest.raises(NonFiniteSample):
+    with pytest.raises(DataError, match="needs finite samples"):
         summary(trace_of({"x": x}))
 
 

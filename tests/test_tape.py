@@ -14,7 +14,7 @@ import pytest
 import graph_reference as reference
 from miniprob import demos, graph
 from miniprob.datasets import load_returns
-from miniprob.exceptions import MissingInput, NoGradient, ShapeMismatch
+from miniprob.exceptions import NoGradient, ShapeMismatch, UnknownVariable
 from miniprob.glm import BinomialFamily, build_model
 from miniprob.graph import (
     concat,
@@ -228,13 +228,13 @@ class TestFolding:
         good = {"x": np.zeros(2), "k": 1}
         assert float(eval_expr(expr, good)) == 1.0
         for _ in range(2):
-            with pytest.raises(MissingInput):
+            with pytest.raises(UnknownVariable, match="free input 'k' not present in point"):
                 eval_expr(expr, {"x": np.zeros(2)})
             with pytest.raises(ShapeMismatch):
                 eval_expr(expr, {"x": np.zeros(3), "k": 1})
             with pytest.raises(ShapeMismatch):
                 eval_expr(expr, {"x": np.zeros(2), "k": 1.5})
-            with pytest.raises(MissingInput):
+            with pytest.raises(UnknownVariable, match="free input 'x' not present in point"):
                 graph.value_and_grad(expr, ["x"], {"k": 1})
             with pytest.raises(ShapeMismatch):  # a float64 array of the wrong shape
                 eval_expr(expr, {"x": np.zeros((2, 1)), "k": 1})
@@ -404,7 +404,7 @@ class TestReuse:
         a, b = free_input("a", ()), free_input("b", ())
         expr = graph.exp(a) + graph.exp(b)
         assert float(eval_expr(expr, {"a": 0.0, "b": 0.0})) == 2.0
-        with pytest.raises(MissingInput):
+        with pytest.raises(UnknownVariable, match=f"free input {absent!r} not present in point"):
             eval_expr(expr, {n: 1.0 for n in "ab" if n != absent})
         with pytest.raises(ShapeMismatch):
             eval_expr(expr, {"a": 1.0, "b": 1.0, absent: np.zeros(2)})
