@@ -39,7 +39,7 @@ from .graph import (
     switch,
 )
 from .inference import find_map, sample
-from .model import FreeVar, Model
+from .model import Model
 from .rng import stream
 from .samplers import (
     Hmc,
@@ -55,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bernoulli", "BinomialFamily", "Custom", "DiscreteUniform",
-    "Expr", "Exponential", "Flat", "Formula", "FreeVar", "GaussianRandomWalk",
+    "Expr", "Exponential", "Flat", "Formula", "GaussianRandomWalk",
     "HalfNormal", "Hmc", "MemoryBackend", "Metropolis", "Model", "Normal",
     "NormalFamily", "Nuts", "Poisson", "Slice",
     "StudentT", "TextBackend", "Trace", "Uniform", "build_model", "concat",

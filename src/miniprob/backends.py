@@ -24,11 +24,9 @@ from .exceptions import (
     ShapeMismatch,
     UnknownVariable,
 )
-from .graph import Point
+from .graph import DTYPES, Point, as_dtype
 
 Layout = Sequence[tuple[str, tuple, str]]  # (name, shape, dtype)
-
-_DTYPES = {"int": np.int64, "float": np.float64}
 
 
 def _normalise(layout: Layout) -> list[tuple[str, tuple, str]]:
@@ -121,13 +119,13 @@ def _row_from_point(layout: Layout, point: Mapping) -> list[np.ndarray]:
         arr = np.asarray(point[name])
         if arr.shape != shape:
             raise ShapeMismatch(f"traced variable {name!r}: shape {arr.shape} != {shape}")
-        row.append(arr.astype(_DTYPES[dtype]))
+        row.append(np.array(as_dtype(arr, dtype, name)))  # a copy; an int is never truncated
     return row
 
 
 def _stack(layout: Layout, rows: list) -> dict[str, np.ndarray]:
     """One array per variable from rows of per-variable values."""
-    return {name: np.array([row[j] for row in rows], dtype=_DTYPES[dtype])
+    return {name: np.array([row[j] for row in rows], dtype=DTYPES[dtype])
             .reshape((len(rows),) + shape)
             for j, (name, shape, dtype) in enumerate(layout)}
 
@@ -143,7 +141,13 @@ class MemoryBackend:
         self.layout = _normalise(layout)
         self._rows = [[] for _ in range(chains)]
 
+    def _check_chain(self, chain: int) -> None:
+        if not 0 <= chain < len(self._rows):
+            raise ShapeMismatch(f"chain {chain} is out of range for a trace of "
+                                f"{len(self._rows)} chains")
+
     def record(self, chain: int, point: Mapping) -> None:
+        self._check_chain(chain)
         self._rows[chain].append(_row_from_point(self.layout, point))
 
     def finish(self) -> Trace:
@@ -175,6 +179,7 @@ class TextBackend(MemoryBackend):
             raise IoFailure(f"cannot create trace file {path!r}: {e}") from e
 
     def record(self, chain: int, point: Mapping) -> None:
+        self._check_chain(chain)
         row = _row_from_point(self.layout, point)
         # tolist gives Python ints and floats; repr writes each float so it reads back exactly
         line = ",".join(repr(x) for arr in row for x in arr.ravel().tolist())
@@ -242,7 +247,7 @@ def load(directory: str) -> Trace:
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise DataError(f"metadata in {directory!r}: shape of {name!r} must be "
                             f"a list of ints >= 0, got {shape!r}")
-        if dtype not in _DTYPES:
+        if dtype not in DTYPES:
             raise DataError(f"metadata in {directory!r}: dtype of {name!r} must be "
                             f"'int' or 'float', got {dtype!r}")
     layout = _normalise(layout)
@@ -260,7 +265,8 @@ def load(directory: str) -> Trace:
     header = _header(layout)
     ends = np.cumsum([len(flat_names(name, shape)) for name, shape, _ in layout]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
-    convs = [_DTYPES[dtype] for (_, _, dtype), (a, b) in zip(layout, spans) for _ in range(a, b)]
+    convs = [DTYPES[dtype].type
+             for (_, _, dtype), (a, b) in zip(layout, spans) for _ in range(a, b)]
 
     chains = []
     for k in range(n_chains):

@@ -48,9 +48,8 @@ def linear_model(data: dict[str, np.ndarray]) -> Model:
     alpha = model.add_free("alpha", Normal(mu=0.0, sd=10.0))
     beta = model.add_free("beta", Normal(mu=0.0, sd=10.0), shape=2)
     sigma = model.add_free("sigma", HalfNormal(sd=1.0))
-    mu = (alpha.value + beta.value[0] * graph.const(data["x1"])
-          + beta.value[1] * graph.const(data["x2"]))
-    model.add_observed("Y_obs", Normal(mu=mu, sd=sigma.value), data["y"])
+    mu = alpha + beta[0] * data["x1"] + beta[1] * data["x2"]
+    model.add_observed("Y_obs", Normal(mu=mu, sd=sigma), data["y"])
     return model.finalize()
 
 
@@ -72,8 +71,7 @@ def disasters_model() -> Model:
         testval=1900)
     early = model.add_free("early_rate", Exponential(1.0))
     late = model.add_free("late_rate", Exponential(1.0))
-    rate = graph.switch(switchpoint.value >= graph.const(years.astype(np.float64)),
-                        early.value, late.value)
+    rate = graph.switch(switchpoint >= years.astype(np.float64), early, late)
     model.add_observed("disasters", Poisson(rate), counts, mask=mask)
     return model.finalize()
 
@@ -93,10 +91,9 @@ def sp500_model(returns: np.ndarray) -> Model:
     model = Model()
     nu = model.add_free("nu", Exponential(0.1), testval=0.1)
     sigma = model.add_free("sigma", Exponential(50.0), testval=0.1)
-    s = model.add_free("s", GaussianRandomWalk(tau=sigma.value ** -2.0), shape=n)
-    volatility = graph.exp(-2.0 * s.value)
-    model.add_deterministic("volatility_process", volatility)
-    model.add_observed("r", StudentT(nu=nu.value, lam=1.0 / volatility), returns)
+    s = model.add_free("s", GaussianRandomWalk(tau=sigma ** -2.0), shape=n)
+    volatility = model.add_deterministic("volatility_process", graph.exp(-2.0 * s))
+    model.add_observed("r", StudentT(nu=nu, lam=1.0 / volatility), returns)
     return model.finalize()
 
 

@@ -5,8 +5,7 @@ support onto the real line (``None`` for real-valued and discrete
 families), and ``_valid`` is the 0/1 graph mask of the values and
 parameters at which its elementwise density ``_logp`` holds.  A family also
 gives the centre of its default test value.  Parameters may be numbers,
-arrays, or graph expressions (model variables contribute their value
-expression).
+arrays, or graph expressions, a model variable among them.
 """
 
 from __future__ import annotations
@@ -19,13 +18,6 @@ from .graph import Expr, as_expr, const, switch, cmp_ge, cmp_gt, sum_all
 from .transforms import IntervalTransform, LogTransform
 
 NEG_INF = float("-inf")
-
-
-def _param(x) -> Expr:
-    value = getattr(x, "value", None)
-    if isinstance(value, Expr):
-        return value
-    return as_expr(x)
 
 
 def _positive_mask(p: Expr) -> Expr | None:
@@ -95,8 +87,8 @@ class Normal(Distribution):
     """Normal density with mean mu and standard deviation sd."""
 
     def __init__(self, mu=0.0, sd=1.0):
-        self.mu = _param(mu)
-        self.sd = _param(sd)
+        self.mu = as_expr(mu)
+        self.sd = as_expr(sd)
         self._mask = _positive_mask(self.sd)
         self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
 
@@ -114,7 +106,7 @@ class HalfNormal(Distribution):
     transform = LogTransform()
 
     def __init__(self, sd=1.0):
-        self.sd = _param(sd)
+        self.sd = as_expr(sd)
         self._mask = _positive_mask(self.sd)
         self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
 
@@ -151,7 +143,7 @@ class Exponential(Distribution):
     transform = LogTransform()
 
     def __init__(self, rate):
-        self.rate = _param(rate)
+        self.rate = as_expr(rate)
         self._mask = _positive_mask(self.rate)
 
     def _logp(self, x):
@@ -168,7 +160,7 @@ class Poisson(Distribution):
     dtype = "int"
 
     def __init__(self, rate):
-        self.rate = _param(rate)
+        self.rate = as_expr(rate)
         self._mask = _positive_mask(self.rate)
 
     def _logp(self, k):
@@ -204,9 +196,9 @@ class StudentT(Distribution):
     """Student-t with degrees of freedom nu and precision-like scale lam."""
 
     def __init__(self, nu, mu=0.0, lam=1.0):
-        self.nu = _param(nu)
-        self.mu = _param(mu)
-        self.lam = _param(lam)
+        self.nu = as_expr(nu)
+        self.mu = as_expr(mu)
+        self.lam = as_expr(lam)
         self._mask = _and(_positive_mask(self.nu), _positive_mask(self.lam))
 
     def _logp(self, x):
@@ -226,7 +218,7 @@ class GaussianRandomWalk(Distribution):
     walk's length."""
 
     def __init__(self, tau):
-        self.tau = _param(tau)
+        self.tau = as_expr(tau)
         self._mask = _positive_mask(self.tau)
 
     def _logp(self, x):
@@ -244,7 +236,7 @@ class Bernoulli(Distribution):
     dtype = "int"
 
     def __init__(self, p):
-        self.p = _param(p)
+        self.p = as_expr(p)
         self._mask = _unit_mask(self.p)
 
     def _logp(self, x):
@@ -276,9 +268,7 @@ class Custom(Distribution):
         self.dtype = dtype  # storage/proposal dtype; density defines the support
 
     def logp_expr(self, value) -> Expr:
-        out = self.logp_fn(as_expr(value))
-        if not isinstance(out, Expr):
-            out = as_expr(out)
+        out = as_expr(self.logp_fn(as_expr(value)))
         if out.shape != ():
             out = sum_all(out)
         return out

@@ -40,7 +40,7 @@ class NormalFamily:
 
     def observe(self, model: Model, name: str, eta, y: np.ndarray) -> None:
         sd = model.add_free("sd", HalfNormal(sd=NOISE_PRIOR_SD))
-        model.add_observed(name, Normal(mu=eta, sd=sd.value), y)
+        model.add_observed(name, Normal(mu=eta, sd=sd), y)
 
 
 class BinomialFamily:
@@ -134,14 +134,12 @@ def build_model(formula: Formula | str, table, family=None) -> Model:
 
     eta = None
     if formula.intercept:
-        intercept = model.add_free("Intercept", Normal(mu=0.0, sd=COEF_PRIOR_SD))
-        eta = intercept.value
+        eta = model.add_free("Intercept", Normal(mu=0.0, sd=COEF_PRIOR_SD))
     for term in formula.terms:
         x = _column(table, term)
         if x.shape != y.shape:
             raise ShapeMismatch(f"column {term!r} length {x.shape} != response {y.shape}")
-        beta = model.add_free(term, Normal(mu=0.0, sd=COEF_PRIOR_SD))
-        contrib = beta.value * graph.const(x)
+        contrib = model.add_free(term, Normal(mu=0.0, sd=COEF_PRIOR_SD)) * x
         eta = contrib if eta is None else eta + contrib
 
     if eta is None:

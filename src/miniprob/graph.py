@@ -49,7 +49,7 @@ Point = dict[str, np.ndarray]
 
 # a decorator, which costs half a new ``errstate``; one cannot be entered twice
 _quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
-_DTYPES = {"float": np.dtype(np.float64), "int": np.dtype(np.int64)}
+DTYPES = {"float": np.dtype(np.float64), "int": np.dtype(np.int64)}  # each dtype's storage
 
 
 def _broadcast_shape(a: tuple, b: tuple, what: str) -> tuple:
@@ -73,6 +73,7 @@ class Expr:
 
     __slots__ = ("kind", "operands", "const_value", "input_name", "shape",
                  "dtype", "payload", "_tape")
+    __array_ufunc__ = None  # numpy arrays and scalars defer to the reflected operators
 
     def __init__(self, kind, operands=(), const_value=None, input_name=None,
                  shape=(), dtype="float", payload=None):
@@ -147,16 +148,14 @@ def as_expr(value) -> Expr:
 
 
 def const(value) -> Expr:
+    """A constant node: int64 for integers, float64 for reals and booleans.
+    Anything but a number or a numeric array raises ``TypeError``."""
     arr = np.asarray(value)
-    if arr.dtype.kind in "iub":
-        arr = arr.astype(np.int64)
-        dtype = "int"
-        if np.asarray(value).dtype.kind == "b":
-            arr = arr.astype(np.float64)
-            dtype = "float"
-    else:
-        arr = arr.astype(np.float64)
-        dtype = "float"
+    if arr.dtype.kind not in "iubf":
+        raise TypeError(f"a graph value is a number, a numeric array or an Expr, "
+                        f"got {type(value).__name__}")
+    dtype = "int" if arr.dtype.kind in "iu" else "float"
+    arr = arr.astype(DTYPES[dtype])
     arr.flags.writeable = False
     return Expr("constant", const_value=arr, shape=arr.shape, dtype=dtype)
 
@@ -333,7 +332,7 @@ def _input_value(node: Expr, point: Mapping) -> np.ndarray:
         raw = point[name]
     except (KeyError, TypeError):
         raise UnknownVariable(f"free input {name!r} not present in point") from None
-    if type(raw) is np.ndarray and raw.dtype is _DTYPES[node.dtype] and raw.shape == node.shape:
+    if type(raw) is np.ndarray and raw.dtype is DTYPES[node.dtype] and raw.shape == node.shape:
         return raw  # what the checks and conversions below would return
     arr = np.asarray(raw)
     if arr.shape != node.shape:

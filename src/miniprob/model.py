@@ -85,10 +85,11 @@ class Model:
     def _eval_param(self, expr: Expr):
         return eval_expr(expr, self._test_point)
 
-    def add_free(self, name: str, dist: Distribution, shape=(), testval=None) -> FreeVar:
-        """Register a free variable sampled through ``dist.transform``.  A
-        rejected test value raises ``OutsideSupport``, or ``ShapeMismatch``
-        for a shape that does not broadcast, and leaves the model unchanged."""
+    def add_free(self, name: str, dist: Distribution, shape=(), testval=None) -> Expr:
+        """Register a free variable sampled through ``dist.transform`` and
+        return its value expression.  A rejected test value raises
+        ``OutsideSupport``, or ``ShapeMismatch`` for a shape that does not
+        broadcast, and leaves the model unchanged."""
         self._check_open()
         shape = _as_shape(shape)
         if testval is None:
@@ -117,7 +118,7 @@ class Model:
                 f"{name}: log density is {tv_logp} at the test value {testval!r}")
         self._claim_name((name, shape), *([(var.sampling_name, shape)] if var.transform else []))
         self._register_free(var, term)
-        return var
+        return var.value
 
     def _register_free(self, var: FreeVar, term: Expr | None):
         self.free_vars.append(var)
@@ -166,11 +167,13 @@ class Model:
             self._register_free(miss_var, None)
         self._terms[name] = term
 
-    def add_deterministic(self, name: str, expr) -> None:
+    def add_deterministic(self, name: str, expr) -> Expr:
+        """Trace ``expr`` under ``name``; returns it as an expression."""
         self._check_open()
         expr = graph.as_expr(expr)
         self._claim_name((name, expr.shape))
         self.deterministics.append((name, expr))
+        return expr
 
     # --- finalization and evaluation ----------------------------------------
 

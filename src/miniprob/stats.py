@@ -22,7 +22,7 @@ QUANTILES = (2.5, 25.0, 50.0, 75.0, 97.5)
 
 def quantiles(samples, probs=QUANTILES) -> np.ndarray:
     """Linear-interpolation quantiles of the pooled samples (percent units)."""
-    x = np.asarray(samples, dtype=np.float64)
+    x = _finite(samples, "quantiles")
     return np.quantile(x, np.asarray(probs) / 100.0, method="linear")
 
 

@@ -22,7 +22,7 @@ def test_exports_are_unique():
 
 def test_removed_names_are_not_exported():
     removed = {"CompoundStep", "ObservedVar", "SampleConfig", "scaling_from_point",
-               "hessian_diag"}
+               "hessian_diag", "FreeVar"}
     assert removed.isdisjoint(miniprob.__all__)
     assert not any(hasattr(miniprob, name) for name in removed)
     assert not hasattr(miniprob.Model, "custom_density")

@@ -39,6 +39,40 @@ def fill(backend, chains=1, draws=5, seed=0):
     return backend.finish(), rows
 
 
+def backend(kind, tmp_path):
+    return MemoryBackend() if kind == "memory" else TextBackend(str(tmp_path / "trace"))
+
+
+@pytest.mark.parametrize("kind", ["memory", "text"])
+@pytest.mark.parametrize("value", [2.7, np.inf, np.nan])
+def test_int_column_never_truncates(kind, value, tmp_path):
+    b = backend(kind, tmp_path)
+    b.start([("k", (2,), "int")], 1)
+    with pytest.raises(ShapeMismatch, match="'k' is declared integral"):
+        b.record(0, {"k": np.array([1.0, value])})
+    v = np.array([2.0, -3.0])  # integral floats are kept, as a copy
+    b.record(0, {"k": v})
+    v[0] = 9.0
+    trace = b.finish()
+    assert trace["k"].tolist() == [[2, -3]] and trace["k"].dtype == np.int64
+    if kind == "text":
+        assert (tmp_path / "trace" / "chain-0.csv").read_text() == "k__0,k__1\n2,-3\n"
+
+
+@pytest.mark.parametrize("kind", ["memory", "text"])
+@pytest.mark.parametrize("chain", [-1, 2])
+def test_chain_outside_the_trace_rejected(kind, chain, tmp_path):
+    b = backend(kind, tmp_path)
+    b.start([("a", (), "float")], 2)
+    with pytest.raises(ShapeMismatch, match=f"^chain {chain} is out of range for a trace "
+                                             f"of 2 chains$"):
+        b.record(chain, {"a": 1.0})
+    trace = b.finish()
+    assert [trace.chain_length(c) for c in range(2)] == [0, 0]
+    if kind == "text":
+        assert (tmp_path / "trace" / "chain-1.csv").read_text() == "a\n"
+
+
 class TestFlatNames:
     def test_scalar_and_vector(self):
         assert flat_names("alpha", ()) == ["alpha"]

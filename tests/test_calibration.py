@@ -46,7 +46,7 @@ def normal_target(model_obs_sd=1.0):
         y = mu_true + rng.standard_normal(N_OBS)
         m = Model()
         mu = m.add_free("mu", Normal(mu=0.0, sd=1.0))
-        m.add_observed("y", Normal(mu=mu.value, sd=model_obs_sd), y)
+        m.add_observed("y", Normal(mu=mu, sd=model_obs_sd), y)
         return m, "mu", mu_true
     return make
 
@@ -60,10 +60,10 @@ def rate_target(jacobian=True):
         y = rng.poisson(rate_true, N_OBS)
         m = Model()
         if jacobian:
-            rate = m.add_free("rate", Exponential(1.0)).value
+            rate = m.add_free("rate", Exponential(1.0))
         else:
             u = m.add_free("rate_log", Custom(lambda u: -graph.exp(u)), testval=0.0)
-            rate = graph.exp(u.value)
+            rate = graph.exp(u)
         m.add_observed("y", Poisson(rate), y)
         return m, "rate_log", np.log(rate_true)
     return make

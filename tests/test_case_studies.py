@@ -44,6 +44,39 @@ def exact_disasters_posterior() -> dict[str, tuple[float, float]]:
     }
 
 
+def exact_linear_posterior(data) -> dict[str, tuple[float, float]]:
+    """(mean, sd) of alpha, both betas, beta0 + beta1/5 and sigma, exactly.
+
+    Given sigma, the Normal(0, 10) priors and the Gaussian likelihood make
+    w = (alpha, beta0, beta1) Gaussian with precision Z'Z / sigma^2 + I / 100,
+    for the design Z = [1, x1, x2]; integrating w out leaves
+    p(sigma | y) ~ HalfNormal(sigma; 1) N(y; 0, sigma^2 I + 100 ZZ').  A grid
+    over sigma, whose end weights must be negligible, mixes the Gaussians.
+    """
+    y = data["y"]
+    z = np.column_stack([np.ones_like(y), data["x1"], data["x2"]])
+    sigma = np.linspace(0.5, 1.6, 4001)
+    var = sigma[:, None] ** 2
+    lam, u = np.linalg.eigh(z @ z.T)
+    c = var + 100.0 * lam  # eigenvalues of the covariance of y
+    log_w = -0.5 * sigma ** 2 - 0.5 * np.log(c).sum(1) - 0.5 * ((u.T @ y) ** 2 / c).sum(1)
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    assert w[0] < 1e-8 and w[-1] < 1e-8
+    d, v = np.linalg.eigh(z.T @ z)
+    prec = d / var + 0.01  # one row per sigma, in the eigenbasis of Z'Z
+    mean = (v.T @ z.T @ y) / var / prec
+    m = v @ (w @ mean)
+    cov = v @ (np.diag(w @ (1.0 / prec)) + mean.T @ (w[:, None] * mean)) @ v.T - np.outer(m, m)
+    out = {}
+    for name, a in [("alpha", [1.0, 0.0, 0.0]), ("beta0", [0.0, 1.0, 0.0]),
+                    ("beta1", [0.0, 0.0, 1.0]), ("beta0 + beta1/5", [0.0, 1.0, 0.2])]:
+        out[name] = (a @ m, np.sqrt(a @ cov @ a))
+    mean_sigma = w @ sigma
+    out["sigma"] = (mean_sigma, np.sqrt(w @ sigma ** 2 - mean_sigma ** 2))
+    return out
+
+
 @pytest.mark.parametrize("text, match", [
     ("0.01\nabc\n0.02\n", "line 2: 'abc'"),
     ("# returns\n0.01\nnan\n", "line 3: 'nan'"),
@@ -103,8 +136,8 @@ def test_as_op_disasters_calls_its_function_once_per_proposal():
                    testval=1900)
     e = m.add_free("early_rate", Exponential(1.0))
     l = m.add_free("late_rate", Exponential(1.0))
-    m.add_observed("disasters", Poisson(opaque_deterministic(rate, [s.value, e.value, l.value],
-                                                             years.shape)), counts, mask=mask)
+    m.add_observed("disasters", Poisson(opaque_deterministic(rate, [s, e, l], years.shape)),
+                   counts, mask=mask)
     m.finalize()  # evaluates the test point, where the chain starts
     calls.clear()
     trace = sample(m, 1000, [Metropolis(m)], seed=1)
@@ -117,24 +150,26 @@ def test_as_op_disasters_calls_its_function_once_per_proposal():
         np.testing.assert_array_equal(trace.get(name), expected.get(name))
 
 
+def test_exact_linear_posterior():
+    exact = exact_linear_posterior(demos.simulate_linear_data(1))
+    assert exact["alpha"] == pytest.approx((0.7893, 0.1962), abs=1e-3)
+    assert exact["beta0"] == pytest.approx((1.8419, 1.9880), abs=1e-3)
+    assert exact["beta1"] == pytest.approx((0.3684, 9.8060), abs=1e-3)
+    assert exact["sigma"] == pytest.approx((0.9862, 0.0709), abs=1e-3)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_linear_matches_least_squares(seed):
-    # x2 == x1 / 5 in the simulated data, so only alpha, beta0 + beta1 / 5
-    # and sigma are identified; compare them with least squares of y on
-    # [1, x1].  A minimum ESS near 450 puts a mean's Monte Carlo error near
-    # 0.05 sd.  The bounds were fixed before the first run.
-    data = demos.simulate_linear_data(seed)
-    np.testing.assert_allclose(data["x2"], data["x1"] / 5.0, atol=1e-15)
-    design = np.column_stack([np.ones_like(data["x1"]), data["x1"]])
-    coef, rss, _, _ = np.linalg.lstsq(design, data["y"], rcond=None)
-    scale = np.sqrt(rss[0] / (len(data["y"]) - 2))
-    se = scale * np.sqrt(np.diag(np.linalg.inv(design.T @ design)))
+def test_linear_matches_exact_posterior(seed):
+    # a minimum ESS near 450 puts a mean's Monte Carlo error near 0.05 sd;
+    # the bounds are those of the least-squares check this test replaced,
+    # fixed before its first run
     _, _, trace = demos.run_linear(500, seed)
     beta = trace.get("beta")
-    for draws, mean, sd in zip([trace.get("alpha"), beta[:, 0] + beta[:, 1] / 5.0], coef, se):
-        assert abs(draws.mean() - mean) < 0.5 * sd
-        assert 0.75 * sd < draws.std() < 1.25 * sd
-    assert 0.9 * scale < trace.get("sigma").mean() < 1.1 * scale
+    draws = {"alpha": trace.get("alpha"), "beta0": beta[:, 0], "beta1": beta[:, 1],
+             "beta0 + beta1/5": beta[:, 0] + beta[:, 1] / 5.0, "sigma": trace.get("sigma")}
+    for name, (mean, sd) in exact_linear_posterior(demos.simulate_linear_data(seed)).items():
+        assert abs(draws[name].mean() - mean) < 0.5 * sd, name
+        assert 0.75 * sd < draws[name].std() < 1.25 * sd, name
 
 
 def test_sp500_short_run_is_finite_and_positive():

@@ -116,9 +116,9 @@ class TestBuildModel:
         b1 = hand.add_free("x1", Normal(mu=0.0, sd=100.0))
         b2 = hand.add_free("x2", Normal(mu=0.0, sd=100.0))
         sd = hand.add_free("sd", HalfNormal(sd=10.0))
-        eta = (intercept.value + b1.value * graph.const(linear_data["x1"])
-               + b2.value * graph.const(linear_data["x2"]))
-        hand.add_observed("y", Normal(mu=eta, sd=sd.value), linear_data["y"])
+        eta = (intercept + b1 * graph.const(linear_data["x1"])
+               + b2 * graph.const(linear_data["x2"]))
+        hand.add_observed("y", Normal(mu=eta, sd=sd), linear_data["y"])
         hand.finalize()
 
         rng = np.random.default_rng(17)
@@ -138,8 +138,8 @@ class TestBuildModel:
         intercept = hand.add_free("Intercept", Normal(mu=0.0, sd=100.0))
         b1 = hand.add_free("x1", Normal(mu=0.0, sd=100.0))
         b2 = hand.add_free("x2", Normal(mu=0.0, sd=100.0))
-        eta = (intercept.value + b1.value * graph.const(table["x1"])
-               + b2.value * graph.const(table["x2"]))
+        eta = (intercept + b1 * graph.const(table["x1"])
+               + b2 * graph.const(table["x2"]))
         hand.add_observed("y", Bernoulli(p=graph.sigmoid(eta)),
                           table["y"].astype(np.int64))
         hand.finalize()

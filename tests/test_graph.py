@@ -131,6 +131,22 @@ class TestEval:
         v = eval_expr(k + 1.5, {"k": np.array([1, 2])})
         np.testing.assert_array_equal(v, [2.5, 3.5])
 
+    def test_numpy_operand_on_the_left(self):
+        x = free_input("x")
+        a = np.linspace(0.0, 1.0, 3)
+        point = {"x": 0.5}
+        for got, want in [(a * x, a * 0.5), (a + x, a + 0.5), (a - x, a - 0.5),
+                          (a / x, a / 0.5), (np.float64(2.0) * x, 1.0),
+                          (a <= x, [1.0, 1.0, 0.0]), (a < x, [1.0, 0.0, 0.0])]:
+            assert isinstance(got, graph.Expr)
+            np.testing.assert_array_equal(eval_expr(got, point), want)
+
+    @pytest.mark.parametrize("value", [None, "1.5", np.array([1.0, None]), 1j, object()],
+                             ids=["none", "string", "object_array", "complex", "object"])
+    def test_non_numeric_constant_rejected(self, value):
+        with pytest.raises(TypeError, match="a graph value is a number, a numeric array"):
+            const(value)
+
     def test_comparison_returns_real_01(self):
         k = free_input("k", (3,), dtype="int")
         v = eval_expr(k >= 2, {"k": np.array([1, 2, 3])})

@@ -47,7 +47,7 @@ class TestFindMap:
     def test_carries_deterministics(self):
         m = Model()
         x = m.add_free("x", Normal(mu=3.0, sd=1.0))
-        m.add_deterministic("twice_x", 2.0 * x.value)
+        m.add_deterministic("twice_x", 2.0 * x)
         m.finalize()
         mp = find_map(m)
         assert float(mp["twice_x"]) == 2.0 * float(mp["x"])
@@ -90,7 +90,7 @@ class TestFindMap:
         # gradients are unavailable through the opaque node; Powell still works
         m = Model()
         x = m.add_free("x", Normal(mu=2.0, sd=1.0))
-        blocked = opaque_deterministic(lambda v: np.asarray(float(v)), [x.value], ())
+        blocked = opaque_deterministic(lambda v: np.asarray(float(v)), [x], ())
         m.add_free("y", Custom(lambda v: Normal(mu=blocked, sd=1.0).logp_expr(v)), testval=0.0)
         m.finalize()
         mp = find_map(m, method="direction_set")

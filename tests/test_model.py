@@ -76,17 +76,30 @@ class TestAddFree:
 
     def test_uniform_gets_log_odds_transform(self):
         m = Model()
-        v = m.add_free("u", Uniform(0.0, 1.0))
-        assert v.sampling_name == "u_interval"
+        m.add_free("u", Uniform(0.0, 1.0))
+        assert m.var("u").sampling_name == "u_interval"
         m.finalize()
         assert m.logp({"u_interval": 0.0}) == pytest.approx(2 * np.log(0.5), abs=1e-9)
 
     def test_discrete_uniform_untransformed_integer(self):
         m = Model()
-        v = m.add_free("switchpoint", DiscreteUniform(1851, 1962))
+        m.add_free("switchpoint", DiscreteUniform(1851, 1962))
+        v = m.var("switchpoint")
         assert v.sampling_name == "switchpoint"
         assert v.dtype == "int"
         assert m.initial_point()["switchpoint"] == 1906
+
+    def test_returns_the_value_expression(self):
+        m = Model()
+        sigma = m.add_free("sigma", HalfNormal(sd=1.0))
+        assert isinstance(sigma, graph.Expr) and sigma is m.var("sigma").value
+        assert eval_expr(sigma, {"sigma_log": 0.5}) == np.exp(0.5)
+
+    def test_model_record_is_not_a_parameter(self):
+        m = Model()
+        m.add_free("mu", Normal(mu=0.0, sd=1.0))
+        with pytest.raises(TypeError, match="got FreeVar"):
+            Normal(mu=m.var("mu"), sd=1.0)
 
     def test_duplicate_name_rejected(self):
         m = Model()
@@ -235,7 +248,7 @@ def test_every_trace_column_is_a_start():
     m = Model()
     x = m.add_free("x", Normal(mu=0.0, sd=1.0))
     m.add_free("e", Exponential(1.0))
-    m.add_deterministic("twice", x.value * 2.0)
+    m.add_deterministic("twice", x * 2.0)
     row = m.expand_point(m.initial_point({"x": 1.5, "e": 2.0}))
     assert list(row) == ["x", "e_log", "e", "twice"]
     assert m.initial_point(row) == {"x": 1.5, "e_log": np.log(2.0)}
@@ -336,10 +349,10 @@ class TestLogp:
                     parts["beta"] = m.add_free("beta", Normal(mu=0.0, sd=10.0), shape=2)
                 else:
                     parts["sigma"] = m.add_free("sigma", HalfNormal(sd=1.0))
-            mu = (parts["alpha"].value
-                  + parts["beta"].value[0] * const(linear_data["x1"])
-                  + parts["beta"].value[1] * const(linear_data["x2"]))
-            m.add_observed("Y_obs", Normal(mu=mu, sd=parts["sigma"].value),
+            mu = (parts["alpha"]
+                  + parts["beta"][0] * const(linear_data["x1"])
+                  + parts["beta"][1] * const(linear_data["x2"]))
+            m.add_observed("Y_obs", Normal(mu=mu, sd=parts["sigma"]),
                            linear_data["y"])
             return m.finalize()
 
@@ -371,7 +384,7 @@ class TestDeterministics:
     def test_recorded_with_draws(self):
         m = Model()
         s = m.add_free("s", GaussianRandomWalk(tau=1.0), shape=2)
-        m.add_deterministic("volatility_process", graph.exp(-2.0 * s.value))
+        m.add_deterministic("volatility_process", graph.exp(-2.0 * s))
         m.finalize()
         row = m.expand_point({"s": np.zeros(2)})
         np.testing.assert_allclose(row["volatility_process"], [1.0, 1.0])
@@ -381,8 +394,8 @@ class TestDeterministics:
     def test_row_follows_the_layout(self):
         m = Model()
         a = m.add_free("a", Normal(mu=0.0, sd=1.0))
-        m.add_deterministic("twice", a.value * 2.0)
-        m.add_deterministic("same", a.value)
+        m.add_deterministic("twice", a * 2.0)
+        m.add_deterministic("same", a)
         m.add_free("b", Exponential(1.0))
         m.add_free("u", Uniform(-2.0, 7.0), shape=3)
         layout = m.trace_layout()
@@ -399,6 +412,13 @@ class TestDeterministics:
         assert row["u"].tobytes() == (-2.0 + 9.0 * special.expit(y)).tobytes()
         assert row["twice"] == 1.0 and row["same"] == 0.5
 
+    def test_returns_its_expression(self):
+        m = Model()
+        s = m.add_free("s", Normal(mu=0.0, sd=1.0))
+        twice = m.add_deterministic("twice", s * 2.0)
+        assert m.deterministics == [("twice", twice)]
+        assert m.add_deterministic("three", 3.0).const_value == 3.0
+
     def test_unnamed_expressions_not_recorded(self, linear_model):
         names = [n for n, _, _ in linear_model.trace_layout()]
         assert names == ["alpha", "beta", "sigma_log", "sigma"]
@@ -406,9 +426,9 @@ class TestDeterministics:
     def test_duplicate_deterministic_rejected(self):
         m = Model()
         s = m.add_free("s", Normal(mu=0.0, sd=1.0))
-        m.add_deterministic("d", s.value * 2.0)
+        m.add_deterministic("d", s * 2.0)
         with pytest.raises(DuplicateName):
-            m.add_deterministic("d", s.value)
+            m.add_deterministic("d", s)
 
 
 class TestMissingData:
@@ -443,7 +463,7 @@ class TestMissingData:
 
         m1 = Model()
         r1 = m1.add_free("rate", Exponential(1.0))
-        m1.add_observed("y", Poisson(r1.value), data, mask=mask)
+        m1.add_observed("y", Poisson(r1), data, mask=mask)
         m1.finalize()
 
         # hand-built twin: the missing entries are an explicit free variable
@@ -456,7 +476,7 @@ class TestMissingData:
 
         def spliced_poisson(v):
             composed = graph.concat([const(data[~mask]), v])[perm]
-            return Poisson(r2.value).logp_expr(composed)
+            return Poisson(r2).logp_expr(composed)
 
         m2.add_free("holes", Custom(spliced_poisson, dtype="int"), shape=(2,),
                     testval=np.array([1, 1]))
@@ -473,14 +493,14 @@ class TestMissingData:
 
         m1 = Model()
         r1 = m1.add_free("rate", Exponential(1.0))
-        m1.add_observed("y", Poisson(r1.value), data, mask=mask)
+        m1.add_observed("y", Poisson(r1), data, mask=mask)
         m1.finalize()
 
         m2 = Model()
         r2 = m2.add_free("rate", Exponential(1.0))
-        m2.add_free("k1", Poisson(r2.value))
-        m2.add_free("k2", Poisson(r2.value))
-        m2.add_observed("y_obs", Poisson(r2.value), data[~mask])
+        m2.add_free("k1", Poisson(r2))
+        m2.add_free("k2", Poisson(r2))
+        m2.add_observed("y_obs", Poisson(r2), data[~mask])
         m2.finalize()
 
         for k1v, k2v in [(0, 0), (2, 1), (5, 3)]:
@@ -513,7 +533,7 @@ class TestMissingData:
         mask = data == -999
         m = Model()
         r = m.add_free("rate", Exponential(1.0))
-        m.add_observed("y", Poisson(r.value), data, mask=mask)
+        m.add_observed("y", Poisson(r), data, mask=mask)
         m.finalize()
         pt = m.initial_point()
         g = m.dlogp(pt)
@@ -564,3 +584,29 @@ class TestPriorSamplingThroughTransform:
         x = trace["e"]
         assert x.shape == (20000,)
         assert 0.93 <= float(np.mean(x)) <= 1.07
+
+
+def test_data_on_either_side_gives_the_same_bits(linear_data):
+    # numpy arrays and scalars defer to the expression's reflected operators
+    x1, x2, y = linear_data["x1"], linear_data["x2"], linear_data["y"]
+
+    def build(data_left):
+        m = Model()
+        alpha = m.add_free("alpha", Normal(mu=0.0, sd=10.0))
+        beta = m.add_free("beta", Normal(mu=0.0, sd=10.0), shape=2)
+        sigma = m.add_free("sigma", HalfNormal(sd=1.0))
+        if data_left:
+            mu, sd = alpha + x1 * beta[0] + x2 * beta[1], np.float64(1.5) * sigma
+        else:
+            mu, sd = alpha + beta[0] * x1 + beta[1] * x2, sigma * np.float64(1.5)
+        m.add_observed("Y_obs", Normal(mu=mu, sd=sd), y)
+        return m.finalize()
+
+    left, right = build(True), build(False)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        point = {"alpha": rng.normal(), "beta": rng.normal(size=2), "sigma_log": rng.normal()}
+        lp_left, g_left = left.logp_and_dlogp(point)
+        lp_right, g_right = right.logp_and_dlogp(point)
+        assert np.float64(lp_left).tobytes() == np.float64(lp_right).tobytes()
+        assert g_left.tobytes() == g_right.tobytes()

@@ -396,7 +396,7 @@ def regression_model(seed=4, n=60):
     design = np.column_stack([np.ones(n), x1, x2])
     y = design @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(n)
     m = Model()
-    b = m.add_free("b", Normal(mu=0.0, sd=10.0), shape=3).value
+    b = m.add_free("b", Normal(mu=0.0, sd=10.0), shape=3)
     mu = b[0] + b[1] * const(x1) + b[2] * const(x2)
     m.add_observed("y", Normal(mu=mu, sd=1.0), y)
     precision = design.T @ design + np.eye(3) / 100.0
@@ -572,7 +572,7 @@ class TestEnergy:
         # settings raise any RuntimeWarning as an error
         m = Model()
         rate = m.add_free("rate", Exponential(1.0))
-        m.add_observed("y", Poisson(rate.value), np.array([1, 0, 1, 0, 1]))
+        m.add_observed("y", Poisson(rate), np.array([1, 0, 1, 0, 1]))
         m.finalize()
         assert np.all(np.isfinite(sample(m, 45, [Nuts(m)], warmup=50, seed=27)["rate"]))
 
@@ -830,7 +830,7 @@ class TestRecord:
 
         m = Model()
         x = m.add_free("x", Normal(mu=0.0, sd=1.0))
-        twice = graph.opaque_deterministic(double, [x.value], ())
+        twice = graph.opaque_deterministic(double, [x], ())
         m.add_free("y", Custom(lambda v: -0.5 * (v - twice) ** 2.0), testval=0.0)
         m.finalize()  # evaluates the test point
         doubled.clear()

@@ -145,7 +145,7 @@ class TestEss:
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("stat", [hpd, mc_error, ess])
+@pytest.mark.parametrize("stat", [hpd, mc_error, ess, quantiles])
 def test_non_finite_sample_rejected(stat, bad):
     x = np.random.default_rng(3).normal(size=200)
     x[17] = bad
