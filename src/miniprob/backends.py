@@ -44,12 +44,12 @@ def claim_columns(taken: set, columns) -> list[str]:
     """Each (name, shape) of ``columns`` with the trace columns ``flat_names``
     gives it.  A name that is not a string, is empty, or holds ``,`` ``/``
     ``\\``, a line break or a NUL cannot head a CSV column or name a plot
-    file, and raises ``ValueError``; one met twice, or already in ``taken``,
-    raises ``DuplicateName``."""
+    file; it, and one met twice or already in ``taken``, raises
+    ``DuplicateName``."""
     claimed = []
     for name, shape in columns:
         if type(name) is not str or not name or any(c in name for c in ",/\\\n\r\0"):
-            raise ValueError(f"variable name {name!r} cannot name a trace column")
+            raise DuplicateName(f"variable name {name!r} cannot name a trace column")
         claimed += [name] + flat_names(name, shape) if shape else [name]
     seen = set(taken)
     for n in claimed:

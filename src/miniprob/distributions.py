@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import graph
-from .exceptions import ShapeMismatch
+from .exceptions import OutsideSupport, ShapeMismatch
 from .graph import Expr, as_expr, const, switch, cmp_ge, cmp_gt, sum_all
 from .transforms import IntervalTransform, LogTransform
 
@@ -24,7 +24,7 @@ def _positive_mask(p: Expr) -> Expr | None:
     # constant parameters are validated eagerly, so no runtime guard needed
     if p.kind == "constant":
         if not np.all(p.const_value > 0):  # NaN fails too
-            raise ValueError(f"parameter must be strictly positive, got {p.const_value}")
+            raise OutsideSupport(f"parameter must be strictly positive, got {p.const_value}")
         return None
     return cmp_gt(p, 0.0)
 
@@ -33,7 +33,7 @@ def _unit_mask(p: Expr) -> Expr | None:
     # the same rule for a probability, on [0, 1]
     if p.kind == "constant":
         if not np.all((p.const_value >= 0) & (p.const_value <= 1)):
-            raise ValueError(f"probability must lie in [0, 1], got {p.const_value}")
+            raise OutsideSupport(f"probability must lie in [0, 1], got {p.const_value}")
         return None
     return graph.mul(cmp_ge(p, 0.0), cmp_ge(1.0, p))
 
@@ -180,7 +180,7 @@ class DiscreteUniform(Distribution):
         self.lower = int(lower)
         self.upper = int(upper)
         if not self.upper >= self.lower:
-            raise ValueError("DiscreteUniform requires upper >= lower")
+            raise OutsideSupport("DiscreteUniform requires upper >= lower")
 
     def _logp(self, k):
         return const(-np.log(self.upper - self.lower + 1.0))
@@ -223,7 +223,7 @@ class GaussianRandomWalk(Distribution):
 
     def _logp(self, x):
         if len(x.shape) != 1 or x.shape[0] < 2:
-            raise ValueError("GaussianRandomWalk needs a vector value of length >= 2")
+            raise ShapeMismatch("GaussianRandomWalk needs a vector value of length >= 2")
         d = x[1:] - x[:-1]
         return (0.5 * graph.log(self.tau) - 0.5 * np.log(2.0 * np.pi)
                 - 0.5 * self.tau * d * d)

@@ -29,7 +29,7 @@ class ShapeMismatch(MiniprobError, ValueError):
 
 
 class DuplicateName(MiniprobError, ValueError):
-    pass
+    """A name already taken or one that cannot name a trace column."""
 
 
 class OutsideSupport(MiniprobError, ValueError):

@@ -18,12 +18,20 @@ one line per node it runs, and one backward function per ordered list of
 names, with one line per adjoint contribution into a slot whose mask meets
 those names' bits; it writes the gradient as one packed vector.  The lines
 call the same numpy kernels in the order of a full sweep, so neither reuse,
-pruning nor generation changes a bit.
+pruning nor generation changes a bit.  The backward function multiplies
+each adjoint plainly and sums its result and a few adjoints once, at its
+end, to find a NaN that the guard of ``_guarded`` would have caught; only
+then does it run the guarded pass, generated from the same lines on the
+first such call and kept.  The argument that no bit moves is beside the
+rule table.
 
-A 0-d slot below the root holds a numpy scalar, not a 0-d array: a 0-d
-constant, input copy or ``sum_all``, and the backward seed.  A ufunc on 0-d
-arrays costs about ten times the same scalar operation, and gives the same
-bits.  The root keeps its kernel's type; opaque results are read-only copies.
+A 0-d slot below the root holds a numpy scalar, not a 0-d array, unless an
+opaque node made it.  Where Python's ``if`` or an operation on numpy scalars
+gives the kernel's bytes, the generated line uses it: a ufunc on 0-d arrays
+costs about ten times the same scalar operation, and ``where`` on scalars
+about fifty times an ``if``.  A switch on a 0-d condition may share its
+branch's array, since no slot is written in place.  The root keeps its
+kernel's type; opaque results are read-only copies.
 
 Free inputs are read and checked on every call, and a tape holds one node per
 input name.  It keeps its own read-only copy of each input and replaces its
@@ -369,7 +377,8 @@ def _read_only(v):
 
 
 def _guarded(adj, local):
-    # dead-branch adjoints are exactly zero; keep 0 * inf from minting NaN
+    # the guarded pass's product: dead-branch adjoints are exactly zero, so
+    # keep 0 * inf from minting NaN; a NaN-free product is the bare one
     prod = adj * local
     # a NaN anywhere makes the minimum NaN; ``initial`` covers empty arrays
     m = np.minimum.reduce(prod, None, None, None, False, 0.0) if prod.shape else prod
@@ -402,10 +411,28 @@ def _call(fn, shape, *args):
 # slice) or opaque function are names bound in the tape's namespace.
 # ``_FORWARD`` gives a node's value, and ``_SCALAR`` the same bytes as a
 # numpy scalar for a 0-d node other than the root whose last two operands
-# share a dtype.
+# share a dtype; ``_Tape._template`` adds the forms that depend on operand
+# shapes.
 # ``_BACKWARD`` gives, per operand, the contribution of ``{g}``, the node's
 # adjoint, to the operand's adjoint, or None where the operand receives
 # nothing.
+#
+# ``G({g}, x)`` is the guarded product ``_guarded`` computes.  The backward
+# pass writes it bare, as ``{g} * (x)`` (``_bare``), and tests once, at its
+# end, whether to return the guarded pass instead.  Why no bit moves: the
+# two passes run the same operations until a product holds a NaN, and then
+# differ only in what that product's elements feed.  A rule hands a node's
+# adjoint on whole: each operand it reaches gets every element (by a sum, a
+# product, ``full`` or a scatter), so the NaN goes wherever an element that
+# could differ goes, or nothing goes on (a comparison, a switch on a 0-d
+# condition that picks an operand without an adjoint, a sum over an empty
+# array).  Only ``concat`` and a ``switch`` on an array condition split the
+# elements among their operands.  So the NaN reaches ``out``, or the adjoint
+# of a split node, or nothing that differs reaches ``out``; the probe, the
+# sum of ``out`` and of every split node's adjoint, is NaN in the first two
+# cases, and the pass reruns guarded.  A NaN probe without a NaN product
+# (``inf - inf`` in the sum, or a NaN from a rule without a guard) costs only
+# that rerun.
 _FORWARD = {
     "add": "{0} + {1}",
     "sub": "{0} - {1}",
@@ -417,7 +444,7 @@ _FORWARD = {
     "neg": "-{0}",
     "abs": "absolute({0})",
     "exp": "exp({0})",
-    "log": "where({0} > 0, log(where({0} > 0, {0}, 1.0)), -inf)",
+    "log": "where({0} > 0, log({0}), -inf)",
     "sqrt": "sqrt(asarray({0}, dtype=float64))",
     "lgamma": "gammaln({0})",
     "sigmoid": "expit(asarray({0}, dtype=float64))",
@@ -461,8 +488,23 @@ _NAMESPACE = {
     "psi": special.psi, "sign": np.sign, "size": _size, "sqrt": np.sqrt,
     "true_divide": np.true_divide, "where": np.where, "zeros": np.zeros, "G": _guarded,
     "scatter": _scatter, "call": _call, "NoGradient": NoGradient, "ONE": np.float64(1.0),
-    "ZERO": np.float64(0.0), "NEG_INF": np.float64(-np.inf), "SEED": np.float64(1.0),
+    "ZERO": np.float64(0.0), "IZERO": np.int64(0), "NEG_INF": np.float64(-np.inf),
+    "SEED": np.float64(1.0),
 }
+
+
+def _scalar_switch(node: Expr) -> bool:
+    """A switch on a 0-d condition whose value is 0-d or rank 1, which
+    Python's ``if`` runs: it picks the operand whose bytes ``where`` would
+    copy, and a slot may share an operand's array, since none is written in
+    place (a reduction of an array of higher rank may follow its layout)."""
+    return node.kind == "switch" and node.operands[0].shape == () and len(node.shape) < 2
+
+
+def _splits(node: Expr) -> bool:
+    """Whether ``node`` hands different elements of its adjoint to different
+    operands, or drops some: the nodes the backward pass probes."""
+    return node.kind == "concat" or node.kind == "switch" and node.operands[0].shape != ()
 
 
 def _rule(node: Expr, j: int) -> str | None:
@@ -473,7 +515,16 @@ def _rule(node: Expr, j: int) -> str | None:
         return f"{{g}}[{lo}:{lo + node.operands[j].shape[0]}]"
     if node.kind == "sum_all" and node.operands[0].shape == ():
         return "{g}"
+    if j and _scalar_switch(node):
+        zero = "zeros({n})" if node.shape else "ZERO"
+        return "{g} if {0} else " + zero if j == 1 else zero + " if {0} else {g}"
     return _BACKWARD[node.kind][j]
+
+
+def _bare(rule: str) -> str:
+    """A guarded rule ``G({g}, x)`` as the product ``{g} * (x)``, which is the
+    first thing ``_guarded`` computes and what it returns without a NaN."""
+    return "{g} * (" + rule[len("G({g}, "):] if rule.startswith("G({g}, ") else rule
 
 
 def _define(lines: list[str], ret: str, namespace: dict, args: str = "v") -> Callable:
@@ -494,10 +545,11 @@ class _Tape:
     which runs every step.  ``forward`` replaces both at once, after its pass
     succeeds.  ``runs`` holds at most one generated function per distinct
     change mask (key None for the first call), which runs the steps listed in
-    its ``steps``, and ``plans`` one backward pass per ordered tuple of names.
-    Every 0-d slot but the root's holds a numpy scalar, which the 0-d kernels
-    run on at a tenth of the cost of a 0-d array.  A tape is not safe to
-    evaluate from two threads at once."""
+    its ``steps``, and ``plans`` one backward pass per ordered tuple of names,
+    which makes its guarded pass on its first NaN probe.  Every 0-d slot but
+    the root's and an opaque node's holds a numpy scalar, which the 0-d
+    kernels run on at a tenth of the cost of a 0-d array.  A tape is not safe
+    to evaluate from two threads at once."""
 
     def __init__(self, root: Expr):
         self.order = order = topo_order(root)
@@ -538,16 +590,30 @@ class _Tape:
         steps = [i for i in self.steps if key is None or self.deps[i] & key]
         lines = []
         for i in steps:
-            node, ops = self.order[i], self.operands[i]
-            template = _FORWARD[node.kind]
-            if (node.kind in _SCALAR and node.shape == () and i < self.last
-                    and len({self.order[a].dtype for a in ops[-2:]}) == 1):
-                template = _SCALAR[node.kind]
-            refs = [f"s{a}" if a in steps else f"v[{a}]" for a in ops]
-            lines.append(f"s{i} = v[{i}] = {self._source(i, template, refs)}")
+            refs = [f"s{a}" if a in steps else f"v[{a}]" for a in self.operands[i]]
+            lines.append(f"s{i} = v[{i}] = {self._source(i, self._template(i), refs)}")
         run = _define(lines, "None", self.namespace)
         run.steps = steps
         return run
+
+    def _template(self, i: int) -> str:
+        """The forward template of step ``i``: a form that runs on numpy
+        scalars or picks with ``if`` where one gives the same bytes, and a
+        0-d slot below the root a numpy scalar."""
+        node = self.order[i]
+        ops = [self.order[a] for a in self.operands[i]]
+        same = len({c.dtype for c in ops[-2:]}) == 1
+        if same and node.shape and _scalar_switch(node):
+            picks = ["{%d}" % j if ops[j].shape else "full({n}, {%d})" % j for j in (1, 2)]
+            return f"{picks[0]} if {{0}} else {picks[1]}"
+        if node.shape or i == self.last:
+            return _FORWARD[node.kind]
+        if node.kind == "sum_all" and not ops[0].shape:  # as ``add.reduce``: -0.0 + 0 is +0.0
+            return "{0} + " + ("IZERO" if node.dtype == "int" else "ZERO")
+        if node.kind in _SCALAR and same:
+            return _SCALAR[node.kind]
+        # ``where`` over an int and a float branch gives a 0-d array
+        return _FORWARD[node.kind] + ("[()]" if node.kind == "switch" else "")
 
     @_quiet
     def forward(self, point: Mapping) -> list:
@@ -584,7 +650,8 @@ class _Tape:
         """The generated backward pass for one ordered tuple of names, given
         the slots and the point: a new vector of each name's adjoint, zeros
         where none reaches it, in ``grad``'s layout.  It raises
-        ``NoGradient`` if an opaque node lies on a differentiated path."""
+        ``NoGradient`` if an opaque node lies on a differentiated path.  It
+        runs bare and returns the guarded pass's vector on a NaN probe."""
         if wrt in self.plans:
             return self.plans[wrt]
         if len(set(wrt)) < len(wrt):
@@ -600,9 +667,12 @@ class _Tape:
         # sweep; the first into a slot starts its adjoint, and one from a
         # node with a shape into a 0-d child is summed.  Children whose mask
         # meets no requested bit get none; nothing they receive could flow
-        # into a requested gradient.
+        # into a requested gradient.  ``lines`` holds the guarded pass and
+        # ``bare`` the same lines with bare products; ``probes`` the terms
+        # the bare pass adds to the sum of ``out`` to find a NaN.
         last = self.last
-        lines, has = [f"a{last} = SEED"], {last}
+        lines, has, probes = [f"a{last} = SEED"], {last}, ["add.reduce(out)"]
+        bare = lines.copy()
         for i in reversed(range(len(order))):
             if i not in has or not deps[i] & bits:
                 continue
@@ -610,21 +680,25 @@ class _Tape:
             if node.kind == "opaque":
                 lines = ['raise NoGradient("gradient requested through an opaque '
                          'deterministic node")']
+                bare = lines.copy()
                 break
             refs = [f"v[{a}]" for a in operands[i]]
+            if _splits(node):
+                probes.append(f"add.reduce(a{i}, axis=None)")
             for j, child in enumerate(operands[i]):
                 rule = _rule(node, j)
                 if rule is None or not deps[child] & bits:
                     continue
-                c = self._source(i, rule, refs, g=f"a{i}")
-                if order[child].shape == () and node.shape != ():
-                    c = f"add.reduce({c}, axis=None)"
-                lines.append(f"a{child} = a{child} + {c}" if child in has else f"a{child} = {c}")
+                for dest, template in ((lines, rule), (bare, _bare(rule))):
+                    c = self._source(i, template, refs, g=f"a{i}")
+                    if order[child].shape == () and node.shape != ():
+                        c = f"add.reduce({c}, axis=None)"
+                    dest.append(f"a{child} = a{child} + {c}" if child in has else f"a{child} = {c}")
                 has.add(child)
-        off, writes = "0", []  # the compiler folds the constant offsets
+        off, sizes, writes = "0", [], []  # the compiler folds the constant offsets
         for j, name in enumerate(wrt):
             if name not in slots:  # no node reads it: sized by the point
-                lines.append(f"z{j} = size(p, {name!r})")
+                sizes.append(f"z{j} = size(p, {name!r})")
                 off += f" + z{j}"
                 continue
             i = slots[name]
@@ -633,8 +707,19 @@ class _Tape:
                 flat = ".ravel()" if len(order[i].shape) > 1 else ""
                 writes.append(f"out[{off}:{end}] = a{i}{flat}")
             off = end
-        lines.append(f"out = {'empty' if len(writes) == len(wrt) else 'zeros'}({off})")
-        self.plans[wrt] = _quiet(_define(lines + writes, "out", self.namespace, "v, p"))
+        start = f"out = {'empty' if len(writes) == len(wrt) else 'zeros'}({off})"
+        lines += sizes + [start] + writes
+        bare += sizes + [start] + writes + [f"t = {' + '.join(probes)}"]
+        namespace, guarded = self.namespace, None
+
+        def rerun(v, p):  # the guarded pass, made on the first NaN probe; it
+            nonlocal guarded  # runs inside the bare pass's ``_quiet``
+            if guarded is None:
+                guarded = _define(lines, "out", namespace, "v, p")
+            return guarded(v, p)
+
+        self.plans[wrt] = _quiet(_define(bare, "out if t == t else rerun(v, p)",
+                                         dict(namespace, rerun=rerun), "v, p"))
         return self.plans[wrt]
 
 

@@ -40,7 +40,7 @@ class IntervalTransform:
 
     def __init__(self, lower: float, upper: float):
         if not upper > lower:
-            raise ValueError("interval transform requires upper > lower")
+            raise OutsideSupport("interval transform requires upper > lower")
         self.lower = float(lower)
         self.upper = float(upper)
 

@@ -15,7 +15,9 @@ from miniprob.distributions import (
     StudentT,
     Uniform,
 )
+from miniprob.exceptions import MiniprobError, OutsideSupport, ShapeMismatch
 from miniprob.graph import const, eval_expr
+from miniprob.model import Model
 
 
 def logp_at(dist, value):
@@ -154,6 +156,21 @@ class TestParameterizations:
     def test_bernoulli_constant_outside_unit_interval_rejected(self, p):
         with pytest.raises(ValueError):
             Bernoulli(p=p)
+
+    @pytest.mark.parametrize("make, cls", [
+        (lambda: Normal(sd=-1.0), OutsideSupport),
+        (lambda: HalfNormal(sd=0.0), OutsideSupport),
+        (lambda: Bernoulli(p=2.0), OutsideSupport),
+        (lambda: DiscreteUniform(3, 1), OutsideSupport),
+        (lambda: Uniform(2.0, 1.0), OutsideSupport),
+        (lambda: Model().add_free("w", GaussianRandomWalk(tau=1.0)), ShapeMismatch),
+    ], ids=["normal_sd", "half_normal_sd", "bernoulli_p", "discrete_uniform_bounds",
+            "uniform_bounds", "scalar_random_walk"])
+    def test_bad_parameter_raises_a_miniprob_error(self, make, cls):
+        # a bare ValueError escaped ``except MiniprobError`` here
+        with pytest.raises(cls) as info:
+            make()
+        assert isinstance(info.value, MiniprobError) and isinstance(info.value, ValueError)
 
 
 class TestDefaultTestvals:

@@ -141,7 +141,7 @@ class TestNames:
     def test_name_that_cannot_be_a_trace_column_is_rejected(self, kind, name):
         # "a\nb" ran and then failed to load; "a/b" failed to write its plot files
         m = Model()
-        with pytest.raises(ValueError, match="cannot name a trace column"):
+        with pytest.raises(DuplicateName, match="cannot name a trace column"):
             _add(m, kind, name, (2,))
         assert m.finalize().trace_layout() == [] and m.logp({}) == 0.0
 

@@ -159,8 +159,37 @@ def _edge_graphs():
     yield "0-d constant at the root", const(2.5), {}
     yield "0-d sum_all feeding an array mul", graph.sum_all(x * graph.sum_all(x * y)), at
     yield "-0.0 input through mul", graph.sum_all(x * y) * y, {"x": at["x"], "y": -0.0}
+    # a switch on a 0-d condition over rank-1 operands picks one with ``if``
+    ints = switch(k > 1, const([1, 2, 3]), k)
+    picked = switch(y > 0.0, x, 2.0) + switch(y > 0.0, -1.0, x * y) + ints * y
+    for yv, kv in ((0.5, 3), (-0.0, 0), (np.nan, 2)):
+        yield (f"0-d condition over arrays, y={yv}, k={kv}",
+               graph.sum_all(picked) + graph.sum_all(k) * y, {"x": at["x"], "y": yv, "k": kv})
     # scalar int math warns on overflow where 0-d arrays wrap silently
     yield "0-d int square overflows int64", (k * k) * y, {"k": 3 * 2 ** 31, "y": 1.5}
+    # The backward pass multiplies bare and probes once for a NaN that the
+    # guard would have caught.  In each graph below, a zero adjoint times
+    # ``inf`` gives a NaN beside a zero adjoint times -3.0, a -0.0 that the
+    # guard turns into +0.0; the NaN is dropped while the -0.0 reaches the
+    # gradient, so only the probe of the node that splits them sends the
+    # call to the guarded pass.
+    inf_then_3 = const([np.inf, -3.0])
+    x2 = free_input("x", (2,))
+    x1, y1 = free_input("x", (1,)), free_input("y", (1,))
+
+    def dead(e):  # a zero adjoint for ``e``
+        return graph.sum_all(e * inf_then_3 * const([0.0, 0.0]))
+
+    pair = {"x": np.array([1.0, 2.0])}
+    yield "NaN dropped by an array switch", dead(switch(const([0.0, 1.0]), x2, 5.0)), pair
+    yield "NaN dropped by a concat slice", dead(concat([const([5.0]), x1])), {"x": [1.0]}
+    at_two = {"x": [1.0], "y": [2.0]}
+    yield "NaN dropped by a comparison after a concat", dead(concat([x1 >= 0.0, y1])), at_two
+    # A NaN that goes on whole is dropped with every element that could
+    # differ, so these need no probe of their own.
+    yield "NaN dropped whole by a 0-d comparison", (y >= 0.0) * np.inf * 0.0, {"y": 1.0}
+    yield "NaN dropped whole by a 0-d switch", switch(const(0.0), y, 5.0) * np.inf * 0.0, {"y": 1.0}
+    yield "NaN dropped whole by an empty sum", graph.sum_all(x2[0:0]) * np.inf * 0.0, pair
 
 
 @pytest.mark.parametrize("label, expr, point", list(_edge_graphs()),
@@ -174,6 +203,37 @@ def test_edge_graph_matches_reference(label, expr, point):
         assert type(value) is type(ref_value)
         assert as_bytes(eval_expr(expr, point)) == as_bytes(ref_value)
         assert as_bytes(g) == as_bytes(reference.pack(ref_g, wrt))
+
+
+def test_0d_slots_below_the_root_hold_numpy_scalars():
+    # ``where`` over an int and a float branch gave a 0-d array here
+    cases = [(expr, point) for _, expr, point in _edge_graphs()]
+    cases += [(m.logp_graph, m.initial_point()) for m in (make() for make in MODELS.values())]
+    for expr, point in cases:
+        tape = graph._tape(expr)
+        values = tape.forward(point)
+        for node, value in zip(tape.order[:-1], values):
+            if node.shape == () and node.kind != "opaque":
+                assert isinstance(value, np.generic), node
+
+
+class TestProbe:
+    def test_guarded_pass_is_generated_on_the_first_nan_only(self, monkeypatch):
+        made = []  # per generated function: is it a guarded pass?
+        define = graph._define
+
+        def recorded(lines, *args):
+            made.append(any("G(" in line for line in lines))
+            return define(lines, *args)
+
+        monkeypatch.setattr(graph, "_define", recorded)
+        model = MODELS["linear"]()
+        for point in random_points(model, 5, seed=17):
+            check_against_reference(model, point)
+        assert made and not any(made)
+        for alpha in (np.nan, np.inf, np.nan):  # a NaN logp, its gradient NaN
+            check_against_reference(model, {**point, "alpha": alpha})
+        assert made.count(True) == 1
 
 
 class TestFolding:
