@@ -41,6 +41,8 @@ safe to evaluate from two threads at once.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -418,8 +420,9 @@ def _call(fn, shape, *args):
 # nothing.
 #
 # ``G({g}, x)`` is the guarded product ``_guarded`` computes.  The backward
-# pass writes it bare, as ``{g} * (x)`` (``_bare``), and tests once, at its
-# end, whether to return the guarded pass instead.  Why no bit moves: the
+# pass runs its lines with ``G`` bound to ``operator.mul``, the product
+# ``_guarded`` computes first, and tests once, at its end, whether to return
+# the pass with ``G`` bound to ``_guarded`` instead.  Why no bit moves: the
 # two passes run the same operations until a product holds a NaN, and then
 # differ only in what that product's elements feed.  A rule hands a node's
 # adjoint on whole: each operand it reaches gets every element (by a sum, a
@@ -515,16 +518,10 @@ def _rule(node: Expr, j: int) -> str | None:
         return f"{{g}}[{lo}:{lo + node.operands[j].shape[0]}]"
     if node.kind == "sum_all" and node.operands[0].shape == ():
         return "{g}"
-    if j and _scalar_switch(node):
+    if j and _scalar_switch(node):  # in parentheses, as a term of a sum
         zero = "zeros({n})" if node.shape else "ZERO"
-        return "{g} if {0} else " + zero if j == 1 else zero + " if {0} else {g}"
+        return "({} if {{0}} else {})".format(*(("{g}", zero) if j == 1 else (zero, "{g}")))
     return _BACKWARD[node.kind][j]
-
-
-def _bare(rule: str) -> str:
-    """A guarded rule ``G({g}, x)`` as the product ``{g} * (x)``, which is the
-    first thing ``_guarded`` computes and what it returns without a NaN."""
-    return "{g} * (" + rule[len("G({g}, "):] if rule.startswith("G({g}, ") else rule
 
 
 def _define(lines: list[str], ret: str, namespace: dict, args: str = "v") -> Callable:
@@ -667,12 +664,10 @@ class _Tape:
         # sweep; the first into a slot starts its adjoint, and one from a
         # node with a shape into a 0-d child is summed.  Children whose mask
         # meets no requested bit get none; nothing they receive could flow
-        # into a requested gradient.  ``lines`` holds the guarded pass and
-        # ``bare`` the same lines with bare products; ``probes`` the terms
-        # the bare pass adds to the sum of ``out`` to find a NaN.
+        # into a requested gradient.  ``probes`` holds the terms the bare
+        # pass adds to the sum of ``out`` to find a NaN.
         last = self.last
         lines, has, probes = [f"a{last} = SEED"], {last}, ["add.reduce(out)"]
-        bare = lines.copy()
         for i in reversed(range(len(order))):
             if i not in has or not deps[i] & bits:
                 continue
@@ -680,7 +675,6 @@ class _Tape:
             if node.kind == "opaque":
                 lines = ['raise NoGradient("gradient requested through an opaque '
                          'deterministic node")']
-                bare = lines.copy()
                 break
             refs = [f"v[{a}]" for a in operands[i]]
             if _splits(node):
@@ -689,11 +683,10 @@ class _Tape:
                 rule = _rule(node, j)
                 if rule is None or not deps[child] & bits:
                     continue
-                for dest, template in ((lines, rule), (bare, _bare(rule))):
-                    c = self._source(i, template, refs, g=f"a{i}")
-                    if order[child].shape == () and node.shape != ():
-                        c = f"add.reduce({c}, axis=None)"
-                    dest.append(f"a{child} = a{child} + {c}" if child in has else f"a{child} = {c}")
+                c = self._source(i, rule, refs, g=f"a{i}")
+                if order[child].shape == () and node.shape != ():
+                    c = f"add.reduce({c}, axis=None)"
+                lines.append(f"a{child} = a{child} + {c}" if child in has else f"a{child} = {c}")
                 has.add(child)
         off, sizes, writes = "0", [], []  # the compiler folds the constant offsets
         for j, name in enumerate(wrt):
@@ -709,17 +702,14 @@ class _Tape:
             off = end
         start = f"out = {'empty' if len(writes) == len(wrt) else 'zeros'}({off})"
         lines += sizes + [start] + writes
-        bare += sizes + [start] + writes + [f"t = {' + '.join(probes)}"]
-        namespace, guarded = self.namespace, None
-
-        def rerun(v, p):  # the guarded pass, made on the first NaN probe; it
-            nonlocal guarded  # runs inside the bare pass's ``_quiet``
-            if guarded is None:
-                guarded = _define(lines, "out", namespace, "v, p")
-            return guarded(v, p)
-
-        self.plans[wrt] = _quiet(_define(bare, "out if t == t else rerun(v, p)",
-                                         dict(namespace, rerun=rerun), "v, p"))
+        # the guarded pass, compiled on the first NaN probe and kept, so a
+        # NaN-free run compiles one pass per tuple of names; it runs inside
+        # the bare pass's ``_quiet``
+        guarded = functools.cache(lambda: _define(lines, "out", self.namespace, "v, p"))
+        bare = dict(self.namespace, G=operator.mul, rerun=lambda v, p: guarded()(v, p))
+        probe = " + ".join(probes)
+        self.plans[wrt] = _quiet(_define(lines, f"out if (t := {probe}) == t else rerun(v, p)",
+                                         bare, "v, p"))
         return self.plans[wrt]
 
 

@@ -165,6 +165,15 @@ def _edge_graphs():
     for yv, kv in ((0.5, 3), (-0.0, 0), (np.nan, 2)):
         yield (f"0-d condition over arrays, y={yv}, k={kv}",
                graph.sum_all(picked) + graph.sum_all(k) * y, {"x": at["x"], "y": yv, "k": kv})
+    # a switch branch whose adjoint has a contribution already: the switch's
+    # share is added to it, whichever branch the condition picks
+    x0 = free_input("x", ())
+    for yv in (-1.0, 1.0):
+        for name, xv in (("0-d", x0), ("rank-1", x)):
+            for label, picked in (("first", switch(y > 0.0, xv, 0.0)),
+                                  ("second", switch(y > 0.0, 0.0, xv))):
+                yield (f"{name} switch, {label} branch read twice, y={yv}",
+                       graph.sum_all(xv * y + picked), {"x": at["x"] if xv is x else 1.5, "y": yv})
     # scalar int math warns on overflow where 0-d arrays wrap silently
     yield "0-d int square overflows int64", (k * k) * y, {"k": 3 * 2 ** 31, "y": 1.5}
     # The backward pass multiplies bare and probes once for a NaN that the
@@ -222,9 +231,9 @@ class TestProbe:
         made = []  # per generated function: is it a guarded pass?
         define = graph._define
 
-        def recorded(lines, *args):
-            made.append(any("G(" in line for line in lines))
-            return define(lines, *args)
+        def recorded(lines, ret, namespace, *args):
+            made.append(namespace["G"] is graph._guarded and ret == "out")
+            return define(lines, ret, namespace, *args)
 
         monkeypatch.setattr(graph, "_define", recorded)
         model = MODELS["linear"]()
