@@ -277,8 +277,6 @@ def load(directory: str) -> Trace:
                     raise DataError(f"chain file {path!r} header does not match metadata")
                 rows = []
                 for line_no, line in enumerate(f, start=2):
-                    if not line.strip():
-                        continue
                     cells = line.rstrip("\n").split(",")
                     try:
                         if len(cells) != len(convs):

@@ -18,12 +18,12 @@ one line per node it runs, and one backward function per ordered list of
 names, with one line per adjoint contribution into a slot whose mask meets
 those names' bits; it writes the gradient as one packed vector.  The lines
 call the same numpy kernels in the order of a full sweep, so neither reuse,
-pruning nor generation changes a bit.  The backward function multiplies
-each adjoint plainly and sums its result and a few adjoints once, at its
-end, to find a NaN that the guard of ``_guarded`` would have caught; only
-then does it run the guarded pass, generated from the same lines on the
-first such call and kept.  The argument that no bit moves is beside the
-rule table.
+pruning nor generation changes a bit.  Only the sign and payload of a NaN
+are unspecified: numpy's scalar forms may give other NaN bits than its 0-d
+arrays.  The backward function multiplies each adjoint plainly and sums its
+result once, at its end; only a NaN sum runs the guarded pass of
+``_guarded``, generated from the same lines on the first such call and
+kept.  The argument that no bit moves is beside the rule table.
 
 A 0-d slot below the root holds a numpy scalar, not a 0-d array, unless an
 opaque node made it.  Where Python's ``if`` or an operation on numpy scalars
@@ -379,14 +379,11 @@ def _read_only(v):
 
 
 def _guarded(adj, local):
-    # the guarded pass's product: dead-branch adjoints are exactly zero, so
-    # keep 0 * inf from minting NaN; a NaN-free product is the bare one
+    # the guarded pass's product: dead-branch adjoints are exactly zero, so a
+    # zero adjoint times an infinite or NaN local gives +0.0; every other
+    # element keeps its bare product
     prod = adj * local
-    # a NaN anywhere makes the minimum NaN; ``initial`` covers empty arrays
-    m = np.minimum.reduce(prod, None, None, None, False, 0.0) if prod.shape else prod
-    if m != m:  # a NaN crept in where the adjoint is zero
-        prod = np.where(adj == 0, 0.0, prod)
-    return prod
+    return np.where((adj == 0) & (prod != prod), 0.0, prod)
 
 
 def _scatter(shape, key, g):
@@ -420,22 +417,15 @@ def _call(fn, shape, *args):
 # nothing.
 #
 # ``G({g}, x)`` is the guarded product ``_guarded`` computes.  The backward
-# pass runs its lines with ``G`` bound to ``operator.mul``, the product
-# ``_guarded`` computes first, and tests once, at its end, whether to return
-# the pass with ``G`` bound to ``_guarded`` instead.  Why no bit moves: the
-# two passes run the same operations until a product holds a NaN, and then
-# differ only in what that product's elements feed.  A rule hands a node's
-# adjoint on whole: each operand it reaches gets every element (by a sum, a
-# product, ``full`` or a scatter), so the NaN goes wherever an element that
-# could differ goes, or nothing goes on (a comparison, a switch on a 0-d
-# condition that picks an operand without an adjoint, a sum over an empty
-# array).  Only ``concat`` and a ``switch`` on an array condition split the
-# elements among their operands.  So the NaN reaches ``out``, or the adjoint
-# of a split node, or nothing that differs reaches ``out``; the probe, the
-# sum of ``out`` and of every split node's adjoint, is NaN in the first two
-# cases, and the pass reruns guarded.  A NaN probe without a NaN product
-# (``inf - inf`` in the sum, or a NaN from a rule without a guard) costs only
-# that rerun.
+# pass runs its lines with ``G`` bound to ``operator.mul``, the bare product,
+# and returns the pass with ``G`` bound to ``_guarded`` instead only when the
+# sum of ``out`` is NaN.  Why no bit moves: the guard changes only an element
+# whose bare product is NaN.  Every rule moves an element on by a sum, a
+# product, ``full``, a scatter or a selection, and none of these turns a NaN
+# into a number (a selection that drops one gives 0.0 in both passes).  So
+# every element of ``out`` is NaN in the bare pass or bit-equal to the
+# guarded pass's, and any NaN in ``out`` makes its sum NaN.  A NaN sum from
+# ``inf - inf`` costs only that rerun.
 _FORWARD = {
     "add": "{0} + {1}",
     "sub": "{0} - {1}",
@@ -504,12 +494,6 @@ def _scalar_switch(node: Expr) -> bool:
     return node.kind == "switch" and node.operands[0].shape == () and len(node.shape) < 2
 
 
-def _splits(node: Expr) -> bool:
-    """Whether ``node`` hands different elements of its adjoint to different
-    operands, or drops some: the nodes the backward pass probes."""
-    return node.kind == "concat" or node.kind == "switch" and node.operands[0].shape != ()
-
-
 def _rule(node: Expr, j: int) -> str | None:
     """The backward template of ``node`` into its operand ``j``; a 0-d
     ``sum_all`` passes on its adjoint, the bytes ``full`` would copy."""
@@ -543,7 +527,7 @@ class _Tape:
     succeeds.  ``runs`` holds at most one generated function per distinct
     change mask (key None for the first call), which runs the steps listed in
     its ``steps``, and ``plans`` one backward pass per ordered tuple of names,
-    which makes its guarded pass on its first NaN probe.  Every 0-d slot but
+    which makes its guarded pass on its first NaN sum.  Every 0-d slot but
     the root's and an opaque node's holds a numpy scalar, which the 0-d
     kernels run on at a tenth of the cost of a 0-d array.  A tape is not safe
     to evaluate from two threads at once."""
@@ -648,7 +632,8 @@ class _Tape:
         the slots and the point: a new vector of each name's adjoint, zeros
         where none reaches it, in ``grad``'s layout.  It raises
         ``NoGradient`` if an opaque node lies on a differentiated path.  It
-        runs bare and returns the guarded pass's vector on a NaN probe."""
+        runs bare and returns the guarded pass's vector when the sum of its
+        own is NaN."""
         if wrt in self.plans:
             return self.plans[wrt]
         if len(set(wrt)) < len(wrt):
@@ -664,10 +649,9 @@ class _Tape:
         # sweep; the first into a slot starts its adjoint, and one from a
         # node with a shape into a 0-d child is summed.  Children whose mask
         # meets no requested bit get none; nothing they receive could flow
-        # into a requested gradient.  ``probes`` holds the terms the bare
-        # pass adds to the sum of ``out`` to find a NaN.
+        # into a requested gradient.
         last = self.last
-        lines, has, probes = [f"a{last} = SEED"], {last}, ["add.reduce(out)"]
+        lines, has = [f"a{last} = SEED"], {last}
         for i in reversed(range(len(order))):
             if i not in has or not deps[i] & bits:
                 continue
@@ -677,8 +661,6 @@ class _Tape:
                          'deterministic node")']
                 break
             refs = [f"v[{a}]" for a in operands[i]]
-            if _splits(node):
-                probes.append(f"add.reduce(a{i}, axis=None)")
             for j, child in enumerate(operands[i]):
                 rule = _rule(node, j)
                 if rule is None or not deps[child] & bits:
@@ -702,14 +684,13 @@ class _Tape:
             off = end
         start = f"out = {'empty' if len(writes) == len(wrt) else 'zeros'}({off})"
         lines += sizes + [start] + writes
-        # the guarded pass, compiled on the first NaN probe and kept, so a
+        # the guarded pass, compiled on the first NaN sum and kept, so a
         # NaN-free run compiles one pass per tuple of names; it runs inside
         # the bare pass's ``_quiet``
         guarded = functools.cache(lambda: _define(lines, "out", self.namespace, "v, p"))
         bare = dict(self.namespace, G=operator.mul, rerun=lambda v, p: guarded()(v, p))
-        probe = " + ".join(probes)
-        self.plans[wrt] = _quiet(_define(lines, f"out if (t := {probe}) == t else rerun(v, p)",
-                                         bare, "v, p"))
+        ret = "out if (t := add.reduce(out)) == t else rerun(v, p)"
+        self.plans[wrt] = _quiet(_define(lines, ret, bare, "v, p"))
         return self.plans[wrt]
 
 

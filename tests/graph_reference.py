@@ -4,11 +4,12 @@ This is the node-by-node walk that evaluated every graph before each root was
 compiled into a slot tape: values and adjoints live in dicts keyed by node
 id, every node is dispatched through one ``if/elif`` chain on its kind, and
 the backward pass pushes adjoints into every child.  Tests compare the tape
-against it byte for byte.  It computes each node with the same numpy and
-``scipy.special`` calls as the tape, on 0-d arrays where the tape holds numpy
-scalars, and keeps its own copy of the NaN guard of the backward pass, so a
-mismatch points at input reuse, pruning, scalar forms or summation order
-rather than at a kernel.  ``grad`` returns one array per name, and ``pack``
+against it byte for byte, except that the sign and payload of a NaN are
+unspecified: numpy's scalar forms, which the tape runs on 0-d slots, may give
+other NaN bits than the 0-d arrays used here.  It computes each node with the
+same numpy and ``scipy.special`` calls as the tape and keeps its own copy of
+the backward pass's elementwise NaN guard, so a mismatch points at input
+reuse, pruning, scalar forms or summation order rather than at a kernel.  ``grad`` returns one array per name, and ``pack``
 lays such a dict out as the tape's gradient vector.
 """
 
@@ -34,12 +35,9 @@ _BINARY = {"add", "sub", "mul", "div", "pow", "cmp_ge", "cmp_gt"}
 
 
 def _guarded(adj, local):
-    # dead-branch adjoints are exactly zero; keep 0 * inf from minting NaN
+    # dead-branch adjoints are exactly zero; 0 * inf or 0 * NaN gives +0.0
     prod = adj * local
-    m = prod.min(initial=0.0) if (isinstance(prod, np.ndarray) and prod.ndim) else prod
-    if m != m:  # a NaN crept in where the adjoint is zero
-        prod = np.where(adj == 0, 0.0, prod)
-    return prod
+    return np.where((adj == 0) & (prod != prod), 0.0, prod)
 
 
 def forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:
@@ -92,9 +90,6 @@ def forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:
                              values[id(node.operands[2])])
             elif k == "index":
                 v = values[id(node.operands[0])][node.payload]
-            elif k == "slice":
-                start, stop, step = node.payload
-                v = values[id(node.operands[0])][start:stop:step]
             elif k == "concat":
                 v = np.concatenate([values[id(c)] for c in node.operands])
             elif k == "opaque":
@@ -201,11 +196,6 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
                 buf = np.zeros(ops[0].shape)
                 np.add.at(buf, node.payload, adj)
                 _acc(ops[0], buf)
-            elif k == "slice":
-                start, stop, step = node.payload
-                buf = np.zeros(ops[0].shape)
-                buf[start:stop:step] += adj
-                _acc(ops[0], buf)
             elif k == "concat":
                 pos = 0
                 for c in ops:
@@ -229,8 +219,8 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
 def pack(grads: Mapping, wrt: Sequence[str]) -> np.ndarray:
     """The gradient dict ``grads`` as ``miniprob.graph.grad`` returns it: one
     float64 vector of each name's array, raveled in C order, in ``wrt``
-    order.  Every byte is copied, so the sign of zero and NaN payloads
-    survive."""
+    order.  Every byte is copied, so the sign of zero survives, and NaN
+    payloads survive too, though their bits are unspecified."""
     return np.concatenate([np.empty(0)] + [np.asarray(grads[n], dtype=np.float64).ravel()
                                            for n in wrt])
 

@@ -273,6 +273,51 @@ class TestTextBackend:
         with pytest.raises(DataError, match=rf"chain-{chain}\.csv.* {keep} rows.* 3 draws"):
             load(d)
 
+    @pytest.mark.parametrize("at", [2, 4], ids=["middle", "end"])
+    def test_blank_line_rejected(self, tmp_path, at):
+        # a blank line is a row of one empty cell, not a line to skip
+        d = str(tmp_path / "t")
+        fill(TextBackend(d), chains=1, draws=3)
+        path = Path(d, "chain-0.csv")
+        lines = path.read_text().splitlines()
+        lines.insert(at, "")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"chain-0\.csv.* line {at + 1}: 1 cells, the "
+                                            rf"header has 4$"):
+            load(d)
+
+    def test_write_failures_are_io_failures(self, tmp_path, monkeypatch):
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        b = TextBackend(str(tmp_path / "t"))
+        b.start([("x", (), "float")], 1)
+        monkeypatch.setattr(b._files[0], "write", full)
+        with pytest.raises(IoFailure, match=r"^cannot write to trace chain file: "
+                                            r"\[Errno 28\] No space left on device$"):
+            b.record(0, {"x": 1.0})
+        monkeypatch.setattr("miniprob.backends.open", lambda *a, **k: full(), raising=False)
+        with pytest.raises(IoFailure, match=r"^cannot finalize trace directory: "
+                                            r"\[Errno 28\] No space left on device$"):
+            b.finish()
+        assert b._files[0].closed
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda meta: meta.pop("draws"), r"malformed metadata in .*: 'draws'$"),
+        (lambda meta: meta["vars"].clear(), r"metadata in .* lists no variables$"),
+    ], ids=["missing_key", "no_variables"])
+    def test_meta_without_draws_or_variables(self, tmp_path, edit, match):
+        d = str(tmp_path / "t")
+        fill(TextBackend(d), chains=1, draws=2)
+        path = os.path.join(d, "meta.json")
+        with open(path) as f:
+            meta = json.load(f)
+        edit(meta)
+        with open(path, "w") as f:
+            json.dump(meta, f)
+        with pytest.raises(DataError, match=match):
+            load(d)
+
     def test_row_cut_inside_a_number(self, tmp_path):
         d = str(tmp_path / "t")
         b = TextBackend(d)
@@ -287,6 +332,12 @@ class TestTextBackend:
 
 
 class TestTraceSemantics:
+    def test_position_must_be_an_integer(self):
+        trace, _ = fill(MemoryBackend(), draws=2)
+        with pytest.raises(TypeError, match="^trace indices are variable names or draw "
+                                            "positions, got 1.5$"):
+            trace[1.5]
+
     def test_point_from_last_chain(self):
         b = MemoryBackend()
         b.start([("x", (), "float")], 2)

@@ -182,3 +182,10 @@ def test_sp500_short_run_is_finite_and_positive():
         assert np.all(np.isfinite(trace.get(name))), name
     for name in ("volatility_process", "nu", "sigma"):
         assert np.all(trace.get(name) > 0), name
+
+
+def test_glm_logistic_as_shipped():
+    model, trace = demos.run_glm_logistic(200, 1)
+    assert len(trace) == 200 and model.continuous_names() == ["Intercept", "x1", "x2"]
+    for name in ("Intercept", "x1", "x2"):
+        assert np.all(np.isfinite(trace.get(name))), name

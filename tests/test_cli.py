@@ -5,6 +5,7 @@ import pytest
 
 from miniprob import cli
 from miniprob.backends import TextBackend
+from miniprob.exceptions import SamplingError
 
 
 def write_trace(directory, draws):
@@ -21,6 +22,21 @@ def test_demo_writes_summary_trace_and_plots(tmp_path):
     assert (out / "summary.txt").is_file()
     assert (out / "trace" / "meta.json").is_file()
     assert os.listdir(out / "plots")
+
+
+def test_demo_reports_progress_unless_quiet(tmp_path, capsys):
+    # 20 draws after 10 warm-up draws: one report, at the end
+    assert cli.main(["demo", "glm_logistic", "--draws", "20", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == "\rchain 0: 30 of 30 complete\n"
+
+
+def test_numeric_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def fails(draws, seed, backend, progress):
+        raise SamplingError("chain 0, draw 3: Nuts started at logp=nan")
+
+    monkeypatch.setitem(cli.DEMOS, "linear", (fails, 100))
+    assert cli.main(["demo", "linear", "--quiet", "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: chain 0, draw 3: Nuts started at logp=nan\n"
 
 
 @pytest.mark.parametrize("draws", ["0", "-3", "19"])

@@ -201,6 +201,16 @@ class TestDefaultTestvals:
         d = Custom(lambda v: -abs(v))
         assert d.default_testval((), self.evaluate) is None
 
+    def test_student_t_location_and_bernoulli_mode(self):
+        assert StudentT(nu=3.0, mu=-1.5).default_testval((2,), self.evaluate).tolist() == [
+            -1.5, -1.5]
+        assert Bernoulli(p=0.7).default_testval((), self.evaluate) == 1
+        assert Bernoulli(p=0.5).default_testval((), self.evaluate) == 0
+
+    def test_custom_density_that_is_not_scalar_is_summed(self):
+        d = Custom(lambda v: -v * v)
+        assert eval_expr(d.logp_expr(const([1.0, 2.0])), {}) == -5.0
+
 
 class TestExprParameters:
     def test_rate_as_expression(self):

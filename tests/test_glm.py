@@ -73,6 +73,16 @@ class TestParse:
 
 
 class TestBuildModel:
+    def test_no_terms_and_no_intercept_is_a_zero_predictor(self):
+        table = {"y": np.array([0.5, -1.0])}
+        model = build_model(Formula(response="y", terms=[], intercept=False), table)
+        hand = Model()
+        hand.add_observed("y", Normal(mu=0.0, sd=hand.add_free("sd", HalfNormal(sd=10.0))),
+                          table["y"])
+        hand.finalize()
+        assert model.continuous_names() == ["sd_log"]
+        assert model.logp({"sd_log": 0.3}) == hand.logp({"sd_log": 0.3})
+
     def test_normal_family_var_names(self, linear_data):
         model = build_model("y ~ x1 + x2", linear_data)
         names = [v.name for v in model.free_vars]

@@ -23,6 +23,27 @@ from miniprob.graph import (
 )
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: graph.index(const(1.0), 0), "cannot index a scalar expression"),
+    (lambda: graph.slice_(const(np.zeros((2, 2))), slice(1)),
+     "slicing is supported on rank-1 expressions only"),
+    (lambda: graph.slice_(const([1.0, 2.0]), slice(None, None, -1)),
+     "slice step must be positive"),
+    (lambda: concat([]), "concat of zero expressions"),
+    (lambda: concat([const([1.0]), const(2.0)]), "concat requires rank-1 expressions"),
+    (lambda: eval_expr(opaque_deterministic(np.sum, [const([1.0, 2.0])], (2,)), {}),
+     r"opaque node: declared shape \(2,\), fn returned \(\)"),
+], ids=["index_0d", "slice_rank_2", "slice_step", "concat_none", "concat_0d", "opaque_shape"])
+def test_shape_errors(build, match):
+    with pytest.raises(ShapeMismatch, match=f"^{match}$"):
+        build()
+
+
+def test_free_input_dtype_must_be_float_or_int():
+    with pytest.raises(ValueError, match="^dtype must be 'float' or 'int', got 'bool'$"):
+        free_input("x", (), dtype="bool")
+
+
 class TestEval:
     def test_switch_on_ge(self):
         c = free_input("c", ())

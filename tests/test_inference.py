@@ -17,7 +17,7 @@ from miniprob.exceptions import (
     StepTargets,
     UnknownVariable,
 )
-from miniprob.graph import opaque_deterministic
+from miniprob.graph import cmp_ge, const, opaque_deterministic, switch
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
 from miniprob.rng import stream
@@ -31,6 +31,21 @@ class TestFindMap:
         m.finalize()
         mp = find_map(m)
         assert float(mp["x"]) == pytest.approx(3.0, abs=1e-6)
+
+    def test_steps_outside_the_support_are_walked_back(self, monkeypatch):
+        # from 0, BFGS's first step passes the edge at 1 of a density whose
+        # mode is 0.9; the objective stands a large value in for -logp there
+        m = Model()
+        m.add_free("x", Custom(lambda v: switch(cmp_ge(1.0, v), -(v - 0.9) * (v - 0.9),
+                                                const(-np.inf))), testval=0.0)
+        m.finalize()
+        seen = []
+        logp_grad = Packer.logp_grad
+        monkeypatch.setattr(Packer, "logp_grad",
+                            lambda self, x: seen.append(logp_grad(self, x)) or seen[-1])
+        mp = find_map(m)
+        assert any(lp == -np.inf for lp, _ in seen)
+        assert float(mp["x"]) == pytest.approx(0.9, abs=1e-6)
 
     def test_direction_set_mode(self):
         m = Model()

@@ -65,6 +65,13 @@ class TestTransforms:
         np.testing.assert_allclose(backward(t, t.forward(xs)), xs, atol=1e-12)
 
 
+def test_var_of_an_unknown_name():
+    m = Model()
+    m.add_free("a", Normal())
+    with pytest.raises(UnknownVariable, match="^no free variable named 'b'$"):
+        m.var("b")
+
+
 class TestAddFree:
     def test_exponential_prior_term_in_y_space(self):
         m = Model()
@@ -456,6 +463,12 @@ class TestMissingData:
         with pytest.raises(ShapeMismatch):
             m.add_observed("y", Poisson(1.0), np.array([1, 2, 3]),
                            mask=np.array([True, False]))
+
+    def test_masked_data_must_be_one_dimensional(self):
+        m = Model()
+        with pytest.raises(ShapeMismatch, match="^y: masked data must be one-dimensional$"):
+            m.add_observed("y", Poisson(1.0), np.ones((2, 2), dtype=np.int64),
+                           mask=np.array([[True, False], [False, False]]))
 
     def test_masked_equals_hand_built(self):
         data = np.array([3, -999, 2, -999, 1])

@@ -195,6 +195,14 @@ class TestSlice:
         point = step.step(m.initial_point(), rng, tuning=False)
         assert float(point["v"]) == c
 
+    def test_shrink_below_1e_300_returns_start(self):
+        # at 0, unlike at 0.75, the floats are dense enough for the bracket
+        # to shrink below 1e-300 before a draw lands on the start
+        m = box_model(0.0, 0.0)  # the point 0
+        step = Slice(m)
+        point = step.step({"u": np.array(0.0)}, stream(4, 0), tuning=False)
+        assert float(point["u"]) == 0.0
+
     def test_nonfinite_start_rejected(self):
         m = box_model(0.0, 1.0)
         step = Slice(m)

@@ -247,6 +247,12 @@ class TestTraceplotData:
         xs, ys = kde(rng.standard_normal(4000))
         assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=0.01)
 
+    def test_kde_of_a_constant_series_is_a_narrow_peak(self):
+        xs, ys = kde(np.full(10, 2.0), n_points=201)
+        assert xs[-1] - xs[0] == pytest.approx(6e-8, rel=1e-6)  # a bandwidth of 1e-8
+        assert xs[100] == 2.0 and np.argmax(ys) == 100
+        assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=0.01)
+
     def test_discrete_gets_histogram(self):
         rng = np.random.default_rng(12)
         t = trace_of({"k": rng.integers(0, 5, size=(300,)).astype(np.int64)},

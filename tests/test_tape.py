@@ -176,12 +176,12 @@ def _edge_graphs():
                        graph.sum_all(xv * y + picked), {"x": at["x"] if xv is x else 1.5, "y": yv})
     # scalar int math warns on overflow where 0-d arrays wrap silently
     yield "0-d int square overflows int64", (k * k) * y, {"k": 3 * 2 ** 31, "y": 1.5}
-    # The backward pass multiplies bare and probes once for a NaN that the
-    # guard would have caught.  In each graph below, a zero adjoint times
-    # ``inf`` gives a NaN beside a zero adjoint times -3.0, a -0.0 that the
-    # guard turns into +0.0; the NaN is dropped while the -0.0 reaches the
-    # gradient, so only the probe of the node that splits them sends the
-    # call to the guarded pass.
+    # The guard turns a zero adjoint times ``inf`` into +0.0 and leaves every
+    # other element alone.  In the first three graphs below, that NaN is
+    # dropped beside a zero adjoint times -3.0, a -0.0 that reaches the
+    # gradient as -0.0; in the last three, a 0-d comparison, a 0-d switch or
+    # an empty sum drops it whole.  A dropped NaN leaves the other elements
+    # alone.
     inf_then_3 = const([np.inf, -3.0])
     x2 = free_input("x", (2,))
     x1, y1 = free_input("x", (1,)), free_input("y", (1,))
@@ -194,11 +194,13 @@ def _edge_graphs():
     yield "NaN dropped by a concat slice", dead(concat([const([5.0]), x1])), {"x": [1.0]}
     at_two = {"x": [1.0], "y": [2.0]}
     yield "NaN dropped by a comparison after a concat", dead(concat([x1 >= 0.0, y1])), at_two
-    # A NaN that goes on whole is dropped with every element that could
-    # differ, so these need no probe of their own.
     yield "NaN dropped whole by a 0-d comparison", (y >= 0.0) * np.inf * 0.0, {"y": 1.0}
     yield "NaN dropped whole by a 0-d switch", switch(const(0.0), y, 5.0) * np.inf * 0.0, {"y": 1.0}
     yield "NaN dropped whole by an empty sum", graph.sum_all(x2[0:0]) * np.inf * 0.0, pair
+    # d/dx0 is -0.0 whether or not 0 * inf makes a NaN beside it
+    signed = graph.sum_all(const([-0.0, 0.0]) * graph.log(x2))
+    for xv in ([2.0, 0.0], [2.0, 1.0]):
+        yield f"signed zero beside 0 * inf, x={xv}", signed, {"x": np.array(xv)}
 
 
 @pytest.mark.parametrize("label, expr, point", list(_edge_graphs()),
@@ -224,6 +226,15 @@ def test_0d_slots_below_the_root_hold_numpy_scalars():
         for node, value in zip(tape.order[:-1], values):
             if node.shape == () and node.kind != "opaque":
                 assert isinstance(value, np.generic), node
+
+
+def test_zero_adjoint_zeroes_only_its_own_nan():
+    # the NaN of 0 * inf at x1 = 0 leaves the -0.0 of x0 alone
+    x = free_input("x", (2,))
+    expr = graph.sum_all(const([-0.0, 0.0]) * graph.log(x))
+    for x1 in (0.0, 1.0):
+        g = graph.grad(expr, ["x"], {"x": np.array([2.0, x1])})
+        assert as_bytes(g) == as_bytes(np.array([-0.0, 0.0]))
 
 
 class TestProbe:
