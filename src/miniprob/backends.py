@@ -277,7 +277,8 @@ def load(directory: str) -> Trace:
                     raise DataError(f"chain file {path!r} header does not match metadata")
                 rows = []
                 for line_no, line in enumerate(f, start=2):
-                    cells = line.rstrip("\n").split(",")
+                    body = line.rstrip("\n")  # a zero-width row is an empty line
+                    cells = body.split(",") if body or convs else []
                     try:
                         if len(cells) != len(convs):
                             raise ValueError(f"{len(cells)} cells, the header has {len(convs)}")

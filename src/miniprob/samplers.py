@@ -316,7 +316,7 @@ class Slice(StepMethod):
                 right = x1
             elif x1 < x0:
                 left = x1
-            if right - left < 1e-300 or x1 == x0:
+            if right - left < 1e-300:
                 # degenerate shrink: the current point is always in the slice
                 return self._coord_logp(q, views, i, x0)
 

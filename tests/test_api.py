@@ -157,3 +157,47 @@ def test_sampling_never_imports_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+_COLD = """
+import sys
+import miniprob, miniprob.cli
+from miniprob import Nuts, demos, sample, summary
+model = demos.linear_model(demos.simulate_linear_data(1))
+summary(sample(model, 40, [Nuts(model)], seed=1))
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy was loaded"
+model = demos.disasters_model()
+assert "scipy.special" in sys.modules
+print(float(model.logp(model.initial_point())).hex())
+"""
+
+
+def test_scipy_loads_only_with_a_graph_that_uses_it():
+    # the linear model has no lgamma, digamma or logistic node; the disasters
+    # Poisson term has lgamma, and its test point logp keeps its bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(miniprob.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _COLD], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["-0x1.cfa67d552c4f7p+7"]
+
+
+def test_special_functions_are_bound_per_tape():
+    linear = demos.linear_model(demos.simulate_linear_data(1))
+    assert "gammaln" not in graph._tape(linear.logp_graph).namespace
+    disasters = demos.disasters_model()
+    assert {"gammaln", "psi", "expit"} <= graph._tape(disasters.logp_graph).namespace.keys()
+
+
+def test_a_rebuilt_model_compiles_no_source():
+    def build():
+        model = demos.linear_model(demos.simulate_linear_data(1))
+        model.logp_and_dlogp(model.initial_point())
+        return model
+
+    first = build()
+    misses = graph._compile.cache_info().misses
+    second = build()
+    assert graph._compile.cache_info().misses == misses
+    assert graph._tape(second.logp_graph) is not graph._tape(first.logp_graph)

@@ -286,6 +286,22 @@ class TestTextBackend:
                                             rf"header has 4$"):
             load(d)
 
+    def test_zero_width_trace_round_trips(self, tmp_path):
+        # every column has size 0: the header and each row are empty lines
+        from miniprob import Metropolis, Model, Normal, sample
+        model = Model()
+        model.add_free("a", Normal(), shape=0)
+        d = str(tmp_path / "t")
+        trace = sample(model, 3, [Metropolis(model)], seed=1, backend=TextBackend(d))
+        assert Path(d, "chain-0.csv").read_text() == "\n" * 4
+        loaded = load(d)
+        assert loaded.var_shapes == trace.var_shapes == {"a": (0,)}
+        assert loaded["a"].shape == trace["a"].shape == (3, 0)
+        # a line that is not empty is still a row of one cell
+        edit_line(Path(d, "chain-0.csv"), 2, lambda line: "0.5")
+        with pytest.raises(DataError, match=r"chain-0\.csv.* line 3: 1 cells, the header has 0$"):
+            load(d)
+
     def test_write_failures_are_io_failures(self, tmp_path, monkeypatch):
         def full(*args):
             raise OSError(28, "No space left on device")

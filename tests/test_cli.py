@@ -24,6 +24,17 @@ def test_demo_writes_summary_trace_and_plots(tmp_path):
     assert os.listdir(out / "plots")
 
 
+def test_summary_of_named_variables_in_their_order(tmp_path, capsys):
+    backend = TextBackend(str(tmp_path))
+    backend.start([("x", (), "float"), ("y", (), "float"), ("z", (), "float")], 1)
+    for i in range(30):
+        backend.record(0, {"x": float(i), "y": float(i % 7), "z": float(i % 3)})
+    backend.finish()
+    assert cli.main(["summary", str(tmp_path), "--vars", "z,x"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("z:\n") and "\nx:\n" in out and "y:" not in out
+
+
 def test_demo_reports_progress_unless_quiet(tmp_path, capsys):
     # 20 draws after 10 warm-up draws: one report, at the end
     assert cli.main(["demo", "glm_logistic", "--draws", "20", "--out", str(tmp_path)]) == 0

@@ -51,6 +51,17 @@ class TestParse:
         with pytest.raises(FormulaError, match="interactions are not supported"):
             parse_formula("y ~ x1 * x2")
 
+    @pytest.mark.parametrize("text, offset, expected", [
+        ("y ~ 0 x1", 6, "'+' followed by a term"),
+        ("y ~ x1 + :x2", 9, "a plain column name (interactions are not supported)"),
+        ("y ~ x1 x2", 7, "'+' or end of formula"),
+    ], ids=["intercept_without_plus", "interaction_first", "missing_plus"])
+    def test_syntax_error_names_its_offset(self, text, offset, expected):
+        with pytest.raises(FormulaError) as err:
+            parse_formula(text)
+        assert err.value.offset == offset
+        assert str(err.value) == f"at offset {offset}: expected {expected} in {text!r}"
+
     def test_dotted_identifiers(self):
         f = parse_formula("y ~ a.b_1 + c")
         assert f.terms == ["a.b_1", "c"]

@@ -40,7 +40,7 @@ def test_shape_errors(build, match):
 
 
 def test_free_input_dtype_must_be_float_or_int():
-    with pytest.raises(ValueError, match="^dtype must be 'float' or 'int', got 'bool'$"):
+    with pytest.raises(ShapeMismatch, match="^dtype must be 'float' or 'int', got 'bool'$"):
         free_input("x", (), dtype="bool")
 
 

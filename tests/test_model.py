@@ -322,6 +322,11 @@ class TestDiscreteValuesNotTruncated:
 
 
 class TestLogp:
+    def test_model_without_terms_has_logp_zero(self):
+        m = Model().finalize()
+        assert m.logp_graph.kind == "constant"
+        assert m.logp({}) == 0.0
+
     def test_single_exponential_at_zero(self):
         m = Model()
         m.add_free("e", Exponential(1.0))
@@ -451,6 +456,14 @@ class TestMissingData:
         m.add_observed("y", Exponential(1.0), data)
         m.finalize()
         assert m.logp({}) == pytest.approx(float(-data.sum()), rel=1e-12)
+
+    def test_all_false_mask_is_no_mask(self):
+        data = np.array([1, 2, 0])
+        plain, masked = Model(), Model()
+        plain.add_observed("y", Poisson(1.5), data)
+        masked.add_observed("y", Poisson(1.5), data, mask=np.zeros(3, dtype=bool))
+        assert masked.free_vars == [] and masked.trace_layout() == []
+        assert masked.logp({}).hex() == plain.logp({}).hex()
 
     def test_all_missing_rejected(self):
         m = Model()

@@ -504,6 +504,16 @@ class TestNuts:
             stats.append(step.last_accept_stat)
         assert 0.7 <= float(np.mean(stats)) <= 0.9
 
+    @pytest.mark.parametrize("kernel", [Hmc, Nuts])
+    def test_start_with_a_non_finite_gradient_raises(self, kernel):
+        # -sqrt(v) is 0 at v = 0, where its derivative is -inf
+        m = Model()
+        m.add_free("v", Custom(lambda v: -graph.sqrt(v)), testval=1.0)
+        step = kernel(m)
+        with pytest.raises(NonFiniteLogp, match=f"^{kernel.__name__} started at a point "
+                                                "with non-finite gradient$"):
+            step.step({"v": np.array(0.0)}, stream(0, 0), False)
+
     def test_nonfinite_start_raises(self):
         m = box_model(0.0, 1.0)
         step = Nuts(m)
