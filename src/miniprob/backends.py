@@ -4,12 +4,14 @@ The durable layout is a directory with a ``meta.json`` file describing the
 variables, plus one ``chain-<k>.csv`` per chain.  Vector variables are
 flattened row-major into ``name__i`` columns; floats are written with
 ``repr`` so every double round-trips exactly.  ``TextBackend`` keeps the
-rows it writes and returns them from ``finish``; ``load`` reads a directory
-back bit for bit and checks each chain's row count against ``meta.json``.
+rows it writes and returns them from ``finish``, which writes ``meta.json``
+(``start`` removes an older one); ``load`` reads a directory back bit for bit
+and checks each chain's row count against ``meta.json``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -169,6 +171,10 @@ class TextBackend(MemoryBackend):
         path = self.directory
         try:
             os.makedirs(path, exist_ok=True)
+            # an older run's metadata would load these chain files as part of that run
+            path = os.path.join(self.directory, "meta.json")
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
             for k in range(chains):
                 path = os.path.join(self.directory, f"chain-{k}.csv")
                 self._files.append(open(path, "w", encoding="utf-8", newline="\n"))

@@ -47,6 +47,10 @@ def _and(a: Expr | None, b: Expr | None) -> Expr | None:
 
 
 class Distribution:
+    """A family gives ``_logp(x)``, its elementwise log density, trusted only
+    where ``_valid`` is 1, and ``_centre(evaluate)``, its default test value
+    before broadcasting to the shape."""
+
     dtype = "float"
     transform = None  # maps a constrained support onto the real line
     _mask: Expr | None = None  # 0/1 validity of the parameters; None: always
@@ -59,10 +63,6 @@ class Distribution:
         if valid is not None:
             core = switch(valid, core, const(NEG_INF))
         return sum_all(core)
-
-    def _logp(self, x: Expr) -> Expr:
-        """Elementwise log density, trusted only where ``_valid`` is 1."""
-        raise NotImplementedError
 
     def _valid(self, x: Expr) -> Expr | None:
         return self._mask
@@ -77,10 +77,6 @@ class Distribution:
             raise ShapeMismatch(f"default test value of shape {np.shape(centre)} does not "
                                 f"broadcast to {shape}") from None
         return centre.astype(np.int64 if self.dtype == "int" else np.float64)
-
-    def _centre(self, evaluate):
-        """The default test value, before broadcasting to the shape."""
-        raise NotImplementedError
 
 
 class Normal(Distribution):

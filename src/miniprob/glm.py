@@ -23,6 +23,7 @@ from .exceptions import (
 from .model import Model
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+_TOKEN = re.compile(_IDENT.pattern + r"|\S")
 
 COEF_PRIOR_SD = 100.0
 NOISE_PRIOR_SD = 10.0
@@ -53,60 +54,46 @@ class BinomialFamily:
         model.add_observed(name, Bernoulli(p=graph.sigmoid(eta)), y.astype(np.int64))
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _read_ident(text: str, pos: int, expected: str) -> tuple[str, int]:
-    pos = _skip_ws(text, pos)
-    m = _IDENT.match(text, pos)
-    if not m:
-        raise FormulaError(expected, pos, text)
-    return m.group(0), m.end()
-
-
 def parse_formula(text: str) -> Formula:
-    """Parse ``response ~ term (+ term)*``; errors carry byte offsets."""
-    response, pos = _read_ident(text, 0, "response identifier")
-    pos = _skip_ws(text, pos)
-    if pos >= len(text) or text[pos] != "~":
-        raise FormulaError("'~'", pos, text)
-    pos += 1
+    """Parse ``response ~ term (+ term)*`` from its tokens: each identifier, and
+    each other non-space character, with its offset, then an empty end token at
+    ``len(text)``.  An error carries the offset of the token it rejects."""
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append(("", len(text)))
+
+    def fail(expected: str, i: int):
+        raise FormulaError(expected, tokens[i][1], text)
+
+    response = tokens[0][0]
+    if not _IDENT.match(response):
+        fail("response identifier", 0)
+    if tokens[1][0] != "~":
+        fail("'~'", 1)
+    intercept = tokens[2][0] != "0"
+    if not intercept and tokens[3][0] != "+":
+        fail("'+' followed by a term", 3)
+    i = 2 if intercept else 4
 
     terms: list[str] = []
-    intercept = True
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] == "0":
-        intercept = False
-        pos = _skip_ws(text, pos + 1)
-        if pos >= len(text) or text[pos] != "+":
-            raise FormulaError("'+' followed by a term", pos, text)
-        pos += 1
-
     while True:
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] in ":*":
-            raise FormulaError("a plain column name (interactions are not supported)",
-                               pos, text)
-        term, pos = _read_ident(text, pos, "term identifier")
-        after = _skip_ws(text, pos)
-        if after < len(text) and text[after] in ":*":
-            raise FormulaError("'+' or end of formula (interactions are not supported)",
-                               after, text)
+        term = tokens[i][0]
+        if term in (":", "*"):
+            fail("a plain column name (interactions are not supported)", i)
+        if not _IDENT.match(term):
+            fail("term identifier", i)
+        after = tokens[i + 1][0]
+        if after in (":", "*"):
+            fail("'+' or end of formula (interactions are not supported)", i + 1)
         if term == response:
             raise FormulaError(f"response {response!r} also appears as a term")
         if term in terms:
             raise FormulaError(f"term {term!r} appears twice")
         terms.append(term)
-        pos = after
-        if pos >= len(text):
-            break
-        if text[pos] != "+":
-            raise FormulaError("'+' or end of formula", pos, text)
-        pos += 1
-    return Formula(response=response, terms=terms, intercept=intercept)
+        if not after:
+            return Formula(response=response, terms=terms, intercept=intercept)
+        if after != "+":
+            fail("'+' or end of formula", i + 1)
+        i += 2
 
 
 def _column(table, name: str) -> np.ndarray:

@@ -139,6 +139,12 @@ class Expr:
     def __gt__(self, other):
         return cmp_gt(self, other)
 
+    def __le__(self, other):
+        return cmp_ge(other, self)
+
+    def __lt__(self, other):
+        return cmp_gt(other, self)
+
     def __getitem__(self, key):
         if isinstance(key, slice):
             return slice_(self, key)
@@ -181,10 +187,8 @@ def free_input(name: str, shape: Sequence[int] = (), dtype: str = "float") -> Ex
 def _binary(kind, a, b) -> Expr:
     a, b = as_expr(a), as_expr(b)
     shape = _broadcast_shape(a.shape, b.shape, kind)
-    if kind in ("cmp_ge", "cmp_gt"):
+    if kind in ("cmp_ge", "cmp_gt", "div", "pow"):
         dtype = "float"  # comparisons yield 0/1 real arrays
-    elif kind in ("div", "pow"):
-        dtype = "float"
     else:
         dtype = "int" if (a.dtype == "int" and b.dtype == "int") else "float"
     return Expr(kind, (a, b), shape=shape, dtype=dtype)

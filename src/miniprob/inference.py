@@ -15,9 +15,12 @@ from .exceptions import MiniprobError, SamplingError
 from .graph import Point
 from .model import Model
 from .rng import stream
-from .samplers import Packer, StepMethod, _count, _start_logp, validate_coverage
+from .samplers import (Packer, StepMethod, _count, _or_neg_inf, _start_logp,
+                       validate_coverage)
 
-_BIG = 1e100  # stand-in for an infinite objective so optimizers keep moving
+# Powell's stand-in for an infinite objective: given inf, scipy's Powell warns
+# "invalid value encountered in scalar multiply" as it brackets its line search
+_BIG = 1e100
 
 
 def find_map(model: Model, vars=None, method: str = "quasi_newton",
@@ -26,7 +29,9 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
 
     ``quasi_newton`` runs BFGS on reverse-mode gradients; ``direction_set``
     runs Powell's derivative-free search, usable when opaque deterministic
-    nodes block gradients.  Only the requested continuous variables move;
+    nodes block gradients.  A trial point whose log density is not finite
+    (-inf or NaN) costs BFGS +inf, as it does every kernel (``_or_neg_inf``),
+    and Powell ``_BIG``.  Only the requested continuous variables move;
     everything else stays at its start/test value.  The returned point is
     expanded like a trace row (transformed coordinates, untransformed
     aliases and deterministics) and is never worse than the start point.
@@ -52,9 +57,7 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
         if method == "quasi_newton":
             def objective(x):
                 lp, g = packer.logp_grad(x)
-                if not np.isfinite(lp):
-                    return _BIG, np.zeros_like(x)
-                return -lp, -g
+                return -_or_neg_inf(lp), -g
 
             res = optimize.minimize(objective, packer.start, jac=True, method="BFGS",
                                     options={"gtol": 1e-8, "maxiter": 5000})
@@ -84,7 +87,7 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     so a seed reproduces each chain bit-identically at any chain count.  The
     first ``warmup`` draws (default min(500, draws // 2)) tune the kernels and
     are not recorded.  Each step gets the ``known`` values that the step
-    before it left (``StepMethod.step``), as every graph node, an opaque one
+    before it left (``StepMethod``), as every graph node, an opaque one
     too, is pure; a chain's first step evaluates its start.
     ``backend`` defaults to memory; ``progress(chain, draw, total)`` is
     called every 100 draws.  Bad counts, a bad ``start``, a step built on

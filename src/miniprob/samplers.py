@@ -149,6 +149,9 @@ def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q):
 # --- step method base ---------------------------------------------------------
 
 class StepMethod:
+    """A kernel gives ``step(point, rng, tuning=False, known=None)``, which
+    returns the next point (see the module docstring for ``known``)."""
+
     known = None  # (logp, packed gradient or None, names or None) after a step
 
     def __init__(self, model: Model, vars=None):
@@ -159,10 +162,6 @@ class StepMethod:
 
     def _default_vars(self, model):
         return model.sampling_names()
-
-    def step(self, point: dict, rng: np.random.Generator, tuning: bool = False,
-             known: tuple | None = None) -> dict:
-        raise NotImplementedError
 
     def _checked(self, lp: float) -> float:
         """``lp``, the log density at a step's start; ``NonFiniteLogp`` unless finite."""

@@ -167,6 +167,26 @@ class TestTextBackend:
             b.start([("x", (), "float")], 2)
         assert b._files[0].closed
 
+    def test_unfinished_run_over_a_finished_one_does_not_load(self, tmp_path):
+        # the older run's meta.json would make its chain 2 part of the new run
+        d = str(tmp_path / "t")
+        fill(TextBackend(d), chains=3, draws=3)
+        b = TextBackend(d)
+        b.start(LAYOUT, 2)
+        for chain, rows in ((0, 3), (1, 2)):
+            for _ in range(rows):
+                b.record(chain, {"alpha": 0.5, "beta": [1.0, 2.0], "k": 1})
+        for f in b._files:
+            f.close()  # the rows reach the disk; finish never runs
+        with pytest.raises(DataError, match="no metadata file"):
+            load(d)
+
+    def test_metadata_that_cannot_be_removed_fails_the_start(self, tmp_path):
+        d = tmp_path / "t"
+        (d / "meta.json" / "x").mkdir(parents=True)
+        with pytest.raises(IoFailure, match=r"cannot create trace file .*meta\.json"):
+            TextBackend(str(d)).start(LAYOUT, 1)
+
     def test_empty_directory_is_corrupt(self, tmp_path):
         with pytest.raises(DataError, match="no metadata file"):
             load(str(tmp_path))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from miniprob import graph
 from miniprob.distributions import (
@@ -230,6 +231,14 @@ class TestExprParameters:
         for k in (0, 1):
             assert float(eval_expr(d.logp_expr(const(k)), {"p": p})) == -np.inf
         assert float(eval_expr(d.logp_expr(const(1)), {"p": 0.25})) == np.log(0.25)
+
+    def test_student_t_with_expr_nu(self):
+        # only nu carries a mask: lam = 1.0 is checked when the family is built
+        d = StudentT(nu=graph.free_input("nu", ()), lam=1.0)
+        x = const(0.7)
+        assert float(eval_expr(d.logp_expr(x), {"nu": -1.0})) == -np.inf
+        assert float(eval_expr(d.logp_expr(x), {"nu": 3.0})) == pytest.approx(
+            stats.t.logpdf(0.7, 3.0), rel=1e-12)
 
     def test_random_walk_with_expr_tau(self):
         s = graph.free_input("sigma", ())

@@ -44,6 +44,28 @@ def test_free_input_dtype_must_be_float_or_int():
         free_input("x", (), dtype="bool")
 
 
+@pytest.mark.parametrize("other", [1.0, np.arange(3.0)], ids=["number", "array"])
+def test_comparisons_with_the_expression_on_either_side(other):
+    v = free_input("v", ())
+    point = {"v": 1.0}
+
+    def at(expr):
+        return eval_expr(expr, point).tolist()
+
+    assert at(v <= other) == at(other >= v) == at(graph.cmp_ge(other, v))
+    assert at(v < other) == at(other > v) == at(graph.cmp_gt(other, v))
+    assert at(v >= other) == at(other <= v) == at(graph.cmp_ge(v, other))
+    assert at(v > other) == at(other < v) == at(graph.cmp_gt(v, other))
+    if np.ndim(other):
+        assert at(v <= other) == [0.0, 1.0, 1.0] and at(v < other) == [0.0, 0.0, 1.0]
+
+
+def test_expr_repr():
+    assert repr(const(2.0)) == "Expr(const array(2.))"
+    assert repr(free_input("a", (2,))) == "Expr(input 'a' (2,))"
+    assert repr(free_input("a", (2,)) + 1.0) == "Expr(add, shape=(2,))"
+
+
 class TestEval:
     def test_switch_on_ge(self):
         c = free_input("c", ())

@@ -17,7 +17,7 @@ from miniprob.exceptions import (
     StepTargets,
     UnknownVariable,
 )
-from miniprob.graph import cmp_ge, const, opaque_deterministic, switch
+from miniprob.graph import cmp_ge, const, log, opaque_deterministic, sqrt, switch
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
 from miniprob.rng import stream
@@ -46,6 +46,26 @@ class TestFindMap:
         mp = find_map(m)
         assert any(lp == -np.inf for lp, _ in seen)
         assert float(mp["x"]) == pytest.approx(0.9, abs=1e-6)
+
+    @pytest.mark.parametrize("method", ["quasi_newton", "direction_set"])
+    @pytest.mark.parametrize("edge, mode", [
+        (lambda v: log(1.0 - v), 0.944783),  # -inf at the edge
+        (lambda v: sqrt(1.0 - v), 0.999228),  # NaN past the edge
+    ], ids=["log", "sqrt"])
+    def test_mode_near_a_support_edge(self, method, edge, mode):
+        m = Model()
+        m.add_free("v", Custom(lambda v: -(v - 10.0) * (v - 10.0) + edge(v)), testval=0.0)
+        m.finalize()
+        assert float(find_map(m, method=method)["v"]) == pytest.approx(mode, abs=1e-5)
+
+    @pytest.mark.xfail(strict=True, reason="BFGS stops at the start when its first trial "
+                       "passes a hard edge (a FOUND line of CHANGES.md: the edge of a switch)")
+    def test_quasi_newton_reaches_a_hard_support_edge(self):
+        m = Model()
+        m.add_free("v", Custom(lambda v: switch(cmp_ge(1.0, v), -(v - 10.0) * (v - 10.0),
+                                                const(-np.inf))), testval=0.0)
+        m.finalize()
+        assert float(find_map(m, method="quasi_newton")["v"]) >= 0.999
 
     def test_direction_set_mode(self):
         m = Model()

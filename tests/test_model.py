@@ -21,6 +21,7 @@ from miniprob.exceptions import (
     DataError,
     DuplicateName,
     ModelFrozen,
+    NonFiniteLogp,
     OutsideSupport,
     ShapeMismatch,
     UnknownVariable,
@@ -118,6 +119,12 @@ class TestAddFree:
         m = Model()
         with pytest.raises(OutsideSupport, match="^e: "):
             m.add_free("e", Exponential(1.0), testval=-1.0)
+
+    def test_shape_none_is_a_scalar(self):
+        m = Model()
+        x = m.add_free("x", Normal(mu=0.0, sd=1.0), shape=None)
+        assert x.shape == m.var("x").shape == ()
+        assert repr(m.var("x")) == "FreeVar('x', shape=())"
 
     def test_frozen_after_finalize(self):
         m = Model()
@@ -326,6 +333,12 @@ class TestLogp:
         m = Model().finalize()
         assert m.logp_graph.kind == "constant"
         assert m.logp({}) == 0.0
+
+    def test_observed_data_outside_the_support_fails_at_finalize(self):
+        m = Model()
+        m.add_observed("k", Poisson(3.0), [-1])
+        with pytest.raises(NonFiniteLogp, match="^log posterior is -inf at the test point$"):
+            m.finalize()
 
     def test_single_exponential_at_zero(self):
         m = Model()

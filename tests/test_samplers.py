@@ -479,6 +479,14 @@ class TestNuts:
         assert not no_uturn(dq, np.array([1.0, 0.0]), np.array([0.0, 5.0]))
         assert no_uturn(dq, np.array([0.5, -4.0]), np.array([2.0, 3.0]))
 
+    def test_flat_density_hits_the_step_size_bound(self):
+        # no energy change at any step size: the search doubles 1.0 past 1e10
+        m = Model()
+        m.add_free("v", Custom(lambda v: 0.0 * v), testval=0.0)
+        step = Nuts(m)
+        step.step(m.initial_point(), stream(1, 0), tuning=False)
+        assert step.step_size == 2.0 ** 34
+
     def test_never_returns_neg_inf_logp(self):
         # unit curvature at the test point gives a unit mass
         m = box_model(-2.0, 2.0, curvature=1.0)
