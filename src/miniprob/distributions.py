@@ -2,70 +2,72 @@
 
 Each family states its domain once: ``transform`` maps its continuous
 support onto the real line (``None`` for real-valued and discrete
-families), and ``_valid`` is the 0/1 graph mask of the values and
-parameters at which its elementwise density ``_logp`` holds.  A family also
+families), and ``_valid`` lists the 0/1 graph masks of the parameters and
+values at which its elementwise density ``_logp`` holds.  A family also
 gives the centre of its default test value.  Parameters may be numbers,
-arrays, or graph expressions, a model variable among them.
+arrays, or graph expressions, a model variable among them.  One rule serves
+both: a constant parameter is checked at construction by the same rule that
+masks an expression parameter.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import graph
 from .exceptions import OutsideSupport, ShapeMismatch
-from .graph import Expr, as_expr, const, switch, cmp_ge, cmp_gt, sum_all
+from .graph import Expr, as_expr, const, switch, cmp_ge, sum_all
 from .transforms import IntervalTransform, LogTransform
 
 NEG_INF = float("-inf")
 
 
-def _positive_mask(p: Expr) -> Expr | None:
-    # constant parameters are validated eagerly, so no runtime guard needed
-    if p.kind == "constant":
-        if not np.all(p.const_value > 0):  # NaN fails too
-            raise OutsideSupport(f"parameter must be strictly positive, got {p.const_value}")
-        return None
-    return cmp_gt(p, 0.0)
+def _guard(p: Expr, rule, what: str) -> list[Expr]:
+    """``rule`` of parameter ``p``: checked now on a constant, which it must
+    hold for (NaN fails), and as a 0/1 mask of an expression."""
+    if p.kind != "constant":
+        return [rule(p)]
+    if not np.all(rule(p.const_value)):
+        raise OutsideSupport(f"{what}, got {p.const_value}")
+    return []
 
 
-def _unit_mask(p: Expr) -> Expr | None:
-    # the same rule for a probability, on [0, 1]
-    if p.kind == "constant":
-        if not np.all((p.const_value >= 0) & (p.const_value <= 1)):
-            raise OutsideSupport(f"probability must lie in [0, 1], got {p.const_value}")
-        return None
-    return graph.mul(cmp_ge(p, 0.0), cmp_ge(1.0, p))
+def _positive(p: Expr) -> list[Expr]:
+    return _guard(p, lambda q: q > 0.0, "parameter must be strictly positive")
 
 
-def _and(a: Expr | None, b: Expr | None) -> Expr | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return graph.mul(a, b)
+def _between(x, lo, hi):
+    """1 where lo <= x <= hi, for an expression or an array alike."""
+    return (x >= lo) * (hi >= x)
+
+
+def _gaussian(d: Expr, tau: Expr) -> Expr:
+    """Normal log density of the deviations ``d`` at precision ``tau``."""
+    return 0.5 * graph.log(tau) - 0.5 * np.log(2.0 * np.pi) - 0.5 * tau * d * d
 
 
 class Distribution:
     """A family gives ``_logp(x)``, its elementwise log density, trusted only
-    where ``_valid`` is 1, and ``_centre(evaluate)``, its default test value
-    before broadcasting to the shape."""
+    where every mask of ``_valid`` is 1, and ``_centre(evaluate)``, its
+    default test value before broadcasting to the shape."""
 
     dtype = "float"
     transform = None  # maps a constrained support onto the real line
-    _mask: Expr | None = None  # 0/1 validity of the parameters; None: always
+    _guards: list[Expr] = []  # the parameters' masks, from ``_guard``
 
     def logp_expr(self, value) -> Expr:
         """Scalar expression: elementwise log density summed over the value,
-        -inf wherever ``_valid`` is 0."""
+        -inf wherever a mask of ``_valid`` is 0."""
         x = as_expr(value)
-        core, valid = self._logp(x), self._valid(x)
-        if valid is not None:
-            core = switch(valid, core, const(NEG_INF))
+        core, masks = self._logp(x), self._valid(x)
+        if masks:
+            core = switch(functools.reduce(graph.mul, masks), core, const(NEG_INF))
         return sum_all(core)
 
-    def _valid(self, x: Expr) -> Expr | None:
-        return self._mask
+    def _valid(self, x: Expr) -> list[Expr]:
+        return self._guards
 
     def default_testval(self, shape, evaluate) -> np.ndarray:
         """Default start value; ``evaluate`` maps parameter Exprs to arrays.
@@ -85,14 +87,11 @@ class Normal(Distribution):
     def __init__(self, mu=0.0, sd=1.0):
         self.mu = as_expr(mu)
         self.sd = as_expr(sd)
-        self._mask = _positive_mask(self.sd)
+        self._guards = _positive(self.sd)
         self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
 
     def _logp(self, x):
-        d = graph.sub(x, self.mu)
-        return (0.5 * graph.log(self.tau)
-                - 0.5 * np.log(2.0 * np.pi)
-                - 0.5 * self.tau * d * d)
+        return _gaussian(graph.sub(x, self.mu), self.tau)
 
     def _centre(self, evaluate):
         return evaluate(self.mu)
@@ -103,7 +102,7 @@ class HalfNormal(Distribution):
 
     def __init__(self, sd=1.0):
         self.sd = as_expr(sd)
-        self._mask = _positive_mask(self.sd)
+        self._guards = _positive(self.sd)
         self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
 
     def _logp(self, x):
@@ -111,7 +110,7 @@ class HalfNormal(Distribution):
                 + 0.5 * graph.log(self.tau) - 0.5 * self.tau * x * x)
 
     def _valid(self, x):
-        return _and(self._mask, cmp_ge(x, 0.0))
+        return self._guards + [cmp_ge(x, 0.0)]
 
     def _centre(self, evaluate):
         return evaluate(self.sd) * np.sqrt(2.0 / np.pi)
@@ -127,7 +126,7 @@ class Uniform(Distribution):
         return const(-np.log(self.upper - self.lower))
 
     def _valid(self, x):
-        return graph.mul(cmp_ge(x, self.lower), cmp_ge(self.upper, x))
+        return [_between(x, self.lower, self.upper)]
 
     def _centre(self, evaluate):
         return 0.5 * (self.lower + self.upper)
@@ -140,13 +139,13 @@ class Exponential(Distribution):
 
     def __init__(self, rate):
         self.rate = as_expr(rate)
-        self._mask = _positive_mask(self.rate)
+        self._guards = _positive(self.rate)
 
     def _logp(self, x):
         return graph.log(self.rate) - self.rate * x
 
     def _valid(self, x):
-        return _and(self._mask, cmp_ge(x, 0.0))
+        return self._guards + [cmp_ge(x, 0.0)]
 
     def _centre(self, evaluate):
         return 1.0 / evaluate(self.rate)
@@ -157,13 +156,13 @@ class Poisson(Distribution):
 
     def __init__(self, rate):
         self.rate = as_expr(rate)
-        self._mask = _positive_mask(self.rate)
+        self._guards = _positive(self.rate)
 
     def _logp(self, k):
         return k * graph.log(self.rate) - self.rate - graph.lgamma(k + 1.0)
 
     def _valid(self, k):
-        return _and(self._mask, cmp_ge(k, 0.0))
+        return self._guards + [cmp_ge(k, 0.0)]
 
     def _centre(self, evaluate):
         return np.floor(evaluate(self.rate))
@@ -182,7 +181,7 @@ class DiscreteUniform(Distribution):
         return const(-np.log(self.upper - self.lower + 1.0))
 
     def _valid(self, k):
-        return graph.mul(cmp_ge(k, self.lower), cmp_ge(self.upper, k))
+        return [_between(k, self.lower, self.upper)]
 
     def _centre(self, evaluate):
         return np.floor(0.5 * (self.lower + self.upper))
@@ -195,7 +194,7 @@ class StudentT(Distribution):
         self.nu = as_expr(nu)
         self.mu = as_expr(mu)
         self.lam = as_expr(lam)
-        self._mask = _and(_positive_mask(self.nu), _positive_mask(self.lam))
+        self._guards = _positive(self.nu) + _positive(self.lam)
 
     def _logp(self, x):
         nu, lam = self.nu, self.lam
@@ -215,14 +214,12 @@ class GaussianRandomWalk(Distribution):
 
     def __init__(self, tau):
         self.tau = as_expr(tau)
-        self._mask = _positive_mask(self.tau)
+        self._guards = _positive(self.tau)
 
     def _logp(self, x):
         if len(x.shape) != 1 or x.shape[0] < 2:
             raise ShapeMismatch("GaussianRandomWalk needs a vector value of length >= 2")
-        d = x[1:] - x[:-1]
-        return (0.5 * graph.log(self.tau) - 0.5 * np.log(2.0 * np.pi)
-                - 0.5 * self.tau * d * d)
+        return _gaussian(x[1:] - x[:-1], self.tau)
 
     def _centre(self, evaluate):
         return 0.0
@@ -233,14 +230,15 @@ class Bernoulli(Distribution):
 
     def __init__(self, p):
         self.p = as_expr(p)
-        self._mask = _unit_mask(self.p)
+        self._guards = _guard(self.p, lambda q: _between(q, 0.0, 1.0),
+                              "probability must lie in [0, 1]")
 
     def _logp(self, x):
         # select the branch instead of x*log(p) so 0 * -inf never appears
         return switch(cmp_ge(x, 1), graph.log(self.p), graph.log(1.0 - self.p))
 
     def _valid(self, x):
-        return _and(self._mask, graph.mul(cmp_ge(x, 0), cmp_ge(1, x)))
+        return self._guards + [_between(x, 0, 1)]
 
     def _centre(self, evaluate):
         return evaluate(self.p) > 0.5
@@ -249,7 +247,7 @@ class Bernoulli(Distribution):
 class Flat(Distribution):
     """Improper constant density: contributes zero everywhere."""
 
-    def logp_expr(self, value) -> Expr:
+    def _logp(self, x):
         return const(0.0)
 
     def _centre(self, evaluate):
@@ -263,11 +261,8 @@ class Custom(Distribution):
         self.logp_fn = logp_fn
         self.dtype = dtype  # storage/proposal dtype; density defines the support
 
-    def logp_expr(self, value) -> Expr:
-        out = as_expr(self.logp_fn(as_expr(value)))
-        if out.shape != ():
-            out = sum_all(out)
-        return out
+    def _logp(self, x):
+        return as_expr(self.logp_fn(x))
 
     def default_testval(self, shape, evaluate):
         return None  # caller must supply a test value

@@ -13,6 +13,7 @@ from miniprob.graph import opaque_deterministic
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
 from miniprob.samplers import Metropolis, Nuts
+from test_determinism import grad_calls, trace_sha256  # noqa: F401 (a fixture)
 
 
 def exact_disasters_posterior() -> dict[str, tuple[float, float]]:
@@ -182,6 +183,37 @@ def test_sp500_short_run_is_finite_and_positive():
         assert np.all(np.isfinite(trace.get(name))), name
     for name in ("volatility_process", "nu", "sigma"):
         assert np.all(trace.get(name) > 0), name
+
+
+def sp500_scale_and_rms(trace):
+    """Posterior mean of the scale exp(-s) = sqrt(volatility) per day, and the
+    21-day centred rolling RMS of the returns."""
+    returns = load_returns()
+    rms = np.sqrt(np.convolve(returns ** 2, np.ones(21) / 21.0, mode="same"))
+    return np.sqrt(trace.get("volatility_process")).mean(axis=0), rms
+
+
+def test_sp500_as_shipped(grad_calls):
+    # the bound was fixed before the first run: the scale path sits within a
+    # factor of 2 of the returns' rolling RMS (median ratio)
+    _, trace = demos.run_sp500(40, 1)
+    assert (trace_sha256(trace)[:16], grad_calls[0]) == ("a492fa5cf1b1afd6", 5002)
+    for name in ("nu", "sigma"):
+        draws = trace.get(name)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0), name
+    scale, rms = sp500_scale_and_rms(trace)
+    assert 0.5 < np.median(rms / scale) < 2.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the bundled returns show no volatility clustering (autocorrelation of |r| "
+    "0.036 at lag 1, near 0 beyond; 100-day RMS 0.0126-0.0136), so the rolling "
+    "RMS is mostly noise and the correlation reads 0.42"))
+def test_sp500_scale_path_follows_the_rolling_rms():
+    # the bound was fixed before the first run
+    _, trace = demos.run_sp500(40, 1)
+    scale, rms = sp500_scale_and_rms(trace)
+    assert np.corrcoef(np.log(scale), np.log(rms))[0, 1] > 0.5
 
 
 def test_glm_logistic_as_shipped():
