@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph
-from .distributions import Bernoulli, HalfNormal, Normal
+from .distributions import Custom, HalfNormal, Normal
 from .exceptions import (
     FormulaError,
     ShapeMismatch,
@@ -45,13 +45,16 @@ class NormalFamily:
 
 
 class BinomialFamily:
-    """Logit link, Bernoulli (0/1) response."""
+    """Logit link, Bernoulli (0/1) response, observed on the logit scale:
+    y * eta - softplus(eta) is log sigmoid(eta) at y = 1 and log sigmoid(-eta)
+    at y = 0, finite wherever eta is."""
 
     def observe(self, model: Model, name: str, eta, y: np.ndarray) -> None:
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise FormulaError(
                 f"binomial family needs a 0/1 response, got values outside {{0, 1}}")
-        model.add_observed(name, Bernoulli(p=graph.sigmoid(eta)), y.astype(np.int64))
+        model.add_observed(name, Custom(lambda v: v * eta - graph.softplus(eta), dtype="int"),
+                           y.astype(np.int64))
 
 
 def parse_formula(text: str) -> Formula:
@@ -109,7 +112,8 @@ def build_model(formula: Formula | str, table, family=None) -> Model:
     and the response observed by ``family.observe`` (default ``NormalFamily``).
 
     Normal family: response ~ Normal(eta, sd) with a HalfNormal prior on sd.
-    Binomial family: response in {0, 1}, response ~ Bernoulli(sigmoid(eta)).
+    Binomial family: response in {0, 1}, response ~ Bernoulli(sigmoid(eta)),
+    with its log likelihood written in eta.
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)

@@ -145,6 +145,9 @@ class Expr:
     def __lt__(self, other):
         return cmp_gt(other, self)
 
+    def __bool__(self):
+        raise TypeError("an expression has no truth value; select with switch()")
+
     def __getitem__(self, key):
         if isinstance(key, slice):
             return slice_(self, key)
@@ -255,6 +258,12 @@ def lgamma(x) -> Expr:
 
 def sigmoid(x) -> Expr:
     return _unary("sigmoid", x)
+
+
+def softplus(x) -> Expr:
+    """log(1 + e^x), finite wherever x is: (x + |x|) / 2 + log(1 + e^-|x|)."""
+    a = abs_(x)
+    return (x + a) * 0.5 + log(1.0 + exp(-a))
 
 
 def sum_all(x) -> Expr:

@@ -56,8 +56,9 @@ class IntervalTransform:
         return self.lower + (self.upper - self.lower) * graph.sigmoid(y)
 
     def log_jacobian_expr(self, y: graph.Expr) -> graph.Expr:
-        # log(b-a) + log sigmoid(y) + log sigmoid(-y), summed over elements
-        s = graph.log(graph.sigmoid(y)) + graph.log(graph.sigmoid(-y))
+        # log(b-a) + log sigmoid(y) + log sigmoid(-y), summed over elements,
+        # with log sigmoid(y) = -softplus(-y) finite at every y
+        s = -(graph.softplus(y) + graph.softplus(-y))
         return graph.sum_all(s + np.log(self.upper - self.lower))
 
     def var_name(self, name: str) -> str:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from conftest import finite_diff_grad, rel_err
 from miniprob import graph
 from miniprob.distributions import (
     Bernoulli,
@@ -248,3 +249,122 @@ class TestExprParameters:
         tau = 0.25
         expect = 2 * (0.5 * np.log(tau) - 0.5 * np.log(2 * np.pi)) - 0.5 * tau * (1 + 4)
         assert v == pytest.approx(expect, rel=1e-12)
+
+
+# error over max(1, |reference|) on every finite grid point; both sides are
+# -inf together.  Grids and bound were fixed before the first run.
+ACCURACY = 1e-10
+TAIL = np.array([0.0, 1e-3, 0.5, 1.0, 5.0, 30.0])  # distances in scale units
+
+
+def _values(dist, xs):
+    return eval_expr(_strip_sum(dist.logp_expr(const(xs))), {})
+
+
+def _check(got, ref):
+    got, ref = np.asarray(got, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.isfinite(got[finite]))
+    assert rel_err(got[finite], ref[finite]) < ACCURACY
+
+
+class TestAccuracyAgainstScipy:
+    """Every family's log density on seeded parameter and value grids that
+    reach the tails, against ``scipy.stats`` ``logpdf``/``logpmf``."""
+
+    def test_normal(self):
+        rng = np.random.default_rng(1)
+        for sd in (1e-3, 1.0, 1e3):
+            mu = rng.normal(scale=10.0)
+            xs = mu + sd * np.concatenate([-TAIL, TAIL])
+            _check(_values(Normal(mu, sd), xs), stats.norm.logpdf(xs, mu, sd))
+
+    def test_half_normal(self):
+        for sd in (1e-3, 1.0, 1e3):
+            xs = sd * np.concatenate([[-1.0, -1e-3], TAIL])
+            _check(_values(HalfNormal(sd), xs), stats.halfnorm.logpdf(xs, scale=sd))
+
+    def test_exponential(self):
+        for rate in (1e-3, 1.0, 1e3):
+            xs = np.concatenate([[-1.0, -1e-3], TAIL, [700.0]]) / rate
+            _check(_values(Exponential(rate), xs), stats.expon.logpdf(xs, scale=1.0 / rate))
+
+    def test_uniform(self):
+        rng = np.random.default_rng(2)
+        for lower, width in ((0.0, 1.0), (-1e3, 1e-3), (5.0, 1e4)):
+            xs = lower + width * np.concatenate([[-0.5, -1e-3, 1.001, 2.0],
+                                                 rng.uniform(0.01, 0.99, 6)])
+            _check(_values(Uniform(lower, lower + width), xs),
+                   stats.uniform.logpdf(xs, lower, width))
+
+    def test_student_t(self):
+        # valid for nu up to 1e4: beyond it the difference of the two lgamma
+        # terms cancels (off by 4e-10 at nu = 1e6 and 2e-4 at nu = 1e12)
+        rng = np.random.default_rng(3)
+        for nu in (0.1, 1.0, 3.0, 30.0, 1e3, 1e4):
+            for lam in (1e-4, 1.0, 1e4):
+                mu = rng.normal(scale=10.0)
+                xs = mu + np.concatenate([-TAIL, TAIL, [1e3]]) / np.sqrt(lam)
+                _check(_values(StudentT(nu, mu, lam), xs),
+                       stats.t.logpdf(xs, nu, mu, 1.0 / np.sqrt(lam)))
+
+    def test_gaussian_random_walk(self):
+        rng = np.random.default_rng(4)
+        for tau in (1e-4, 1.0, 1e4):
+            steps = rng.standard_normal(16) * np.concatenate([TAIL, TAIL, TAIL[:-2] + 1.0])
+            xs = np.cumsum(np.concatenate([[rng.normal()], steps / np.sqrt(tau)]))
+            ref = stats.norm.logpdf(np.diff(xs), scale=1.0 / np.sqrt(tau)).sum()
+            _check(float(eval_expr(GaussianRandomWalk(tau).logp_expr(const(xs)), {})), ref)
+
+    def test_poisson(self):
+        ks = np.array([-2, -1, 0, 1, 2, 5, 30, 100, 1000, 10000])
+        for rate in (1e-3, 0.5, 3.0, 100.0, 1e4):
+            _check(_values(Poisson(rate), ks), stats.poisson.logpmf(ks, rate))
+
+    def test_discrete_uniform(self):
+        for lower, upper in ((0, 0), (-3, 4), (1851, 1962)):
+            ks = np.arange(lower - 2, upper + 3)
+            _check(_values(DiscreteUniform(lower, upper), ks),
+                   stats.randint.logpmf(ks, lower, upper + 1))
+
+    def test_bernoulli(self):
+        ks = np.array([-1, 0, 1, 2])
+        for p in (0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-9, 1.0):
+            _check(_values(Bernoulli(p), ks), stats.bernoulli.logpmf(ks, p))
+
+    @pytest.mark.parametrize("dist, xs", [
+        (Normal(0.3, 2.0), [-3.0, 0.3, 4.0]),
+        (HalfNormal(1.5), [0.1, 1.0, 6.0]),
+        (Exponential(0.7), [0.1, 1.0, 20.0]),
+        (StudentT(3.0, -0.5, 2.0), [-6.0, -0.5, 2.0]),
+    ], ids=["normal", "half_normal", "exponential", "student_t"])
+    def test_gradient_by_central_differences(self, dist, xs):
+        v = graph.free_input("v", (len(xs),))
+        lp = dist.logp_expr(v)
+        got = graph.grad(lp, ["v"], {"v": np.array(xs)})
+        fd = finite_diff_grad(lambda x: float(eval_expr(lp, {"v": x})), xs)
+        assert rel_err(got, fd) < 1e-6
+
+
+class TestIntervalJacobian:
+    """``Uniform(0, 1)`` samples ``u_interval`` = y with the log-odds transform;
+    its log density is log sigmoid(y) + log sigmoid(-y), finite at every y."""
+
+    @pytest.fixture
+    def model(self):
+        m = Model()
+        m.add_free("u", Uniform(0.0, 1.0))
+        return m.finalize()
+
+    @pytest.mark.parametrize("y", [0.0, 5.0, -36.0, 40.0, 746.0, -746.0, 800.0, -1e4])
+    def test_logp_against_log_expit(self, model, y):
+        ref = special.log_expit(y) + special.log_expit(-y)
+        assert rel_err(model.logp({"u_interval": y}), ref) < ACCURACY
+
+    @pytest.mark.parametrize("y", [0.0, 5.0, -36.0, 40.0, 746.0, -800.0])
+    def test_gradient_by_central_differences(self, model, y):
+        lp, g = model.logp_and_dlogp({"u_interval": np.array(y)})
+        fd = finite_diff_grad(lambda x: model.logp({"u_interval": x[0]}), [y])
+        assert np.isfinite(lp) and rel_err(g, fd) < 1e-6
+        assert rel_err(g, [-np.tanh(y / 2.0)]) < 1e-12

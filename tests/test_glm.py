@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import special, stats
 
+from conftest import finite_diff_grad, rel_err
 from miniprob import demos, graph
 from miniprob.distributions import Bernoulli, HalfNormal, Normal
 from miniprob.exceptions import (
@@ -170,3 +172,28 @@ class TestBuildModel:
             pt = {"Intercept": rng.normal(scale=2), "x1": rng.normal(scale=3),
                   "x2": rng.normal(scale=3)}
             assert glm_model.logp(pt) == pytest.approx(hand.logp(pt), abs=1e-10)
+
+
+class TestLogisticLikelihood:
+    """``y ~ x1`` on x1 = (1, -1), y = (0, 1) at Intercept 0 and x1 = b: each
+    point contributes log_expit(-b).  Bounds fixed before the first run."""
+
+    @pytest.fixture
+    def model(self):
+        return build_model("y ~ x1", {"x1": [1.0, -1.0], "y": [0.0, 1.0]},
+                           family=BinomialFamily())
+
+    @pytest.mark.parametrize("b", [0.0, 1.0, -5.0, 36.0, 37.0, 100.0, 800.0, -800.0])
+    def test_logp_against_log_expit(self, model, b):
+        prior = stats.norm.logpdf([0.0, b], scale=100.0).sum()
+        ref = prior + 2.0 * special.log_expit(-b)
+        assert rel_err(model.logp({"Intercept": 0.0, "x1": b}), ref) < 1e-12
+
+    @pytest.mark.parametrize("b", [0.0, 5.0, 36.0, 37.0, 800.0, -800.0])
+    def test_gradient_by_central_differences(self, model, b):
+        def logp(v):
+            return model.logp({"Intercept": v[0], "x1": v[1]})
+
+        lp, g = model.logp_and_dlogp({"Intercept": np.array(0.0), "x1": np.array(b)})
+        assert np.isfinite(lp) and np.all(np.isfinite(g))
+        assert rel_err(g, finite_diff_grad(logp, [0.0, b])) < 1e-6

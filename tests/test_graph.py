@@ -60,6 +60,26 @@ def test_comparisons_with_the_expression_on_either_side(other):
         assert at(v <= other) == [0.0, 1.0, 1.0] and at(v < other) == [0.0, 0.0, 1.0]
 
 
+def test_an_expression_has_no_truth_value():
+    # without the rule, ``if s > 5.0`` was always true and max/min returned 0.1
+    s = free_input("s", ())
+    for use in (lambda: bool(s), lambda: 1 if s > 5.0 else 0,
+                lambda: max(s, 0.1), lambda: min(s, 0.1)):
+        with pytest.raises(TypeError, match="no truth value.*switch"):
+            use()
+
+
+def test_softplus_into_the_tails():
+    # log(1 + e^x) to an absolute 1e-15 (relative where it exceeds 1), with
+    # the logistic function as its gradient, 0.5 at 0; fixed before the first run
+    xs = np.array([-1e4, -800.0, -746.0, -40.0, -1.0, 0.0, 1e-3, 1.0, 36.0, 37.0, 800.0, 1e4])
+    v = free_input("v", xs.shape)
+    sp = graph.sum_all(graph.softplus(v))
+    assert rel_err(eval_expr(sp.operands[0], {"v": xs}), np.logaddexp(0.0, xs)) < 1e-15
+    g = graph.grad(sp, ["v"], {"v": xs})
+    assert rel_err(g, np.exp(-np.logaddexp(0.0, -xs))) < 1e-15 and g[5] == 0.5
+
+
 def test_expr_repr():
     assert repr(const(2.0)) == "Expr(const array(2.))"
     assert repr(free_input("a", (2,))) == "Expr(input 'a' (2,))"
