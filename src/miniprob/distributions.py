@@ -262,7 +262,7 @@ class Custom(Distribution):
         self.dtype = dtype  # storage/proposal dtype; density defines the support
 
     def _logp(self, x):
-        return as_expr(self.logp_fn(x))
+        return self.logp_fn(x)
 
     def default_testval(self, shape, evaluate):
         return None  # caller must supply a test value
