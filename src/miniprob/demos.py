@@ -12,7 +12,6 @@ import numpy as np
 from . import graph
 from .datasets import disasters_data, load_returns
 from .distributions import (
-    Bernoulli,
     DiscreteUniform,
     Exponential,
     GaussianRandomWalk,

@@ -13,12 +13,13 @@ masks an expression parameter.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
 from . import graph
 from .exceptions import OutsideSupport, ShapeMismatch
-from .graph import Expr, as_expr, const, switch, cmp_ge, sum_all
+from .graph import Expr, as_expr, const, switch, sum_all
 from .transforms import IntervalTransform, LogTransform
 
 NEG_INF = float("-inf")
@@ -63,7 +64,7 @@ class Distribution:
         x = as_expr(value)
         core, masks = self._logp(x), self._valid(x)
         if masks:
-            core = switch(functools.reduce(graph.mul, masks), core, const(NEG_INF))
+            core = switch(functools.reduce(operator.mul, masks), core, const(NEG_INF))
         return sum_all(core)
 
     def _valid(self, x: Expr) -> list[Expr]:
@@ -88,10 +89,10 @@ class Normal(Distribution):
         self.mu = as_expr(mu)
         self.sd = as_expr(sd)
         self._guards = _positive(self.sd)
-        self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
+        self.tau = 1.0 / (self.sd * self.sd)
 
     def _logp(self, x):
-        return _gaussian(graph.sub(x, self.mu), self.tau)
+        return _gaussian(x - self.mu, self.tau)
 
     def _centre(self, evaluate):
         return evaluate(self.mu)
@@ -103,14 +104,14 @@ class HalfNormal(Distribution):
     def __init__(self, sd=1.0):
         self.sd = as_expr(sd)
         self._guards = _positive(self.sd)
-        self.tau = graph.div(1.0, graph.mul(self.sd, self.sd))
+        self.tau = 1.0 / (self.sd * self.sd)
 
     def _logp(self, x):
         return (np.log(2.0) - 0.5 * np.log(2.0 * np.pi)
                 + 0.5 * graph.log(self.tau) - 0.5 * self.tau * x * x)
 
     def _valid(self, x):
-        return self._guards + [cmp_ge(x, 0.0)]
+        return self._guards + [x >= 0.0]
 
     def _centre(self, evaluate):
         return evaluate(self.sd) * np.sqrt(2.0 / np.pi)
@@ -145,7 +146,7 @@ class Exponential(Distribution):
         return graph.log(self.rate) - self.rate * x
 
     def _valid(self, x):
-        return self._guards + [cmp_ge(x, 0.0)]
+        return self._guards + [x >= 0.0]
 
     def _centre(self, evaluate):
         return 1.0 / evaluate(self.rate)
@@ -162,7 +163,7 @@ class Poisson(Distribution):
         return k * graph.log(self.rate) - self.rate - graph.lgamma(k + 1.0)
 
     def _valid(self, k):
-        return self._guards + [cmp_ge(k, 0.0)]
+        return self._guards + [k >= 0.0]
 
     def _centre(self, evaluate):
         return np.floor(evaluate(self.rate))
@@ -198,7 +199,7 @@ class StudentT(Distribution):
 
     def _logp(self, x):
         nu, lam = self.nu, self.lam
-        d = graph.sub(x, self.mu)
+        d = x - self.mu
         return (graph.lgamma((nu + 1.0) / 2.0) - graph.lgamma(nu / 2.0)
                 + 0.5 * graph.log(lam / (nu * np.pi))
                 - ((nu + 1.0) / 2.0) * graph.log(1.0 + lam * d * d / nu))
@@ -235,7 +236,7 @@ class Bernoulli(Distribution):
 
     def _logp(self, x):
         # select the branch instead of x*log(p) so 0 * -inf never appears
-        return switch(cmp_ge(x, 1), graph.log(self.p), graph.log(1.0 - self.p))
+        return switch(x >= 1, graph.log(self.p), graph.log(1.0 - self.p))
 
     def _valid(self, x):
         return self._guards + [_between(x, 0, 1)]

@@ -98,60 +98,85 @@ class Expr:
         self.payload = payload
         self._tape = None
 
-    # --- arithmetic sugar -------------------------------------------------
+    # --- operators: the one spelling of each node that has one --------------
 
     def __add__(self, other):
-        return add(self, other)
+        return _binary("add", self, other)
 
     def __radd__(self, other):
-        return add(other, self)
+        return _binary("add", other, self)
 
     def __sub__(self, other):
-        return sub(self, other)
+        return _binary("sub", self, other)
 
     def __rsub__(self, other):
-        return sub(other, self)
+        return _binary("sub", other, self)
 
     def __mul__(self, other):
-        return mul(self, other)
+        return _binary("mul", self, other)
 
     def __rmul__(self, other):
-        return mul(other, self)
+        return _binary("mul", other, self)
 
     def __truediv__(self, other):
-        return div(self, other)
+        return _binary("div", self, other)
 
     def __rtruediv__(self, other):
-        return div(other, self)
+        return _binary("div", other, self)
 
     def __pow__(self, other):
-        return pow_(self, other)
+        return _binary("pow", self, other)
+
+    def __rpow__(self, other):
+        return _binary("pow", other, self)
 
     def __neg__(self):
-        return neg(self)
+        return Expr("neg", (self,), shape=self.shape, dtype=self.dtype)
 
     def __abs__(self):
-        return abs_(self)
+        return Expr("abs", (self,), shape=self.shape, dtype=self.dtype)
 
     def __ge__(self, other):
-        return cmp_ge(self, other)
+        return _binary("cmp_ge", self, other)
 
     def __gt__(self, other):
-        return cmp_gt(self, other)
+        return _binary("cmp_gt", self, other)
 
     def __le__(self, other):
-        return cmp_ge(other, self)
+        return _binary("cmp_ge", other, self)
 
     def __lt__(self, other):
-        return cmp_gt(other, self)
+        return _binary("cmp_gt", other, self)
 
     def __bool__(self):
         raise TypeError("an expression has no truth value; select with switch()")
 
     def __getitem__(self, key):
+        """Static integer index or integer-array gather along the first axis,
+        or a positive-step slice of a rank-1 expression; both are index nodes
+        keyed by their key.  A key that is not an integer (a bool or float
+        too) or is out of bounds raises ``ShapeMismatch``."""
         if isinstance(key, slice):
-            return slice_(self, key)
-        return index(self, key)
+            if len(self.shape) != 1:
+                raise ShapeMismatch("slicing is supported on rank-1 expressions only")
+            if key.step is not None and key.step <= 0:
+                raise ShapeMismatch("slice step must be positive")
+            n = len(range(*key.indices(self.shape[0])))
+            return Expr("index", (self,), shape=(n,), dtype=self.dtype, payload=key)
+        if not self.shape:
+            raise ShapeMismatch("cannot index a scalar expression")
+        keys = np.asarray(key)
+        if isinstance(key, bool) or keys.dtype.kind not in "iu":
+            raise ShapeMismatch(f"index keys must be integers, got {key!r}")
+        if keys.size and not (-self.shape[0] <= keys.min() and keys.max() < self.shape[0]):
+            raise ShapeMismatch(f"index {key} out of bounds for axis of length {self.shape[0]}")
+        if keys.ndim == 0:
+            key = int(keys)
+        else:
+            key = keys.astype(np.int64)
+            key.flags.writeable = False
+        return Expr("index", (self,), shape=keys.shape + self.shape[1:], dtype=self.dtype,
+                    payload=key)
 
     def __repr__(self):
         if self.kind == "constant":
@@ -197,47 +222,9 @@ def _binary(kind, a, b) -> Expr:
     return Expr(kind, (a, b), shape=shape, dtype=dtype)
 
 
-def add(a, b) -> Expr:
-    return _binary("add", a, b)
-
-
-def sub(a, b) -> Expr:
-    return _binary("sub", a, b)
-
-
-def mul(a, b) -> Expr:
-    return _binary("mul", a, b)
-
-
-def div(a, b) -> Expr:
-    return _binary("div", a, b)
-
-
-def pow_(a, b) -> Expr:
-    return _binary("pow", a, b)
-
-
-def cmp_ge(a, b) -> Expr:
-    return _binary("cmp_ge", a, b)
-
-
-def cmp_gt(a, b) -> Expr:
-    return _binary("cmp_gt", a, b)
-
-
 def _unary(kind, x) -> Expr:
     x = as_expr(x)
     return Expr(kind, (x,), shape=x.shape, dtype="float")
-
-
-def neg(x) -> Expr:
-    x = as_expr(x)
-    return Expr("neg", (x,), shape=x.shape, dtype=x.dtype)
-
-
-def abs_(x) -> Expr:
-    x = as_expr(x)
-    return Expr("abs", (x,), shape=x.shape, dtype=x.dtype)
 
 
 def exp(x) -> Expr:
@@ -262,7 +249,7 @@ def sigmoid(x) -> Expr:
 
 def softplus(x) -> Expr:
     """log(1 + e^x), finite wherever x is: (x + |x|) / 2 + log(1 + e^-|x|)."""
-    a = abs_(x)
+    a = abs(as_expr(x))
     return (x + a) * 0.5 + log(1.0 + exp(-a))
 
 
@@ -277,37 +264,6 @@ def switch(cond, a, b) -> Expr:
                              b.shape, "switch")
     dtype = "int" if (a.dtype == "int" and b.dtype == "int") else "float"
     return Expr("switch", (cond, a, b), shape=shape, dtype=dtype)
-
-
-def index(x, key) -> Expr:
-    """Static integer index or integer-array gather along the first axis; a
-    rank-1 slice (``slice_``) is an index node keyed by its ``slice``.  A key
-    that is not an integer (a bool or float too) or is out of bounds raises
-    ``ShapeMismatch``."""
-    x = as_expr(x)
-    if not x.shape:
-        raise ShapeMismatch("cannot index a scalar expression")
-    keys = np.asarray(key)
-    if isinstance(key, bool) or keys.dtype.kind not in "iu":
-        raise ShapeMismatch(f"index keys must be integers, got {key!r}")
-    if keys.size and not (-x.shape[0] <= keys.min() and keys.max() < x.shape[0]):
-        raise ShapeMismatch(f"index {key} out of bounds for axis of length {x.shape[0]}")
-    if keys.ndim == 0:
-        key = int(keys)
-    else:
-        key = keys.astype(np.int64)
-        key.flags.writeable = False
-    return Expr("index", (x,), shape=keys.shape + x.shape[1:], dtype=x.dtype, payload=key)
-
-
-def slice_(x, slc: slice) -> Expr:
-    x = as_expr(x)
-    if len(x.shape) != 1:
-        raise ShapeMismatch("slicing is supported on rank-1 expressions only")
-    if slc.step is not None and slc.step <= 0:
-        raise ShapeMismatch("slice step must be positive")
-    n = len(range(*slc.indices(x.shape[0])))
-    return Expr("index", (x,), shape=(n,), dtype=x.dtype, payload=slc)
 
 
 def concat(parts: Iterable) -> Expr:

@@ -260,9 +260,14 @@ class Metropolis(StepMethod):
 
 
 class Slice(StepMethod):
-    """Univariate slice sampler with geometric step-out and shrinkage (Neal,
-    arXiv:physics/0009028), applied to each coordinate of the ``Packer``
-    vector of its targets in turn."""
+    """Univariate slice sampler with fixed-width stepping out and shrinkage
+    (Neal, arXiv:physics/0009028, Fig. 3), applied to each coordinate of the
+    ``Packer`` vector of its targets in turn.  Both ends of the interval move
+    out by the coordinate's width, at most ``MAX_EXPANSIONS`` times each, so
+    the step is reversible and exact while neither end reaches that bound.
+    Each width starts at ``width``; after each tuning step it becomes twice
+    the coordinate's mean absolute move over the tuning steps so far, and a
+    coordinate that has not moved keeps its width."""
 
     MAX_EXPANSIONS = 1000
     width = 1.0
@@ -270,16 +275,22 @@ class Slice(StepMethod):
     def __init__(self, model, vars=None):
         super().__init__(model, vars)
         self.packer = Packer(model, self.vars)
+        self._moved = np.zeros(self.packer.size)  # summed |move| over the tuning steps
+        self._tuned = 0  # tuning steps so far
 
     def _default_vars(self, model):
         return model.continuous_names()
 
     def step(self, point, rng, tuning=False, known=None):
         q = self.packer.rebase(point)
+        q0 = q.copy()
         views = self.packer._views(q)  # the point of ``q``, written through ``q``
         lp = self._checked(self.model.logp(views) if known is None else known[0])
         for i in range(self.packer.size):
             lp = self._update_coord(q, views, i, lp, rng)
+        if tuning:
+            self._tuned += 1
+            self._moved += np.abs(q - q0)
         self.known = (lp, None, None)
         return self.packer.point(q)
 
@@ -289,22 +300,20 @@ class Slice(StepMethod):
 
     def _update_coord(self, q, views, i, lp, rng):
         x0 = float(q[i])
+        moved = float(self._moved[i])
+        w = 2.0 * moved / self._tuned if moved > 0.0 else self.width
         log_u = lp + math.log(rng.random())
-        left = x0 - self.width * rng.random()
-        right = left + self.width
+        left = x0 - w * rng.random()
+        right = left + w
 
-        w = self.width
         for _ in range(self.MAX_EXPANSIONS):
             if self._coord_logp(q, views, i, left) <= log_u:
                 break
             left -= w
-            w *= 2.0
-        w = self.width
         for _ in range(self.MAX_EXPANSIONS):
             if self._coord_logp(q, views, i, right) <= log_u:
                 break
             right += w
-            w *= 2.0
 
         while True:
             x1 = left + (right - left) * rng.random()

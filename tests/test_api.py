@@ -31,6 +31,9 @@ def test_removed_names_are_not_exported():
     assert not hasattr(miniprob.Model, "recall")
     assert not hasattr(graph, "input_bytes")
     assert not hasattr(graph, "has_opaque")
+    for name in ("add", "sub", "mul", "div", "pow_", "cmp_ge", "cmp_gt", "neg", "abs_",
+                 "index", "slice_"):  # each is spelled by its operator
+        assert not hasattr(graph, name)
     assert not hasattr(LogTransform, "backward")
     assert not hasattr(IntervalTransform, "backward")
     assert not hasattr(glm, "Family")

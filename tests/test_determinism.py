@@ -79,7 +79,7 @@ def kernel_model() -> Model:
 
 
 @pytest.mark.parametrize("steps, draws, sha_prefix, calls", [
-    (lambda m: [Slice(m)], 200, "518a17d251fb6a8e", 0),
+    (lambda m: [Slice(m)], 200, "41ccf40804d54f2f", 0),
     (lambda m: [Hmc(m)], 300, "fe4d00ddd17c029f", 3610),
     (lambda m: [Nuts(m, vars=["x"]), Metropolis(m, vars=["e"])], 300,
      "36309773b856faea", 3880),

@@ -57,7 +57,8 @@ class TestParse:
         ("y ~ 0 x1", 6, "'+' followed by a term"),
         ("y ~ x1 + :x2", 9, "a plain column name (interactions are not supported)"),
         ("y ~ x1 x2", 7, "'+' or end of formula"),
-    ], ids=["intercept_without_plus", "interaction_first", "missing_plus"])
+        ("1 ~ x", 0, "response identifier"),
+    ], ids=["intercept_without_plus", "interaction_first", "missing_plus", "no_response"])
     def test_syntax_error_names_its_offset(self, text, offset, expected):
         with pytest.raises(FormulaError) as err:
             parse_formula(text)

@@ -17,7 +17,7 @@ from miniprob.exceptions import (
     StepTargets,
     UnknownVariable,
 )
-from miniprob.graph import cmp_ge, const, log, opaque_deterministic, sqrt, switch
+from miniprob.graph import const, log, opaque_deterministic, sqrt, switch
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
 from miniprob.rng import stream
@@ -36,7 +36,7 @@ class TestFindMap:
         # from 0, BFGS's first step passes the edge at 1 of a density whose
         # mode is 0.9; the objective stands a large value in for -logp there
         m = Model()
-        m.add_free("x", Custom(lambda v: switch(cmp_ge(1.0, v), -(v - 0.9) * (v - 0.9),
+        m.add_free("x", Custom(lambda v: switch(1.0 >= v, -(v - 0.9) * (v - 0.9),
                                                 const(-np.inf))), testval=0.0)
         m.finalize()
         seen = []
@@ -62,7 +62,7 @@ class TestFindMap:
                        "passes a hard edge (a FOUND line of CHANGES.md: the edge of a switch)")
     def test_quasi_newton_reaches_a_hard_support_edge(self):
         m = Model()
-        m.add_free("v", Custom(lambda v: switch(cmp_ge(1.0, v), -(v - 10.0) * (v - 10.0),
+        m.add_free("v", Custom(lambda v: switch(1.0 >= v, -(v - 10.0) * (v - 10.0),
                                                 const(-np.inf))), testval=0.0)
         m.finalize()
         assert float(find_map(m, method="quasi_newton")["v"]) >= 0.999
@@ -133,8 +133,8 @@ class TestFindMap:
 
 
 def _neg_inf_below_zero(v):
-    from miniprob.graph import cmp_ge, const, sum_all, switch
-    return sum_all(switch(cmp_ge(v, 0.0), const(0.0) * v, const(float("-inf"))))
+    from miniprob.graph import const, sum_all, switch
+    return sum_all(switch(v >= 0.0, const(0.0) * v, const(float("-inf"))))
 
 
 class TestHessianDiag:

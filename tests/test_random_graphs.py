@@ -9,6 +9,8 @@ gradient and ``eval_expr`` must equal ``graph_reference``'s bytes, with every
 NaN made equal: the sign and payload of a NaN are unspecified.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,9 @@ INTS = (0, 1, -1, 2, 3, -4, 2 ** 53 + 1)
 # ``dead`` multiplies by one of these and then by a signed zero, so its
 # operand's adjoint is a NaN (0 * inf) beside signed zeros (0 * -3.0)
 DEAD = (np.inf, -np.inf, -3.0, 3.0)
-BINARY = (graph.add, graph.sub, graph.mul, graph.div, graph.pow_, graph.cmp_ge, graph.cmp_gt)
-UNARY = (graph.neg, graph.abs_, graph.exp, graph.log, graph.sqrt, graph.lgamma, graph.sigmoid)
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow, operator.ge,
+          operator.gt)
+UNARY = (operator.neg, abs, graph.exp, graph.log, graph.sqrt, graph.lgamma, graph.sigmoid)
 
 
 def _half(v):  # an opaque node's function: pure, float out

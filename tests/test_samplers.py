@@ -10,7 +10,7 @@ from miniprob.exceptions import (
     NonFiniteLogp,
     StepTargets,
 )
-from miniprob.graph import const, switch, cmp_ge
+from miniprob.graph import const, switch
 from miniprob.inference import sample
 from miniprob.model import Model
 from miniprob.rng import stream
@@ -44,7 +44,7 @@ def box_model(lo=-3.0, hi=3.0, curvature=0.0):
     m = Model()
 
     def box_logp(v):
-        inb = graph.mul(cmp_ge(v, lo), cmp_ge(hi, v))
+        inb = (v >= lo) * (hi >= v)
         inside = const(0.0) if curvature == 0.0 else -0.5 * curvature * v * v
         return graph.sum_all(switch(inb, inside, const(NEG_INF)))
 
@@ -129,9 +129,9 @@ class TestMetropolis:
         m = Model()
 
         def logp3(v):
-            inb = graph.mul(cmp_ge(v, 0), cmp_ge(2, v))
-            body = switch(cmp_ge(v, 2), const(np.log(probs[2])),
-                          switch(cmp_ge(v, 1), const(np.log(probs[1])),
+            inb = (v >= 0) * (2 >= v)
+            body = switch(v >= 2, const(np.log(probs[2])),
+                          switch(v >= 1, const(np.log(probs[1])),
                                  const(np.log(probs[0]))))
             return graph.sum_all(switch(inb, body, const(NEG_INF)))
 
@@ -153,7 +153,7 @@ class TestSlice:
         m = Model()
 
         def exp_logp(v):
-            return graph.sum_all(switch(cmp_ge(v, 0.0), -v, const(NEG_INF)))
+            return graph.sum_all(switch(v >= 0.0, -v, const(NEG_INF)))
 
         m.add_free("e", Custom(exp_logp), testval=1.0)
         m.finalize()
@@ -179,13 +179,29 @@ class TestSlice:
         ks = sps.kstest(draws, sps.uniform(loc=2.0, scale=3.0).cdf)
         assert ks.pvalue > 0.01
 
+    def test_two_piece_slice_gets_its_mass(self):
+        # 0.5 N(-1.5, 1) + 0.5 N(1.5, 0.25): below the narrow mode's height a
+        # slice has two pieces, and only a reversible step-out gives each
+        # piece its mass
+        def mixture(v):
+            wide = graph.exp(-0.5 * (v + 1.5) * (v + 1.5)) / np.sqrt(2.0 * np.pi)
+            narrow = graph.exp(-8.0 * (v - 1.5) * (v - 1.5)) / (0.25 * np.sqrt(2.0 * np.pi))
+            return graph.sum_all(graph.log(0.5 * wide + 0.5 * narrow))
+
+        m = Model()
+        m.add_free("x", Custom(mixture), testval=0.0)
+        m.finalize()
+        trace = sample(m, 2000, [Slice(m)], warmup=50, seed=0, chains=10)
+        exact = 0.5 * sps.norm.sf(0.0, -1.5, 1.0) + 0.5 * sps.norm.sf(0.0, 1.5, 0.25)
+        assert abs(np.mean(trace["x"] > 0.0) - exact) < 0.05
+
     def test_degenerate_shrink_returns_start(self):
         # only the single point v == c has positive density
         c = 0.75
         m = Model()
 
         def spike(v):
-            at_c = graph.mul(cmp_ge(v, c), cmp_ge(c, v))
+            at_c = (v >= c) * (c >= v)
             return graph.sum_all(switch(at_c, const(0.0), const(NEG_INF)))
 
         m.add_free("v", Custom(spike), testval=c)
@@ -613,7 +629,7 @@ def infinite_above_two_model():
     """logp is +inf from 2 up: every kernel takes that as -inf and rejects
     the proposal, so no draw lands there."""
     m = Model()
-    m.add_free("v", Custom(lambda v: switch(cmp_ge(v, 2.0), const(np.inf), -0.5 * v * v)),
+    m.add_free("v", Custom(lambda v: switch(v >= 2.0, const(np.inf), -0.5 * v * v)),
                testval=0.0)
     return m.finalize()
 
