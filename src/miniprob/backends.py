@@ -26,7 +26,7 @@ from .exceptions import (
     ShapeMismatch,
     UnknownVariable,
 )
-from .graph import DTYPES, Point, as_dtype
+from .graph import DTYPES, Point, point_value
 
 Layout = Sequence[tuple[str, tuple, str]]  # (name, shape, dtype)
 
@@ -114,15 +114,9 @@ class Trace:
 
 
 def _row_from_point(layout: Layout, point: Mapping) -> list[np.ndarray]:
-    row = []
-    for name, shape, dtype in layout:
-        if name not in point:
-            raise UnknownVariable(f"recorded point is missing traced variable {name!r}")
-        arr = np.asarray(point[name])
-        if arr.shape != shape:
-            raise ShapeMismatch(f"traced variable {name!r}: shape {arr.shape} != {shape}")
-        row.append(np.array(as_dtype(arr, dtype, name)))  # a copy; an int is never truncated
-    return row
+    # copies; an int is never truncated
+    return [np.array(point_value(point, name, shape, dtype, "traced variable"))
+            for name, shape, dtype in layout]
 
 
 def _stack(layout: Layout, rows: list) -> dict[str, np.ndarray]:

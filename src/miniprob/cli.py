@@ -2,8 +2,10 @@
 
 ``--data`` names the returns file of the sp500 demo; with any other demo it
 is a usage error, as is a ``--draws`` too small to summarize.  ``--seed``
-defaults to 1.  ``plotdata`` computes every panel before it writes, and a
-sample error names the trace column.
+defaults to 1 and is an integer in [0, 2**64 - 1), since the sp500 demo also
+samples at ``seed + 1``; any other value is a usage error.  ``plotdata``
+computes every panel before it writes, and a sample error names the trace
+column.
 
 Exit codes: 0 success, 2 usage errors, 3 any ``DataError`` (a missing,
 unreadable or malformed data file or trace, samples too few or not finite to
@@ -47,6 +49,13 @@ def _draws(text: str) -> int:
     if value < MC_BATCHES:
         raise argparse.ArgumentTypeError(
             f"must be at least {MC_BATCHES}, the fewest a summary takes, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64 - 1:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64 - 1), got {value}")
     return value
 
 
@@ -112,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("name", choices=sorted(DEMOS))
     demo.add_argument("--draws", type=_draws, default=None,
                       help="posterior draws (default depends on the demo)")
-    demo.add_argument("--seed", type=int, default=1, help="random seed (default 1)")
+    demo.add_argument("--seed", type=_seed, default=1, help="random seed (default 1)")
     demo.add_argument("--out", default="miniprob_out",
                       help="output directory for trace/, summary.txt, plots/")
     demo.add_argument("--data", default=None,

@@ -32,15 +32,12 @@ def disasters_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return DISASTERS.copy(), mask, DISASTER_YEARS.copy()
 
 
-def sp500_fixture_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "data", "sp500_returns.csv")
-
-
 def load_returns(path: str | None = None) -> np.ndarray:
     """Daily returns, one per line, most recent last; bundled fixture by
     default.  A missing file, a value that is not a finite number and fewer
     than 2 returns raise ``DataError`` naming the file (and the line)."""
-    path = sp500_fixture_path() if path is None else path
+    if path is None:
+        path = os.path.join(os.path.dirname(__file__), "data", "sp500_returns.csv")
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import graph
 from .exceptions import OutsideSupport, ShapeMismatch
-from .graph import Expr, as_expr, const, switch, sum_all
+from .graph import Expr, as_dtype, as_expr, const, switch, sum_all
 from .transforms import IntervalTransform, LogTransform
 
 NEG_INF = float("-inf")
@@ -173,8 +173,11 @@ class DiscreteUniform(Distribution):
     dtype = "int"
 
     def __init__(self, lower, upper):
-        self.lower = int(lower)
-        self.upper = int(upper)
+        try:  # ``as_dtype``'s rule for an int value: never truncated
+            self.lower, self.upper = (int(as_dtype(b, "int", "bound")) for b in (lower, upper))
+        except ShapeMismatch:
+            raise OutsideSupport(f"DiscreteUniform bounds must be finite integers, "
+                                 f"got {lower!r} and {upper!r}") from None
         if not self.upper >= self.lower:
             raise OutsideSupport("DiscreteUniform requires upper >= lower")
 

@@ -36,10 +36,10 @@ about fifty times an ``if``.  A switch on a 0-d condition may share its
 branch's array, since no slot is written in place.  The root keeps its
 kernel's type; opaque results are read-only copies.
 
-Free inputs are read and checked on every call, and a tape holds one node per
-input name.  It keeps its own read-only copy of each input and replaces its
-values and input snapshot together, only when a pass succeeds.  A tape is not
-safe to evaluate from two threads at once.
+Free inputs are read and checked by ``point_value`` on every call, and a
+tape holds one node per input name.  It keeps its own read-only copy of each
+input and replaces its values and input snapshot together, only when a pass
+succeeds.  A tape is not safe to evaluate from two threads at once.
 """
 
 from __future__ import annotations
@@ -307,27 +307,22 @@ def topo_order(expr: Expr) -> list[Expr]:
     return order
 
 
-def _input_value(node: Expr, point: Mapping) -> np.ndarray:
-    name = node.input_name
+def point_value(point: Mapping, name: str, shape: tuple | None, dtype: str,
+                what: str) -> np.ndarray:
+    """``point[name]`` as an array of ``dtype`` (converted by ``as_dtype``)
+    and of ``shape`` (any shape for None), the one reader of a named value.
+    A missing name raises ``UnknownVariable`` and another shape
+    ``ShapeMismatch``, each naming the value as ``what``."""
     try:
         raw = point[name]
     except (KeyError, TypeError):
-        raise UnknownVariable(f"free input {name!r} not present in point") from None
-    if type(raw) is np.ndarray and raw.dtype is DTYPES[node.dtype] and raw.shape == node.shape:
+        raise UnknownVariable(f"{what} {name!r} not present in point") from None
+    if type(raw) is np.ndarray and raw.dtype is DTYPES[dtype] and raw.shape == shape:
         return raw  # what the checks and conversions below would return
     arr = np.asarray(raw)
-    if arr.shape != node.shape:
-        raise ShapeMismatch(
-            f"input {name!r}: expected shape {node.shape}, got {arr.shape}")
-    return as_dtype(arr, node.dtype, name)
-
-
-def _size(point: Mapping, name: str) -> int:
-    """How many zeros ``grad`` gives ``name``, a wanted name that no node reads."""
-    try:
-        return np.size(point[name])
-    except (KeyError, TypeError):
-        raise UnknownVariable(f"free input {name!r} not present in point") from None
+    if shape is not None and arr.shape != shape:
+        raise ShapeMismatch(f"{what} {name!r}: expected shape {shape}, got {arr.shape}")
+    return as_dtype(arr, dtype, name)
 
 
 def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
@@ -448,7 +443,7 @@ _BACKWARD = {
 _NAMESPACE = {
     "absolute": np.absolute, "add": np.add, "asarray": np.asarray, "concatenate": np.concatenate,
     "empty": np.empty, "exp": np.exp, "float64": np.float64, "full": np.full, "inf": np.inf,
-    "log": np.log, "power": np.power, "sign": np.sign, "size": _size, "sqrt": np.sqrt,
+    "log": np.log, "power": np.power, "read": point_value, "sign": np.sign, "sqrt": np.sqrt,
     "true_divide": np.true_divide, "where": np.where, "zeros": np.zeros, "G": _guarded,
     "scatter": _scatter, "call": _call, "NoGradient": NoGradient, "ONE": np.float64(1.0),
     "ZERO": np.float64(0.0), "IZERO": np.int64(0), "NEG_INF": np.float64(-np.inf),
@@ -586,7 +581,7 @@ class _Tape:
         changed = 0
         fresh = []
         for k, (i, node) in enumerate(self.inputs):
-            arr = _input_value(node, point)
+            arr = point_value(point, node.input_name, node.shape, node.dtype, "free input")
             raw = arr.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN payloads
             if seen is None or raw != seen[k]:
                 changed |= 1 << k
@@ -657,7 +652,7 @@ class _Tape:
         off, sizes, writes = "0", [], []  # the compiler folds the constant offsets
         for j, name in enumerate(wrt):
             if name not in slots:  # no node reads it: sized by the point
-                sizes.append(f"z{j} = size(p, {name!r})")
+                sizes.append(f"z{j} = read(p, {name!r}, None, 'float', 'free input').size")
                 off += f" + z{j}"
                 continue
             i = slots[name]

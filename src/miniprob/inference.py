@@ -13,10 +13,9 @@ import numpy as np
 from .backends import MemoryBackend, Trace
 from .exceptions import MiniprobError, SamplingError
 from .graph import Point
-from .model import Model
+from .model import Model, finite_logp
 from .rng import stream
-from .samplers import (Packer, StepMethod, _count, _or_neg_inf, _start_logp,
-                       validate_coverage)
+from .samplers import Packer, StepMethod, _count, _or_neg_inf, validate_coverage
 
 # Powell's stand-in for an infinite objective: given inf, scipy's Powell warns
 # "invalid value encountered in scalar multiply" as it brackets its line search
@@ -43,7 +42,7 @@ def find_map(model: Model, vars=None, method: str = "quasi_newton",
     from scipy import optimize
 
     point = model.initial_point(start)
-    lp0 = _start_logp(model, point, "optimization start")
+    lp0 = finite_logp(model.logp(point), "the optimization start")
 
     if vars is None:
         names = model.continuous_names()
@@ -90,12 +89,16 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     before it left (``StepMethod``), as every graph node, an opaque one
     too, is pure; a chain's first step evaluates its start.
     ``backend`` defaults to memory; ``progress(chain, draw, total)`` is
-    called every 100 draws.  Bad counts, a bad ``start``, a step built on
+    called every 100 draws.  ``seed`` is an integer (not a bool) in
+    [0, 2**64).  Bad counts, a bad seed, a bad ``start``, a step built on
     another model or a model with no free variable raise before the backend
     starts; after a failed draw it is still finished, keeping its rows.
     """
     draws = _count("draws", draws, 1)
     chains = _count("chains", chains, 1)
+    seed = _count("seed", seed, 0)
+    if seed >= 2 ** 64:  # the stream key keeps 64 bits, so it would rerun another seed
+        raise ValueError(f"seed must be below 2**64, got {seed}")
     warmup = min(500, draws // 2) if warmup is None else _count("warmup", warmup, 0)
     if not (isinstance(steps, list) and all(isinstance(s, StepMethod) for s in steps)):
         raise ValueError(f"steps must be a list of step methods, got {steps!r}")
@@ -104,7 +107,7 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     if not model.free_vars:
         raise ValueError("model has no free variables to sample")
     origin = model.initial_point(start)
-    _start_logp(model, origin, "sampling start")
+    finite_logp(model.logp(origin), "the sampling start")
     validate_coverage(model, steps)
     backend = MemoryBackend() if backend is None else backend
     backend.start(model.trace_layout(), chains)

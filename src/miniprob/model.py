@@ -15,6 +15,7 @@ row evaluates all but the sampling inputs with ``eval_expr``, as logp does.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,7 +32,14 @@ from .exceptions import (
     ShapeMismatch,
     UnknownVariable,
 )
-from .graph import Expr, Point, as_dtype, const, eval_expr, free_input
+from .graph import Expr, Point, as_dtype, const, eval_expr, free_input, point_value
+
+
+def finite_logp(lp: float, where: str) -> float:
+    """``lp``, a log posterior at ``where``; ``NonFiniteLogp`` unless it is finite."""
+    if not math.isfinite(lp):
+        raise NonFiniteLogp(f"log posterior is {lp} at {where}")
+    return lp
 
 
 def _as_shape(shape) -> tuple:
@@ -193,9 +201,7 @@ class Model:
             if v.transform is not None:
                 self._rows.append((v.name, v.value))
         self._rows += self.deterministics
-        lp = self.logp(self._test_point)
-        if not np.isfinite(lp):
-            raise NonFiniteLogp(f"log posterior is {lp} at the test point")
+        finite_logp(self.logp(self._test_point), "the test point")
         return self
 
     @property
@@ -256,18 +262,16 @@ class Model:
                 raise UnknownVariable(f"start names no variable: {', '.join(map(repr, unknown))}")
             for v in self.free_vars:
                 if v.sampling_name in start:
-                    raw = np.array(start[v.sampling_name])
+                    raw = point_value(start, v.sampling_name, v.shape, v.dtype, "start value")
                 elif v.transform is not None and v.name in start:
+                    alias = point_value(start, v.name, v.shape, "float", "start value")
                     try:
-                        raw = np.asarray(v.transform.forward(np.asarray(start[v.name])))
+                        raw = v.transform.forward(alias)
                     except OutsideSupport as e:
                         raise OutsideSupport(f"start value for {v.name!r}: {e}") from None
                 else:
                     continue
-                if raw.shape != v.shape:
-                    raise ShapeMismatch(
-                        f"start value for {v.sampling_name!r}: expected {v.shape}, got {raw.shape}")
-                point[v.sampling_name] = as_dtype(raw, v.dtype, v.sampling_name)
+                point[v.sampling_name] = np.array(raw)  # a copy, and a 0-d array, not a scalar
                 if v.sampling_name in start and v.name in start and v.transform is not None:
                     alias = np.asarray(start[v.name], dtype=np.float64)
                     value = eval_expr(v.value, {v.sampling_name: point[v.sampling_name]})
@@ -286,7 +290,8 @@ class Model:
 
     def expand_point(self, point: Mapping) -> Point:
         """The trace row of a sampling point: its sampling coordinates as
-        given, and the value of each alias and deterministic expression."""
-        return {name: np.asarray(point[name] if expr.input_name == name
-                                  else eval_expr(expr, point))
+        ``point_value`` reads them, and the value of each alias and
+        deterministic expression."""
+        return {name: (point_value(point, name, expr.shape, expr.dtype, "sampling coordinate")
+                       if expr.input_name == name else np.asarray(eval_expr(expr, point)))
                 for name, expr in self.finalize()._rows}

@@ -34,8 +34,8 @@ from .exceptions import (
     NonFiniteLogp,
     StepTargets,
 )
-from .graph import Point, _quiet
-from .model import Model
+from .graph import Point, _quiet, point_value
+from .model import Model, finite_logp
 
 
 class Packer:
@@ -62,8 +62,9 @@ class Packer:
         vector of ``point``."""
         self._base = dict(point)
         out = np.empty(self.size)
-        for name, size, off in zip(self.names, self.sizes, self.offsets):
-            out[off:off + size] = np.asarray(point[name], dtype=np.float64).reshape(size)
+        for name, shape, size, off in zip(self.names, self.shapes, self.sizes, self.offsets):
+            out[off:off + size] = point_value(point, name, shape, "float",
+                                              "sampling coordinate").reshape(size)
         return out
 
     def point(self, vec: np.ndarray) -> Point:
@@ -85,14 +86,6 @@ class Packer:
 
 # --- Hessian-based scaling --------------------------------------------------
 
-def _start_logp(model: Model, point: Mapping, what: str) -> float:
-    """The log posterior at ``point``; ``NonFiniteLogp`` unless it is finite."""
-    lp = model.logp(point)
-    if not math.isfinite(lp):
-        raise NonFiniteLogp(f"log posterior is {lp} at the {what}")
-    return lp
-
-
 def hessian(model: Model, point: Mapping | None = None,
             vars: Sequence[str] | None = None) -> np.ndarray:
     """Unclipped negative Hessian of the log posterior at ``point`` (the test
@@ -102,7 +95,7 @@ def hessian(model: Model, point: Mapping | None = None,
     point whose log posterior is not finite raises ``NonFiniteLogp``."""
     names = model.continuous_names() if vars is None else model.resolve_names(vars)
     packer = Packer(model, names, point)
-    _start_logp(model, packer.point(packer.start), "scaling point")
+    finite_logp(packer.logp(packer.start), "the scaling point")
     x = packer.start
     rows = np.empty((packer.size, packer.size))
     for i in range(packer.size):
@@ -165,9 +158,7 @@ class StepMethod:
 
     def _checked(self, lp: float) -> float:
         """``lp``, the log density at a step's start; ``NonFiniteLogp`` unless finite."""
-        if not math.isfinite(lp):
-            raise NonFiniteLogp(f"{type(self).__name__} started at logp={lp}")
-        return lp
+        return finite_logp(lp, f"the start of a {type(self).__name__} step")
 
     def clone(self) -> "StepMethod":
         return copy.deepcopy(self, {id(self.model): self.model})
@@ -241,7 +232,8 @@ class Metropolis(StepMethod):
             if var.dtype == "int":
                 delta = _round_half_away(delta)
             # a ufunc on 0-d arrays returns a scalar; keep the proposal an array
-            proposal[name] = np.asarray(np.asarray(point[name]) + delta)
+            proposal[name] = np.asarray(
+                point_value(point, name, var.shape, var.dtype, "sampling coordinate") + delta)
         lp_new = _or_neg_inf(self.model.logp(proposal))
         accept = np.log(rng.random()) < lp_new - lp_old
         self.total_count += 1

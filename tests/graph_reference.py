@@ -27,7 +27,7 @@ from miniprob.exceptions import (
 from miniprob.graph import (
     Expr,
     Point,
-    _input_value,
+    point_value,
     topo_order,
 )
 
@@ -48,7 +48,7 @@ def forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:
             if k == "constant":
                 v = node.const_value
             elif k == "free_input":
-                v = _input_value(node, point)
+                v = point_value(point, node.input_name, node.shape, node.dtype, "free input")
             elif k in _BINARY:
                 a = values[id(node.operands[0])]
                 b = values[id(node.operands[1])]

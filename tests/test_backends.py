@@ -92,13 +92,14 @@ class TestMemoryBackend:
     def test_missing_name_rejected(self):
         b = MemoryBackend()
         b.start(LAYOUT, 1)
-        with pytest.raises(UnknownVariable, match="recorded point is missing traced variable 'k'"):
+        with pytest.raises(UnknownVariable, match="^traced variable 'k' not present in point$"):
             b.record(0, {"alpha": 1.0, "beta": np.zeros(2)})
 
     def test_wrong_shape_rejected(self):
         b = MemoryBackend()
         b.start([("a", (2,), "float")], 1)
-        with pytest.raises(ShapeMismatch, match=r"traced variable 'a': shape \(3,\) != \(2,\)"):
+        with pytest.raises(ShapeMismatch,
+                           match=r"^traced variable 'a': expected shape \(2,\), got \(3,\)$"):
             b.record(0, {"a": np.zeros(3)})
 
     def test_negative_indexing_returns_point(self):

@@ -60,6 +60,19 @@ def test_draws_below_the_summary_minimum_is_a_usage_error(tmp_path, capsys, draw
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, seed", [
+    ("linear", "-1"), ("linear", "1.5"), ("linear", str(2 ** 64)),
+    ("sp500", str(2 ** 64 - 1)),  # it also samples at seed + 1
+])
+def test_seed_outside_its_range_is_a_usage_error(tmp_path, capsys, name, seed):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", name, "--draws", "20", "--seed", seed, "--quiet", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_outside_sp500_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -65,7 +65,8 @@ def grad_calls(monkeypatch):
     (lambda: demos.run_linear(100, 1)[2], "30e8eee8685ea7d4", 782),
     (lambda: demos.run_disasters(300, 1)[1], "ebbfa216d1b3ec52", 1972),
     (lambda: demos.run_glm_linear(100, 1)[1], "06ca5abe6742d240", 812),
-], ids=["linear", "disasters", "glm_linear"])
+    (lambda: demos.run_glm_logistic(200, 1)[1], "a342788a12d96dd1", 0),
+], ids=["linear", "disasters", "glm_linear", "glm_logistic"])
 def test_demo_trace_is_pinned(grad_calls, run, sha_prefix, calls):
     trace = run()
     assert (trace_sha256(trace)[:16], grad_calls[0]) == (sha_prefix, calls)

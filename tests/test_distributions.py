@@ -159,6 +159,12 @@ class TestParameterizations:
         with pytest.raises(ValueError):
             Bernoulli(p=p)
 
+    @pytest.mark.parametrize("lower, upper", [(0.5, 3.7), (0, 3.5), (np.nan, 3), (0, np.inf)],
+                             ids=["both_fractional", "upper_fractional", "nan", "inf"])
+    def test_discrete_uniform_bound_is_never_truncated(self, lower, upper):
+        with pytest.raises(OutsideSupport, match="^DiscreteUniform bounds must be finite integers"):
+            DiscreteUniform(lower, upper)
+
     @pytest.mark.parametrize("make, cls", [
         (lambda: Normal(sd=-1.0), OutsideSupport),
         (lambda: HalfNormal(sd=0.0), OutsideSupport),

@@ -9,7 +9,7 @@ import miniprob
 from conftest import finite_diff_grad, rel_err
 from miniprob import demos
 from miniprob.backends import MemoryBackend, TextBackend, load
-from miniprob.distributions import Custom, DiscreteUniform, Exponential, Normal
+from miniprob.distributions import Custom, DiscreteUniform, Exponential, HalfNormal, Normal
 from miniprob.exceptions import (
     NonFiniteLogp,
     SamplingError,
@@ -21,7 +21,7 @@ from miniprob.graph import const, log, opaque_deterministic, sqrt, switch
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
 from miniprob.rng import stream
-from miniprob.samplers import Metropolis, Nuts, Packer, Slice, hessian_diag
+from miniprob.samplers import Hmc, Metropolis, Nuts, Packer, Slice, hessian_diag
 
 
 class TestFindMap:
@@ -182,6 +182,16 @@ class TestSample:
         with pytest.raises(ValueError, match="warmup"):
             sample(m, 10, [Metropolis(m)], warmup=-4)
 
+    @pytest.mark.parametrize("seed", [1.5, 2 ** 64, True, -1, "3"])
+    def test_bad_seed_rejected_before_the_backend_starts(self, tmp_path, seed):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        directory = str(tmp_path / "tb")
+        kept = sample(m, 5, [Metropolis(m)], seed=1, backend=TextBackend(directory))
+        with pytest.raises(ValueError, match="^seed must be"):
+            sample(m, 5, [Metropolis(m)], seed=seed, backend=TextBackend(directory))
+        np.testing.assert_array_equal(load(directory)["x"], kept["x"])
+
     @pytest.mark.parametrize("steps", ["bare", "tuple", "not_a_step"])
     def test_steps_must_be_a_list_of_step_methods(self, steps):
         m = Model()
@@ -231,8 +241,29 @@ class TestSample:
         m.add_free("x", Normal(mu=0.0, sd=1.0))
         m.finalize()
         point = m.initial_point({"x": np.nan})
-        with pytest.raises(NonFiniteLogp, match=f"^{kernel.__name__} started at logp=nan$"):
+        with pytest.raises(NonFiniteLogp,
+                           match=f"^log posterior is nan at the start of a {kernel.__name__} step$"):
             kernel(m).step(point, stream(0, 0), False)
+
+    @pytest.mark.parametrize("run", [
+        lambda m, point: Metropolis(m).step(point, stream(0, 0), False),
+        lambda m, point: Slice(m).step(point, stream(0, 0), False),
+        lambda m, point: Hmc(m).step(point, stream(0, 0), False),
+        lambda m, point: Nuts(m).step(point, stream(0, 0), False),
+        lambda m, point: m.expand_point(point),
+    ], ids=["metropolis", "slice", "hmc", "nuts", "expand_point"])
+    @pytest.mark.parametrize("point, error, match", [
+        ({"x": 0.0}, UnknownVariable, "'s_log' not present in point$"),
+        ({"x": np.zeros(3), "s_log": 0.0}, ShapeMismatch,
+         r"'x': expected shape \(\), got \(3,\)$"),
+    ], ids=["missing", "wrong_shape"])
+    def test_every_kernel_reads_a_point_by_one_rule(self, run, point, error, match):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        m.add_free("s", HalfNormal(1.0))
+        m.finalize()
+        with pytest.raises(error, match=match):
+            run(m, point)
 
     def test_trace_length_with_discard(self):
         m = Model()
