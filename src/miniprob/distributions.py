@@ -175,9 +175,9 @@ class DiscreteUniform(Distribution):
     def __init__(self, lower, upper):
         try:  # ``as_dtype``'s rule for an int value: never truncated
             self.lower, self.upper = (int(as_dtype(b, "int", "bound")) for b in (lower, upper))
-        except ShapeMismatch:
-            raise OutsideSupport(f"DiscreteUniform bounds must be finite integers, "
-                                 f"got {lower!r} and {upper!r}") from None
+        except (ShapeMismatch, OutsideSupport):
+            raise OutsideSupport(f"DiscreteUniform bounds must be finite integers within "
+                                 f"int64, got {lower!r} and {upper!r}") from None
         if not self.upper >= self.lower:
             raise OutsideSupport("DiscreteUniform requires upper >= lower")
 

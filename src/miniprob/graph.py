@@ -45,7 +45,9 @@ succeeds.  A tape is not safe to evaluate from two threads at once.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
+import reprlib
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,6 +55,7 @@ import numpy as np
 from .exceptions import (
     DuplicateName,
     NoGradient,
+    OutsideSupport,
     ShapeMismatch,
     UnknownVariable,
 )
@@ -326,15 +329,31 @@ def point_value(point: Mapping, name: str, shape: tuple | None, dtype: str,
 
 
 def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
-    """``raw`` as an int64 array for the "int" dtype, else as float64.  An
-    int value must be integral and finite; it is never truncated."""
+    """``raw`` as an int64 array for the "int" dtype, else as float64.  Every
+    value must be a real number (a bool reads as 0 or 1), else
+    ``OutsideSupport``.  An int value must be integral and finite, else
+    ``ShapeMismatch``, and within int64, else ``OutsideSupport``: it is never
+    truncated or wrapped."""
     arr = np.asarray(raw)
+    if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat):
+        try:  # numpy keeps a Python int beyond int64 as an object
+            arr = arr.astype(np.float64)
+        except OverflowError:
+            raise OutsideSupport(f"{name!r}: {reprlib.repr(arr.tolist())} is outside "
+                                 "float64") from None
+    if arr.dtype.kind not in "biuf":
+        raise OutsideSupport(f"{name!r} must be real numbers, got {reprlib.repr(arr.tolist())}")
     if dtype != "int":
         return arr.astype(np.float64, copy=False)
-    if arr.dtype.kind not in "iu" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
         raise ShapeMismatch(f"{name!r} is declared integral, got non-integral or "
                             f"non-finite values")
-    return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # a value beyond int64 casts to another
+        out = arr.astype(np.int64, copy=False)
+    wrong = out != arr
+    if np.any(wrong):
+        raise OutsideSupport(f"{name!r}: {arr[wrong].flat[0].item()!r} is outside int64")
+    return out
 
 
 def _read_only(v):

@@ -109,9 +109,9 @@ class Model:
         except ValueError:
             raise ShapeMismatch(f"{name}: test value of shape {np.shape(testval)} does not "
                                 f"broadcast to {shape}") from None
-        if not np.all(np.isfinite(testval)):
-            raise OutsideSupport(f"{name}: test value {testval!r} is not finite")
         try:
+            if not np.all(np.isfinite(as_dtype(testval, "float", name))):
+                raise OutsideSupport(f"test value {testval!r} is not finite")
             var = FreeVar(name, dist, shape, dist.transform, as_dtype(testval, dist.dtype, name))
         except (ShapeMismatch, OutsideSupport) as e:
             raise OutsideSupport(f"{name}: {e}") from None
@@ -273,7 +273,7 @@ class Model:
                     continue
                 point[v.sampling_name] = np.array(raw)  # a copy, and a 0-d array, not a scalar
                 if v.sampling_name in start and v.name in start and v.transform is not None:
-                    alias = np.asarray(start[v.name], dtype=np.float64)
+                    alias = point_value(start, v.name, None, "float", "start value")
                     value = eval_expr(v.value, {v.sampling_name: point[v.sampling_name]})
                     if alias.shape != v.shape or not np.allclose(alias, value, rtol=1e-12,
                                                                  atol=0.0, equal_nan=True):

@@ -186,69 +186,81 @@ def _or_neg_inf(lp: float) -> float:
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _int_sum(x: np.ndarray, step: np.ndarray) -> np.ndarray | None:
+    """``x + step`` for an int64 ``x`` and an integral float ``step``, or None
+    where the sum leaves int64: it never wraps."""
+    if (np.abs(x, dtype=np.float64) + abs(step) < 2.0 ** 62).all():  # no sum can wrap
+        return np.asarray(x + step.astype(np.int64))
+    with np.errstate(invalid="ignore"):  # a step beyond int64 casts to another
+        out = x + step.astype(np.int64)
+    # the float sum tells a wrapped int64 sum, 2**64 off, from the exact one
+    return np.asarray(out) if np.all(np.abs(x + step - out) < 2.0 ** 62) else None
 
 
 class Metropolis(StepMethod):
-    """Random-walk Metropolis with acceptance-rate proposal scaling.
+    """Random-walk Metropolis with a Gaussian proposal sd per coordinate.
 
     Integer variables get their Gaussian increment rounded to the nearest
-    integer, ties away from zero.  Every ``tune_interval`` proposals made
-    while tuning, the scale is multiplied by the classic schedule factor
-    for the observed acceptance rate.
+    integer, ties away from zero; a proposal that leaves int64 is rejected.
+    Every sd starts at ``scale``.  Tuning steps feed the chain's state to
+    Welford's running mean and variance of each of the block's d coordinates;
+    from the ``ADAPT_AFTER``-th tuning step on, each sd is 2.38 / sqrt(d)
+    times the coordinate's sd over the tuning steps so far (Roberts, Gelman &
+    Gilks, Ann. Appl. Probab. 1997; Haario, Saksman & Tamminen, Bernoulli
+    2001), and at least 1 for an integer coordinate.  A coordinate that has
+    not moved keeps its sd, and outside tuning steps no sd changes.
     """
 
-    tune_interval = 100
+    ADAPT_AFTER = 50
 
     def __init__(self, model, vars=None, scale=1.0):
         super().__init__(model, vars)
         self.scale = _positive("proposal scale", scale)
-        self.accept_count = 0
-        self.total_count = 0
+        self._sd = [np.full(model.var(n).shape, self.scale) for n in self.vars]
+        self._least = [float(model.var(n).dtype == "int") for n in self.vars]
+        self._factor = 2.38 / math.sqrt(max(sum(sd.size for sd in self._sd), 1))
+        self._n = 0  # tuning steps so far; their running mean and sum of squares follow
+        self._mean = [np.zeros(sd.shape) for sd in self._sd]
+        self._m2 = [np.zeros(sd.shape) for sd in self._sd]
         self.last_accepted = False
-
-    @staticmethod
-    def tune_factor(acc_rate: float) -> float:
-        if acc_rate < 0.001:
-            return 0.1
-        if acc_rate < 0.05:
-            return 0.5
-        if acc_rate < 0.2:
-            return 0.9
-        if acc_rate > 0.95:
-            return 10.0
-        if acc_rate > 0.75:
-            return 2.0
-        if acc_rate > 0.5:
-            return 1.1
-        return 1.0
 
     def step(self, point, rng, tuning=False, known=None):
         lp_old = self._checked(self.model.logp(point) if known is None else known[0])
         proposal = dict(point)
-        for name in self.vars:
+        for name, sd in zip(self.vars, self._sd):
             var = self.model.var(name)
-            delta = self.scale * rng.standard_normal(var.shape)
-            if var.dtype == "int":
-                delta = _round_half_away(delta)
+            x = point_value(point, name, var.shape, var.dtype, "sampling coordinate")
+            delta = sd * rng.standard_normal(var.shape)
             # a ufunc on 0-d arrays returns a scalar; keep the proposal an array
-            proposal[name] = np.asarray(
-                point_value(point, name, var.shape, var.dtype, "sampling coordinate") + delta)
-        lp_new = _or_neg_inf(self.model.logp(proposal))
+            proposal[name] = (_int_sum(x, _round_half_away(delta)) if var.dtype == "int"
+                              else np.asarray(x + delta))
+        inside = all(proposal[name] is not None for name in self.vars)
+        lp_new = _or_neg_inf(self.model.logp(proposal)) if inside else -math.inf
         accept = np.log(rng.random()) < lp_new - lp_old
-        self.total_count += 1
         self.last_accepted = bool(accept)
         if accept:
             point = proposal
-            self.accept_count += 1
             self.known = (lp_new, None, None)
         else:
             self.known = (lp_old, None, None) if known is None else known
-        if tuning and self.total_count >= self.tune_interval:
-            self.scale *= self.tune_factor(self.accept_count / self.total_count)
-            self.accept_count = 0
-            self.total_count = 0
+        if tuning:
+            self._learn(point)
         return point
+
+    def _learn(self, point):
+        """Feed ``point`` to the running moments; refresh the sds from
+        ``ADAPT_AFTER`` tuning steps on."""
+        self._n += 1
+        for k, name in enumerate(self.vars):
+            dx = point[name] - self._mean[k]
+            self._mean[k] += dx / self._n
+            self._m2[k] += dx * (point[name] - self._mean[k])
+            if self._n >= self.ADAPT_AFTER:
+                sd = np.maximum(self._factor * np.sqrt(self._m2[k] / self._n), self._least[k])
+                self._sd[k] = np.where(self._m2[k] > 0.0, sd, self._sd[k])
 
 
 class Slice(StepMethod):

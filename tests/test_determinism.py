@@ -20,6 +20,10 @@ the point it returned (now handed on by ``sample`` as ``known``): a lone
 NUTS or HMC chain makes one gradient fewer per step after its first, and
 NUTS beside Metropolis one fewer after each rejected Metropolis step.  Each
 skipped call would have returned the same bits, so no chain moves.
+The disasters, glm_logistic and NUTS-beside-Metropolis pins were recorded
+again when Metropolis began to learn a proposal sd per coordinate in warm-up;
+beside NUTS it now rejects more often, so NUTS reuses the gradient after more
+steps and the gradient counts fell.
 Any change to the arithmetic of MAP, scaling, leapfrog or kernel bookkeeping
 moves the digest, and any extra or missing gradient evaluation moves the count.
 """
@@ -63,9 +67,9 @@ def grad_calls(monkeypatch):
 
 @pytest.mark.parametrize("run, sha_prefix, calls", [
     (lambda: demos.run_linear(100, 1)[2], "30e8eee8685ea7d4", 782),
-    (lambda: demos.run_disasters(300, 1)[1], "ebbfa216d1b3ec52", 1972),
+    (lambda: demos.run_disasters(300, 1)[1], "d61b92c4d1faaa8a", 1855),
     (lambda: demos.run_glm_linear(100, 1)[1], "06ca5abe6742d240", 812),
-    (lambda: demos.run_glm_logistic(200, 1)[1], "a342788a12d96dd1", 0),
+    (lambda: demos.run_glm_logistic(200, 1)[1], "0c7c590e2b2cc15e", 0),
 ], ids=["linear", "disasters", "glm_linear", "glm_logistic"])
 def test_demo_trace_is_pinned(grad_calls, run, sha_prefix, calls):
     trace = run()
@@ -83,7 +87,7 @@ def kernel_model() -> Model:
     (lambda m: [Slice(m)], 200, "41ccf40804d54f2f", 0),
     (lambda m: [Hmc(m)], 300, "fe4d00ddd17c029f", 3610),
     (lambda m: [Nuts(m, vars=["x"]), Metropolis(m, vars=["e"])], 300,
-     "36309773b856faea", 3880),
+     "fae67ccdf617a1fc", 3673),
 ], ids=["slice", "hmc", "nuts_metropolis"])
 def test_two_chain_kernel_trace_is_pinned(grad_calls, steps, draws, sha_prefix, calls):
     m = kernel_model()

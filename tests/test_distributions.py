@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -163,6 +165,15 @@ class TestParameterizations:
                              ids=["both_fractional", "upper_fractional", "nan", "inf"])
     def test_discrete_uniform_bound_is_never_truncated(self, lower, upper):
         with pytest.raises(OutsideSupport, match="^DiscreteUniform bounds must be finite integers"):
+            DiscreteUniform(lower, upper)
+
+    @pytest.mark.parametrize("lower, upper, shown", [
+        (0, 1e30, "0 and 1e+30"), (-(2 ** 64), 0, "-18446744073709551616 and 0"),
+        (0, "a", "0 and 'a'"), (None, 3, "None and 3")],
+        ids=["float_beyond_int64", "int_beyond_int64", "string", "none"])
+    def test_discrete_uniform_bound_must_be_an_int64_number(self, lower, upper, shown):
+        with pytest.raises(OutsideSupport, match="^DiscreteUniform bounds must be finite "
+                                                 f"integers within int64, got {re.escape(shown)}$"):
             DiscreteUniform(lower, upper)
 
     @pytest.mark.parametrize("make, cls", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import special
@@ -326,6 +328,43 @@ class TestDiscreteValuesNotTruncated:
         m = self._model()
         with pytest.raises(ShapeMismatch):
             m.logp({"x": 0.0, "k": value})
+
+    @pytest.mark.parametrize("value, shown", [
+        (1e30, "1e+30"), (-2.0 ** 64, "-1.8446744073709552e+19"), (2.0 ** 63, "9.223372036854776e+18"),
+        (10 ** 30, "1e+30"), (np.uint64(2 ** 63), "9223372036854775808")],
+        ids=["float", "negative_float", "just_beyond", "python_int", "uint64"])
+    def test_int_value_outside_int64_is_named(self, value, shown):
+        # it wrapped to -9223372036854775808
+        m = self._model()
+        with pytest.raises(OutsideSupport, match=f"^'k': {re.escape(shown)} is outside int64$"):
+            m.initial_point({"k": value})
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("x", "a", "'a'"), ("x", None, "None"), ("k", None, "None"), ("k", "3", "'3'"),
+        ("x", 1 + 2j, "(1+2j)"), ("x", [None, 1.0], "[None, 1.0]")],
+        ids=["string", "none", "int_none", "int_string", "complex", "none_in_a_list"])
+    def test_non_numeric_value_is_rejected(self, name, value, shown):
+        # a bare numpy ValueError, or for None a silent NaN
+        m = Model()
+        m.add_free("x", Normal(), shape=np.shape(value))
+        m.add_free("k", Poisson(3.0))
+        m.finalize()
+        with pytest.raises(OutsideSupport,
+                           match=f"^'{name}' must be real numbers, got {re.escape(shown)}$"):
+            m.initial_point({name: value})
+
+    def test_non_numeric_alias_beside_its_coordinate_is_rejected(self):
+        # the alias was read apart from ``point_value``: a bare numpy ValueError
+        m = Model()
+        m.add_free("e", Exponential(1.0))
+        with pytest.raises(OutsideSupport, match="^'e' must be real numbers, got 'a'$"):
+            m.initial_point({"e_log": 0.0, "e": "a"})
+
+    @pytest.mark.parametrize("testval", ["a", [None]], ids=["string", "none_in_a_list"])
+    def test_non_numeric_testval_is_rejected(self, testval):
+        # numpy's isfinite raised a bare TypeError
+        with pytest.raises(OutsideSupport, match="^x: 'x' must be real numbers, got "):
+            Model().add_free("x", Normal(), shape=np.shape(testval), testval=testval)
 
 
 class TestLogp:

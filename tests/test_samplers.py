@@ -100,15 +100,66 @@ class TestMetropolis:
         with pytest.raises(ValueError, match="scale"):
             Metropolis(normal_model(), scale=scale)
 
-    def test_tune_schedule(self):
-        f = Metropolis.tune_factor
-        assert f(0.0005) == 0.1
-        assert f(0.04) == 0.5
-        assert f(0.15) == 0.9
-        assert f(0.3) == 1.0
-        assert f(0.6) == 1.1
-        assert f(0.8) == 2.0
-        assert f(0.96) == 10.0
+    def test_proposal_sd_is_learned_in_warm_up_and_then_frozen(self):
+        # k on {0, 1} has a warm-up sd of at most 0.5, so the rule's 2.38 / sqrt(2)
+        # times it stays below 1 and k takes 1; x takes the rule's value
+        m = Model()
+        m.add_free("k", DiscreteUniform(0, 1), testval=0)
+        m.add_free("x", Normal(mu=0.0, sd=0.5))
+        m.finalize()
+        step = Metropolis(m, scale=0.7)
+        rng = stream(3, 0)
+        point = m.initial_point()
+        states = []
+        for i in range(3 * Metropolis.ADAPT_AFTER):
+            if i < Metropolis.ADAPT_AFTER:
+                assert [float(sd) for sd in step._sd] == [0.7, 0.7]
+            point = step.step(point, rng, tuning=True)
+            states.append([float(point["k"]), float(point["x"])])
+        rule = 2.38 / np.sqrt(2.0) * np.std(states, axis=0)
+        assert 0.0 < rule[0] < 1.0 and float(step._sd[0]) == 1.0
+        assert float(step._sd[1]) == pytest.approx(rule[1], rel=1e-12)
+        learned = [float(sd) for sd in step._sd]
+        moved = 0
+        for _ in range(300):
+            before = point
+            point = step.step(point, rng, tuning=False)
+            moved += point is not before
+        assert moved > 0
+        assert [float(sd) for sd in step._sd] == learned
+
+    def test_a_coordinate_that_never_moved_keeps_its_sd(self):
+        m = box_model(-1.0, 1.0)
+        step = Metropolis(m, scale=1e8)  # no proposal lands back inside the box
+        rng = stream(5, 0)
+        point = m.initial_point()
+        for _ in range(2 * Metropolis.ADAPT_AFTER):
+            point = step.step(point, rng, tuning=True)
+            assert not step.last_accepted
+        assert float(step._sd[0]) == 1e8
+
+    def test_a_block_of_zero_coordinates_steps(self):
+        m = Model()
+        m.add_free("a", Normal(), shape=0)
+        m.finalize()
+        trace = sample(m, 10, [Metropolis(m)], seed=1, warmup=2 * Metropolis.ADAPT_AFTER)
+        assert trace["a"].shape == (10, 0)
+
+    @pytest.mark.parametrize("start, scale", [(2 ** 63 - 20, 50.0), (-2 ** 63, 50.0), (0, 1e30)],
+                             ids=["sum_above", "sum_below", "step_outside"])
+    def test_integer_proposal_outside_int64_is_rejected(self, start, scale):
+        m = Model()
+        m.add_free("k", Custom(lambda k: graph.sum_all(k * 0.0), dtype="int"), testval=start)
+        m.finalize()
+        step = Metropolis(m, scale=scale)
+        rng = stream(4, 0)
+        point = m.initial_point()
+        accepted = 0
+        for _ in range(200):
+            point = step.step(point, rng, tuning=False)
+            accepted += step.last_accepted
+            assert np.sign(point["k"]) == np.sign(start)  # a wrapped sum changes sign
+        assert 0 < accepted < 200 if start else accepted == 0
 
     def test_integer_proposals_round_ties_away(self):
         from miniprob.samplers import _round_half_away
