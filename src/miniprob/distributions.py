@@ -44,6 +44,20 @@ def _between(x, lo, hi):
     return (x >= lo) * (hi >= x)
 
 
+def _bounds(family: Distribution, lower, upper) -> list:
+    """The bounds of an interval family as numbers, read by ``as_dtype`` at
+    its dtype and each 0-d and finite; else ``OutsideSupport`` naming both."""
+    try:
+        out = [as_dtype(b, family.dtype, "bound") for b in (lower, upper)]
+        if all(b.ndim == 0 and np.isfinite(b) for b in out):
+            return [b.item() for b in out]
+    except (ShapeMismatch, OutsideSupport):
+        pass
+    kind = "integers within int64" if family.dtype == "int" else "real numbers"
+    raise OutsideSupport(f"{type(family).__name__} bounds must be finite {kind}, "
+                         f"got {lower!r} and {upper!r}")
+
+
 def _gaussian(d: Expr, tau: Expr) -> Expr:
     """Normal log density of the deviations ``d`` at precision ``tau``."""
     return 0.5 * graph.log(tau) - 0.5 * np.log(2.0 * np.pi) - 0.5 * tau * d * d
@@ -119,8 +133,7 @@ class HalfNormal(Distribution):
 
 class Uniform(Distribution):
     def __init__(self, lower, upper):
-        self.lower = float(lower)
-        self.upper = float(upper)
+        self.lower, self.upper = _bounds(self, lower, upper)
         self.transform = IntervalTransform(self.lower, self.upper)
 
     def _logp(self, x):
@@ -173,11 +186,7 @@ class DiscreteUniform(Distribution):
     dtype = "int"
 
     def __init__(self, lower, upper):
-        try:  # ``as_dtype``'s rule for an int value: never truncated
-            self.lower, self.upper = (int(as_dtype(b, "int", "bound")) for b in (lower, upper))
-        except (ShapeMismatch, OutsideSupport):
-            raise OutsideSupport(f"DiscreteUniform bounds must be finite integers within "
-                                 f"int64, got {lower!r} and {upper!r}") from None
+        self.lower, self.upper = _bounds(self, lower, upper)
         if not self.upper >= self.lower:
             raise OutsideSupport("DiscreteUniform requires upper >= lower")
 

@@ -1,7 +1,7 @@
 """Inference drivers: ``find_map`` optimizes over ``samplers.Packer``
 vectors; ``sample(model, draws, steps, *, start, chains, seed, backend,
 warmup, progress)`` runs the paper's sample loop, which hands each step the
-log density (and gradient) that the step before it left at its point."""
+log density (and gradient) that the step before it returned with its point."""
 
 from __future__ import annotations
 
@@ -86,8 +86,8 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     so a seed reproduces each chain bit-identically at any chain count.  The
     first ``warmup`` draws (default min(500, draws // 2)) tune the kernels and
     are not recorded.  Each step gets the ``known`` values that the step
-    before it left (``StepMethod``), as every graph node, an opaque one
-    too, is pure; a chain's first step evaluates its start.
+    before it returned with its point (``StepMethod``), as every graph node,
+    an opaque one too, is pure; a chain's first step evaluates its start.
     ``backend`` defaults to memory; ``progress(chain, draw, total)`` is
     called every 100 draws.  ``seed`` is an integer (not a bool) in
     [0, 2**64).  Bad counts, a bad seed, a bad ``start``, a step built on
@@ -122,8 +122,7 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
                 tuning = i < warmup
                 try:
                     for s in chain_steps:
-                        point = s.step(point, rng, tuning, known)
-                        known = s.known
+                        point, known = s.step(point, rng, tuning, known)
                 except MiniprobError as e:
                     raise SamplingError(f"chain {chain}, draw {i}: {e}") from e
                 if i >= warmup:

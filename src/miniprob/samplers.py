@@ -8,22 +8,21 @@ only the model.  ``sample()`` steps only clones, so the kernels it is given
 stay unstepped and every chain starts fresh; a kernel stepped by hand before
 ``sample()`` carries its tuned state into every chain.
 
-``step(point, rng, tuning, known)`` may be handed ``known``, the (log
-density, packed gradient or None, names or None) already evaluated at
-``point``, and it leaves ``self.known`` for the point it returns.  Metropolis
-and Slice take the log density from it, ``GradientStep._start`` the log
-density and gradient when the names are its own; with no ``known`` a step
-evaluates its start.  A skipped call would have returned the same bits, so
-chains do not move.  Hmc and Nuts step ``leapfrog`` nodes and make every
-accept, slice and stop decision from ``GradientStep._energy``.  Every kernel
-takes a log density or energy that is not finite as -inf (``_or_neg_inf``);
-Hmc and Nuts step under the tape's errstate, so an energy overflow warns nothing.
+``step(point, rng, tuning, known)`` returns the next point and ``known``, the
+(log density, packed gradient or None, names or None) evaluated there, which
+the next step, handed it, uses in place of evaluating its start (a gradient
+only over its own names), to the same bits.  Hmc and Nuts step ``leapfrog``
+nodes and make every accept, slice and stop decision from
+``GradientStep._energy``.  Every kernel takes a log density or energy that is
+not finite as -inf (``_or_neg_inf``); Hmc and Nuts step under the tape's
+errstate, so an energy overflow warns nothing.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import numbers
 from collections import namedtuple
 from typing import Mapping, Sequence
 
@@ -143,9 +142,7 @@ def leapfrog(logp_grad, q, p, eps, inv_mass, grad_q):
 
 class StepMethod:
     """A kernel gives ``step(point, rng, tuning=False, known=None)``, which
-    returns the next point (see the module docstring for ``known``)."""
-
-    known = None  # (logp, packed gradient or None, names or None) after a step
+    returns ``(point, known)`` (see the module docstring)."""
 
     def __init__(self, model: Model, vars=None):
         model.finalize()
@@ -165,11 +162,12 @@ class StepMethod:
 
 
 def _positive(name: str, value) -> float:
-    """``value`` as a float; raises unless it is finite and positive."""
-    x = float(value)
-    if not 0.0 < x < math.inf:
+    """``value`` as a float; raises unless it is a real number (not a bool)
+    that is finite and positive."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0.0 < value < math.inf):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return x
+    return float(value)
 
 
 def _count(name: str, value, least: int) -> int:
@@ -242,13 +240,10 @@ class Metropolis(StepMethod):
         accept = np.log(rng.random()) < lp_new - lp_old
         self.last_accepted = bool(accept)
         if accept:
-            point = proposal
-            self.known = (lp_new, None, None)
-        else:
-            self.known = (lp_old, None, None) if known is None else known
+            point, known = proposal, (lp_new, None, None)
         if tuning:
             self._learn(point)
-        return point
+        return point, known or (lp_old, None, None)
 
     def _learn(self, point):
         """Feed ``point`` to the running moments; refresh the sds from
@@ -295,8 +290,7 @@ class Slice(StepMethod):
         if tuning:
             self._tuned += 1
             self._moved += np.abs(q - q0)
-        self.known = (lp, None, None)
-        return self.packer.point(q)
+        return self.packer.point(q), (lp, None, None)
 
     def _coord_logp(self, q, views, i, value):
         q[i] = value
@@ -369,10 +363,9 @@ class GradientStep(StepMethod):
                                 "non-finite gradient")
         return q, lp, g
 
-    def _finish(self, node: _Node) -> dict:
-        """The point of ``node``; leaves its log density and gradient as ``known``."""
-        self.known = (node.lp, node.grad, self.packer.names)
-        return self.packer.point(node.q)
+    def _finish(self, node: _Node):
+        """The point of ``node`` and its log density and gradient as ``known``."""
+        return self.packer.point(node.q), (node.lp, node.grad, self.packer.names)
 
     def _momentum(self, rng):
         return rng.standard_normal(self.packer.size) @ self._root

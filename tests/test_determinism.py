@@ -24,6 +24,8 @@ The disasters, glm_logistic and NUTS-beside-Metropolis pins were recorded
 again when Metropolis began to learn a proposal sd per coordinate in warm-up;
 beside NUTS it now rejects more often, so NUTS reuses the gradient after more
 steps and the gradient counts fell.
+No pin moved when each kernel step began to return its point with what it
+evaluated there, in place of leaving ``known`` on the kernel.
 Any change to the arithmetic of MAP, scaling, leapfrog or kernel bookkeeping
 moves the digest, and any extra or missing gradient evaluation moves the count.
 """

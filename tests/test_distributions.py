@@ -176,6 +176,19 @@ class TestParameterizations:
                                                  f"integers within int64, got {re.escape(shown)}$"):
             DiscreteUniform(lower, upper)
 
+    @pytest.mark.parametrize("family, kind", [
+        (Uniform, "real numbers"), (DiscreteUniform, "integers within int64")])
+    @pytest.mark.parametrize("lower, upper, shown", [
+        ("a", 1, "'a' and 1"), (None, 1, "None and 1"),
+        (np.array([0, 1]), 2, "array([0, 1]) and 2"), (np.array([3]), 5, "array([3]) and 5"),
+        (0, np.inf, "0 and inf"), (np.nan, 1, "nan and 1")],
+        ids=["string", "none", "vector", "one_element", "inf", "nan"])
+    def test_interval_bound_must_be_a_finite_0d_real(self, family, kind, lower, upper, shown):
+        # both interval families read their bounds by one rule and name both
+        with pytest.raises(OutsideSupport, match=f"^{family.__name__} bounds must be finite "
+                                                 f"{kind}, got {re.escape(shown)}$"):
+            family(lower, upper)
+
     @pytest.mark.parametrize("make, cls", [
         (lambda: Normal(sd=-1.0), OutsideSupport),
         (lambda: HalfNormal(sd=0.0), OutsideSupport),

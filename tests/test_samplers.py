@@ -61,7 +61,7 @@ class TestMetropolis:
         rng = stream(1, 0)
         point = m.initial_point()
         for _ in range(200):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             assert step.last_accepted
 
     def test_accepted_0d_proposals_stay_arrays(self):
@@ -76,7 +76,7 @@ class TestMetropolis:
         point = m.initial_point()
         accepted = 0
         for _ in range(20):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             accepted += step.last_accepted
             for name, dtype in (("k", np.int64), ("x", np.float64)):
                 assert type(point[name]) is np.ndarray
@@ -90,12 +90,12 @@ class TestMetropolis:
         rng = stream(7, 0)
         point = m.initial_point()
         for _ in range(500):
-            new = step.step(point, rng, tuning=False)
+            new, _ = step.step(point, rng, tuning=False)
             assert not step.last_accepted
             assert float(new["u"]) == float(point["u"])
             point = new
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, True, "2"])
     def test_scale_must_be_positive(self, scale):
         with pytest.raises(ValueError, match="scale"):
             Metropolis(normal_model(), scale=scale)
@@ -114,7 +114,7 @@ class TestMetropolis:
         for i in range(3 * Metropolis.ADAPT_AFTER):
             if i < Metropolis.ADAPT_AFTER:
                 assert [float(sd) for sd in step._sd] == [0.7, 0.7]
-            point = step.step(point, rng, tuning=True)
+            point, _ = step.step(point, rng, tuning=True)
             states.append([float(point["k"]), float(point["x"])])
         rule = 2.38 / np.sqrt(2.0) * np.std(states, axis=0)
         assert 0.0 < rule[0] < 1.0 and float(step._sd[0]) == 1.0
@@ -123,7 +123,7 @@ class TestMetropolis:
         moved = 0
         for _ in range(300):
             before = point
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             moved += point is not before
         assert moved > 0
         assert [float(sd) for sd in step._sd] == learned
@@ -134,7 +134,7 @@ class TestMetropolis:
         rng = stream(5, 0)
         point = m.initial_point()
         for _ in range(2 * Metropolis.ADAPT_AFTER):
-            point = step.step(point, rng, tuning=True)
+            point, _ = step.step(point, rng, tuning=True)
             assert not step.last_accepted
         assert float(step._sd[0]) == 1e8
 
@@ -156,7 +156,7 @@ class TestMetropolis:
         point = m.initial_point()
         accepted = 0
         for _ in range(200):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             accepted += step.last_accepted
             assert np.sign(point["k"]) == np.sign(start)  # a wrapped sum changes sign
         assert 0 < accepted < 200 if start else accepted == 0
@@ -193,7 +193,7 @@ class TestMetropolis:
         point = m.initial_point()
         counts = np.zeros(3)
         for _ in range(200000):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             counts[int(point["state"])] += 1
         tv = 0.5 * np.abs(counts / counts.sum() - probs).sum()
         assert tv < 0.01
@@ -214,7 +214,7 @@ class TestSlice:
         total = 0.0
         n = 20000
         for _ in range(n):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             total += float(point["e"])
         assert 0.95 < total / n < 1.05
 
@@ -225,7 +225,7 @@ class TestSlice:
         point = m.initial_point()
         draws = np.empty(5000)
         for i in range(draws.size):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             draws[i] = float(point["u"])
         ks = sps.kstest(draws, sps.uniform(loc=2.0, scale=3.0).cdf)
         assert ks.pvalue > 0.01
@@ -259,7 +259,7 @@ class TestSlice:
         m.finalize()
         step = Slice(m)
         rng = stream(2, 0)
-        point = step.step(m.initial_point(), rng, tuning=False)
+        point, _ = step.step(m.initial_point(), rng, tuning=False)
         assert float(point["v"]) == c
 
     def test_shrink_below_1e_300_returns_start(self):
@@ -267,7 +267,7 @@ class TestSlice:
         # to shrink below 1e-300 before a draw lands on the start
         m = box_model(0.0, 0.0)  # the point 0
         step = Slice(m)
-        point = step.step({"u": np.array(0.0)}, stream(4, 0), tuning=False)
+        point, _ = step.step({"u": np.array(0.0)}, stream(4, 0), tuning=False)
         assert float(point["u"]) == 0.0
 
     def test_nonfinite_start_rejected(self):
@@ -353,8 +353,8 @@ class TestPacker:
         np.testing.assert_array_equal(g, [-0.5, 0.0, 0.0, 0.0])
         assert g.shape == (4,)
         step = Nuts(m)
-        point = step.step(m.initial_point(), stream(0, 0))
-        assert point["f"].shape == (3,) and step.known[1].shape == (4,)
+        point, known = step.step(m.initial_point(), stream(0, 0))
+        assert point["f"].shape == (3,) and known[1].shape == (4,)
 
     def test_returned_gradient_is_a_fresh_vector(self):
         # NUTS keeps gradients in its tree nodes and in ``known``, so writing
@@ -561,7 +561,7 @@ class TestNuts:
         rng = stream(13, 0)
         point = m.initial_point()
         for _ in range(2000):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             assert -2.0 <= float(point["u"]) <= 2.0
 
     def test_acceptance_statistic_near_target(self):
@@ -572,10 +572,10 @@ class TestNuts:
         rng = stream(17, 0)
         point = m.initial_point()
         for _ in range(500):
-            point = step.step(point, rng, tuning=True)
+            point, _ = step.step(point, rng, tuning=True)
         stats = []
         for _ in range(500):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             stats.append(step.last_accept_stat)
         assert 0.7 <= float(np.mean(stats)) <= 0.9
 
@@ -601,6 +601,8 @@ class TestNuts:
     (Nuts, "step_size", np.nan), (Nuts, "step_size", np.inf), (Nuts, "step_size", 0.0),
     (Nuts, "step_size", -0.1), (Nuts, "gamma", np.nan), (Nuts, "gamma", np.inf),
     (Nuts, "gamma", 0.0), (Nuts, "gamma", -1.0),
+    (Metropolis, "scale", True), (Nuts, "step_size", True), (Nuts, "gamma", "2"),
+    (Hmc, "step_size", "2"),
 ])
 def test_bad_step_setting_rejected(kernel, setting, bad):
     with pytest.raises(ValueError, match=setting):
@@ -705,7 +707,7 @@ class TestHmc:
         point = m.initial_point()
         xs = np.empty(8000)
         for i in range(xs.size):
-            point = step.step(point, rng, tuning=False)
+            point, _ = step.step(point, rng, tuning=False)
             xs[i] = float(point["x"])
         assert abs(xs.mean()) < 0.06
         assert 0.85 < xs.var() < 1.15
@@ -744,12 +746,23 @@ class TestClone:
     def test_copies_state_and_shares_only_the_model(self):
         m = normal_model()
         step = Nuts(m)
-        point = step.step(m.initial_point(), stream(1, 0), tuning=True)
+        point, _ = step.step(m.initial_point(), stream(1, 0), tuning=True)
         c = step.clone()
         assert c.model is m and c.packer.model is m and c.packer is not step.packer
         assert (c.step_size, c._m) == (step.step_size, 1)
         c.step(point, stream(2, 0), tuning=True)
         assert (c._m, step._m) == (2, 1)
+
+    def test_sample_leaves_its_kernels_unstepped(self):
+        m = two_var_model()
+        nuts, met = Nuts(m, vars=["x"]), Metropolis(m, vars=["e"])
+        first = sample(m, 100, [nuts, met], warmup=50)
+        assert nuts._m == 0 and nuts.step_size is None and met._n == 0
+        # so a second run with the same kernels starts fresh and repeats the first
+        again = sample(m, 100, [nuts, met], warmup=50)
+        assert first.names == again.names
+        for name in first.names:
+            assert first[name].tobytes() == again[name].tobytes()
 
 
 class TestDeterminism:
@@ -796,7 +809,7 @@ def calls(monkeypatch):
 
 class TestRecord:
     """A kernel step skips the evaluation that the step before it handed on
-    as ``known`` for the point it returned, and only that one."""
+    with the point it returned, and only that one."""
 
     @staticmethod
     def run(steps, n, handoff):
@@ -809,8 +822,7 @@ class TestRecord:
         out = []
         for i in range(n):
             for s in steps:
-                point = s.step(point, rng, i < n // 2, known if handoff else None)
-                known = s.known
+                point, known = s.step(point, rng, i < n // 2, known if handoff else None)
             out.append({k: np.array(v) for k, v in point.items()})
         return out
 
@@ -833,7 +845,7 @@ class TestRecord:
         hand, rng, point = step.clone(), stream(3, 0), m.initial_point()
         rows = []
         for i in range(warmup + draws):
-            point = hand.step(point, rng, i < warmup)
+            point, _ = hand.step(point, rng, i < warmup)
             rows.append(point["x"])
         assert calls["grad"] - handed == warmup + draws - 1
         np.testing.assert_array_equal(trace["x"], rows[warmup:])
@@ -851,9 +863,9 @@ class TestRecord:
     def test_gradient_kernel_start_matches_a_fresh_evaluation(self, calls):
         m = two_var_model()
         step = Nuts(m)
-        point = step.step(m.initial_point(), stream(1, 0), True)
+        point, known = step.step(m.initial_point(), stream(1, 0), True)
         before = calls["grad"]
-        _, lp, g = step._start(point, step.known)
+        _, lp, g = step._start(point, known)
         assert calls["grad"] == before
         assert lp == m.logp(point)
         assert np.array_equal(g, m.dlogp(point, step.packer.names))
@@ -873,14 +885,12 @@ class TestRecord:
             for i in range(120):
                 tuning = i < 60
                 before = calls["logp"]
-                point = met.step(point, rng, tuning, known)
+                point, known = met.step(point, rng, tuning, known if handoff else None)
                 logps.append(calls["logp"] - before)
                 rejected.append(not met.last_accepted)
-                known = met.known if handoff else None
                 before = calls["grad"]
-                point = nuts.step(point, rng, tuning, known)
+                point, known = nuts.step(point, rng, tuning, known if handoff else None)
                 grads.append(calls["grad"] - before)
-                known = nuts.known if handoff else None
             return logps, grads, rejected
 
         logps, grads, rejected = run(handoff=True)
@@ -935,7 +945,7 @@ class TestRecord:
         hand, rng, point = Metropolis(m), stream(2, 0), m.initial_point()
         rows = []
         for _ in range(20):
-            point = hand.step(point, rng)
+            point, _ = hand.step(point, rng)
             rows.append((point["x"], point["y"]))
         np.testing.assert_array_equal(np.column_stack([trace["x"], trace["y"]]), rows)
 
