@@ -11,11 +11,13 @@ stay unstepped and every chain starts fresh; a kernel stepped by hand before
 ``step(point, rng, tuning, known)`` returns the next point and ``known``, the
 (log density, packed gradient or None, names or None) evaluated there, which
 the next step, handed it, uses in place of evaluating its start (a gradient
-only over its own names), to the same bits.  Hmc and Nuts step ``leapfrog``
-nodes and make every accept, slice and stop decision from
-``GradientStep._energy``.  Every kernel takes a log density or energy that is
-not finite as -inf (``_or_neg_inf``); Hmc and Nuts step under the tape's
-errstate, so an energy overflow warns nothing.
+only over its own names), to the same bits.  A Metropolis step that moves no
+coordinate hands back the ``known`` it was given, so a gradient in it serves
+the next gradient kernel.  Hmc and Nuts step ``leapfrog`` nodes and make
+every accept, slice and stop decision from ``GradientStep._energy``.  Every
+kernel takes a log density or energy that is not finite as -inf
+(``_or_neg_inf``); Hmc and Nuts step under the tape's errstate, so an energy
+overflow warns nothing.
 """
 
 from __future__ import annotations
@@ -183,33 +185,37 @@ def _or_neg_inf(lp: float) -> float:
     return lp if math.isfinite(lp) else -math.inf
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def _int_sum(x: np.ndarray, step: np.ndarray) -> np.ndarray | None:
-    """``x + step`` for an int64 ``x`` and an integral float ``step``, or None
-    where the sum leaves int64: it never wraps."""
-    if (np.abs(x, dtype=np.float64) + abs(step) < 2.0 ** 62).all():  # no sum can wrap
-        return np.asarray(x + step.astype(np.int64))
-    with np.errstate(invalid="ignore"):  # a step beyond int64 casts to another
-        out = x + step.astype(np.int64)
-    # the float sum tells a wrapped int64 sum, 2**64 off, from the exact one
-    return np.asarray(out) if np.all(np.abs(x + step - out) < 2.0 ** 62) else None
+def _int_move(x: int, delta: float) -> int | None:
+    """``x`` plus ``delta`` rounded to the nearest integer, ties away from
+    zero, or None where the sum leaves int64."""
+    delta = min(max(delta, -2.0 ** 64), 2.0 ** 64)  # no sum from int64 this far lands in it
+    step = math.floor(abs(delta) + 0.5)
+    out = x + step if delta >= 0.0 else x - step
+    return out if -2 ** 63 <= out < 2 ** 63 else None
 
 
 class Metropolis(StepMethod):
     """Random-walk Metropolis with a Gaussian proposal sd per coordinate.
 
-    Integer variables get their Gaussian increment rounded to the nearest
-    integer, ties away from zero; a proposal that leaves int64 is rejected.
+    A step first moves the block's d_c continuous coordinates together: one
+    joint proposal and one accept/reject.  Then each integer coordinate, in
+    block order, gets its own proposal, its Gaussian move rounded to the
+    nearest integer (ties away from zero), and its own accept/reject (a
+    Metropolis-within-Gibbs sweep; Roberts & Rosenthal, JCGS 2009).  A move
+    that rounds to 0 is no proposal, and one that leaves int64 is rejected;
+    neither evaluates the log density.  So a step costs one log density if
+    d_c > 0, plus at most one per integer coordinate.  ``last_accepted`` is
+    whether the step moved any coordinate; a step that moved none returns
+    the ``known`` it was handed.
+
     Every sd starts at ``scale``.  Tuning steps feed the chain's state to
-    Welford's running mean and variance of each of the block's d coordinates;
-    from the ``ADAPT_AFTER``-th tuning step on, each sd is 2.38 / sqrt(d)
-    times the coordinate's sd over the tuning steps so far (Roberts, Gelman &
-    Gilks, Ann. Appl. Probab. 1997; Haario, Saksman & Tamminen, Bernoulli
-    2001), and at least 1 for an integer coordinate.  A coordinate that has
-    not moved keeps its sd, and outside tuning steps no sd changes.
+    Welford's running mean and variance of each coordinate; from the
+    ``ADAPT_AFTER``-th tuning step on, each sd is a factor times the
+    coordinate's sd over the tuning steps so far: 2.38 / sqrt(d_c) for a
+    continuous coordinate (Roberts, Gelman & Gilks, Ann. Appl. Probab. 1997;
+    Haario, Saksman & Tamminen, Bernoulli 2001) and 2.38, at least 1, for an
+    integer one.  A coordinate that has not moved keeps its sd, and outside
+    tuning steps no sd changes.
     """
 
     ADAPT_AFTER = 50
@@ -218,32 +224,47 @@ class Metropolis(StepMethod):
         super().__init__(model, vars)
         self.scale = _positive("proposal scale", scale)
         self._sd = [np.full(model.var(n).shape, self.scale) for n in self.vars]
-        self._least = [float(model.var(n).dtype == "int") for n in self.vars]
-        self._factor = 2.38 / math.sqrt(max(sum(sd.size for sd in self._sd), 1))
+        self._int = [model.var(n).dtype == "int" for n in self.vars]
+        self._d_c = sum(sd.size for sd, i in zip(self._sd, self._int) if not i)
+        joint = 2.38 / math.sqrt(max(self._d_c, 1))
+        self._factor = [2.38 if i else joint for i in self._int]
         self._n = 0  # tuning steps so far; their running mean and sum of squares follow
         self._mean = [np.zeros(sd.shape) for sd in self._sd]
         self._m2 = [np.zeros(sd.shape) for sd in self._sd]
         self.last_accepted = False
 
     def step(self, point, rng, tuning=False, known=None):
-        lp_old = self._checked(self.model.logp(point) if known is None else known[0])
-        proposal = dict(point)
-        for name, sd in zip(self.vars, self._sd):
-            var = self.model.var(name)
-            x = point_value(point, name, var.shape, var.dtype, "sampling coordinate")
-            delta = sd * rng.standard_normal(var.shape)
-            # a ufunc on 0-d arrays returns a scalar; keep the proposal an array
-            proposal[name] = (_int_sum(x, _round_half_away(delta)) if var.dtype == "int"
-                              else np.asarray(x + delta))
-        inside = all(proposal[name] is not None for name in self.vars)
-        lp_new = _or_neg_inf(self.model.logp(proposal)) if inside else -math.inf
-        accept = np.log(rng.random()) < lp_new - lp_old
-        self.last_accepted = bool(accept)
-        if accept:
-            point, known = proposal, (lp_new, None, None)
+        lp = self._checked(self.model.logp(point) if known is None else known[0])
+        moved = False
+        if self._d_c:
+            proposal = dict(point)
+            for name, sd, is_int in zip(self.vars, self._sd, self._int):
+                if not is_int:
+                    x = point_value(point, name, sd.shape, "float", "sampling coordinate")
+                    # a ufunc on 0-d arrays returns a scalar; keep the proposal an array
+                    proposal[name] = np.asarray(x + sd * rng.standard_normal(sd.shape))
+            lp_new = _or_neg_inf(self.model.logp(proposal))
+            if np.log(rng.random()) < lp_new - lp:
+                point, lp, moved = proposal, lp_new, True
+        for name, sd, is_int in zip(self.vars, self._sd, self._int):
+            if not is_int:
+                continue
+            x = point_value(point, name, sd.shape, "int", "sampling coordinate")
+            deltas = (sd * rng.standard_normal(sd.shape)).ravel().tolist()
+            for i, (old, delta) in enumerate(zip(x.ravel().tolist(), deltas)):
+                value = _int_move(old, delta)
+                if value is None or value == old:
+                    continue
+                new = x.copy()
+                new.flat[i] = value
+                proposal = {**point, name: new}
+                lp_new = _or_neg_inf(self.model.logp(proposal))
+                if np.log(rng.random()) < lp_new - lp:
+                    point, x, lp, moved = proposal, new, lp_new, True
+        self.last_accepted = moved
         if tuning:
             self._learn(point)
-        return point, known or (lp_old, None, None)
+        return point, (lp, None, None) if moved or known is None else known
 
     def _learn(self, point):
         """Feed ``point`` to the running moments; refresh the sds from
@@ -254,7 +275,8 @@ class Metropolis(StepMethod):
             self._mean[k] += dx / self._n
             self._m2[k] += dx * (point[name] - self._mean[k])
             if self._n >= self.ADAPT_AFTER:
-                sd = np.maximum(self._factor * np.sqrt(self._m2[k] / self._n), self._least[k])
+                sd = np.maximum(self._factor[k] * np.sqrt(self._m2[k] / self._n),
+                                float(self._int[k]))
                 self._sd[k] = np.where(self._m2[k] > 0.0, sd, self._sd[k])
 
 

@@ -20,6 +20,7 @@ from scipy import stats
 
 from miniprob import (
     Custom,
+    DiscreteUniform,
     Exponential,
     Hmc,
     Metropolis,
@@ -122,6 +123,36 @@ def test_one_block_on_two_scales_is_calibrated():
         trace = sample(m, 90, [Metropolis(m)], warmup=300, seed=r)
         for name in ranks:
             ranks[name].append(int(np.sum(trace[name][9::10] < truth[name])))
+    for name, rank in ranks.items():
+        counts = np.bincount(np.array(rank) // 2, minlength=5)
+        assert stats.chisquare(counts).pvalue > P_MIN, (name, counts.tolist())
+
+
+def test_an_all_integer_block_is_calibrated():
+    """The disasters Metropolis block in miniature: one Metropolis on a
+    switchpoint s* ~ DiscreteUniform(0, 11) and one missing count.  Twelve
+    Poisson counts have rate 3 up to year s* and 1 after it; year 6's count is
+    missing, and its simulated value is ranked with s*.  After 100 warm-up
+    draws, well past ``Metropolis.ADAPT_AFTER``, every fifth of 45 draws is
+    kept, so L = 9, binned and tested as above.  A rank among tied draws is
+    drawn uniformly over the tie.  The seeds, counts and threshold were fixed
+    before the first run."""
+    years = np.arange(12)
+    ranks = {"s": [], "y.missing_values": []}
+    for r in range(REPLICATIONS):
+        rng = np.random.default_rng((2009, r))
+        s_true = int(rng.integers(0, 12))
+        counts = rng.poisson(np.where(years <= s_true, 3.0, 1.0))
+        m = Model()
+        s = m.add_free("s", DiscreteUniform(0, 11), testval=5)
+        rate = graph.switch(s >= years.astype(np.float64), graph.const(3.0), graph.const(1.0))
+        m.add_observed("y", Poisson(rate), counts, mask=years == 6)
+        trace = sample(m, DRAWS, [Metropolis(m)], warmup=100, seed=r)
+        truth = {"s": s_true, "y.missing_values": counts[6]}
+        for name, rank in ranks.items():
+            kept = np.ravel(trace[name])[THIN - 1::THIN]
+            below, tied = int(np.sum(kept < truth[name])), int(np.sum(kept == truth[name]))
+            rank.append(below + int(rng.integers(0, tied + 1)))
     for name, rank in ranks.items():
         counts = np.bincount(np.array(rank) // 2, minlength=5)
         assert stats.chisquare(counts).pvalue > P_MIN, (name, counts.tolist())

@@ -122,11 +122,22 @@ def test_disasters_matches_exact_posterior(seed):
         assert 0.5 * sd < draws.std() < 2.0 * sd, name
 
 
-def test_as_op_disasters_calls_its_function_once_per_proposal():
+def test_as_op_disasters_calls_its_function_once_per_proposal(monkeypatch):
     """The paper's arbitrary deterministic: the rate switch as a black-box
-    function of (switchpoint, early rate, late rate), sampled by Metropolis."""
+    function of (switchpoint, early rate, late rate), sampled by Metropolis.
+    The function runs only where its arguments differ from those of the last
+    log density evaluated: for each joint move of the rates and each
+    switchpoint proposal, and for a missing-count proposal only after a
+    rejected one of those."""
     counts, mask, years = disasters_data()
     calls = []
+    evaluated = []  # the arguments' coordinates at each log density evaluated
+    logp = Model.logp
+
+    def recorded(self, point):
+        evaluated.append([np.asarray(point[n]).tobytes()
+                          for n in ("switchpoint", "early_rate_log", "late_rate_log")])
+        return logp(self, point)
 
     def rate(s, e, l):
         calls.append(1)
@@ -141,8 +152,12 @@ def test_as_op_disasters_calls_its_function_once_per_proposal():
                    counts, mask=mask)
     m.finalize()  # evaluates the test point, where the chain starts
     calls.clear()
+    monkeypatch.setattr(Model, "logp", recorded)
     trace = sample(m, 1000, [Metropolis(m)], seed=1)
-    assert len(calls) == 1500  # every proposal moves the rates: 500 tuning, 1000 kept
+    monkeypatch.undo()
+    changed = sum(a != b for a, b in zip(evaluated, evaluated[1:]))
+    assert len(calls) == changed
+    assert 1500 < changed < len(evaluated) - 1  # 1500 rate moves: 500 tuning, 1000 kept
     # the graph's own switch gives the same chain, to the bit
     same = demos.disasters_model()
     expected = sample(same, 1000, [Metropolis(same)], seed=1)

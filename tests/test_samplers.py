@@ -101,8 +101,8 @@ class TestMetropolis:
             Metropolis(normal_model(), scale=scale)
 
     def test_proposal_sd_is_learned_in_warm_up_and_then_frozen(self):
-        # k on {0, 1} has a warm-up sd of at most 0.5, so the rule's 2.38 / sqrt(2)
-        # times it stays below 1 and k takes 1; x takes the rule's value
+        # k, an integer coordinate, takes 2.38 times its warm-up sd, at least 1;
+        # x, the only continuous coordinate (d_c = 1), takes 2.38 / sqrt(1) times its sd
         m = Model()
         m.add_free("k", DiscreteUniform(0, 1), testval=0)
         m.add_free("x", Normal(mu=0.0, sd=0.5))
@@ -116,8 +116,8 @@ class TestMetropolis:
                 assert [float(sd) for sd in step._sd] == [0.7, 0.7]
             point, _ = step.step(point, rng, tuning=True)
             states.append([float(point["k"]), float(point["x"])])
-        rule = 2.38 / np.sqrt(2.0) * np.std(states, axis=0)
-        assert 0.0 < rule[0] < 1.0 and float(step._sd[0]) == 1.0
+        rule = 2.38 * np.std(states, axis=0)
+        assert float(step._sd[0]) == pytest.approx(max(rule[0], 1.0), rel=1e-12)
         assert float(step._sd[1]) == pytest.approx(rule[1], rel=1e-12)
         learned = [float(sd) for sd in step._sd]
         moved = 0
@@ -161,10 +161,46 @@ class TestMetropolis:
             assert np.sign(point["k"]) == np.sign(start)  # a wrapped sum changes sign
         assert 0 < accepted < 200 if start else accepted == 0
 
+    def test_one_log_density_per_integer_coordinate_and_one_for_the_rest(self, calls):
+        # flat densities accept every proposal; at scale 1e6 no integer move rounds to 0
+        m = Model()
+        m.add_free("k", Custom(lambda k: graph.sum_all(k * 0.0), dtype="int"), shape=3, testval=0)
+        m.add_free("x", Flat(), shape=2)
+        m.finalize()
+        rng = stream(6, 0)
+        for vars, per_step in ((["k", "x"], 4), (["x", "k"], 4), (["k"], 3), (["x"], 1)):
+            step = Metropolis(m, vars=vars, scale=1e6)
+            point = m.initial_point()
+            known = (m.logp(point), None, None)
+            for _ in range(10):
+                before = calls["logp"]
+                point, known = step.step(point, rng, False, known)
+                assert calls["logp"] - before == per_step
+                assert step.last_accepted
+
+    def test_a_step_that_moves_nothing_hands_back_its_known(self, calls):
+        m = Model()
+        m.add_free("k", DiscreteUniform(0, 10), shape=2, testval=5)
+        m.add_free("u", Custom(lambda u: graph.sum_all(
+            switch((u >= -1.0) * (1.0 >= u), const(0.0), const(NEG_INF)))), testval=0.0)
+        m.finalize()
+        rng = stream(8, 0)
+        point = m.initial_point()
+        # at scale 1e8 every proposal leaves the support: each is evaluated and
+        # rejected; at scale 1e-3 every integer move rounds to 0 and costs nothing
+        for vars, scale, per_step in ((["k", "u"], 1e8, 3), (["k"], 1e-3, 0)):
+            step = Metropolis(m, vars=vars, scale=scale)
+            known = (m.logp(point), None, None)
+            for _ in range(10):
+                before = calls["logp"]
+                new, back = step.step(point, rng, False, known)
+                assert calls["logp"] - before == per_step
+                assert new is point and back is known and not step.last_accepted
+
     def test_integer_proposals_round_ties_away(self):
-        from miniprob.samplers import _round_half_away
-        vals = np.array([0.5, -0.5, 1.5, -1.5, 0.4, -0.4])
-        np.testing.assert_array_equal(_round_half_away(vals), [1, -1, 2, -2, 0, 0])
+        from miniprob.samplers import _int_move
+        vals = [0.5, -0.5, 1.5, -1.5, 0.4, -0.4]
+        assert [_int_move(0, v) for v in vals] == [1, -1, 2, -2, 0, 0]
 
     def test_standard_normal_moments(self):
         m = normal_model()
