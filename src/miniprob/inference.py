@@ -90,9 +90,10 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     an opaque one too, is pure; a chain's first step evaluates its start.
     ``backend`` defaults to memory; ``progress(chain, draw, total)`` is
     called every 100 draws.  ``seed`` is an integer (not a bool) in
-    [0, 2**64).  Bad counts, a bad seed, a bad ``start``, a step built on
-    another model or a model with no free variable raise before the backend
-    starts; after a failed draw it is still finished, keeping its rows.
+    [0, 2**64).  Bad counts, a bad seed, a bad ``start``, ``progress`` or
+    ``backend``, a step built on another model or a model with no free
+    variable raise before the backend starts; after a failed draw it is still
+    finished, keeping its rows.
     """
     draws = _count("draws", draws, 1)
     chains = _count("chains", chains, 1)
@@ -109,7 +110,11 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     origin = model.initial_point(start)
     finite_logp(model.logp(origin), "the sampling start")
     validate_coverage(model, steps)
+    if progress is not None and not callable(progress):
+        raise ValueError(f"progress must be None or callable, got {progress!r}")
     backend = MemoryBackend() if backend is None else backend
+    if not all(callable(getattr(backend, f, None)) for f in ("start", "record", "finish")):
+        raise ValueError(f"backend needs callable start, record and finish, got {backend!r}")
     backend.start(model.trace_layout(), chains)
 
     total = warmup + draws

@@ -233,8 +233,9 @@ class Model:
             raise UnknownVariable(f"no free variable named {name!r}") from None
 
     def resolve_names(self, names) -> list[str]:
+        """The sampling names of ``names``, each once; a bare string is one name."""
         out = []
-        for n in names:
+        for n in ([names] if isinstance(names, str) else names):
             v = self.var(n).sampling_name
             if v not in out:
                 out.append(v)

@@ -434,13 +434,15 @@ class Nuts(GradientStep):
     point, as in ``GradientStep``; the U-turn check reads the momenta,
     ``no_uturn(dq, p-, p+)``.
 
-    ``step_size``, when given, is the first step size (else a heuristic picks
-    it); ``gamma`` is the dual-averaging shrinkage strength.  Both must be
-    finite and positive.  The other settings are the fixed values of Hoffman
-    & Gelman (arXiv:1111.4246): warm-up aims at a mean acceptance statistic
-    of ``target_accept`` = 0.8 with ``t0`` = 10 and ``kappa`` = 0.75; a tree
-    stops after ``max_depth`` = 10 doublings, or when the energy error
-    exceeds ``max_energy_error`` = 1000.
+    ``step_size`` is the first step size, 0.25 / max(d, 1)**0.25 for d
+    sampling coordinates when omitted, and dual averaging shrinks towards
+    log(10 * step_size) with strength ``gamma``; both must be finite and
+    positive.  The other settings are the fixed values of Hoffman & Gelman
+    (arXiv:1111.4246): warm-up aims at a mean acceptance statistic of
+    ``target_accept`` = 0.8 with ``t0`` = 10 and ``kappa`` = 0.75, after
+    which the step size is frozen at exp(log_eps_bar); a tree stops after
+    ``max_depth`` = 10 doublings, or when the energy error exceeds
+    ``max_energy_error`` = 1000.
     """
 
     target_accept = 0.8
@@ -451,33 +453,15 @@ class Nuts(GradientStep):
 
     def __init__(self, model, vars=None, scaling=None, step_size=None, gamma=0.05):
         super().__init__(model, vars, scaling)
-        self.step_size = None if step_size is None else _positive("step_size", step_size)
+        self.step_size = (0.25 / max(self.packer.size, 1) ** 0.25 if step_size is None
+                          else _positive("step_size", step_size))
         self.gamma = _positive("gamma", gamma)
-        self._mu = None
+        self._mu = math.log(10.0 * self.step_size)
         self._h_bar = 0.0
         self._log_eps_bar = 0.0
         self._m = 0
         self.last_accept_stat = None
         self.last_depth = 0
-
-    # step-size heuristic: double or halve until one leapfrog step has
-    # acceptance ratio straddling 0.5
-    def _find_reasonable_eps(self, q, lp, g, rng):
-        eps = 1.0
-        p = self._momentum(rng)
-        h0 = self._energy(_Node(q, p, lp, g))
-
-        def ratio(e):
-            return self._energy(leapfrog(self.packer.logp_grad, q, p, e, self.inv_mass, g)) - h0
-
-        a = 1.0 if ratio(eps) > math.log(0.5) else -1.0
-        for _ in range(100):
-            if a * ratio(eps) <= -a * math.log(2.0):
-                break
-            eps *= 2.0 ** a
-            if not 1e-10 < eps < 1e10:
-                break
-        return eps
 
     def _build_tree(self, start, log_u, direction, depth, eps, h0, rng):
         """2**depth leapfrog steps from ``start``.  Returns ([left, right],
@@ -508,10 +492,6 @@ class Nuts(GradientStep):
     @_quiet
     def step(self, point, rng, tuning=False, known=None):
         q, lp, g = self._start(point, known)
-        if self._mu is None:
-            if self.step_size is None:
-                self.step_size = self._find_reasonable_eps(q, lp, g, rng)
-            self._mu = math.log(10.0 * self.step_size)
         eps = self.step_size if (tuning or self._m == 0) else math.exp(self._log_eps_bar)
 
         chosen = _Node(q, self._momentum(rng), lp, g)

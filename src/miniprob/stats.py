@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .backends import Trace, flat_names
 from .exceptions import DataError
+from .samplers import _count
 
 QUANTILES = (2.5, 25.0, 50.0, 75.0, 97.5)
 
@@ -23,7 +25,10 @@ QUANTILES = (2.5, 25.0, 50.0, 75.0, 97.5)
 def quantiles(samples, probs=QUANTILES) -> np.ndarray:
     """Linear-interpolation quantiles of the pooled samples (percent units)."""
     x = _finite(samples, "quantiles")
-    return np.quantile(x, np.asarray(probs) / 100.0, method="linear")
+    p = np.asarray(probs)
+    if p.dtype.kind not in "iuf":
+        raise ValueError(f"quantiles needs real probs in percent, got {probs!r}")
+    return np.quantile(x, p.astype(np.float64) / 100.0, method="linear")
 
 
 def _finite(samples, what: str) -> np.ndarray:
@@ -43,8 +48,8 @@ def hpd(samples, alpha: float = 0.05) -> tuple[float, float]:
     returns the (start, end) values of the minimum-width window, earliest
     start on ties.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"hpd needs 0 < alpha < 1, got {alpha}")
+    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise ValueError(f"hpd needs a real alpha with 0 < alpha < 1, got {alpha!r}")
     x = np.sort(_finite(samples, "hpd"))
     n = x.size
     if n < 2:
@@ -60,8 +65,7 @@ MC_BATCHES = 20  # mc_error's default batch count, so the fewest samples a summa
 
 def mc_error(samples, batches: int = MC_BATCHES) -> float:
     """Batch-means Monte Carlo standard error of the mean."""
-    if batches < 2:
-        raise ValueError(f"mc_error needs at least 2 batches, got {batches}")
+    batches = _count("batches", batches, 2)
     x = _finite(samples, "mc_error")
     n = x.size
     if n < batches:
@@ -129,6 +133,11 @@ def _column(col: str):
         raise type(e)(f"{col}: {e}") from None
 
 
+def _names(trace: Trace, vars) -> list[str]:
+    """The variables ``vars`` names (all of ``trace``'s if None; a str is one)."""
+    return trace.names if vars is None else [vars] if isinstance(vars, str) else list(vars)
+
+
 def _rows_for(trace: Trace, name: str) -> list[SummaryRow]:
     rows = []
     for col, series in _flat_series(trace, name):
@@ -170,7 +179,7 @@ def summary(trace: Trace, vars=None) -> tuple[list[SummaryRow], str]:
     """Per-component posterior statistics plus the formatted text report."""
     all_rows: list[SummaryRow] = []
     blocks = []
-    for name in (trace.names if vars is None else vars):
+    for name in _names(trace, vars):
         rows = _rows_for(trace, name)
         all_rows.extend(rows)
         blocks.append(_format_block(name, rows))
@@ -180,13 +189,12 @@ def summary(trace: Trace, vars=None) -> tuple[list[SummaryRow], str]:
 def kde(samples, n_points: int = 200):
     """Gaussian kernel density with Scott's bandwidth over the data range
     extended by three bandwidths."""
+    n_points = _count("n_points", n_points, 1)
     x = _finite(samples, "kde")
     n = x.size
     if n == 0:
         raise DataError("kde needs at least 1 sample")
-    bw = float(np.std(x)) * n ** (-1.0 / 5.0)
-    if bw <= 0:
-        bw = 1e-8
+    bw = float(np.std(x)) * n ** (-1.0 / 5.0) or 1e-8  # a constant series gets 1e-8
     grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, n_points)
     dens = np.zeros(n_points)
     norm = 1.0 / (n * bw * math.sqrt(2.0 * math.pi))
@@ -199,11 +207,16 @@ def kde(samples, n_points: int = 200):
 
 def histogram(samples):
     """Integer-bin histogram: one bin per distinct value, in ascending order,
-    so its size is bounded by the number of samples, not by their range."""
-    x = np.asarray(samples).astype(np.int64)
+    so its size is bounded by the number of samples, not by their range.
+    Samples that are not integers within int64 raise ``DataError``."""
+    x = np.asarray(samples).ravel()
+    if x.dtype.kind not in "bi":
+        x = _finite(x, "histogram")
+        if not np.all((x == np.floor(x)) & (-2.0 ** 63 <= x) & (x < 2.0 ** 63)):
+            raise DataError("histogram needs integral samples within int64")
     if x.size == 0:
         raise DataError("histogram needs at least 1 sample")
-    return np.unique(x, return_counts=True)
+    return np.unique(x.astype(np.int64), return_counts=True)
 
 
 def traceplot_data(trace: Trace, vars=None) -> dict:
@@ -212,7 +225,7 @@ def traceplot_data(trace: Trace, vars=None) -> dict:
     integer histogram, for discrete ones), then ``"draws"``, (draw index,
     value).  A name not in the trace raises ``UnknownVariable``."""
     out = {}
-    for name in (trace.names if vars is None else vars):
+    for name in _names(trace, vars):
         columns = _flat_series(trace, name)  # first, so an unknown name is UnknownVariable
         discrete = trace.var_dtypes[name] == "int"
         for col, series in columns:

@@ -21,7 +21,7 @@ from miniprob.graph import const, log, opaque_deterministic, sqrt, switch
 from miniprob.inference import find_map, sample
 from miniprob.model import Model
 from miniprob.rng import stream
-from miniprob.samplers import Hmc, Metropolis, Nuts, Packer, Slice, hessian_diag
+from miniprob.samplers import Hmc, Metropolis, Nuts, Packer, Slice, hessian, hessian_diag
 
 
 class TestFindMap:
@@ -137,6 +137,18 @@ def _neg_inf_below_zero(v):
     return sum_all(switch(v >= 0.0, const(0.0) * v, const(float("-inf"))))
 
 
+@pytest.mark.parametrize("run", [
+    lambda m, v: Nuts(m, vars=v).vars,
+    lambda m, v: Metropolis(m, vars=v).vars,
+    lambda m, v: Slice(m, vars=v).vars,
+    lambda m, v: hessian(m, vars=v).tolist(),
+    lambda m, v: {k: x.tolist() for k, x in find_map(m, vars=v).items()},
+], ids=["nuts", "metropolis", "slice", "hessian", "find_map"])
+@pytest.mark.parametrize("name", ["alpha", "sigma"])
+def test_a_bare_string_names_one_variable(linear_model, run, name):
+    assert run(linear_model, name) == run(linear_model, [name])
+
+
 class TestHessianDiag:
     def test_normal_sd2(self):
         m = Model()
@@ -211,6 +223,22 @@ class TestSample:
         with pytest.raises(ValueError, match="no free variables"):
             sample(m, 5, [], backend=chosen)
         assert chosen.layout is None and not directory.exists()
+
+    @pytest.mark.parametrize("setting, bad", [
+        ("progress", "x"), ("backend", "x"), ("backend", object()),
+    ], ids=["progress_str", "backend_str", "backend_object"])
+    def test_bad_progress_or_backend_rejected_before_a_draw(self, setting, bad, monkeypatch):
+        m = Model()
+        m.add_free("x", Normal(mu=0.0, sd=1.0))
+        steps = [Metropolis(m)]
+
+        def no_draw(*args):
+            raise AssertionError("a draw ran")
+
+        monkeypatch.setattr(Metropolis, "step", no_draw)
+        with pytest.raises(ValueError, match=setting) as caught:
+            sample(m, 10, steps, **{setting: bad})
+        assert type(caught.value) is ValueError
 
     @pytest.mark.parametrize("start, error", [
         ({"x": np.zeros(3)}, ShapeMismatch), ({"sigmaa": 1.0}, UnknownVariable),

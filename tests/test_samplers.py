@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -582,13 +584,27 @@ class TestNuts:
         assert not no_uturn(dq, np.array([1.0, 0.0]), np.array([0.0, 5.0]))
         assert no_uturn(dq, np.array([0.5, -4.0]), np.array([2.0, 3.0]))
 
-    def test_flat_density_hits_the_step_size_bound(self):
-        # no energy change at any step size: the search doubles 1.0 past 1e10
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_first_step_size_is_a_quarter_over_the_fourth_root_of_d(self, d):
         m = Model()
-        m.add_free("v", Custom(lambda v: 0.0 * v), testval=0.0)
+        m.add_free("x", Normal(mu=0.0, sd=3.0), shape=d)
         step = Nuts(m)
-        step.step(m.initial_point(), stream(1, 0), tuning=False)
-        assert step.step_size == 2.0 ** 34
+        assert step.step_size == 0.25 / d ** 0.25
+        assert step._mu == math.log(10 * step.step_size)
+
+    def test_omitted_step_size_samples_as_the_same_value_given(self):
+        # a chain's first step draws no momentum and evaluates nothing to pick it
+        m = two_var_model()
+        omitted = sample(m, 60, [Nuts(m)], seed=5, chains=2)
+        given = sample(m, 60, [Nuts(m, step_size=0.25 / 4 ** 0.25)], seed=5, chains=2)
+        for name in omitted.names:
+            assert omitted[name].tobytes() == given[name].tobytes()
+
+    def test_a_block_of_zero_coordinates_steps(self):
+        m = Model()
+        m.add_free("a", Normal(), shape=0)
+        trace = sample(m, 10, [Nuts(m)], seed=1)
+        assert Nuts(m).step_size == 0.25 and trace["a"].shape == (10, 0)
 
     def test_never_returns_neg_inf_logp(self):
         # unit curvature at the test point gives a unit mass
@@ -793,7 +809,7 @@ class TestClone:
         m = two_var_model()
         nuts, met = Nuts(m, vars=["x"]), Metropolis(m, vars=["e"])
         first = sample(m, 100, [nuts, met], warmup=50)
-        assert nuts._m == 0 and nuts.step_size is None and met._n == 0
+        assert nuts._m == 0 and nuts.step_size == 0.25 / 3 ** 0.25 and met._n == 0
         # so a second run with the same kernels starts fresh and repeats the first
         again = sample(m, 100, [nuts, met], warmup=50)
         assert first.names == again.names

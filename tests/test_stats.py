@@ -153,6 +153,40 @@ def test_non_finite_sample_rejected(stat, bad):
         stat(x)
 
 
+@pytest.mark.parametrize("call, setting", [
+    (lambda x: mc_error(x, batches=2.5), "batches"),
+    (lambda x: mc_error(x, batches="3"), "batches"),
+    (lambda x: mc_error(x, batches=np.inf), "batches"),
+    (lambda x: kde(x, n_points=2.5), "n_points"),
+    (lambda x: kde(x, n_points=True), "n_points"),
+    (lambda x: kde(x, n_points=0), "n_points"),
+    (lambda x: hpd(x, alpha="0.1"), "alpha"),
+    (lambda x: hpd(x, alpha=True), "alpha"),
+    (lambda x: quantiles(x, probs="a"), "probs"),
+    (lambda x: quantiles(x, probs=[50.0, "7"]), "probs"),
+    (lambda x: quantiles(x, probs=[True]), "probs"),
+], ids=["batches_fraction", "batches_str", "batches_inf", "n_points_fraction",
+        "n_points_bool", "n_points_zero", "alpha_str", "alpha_bool", "probs_str",
+        "probs_mixed", "probs_bool"])
+def test_bad_setting_is_a_plain_value_error(call, setting):
+    with pytest.raises(ValueError, match=setting) as caught:
+        call(np.arange(100.0))
+    assert type(caught.value) is ValueError
+
+
+@pytest.mark.parametrize("samples", [[1.5, 2.5], [1.0, np.nan], [1.0, 1e30], [-np.inf],
+                                     [2.0 ** 63]],
+                         ids=["fraction", "nan", "beyond_int64", "inf", "int64_edge"])
+def test_histogram_rejects_what_no_integer_bin_holds(samples):
+    with pytest.raises(DataError, match="histogram needs"):
+        histogram(np.array(samples))
+
+
+def test_histogram_bins_integral_floats():
+    values, counts = histogram(np.array([2.0, -2.0 ** 63, 2.0]))
+    assert (values.tolist(), counts.tolist()) == ([-2 ** 63, 2], [1, 2])
+
+
 @pytest.mark.parametrize("panel", [kde, histogram])
 def test_empty_series_rejected(panel):
     with pytest.raises(DataError, match="needs at least 1 sample"):
@@ -190,6 +224,12 @@ class TestSummary:
         assert [r.name for r in rows] == ["b"]
         with pytest.raises(UnknownVariable):
             summary(t, vars=["zzz"])
+
+    def test_a_bare_string_names_one_variable(self):
+        rng = np.random.default_rng(8)
+        t = trace_of({"alpha": rng.standard_normal(300), "beta": rng.standard_normal((300, 2))})
+        assert summary(t, vars="beta") == summary(t, vars=["beta"])
+        assert list(traceplot_data(t, vars="alpha")) == ["alpha"]
 
     def test_layout_matches_reference_shape(self):
         rng = np.random.default_rng(9)
