@@ -66,7 +66,7 @@ def _gaussian(d: Expr, tau: Expr) -> Expr:
 class Distribution:
     """A family gives ``_logp(x)``, its elementwise log density, trusted only
     where every mask of ``_valid`` is 1, and ``_centre(evaluate)``, its
-    default test value before broadcasting to the shape."""
+    default test value, which ``Model`` broadcasts and reads as a given one."""
 
     dtype = "float"
     transform = None  # maps a constrained support onto the real line
@@ -83,17 +83,6 @@ class Distribution:
 
     def _valid(self, x: Expr) -> list[Expr]:
         return self._guards
-
-    def default_testval(self, shape, evaluate) -> np.ndarray:
-        """Default start value; ``evaluate`` maps parameter Exprs to arrays.
-        A centre that does not broadcast to ``shape`` raises ``ShapeMismatch``."""
-        centre = self._centre(evaluate)
-        try:
-            centre = np.broadcast_to(centre, shape)
-        except ValueError:
-            raise ShapeMismatch(f"default test value of shape {np.shape(centre)} does not "
-                                f"broadcast to {shape}") from None
-        return centre.astype(np.int64 if self.dtype == "int" else np.float64)
 
 
 class Normal(Distribution):
@@ -277,5 +266,5 @@ class Custom(Distribution):
     def _logp(self, x):
         return self.logp_fn(x)
 
-    def default_testval(self, shape, evaluate):
-        return None  # caller must supply a test value
+    def _centre(self, evaluate):
+        return None  # no default: the caller gives a test value

@@ -104,7 +104,7 @@ def _column(table, name: str) -> np.ndarray:
         col = table[name]
     except (KeyError, IndexError):
         raise UnknownVariable(f"no column {name!r} in the data table") from None
-    return np.asarray(col, dtype=np.float64)
+    return graph.as_dtype(col, "float", name)
 
 
 def build_model(formula: Formula | str, table, family=None) -> Model:

@@ -197,14 +197,15 @@ def as_expr(value) -> Expr:
 
 
 def const(value) -> Expr:
-    """A constant node: int64 for integers, float64 for reals and booleans.
+    """A constant node: int64 for integers, float64 for reals and booleans,
+    read by ``as_dtype``, so an integer outside int64 raises ``OutsideSupport``.
     Anything but a number or a numeric array raises ``TypeError``."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iubf":
         raise TypeError(f"a graph value is a number, a numeric array or an Expr, "
                         f"got {type(value).__name__}")
     dtype = "int" if arr.dtype.kind in "iu" else "float"
-    arr = arr.astype(DTYPES[dtype])
+    arr = np.array(as_dtype(arr, dtype, "constant"))  # a copy: the caller's array stays writeable
     arr.flags.writeable = False
     return Expr("constant", const_value=arr, shape=arr.shape, dtype=dtype)
 
@@ -212,7 +213,7 @@ def const(value) -> Expr:
 def free_input(name: str, shape: Sequence[int] = (), dtype: str = "float") -> Expr:
     if dtype not in ("float", "int"):
         raise ShapeMismatch(f"dtype must be 'float' or 'int', got {dtype!r}")
-    return Expr("free_input", input_name=name, shape=tuple(shape), dtype=dtype)
+    return Expr("free_input", input_name=name, shape=as_shape(shape, name), dtype=dtype)
 
 
 def _binary(kind, a, b) -> Expr:
@@ -285,7 +286,7 @@ def opaque_deterministic(fn: Callable, inputs: Sequence, out_shape: Sequence[int
                          dtype: str = "float") -> Expr:
     """Black-box node without a gradient: ``fn`` must be pure; its result is copied."""
     inputs = tuple(as_expr(x) for x in inputs)
-    return Expr("opaque", inputs, shape=tuple(out_shape), dtype=dtype, payload=fn)
+    return Expr("opaque", inputs, shape=as_shape(out_shape, "opaque"), dtype=dtype, payload=fn)
 
 
 # --- evaluation -----------------------------------------------------------
@@ -345,15 +346,41 @@ def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
         raise OutsideSupport(f"{name!r} must be real numbers, got {reprlib.repr(arr.tolist())}")
     if dtype != "int":
         return arr.astype(np.float64, copy=False)
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
-        raise ShapeMismatch(f"{name!r} is declared integral, got non-integral or "
-                            f"non-finite values")
+    if arr.dtype.kind == "f" and not np.all(ok := np.isfinite(arr) & (arr == np.floor(arr))):
+        raise ShapeMismatch(f"{name!r} is declared integral, got {arr[~ok].flat[0].item()!r}")
     with np.errstate(invalid="ignore"):  # a value beyond int64 casts to another
         out = arr.astype(np.int64, copy=False)
     wrong = out != arr
     if np.any(wrong):
         raise OutsideSupport(f"{name!r}: {arr[wrong].flat[0].item()!r} is outside int64")
     return out
+
+
+def as_shape(shape, name: str) -> tuple:
+    """``shape`` (None, a count or counts) as a tuple of ints, each read by
+    ``as_dtype`` as an int64 of at least 0, else a ``MiniprobError``."""
+    dims = as_dtype(() if shape is None else shape, "int", f"{name} shape")
+    if dims.ndim > 1 or np.any(dims < 0):
+        raise ShapeMismatch(f"{name} shape must be counts of at least 0, got {shape!r}")
+    return tuple(dims.reshape(-1).tolist())
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float; raises unless it is a real number (not a bool)
+    that is finite and positive."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0.0 < value < np.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
+
+
+def _count(name: str, value, least: int, below: float = np.inf) -> int:
+    """``value`` as an int; raises unless it is an integer (not a bool) in
+    [``least``, ``below``)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       and least <= value < below):
+        raise ValueError(f"{name} must be an integer in [{least}, {below}), got {value!r}")
+    return int(value)
 
 
 def _read_only(v):

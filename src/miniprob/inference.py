@@ -12,10 +12,10 @@ import numpy as np
 
 from .backends import MemoryBackend, Trace
 from .exceptions import MiniprobError, SamplingError
-from .graph import Point
+from .graph import Point, _count
 from .model import Model, finite_logp
 from .rng import stream
-from .samplers import Packer, StepMethod, _count, _or_neg_inf, validate_coverage
+from .samplers import Packer, StepMethod, _or_neg_inf, validate_coverage
 
 # Powell's stand-in for an infinite objective: given inf, scipy's Powell warns
 # "invalid value encountered in scalar multiply" as it brackets its line search
@@ -89,17 +89,15 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     before it returned with its point (``StepMethod``), as every graph node,
     an opaque one too, is pure; a chain's first step evaluates its start.
     ``backend`` defaults to memory; ``progress(chain, draw, total)`` is
-    called every 100 draws.  ``seed`` is an integer (not a bool) in
-    [0, 2**64).  Bad counts, a bad seed, a bad ``start``, ``progress`` or
-    ``backend``, a step built on another model or a model with no free
-    variable raise before the backend starts; after a failed draw it is still
-    finished, keeping its rows.
+    called every 100 draws.  ``seed`` is read by ``rng.stream``: an integer
+    (not a bool) in [0, 2**64).  Bad counts, a bad seed, a bad ``start``,
+    ``progress`` or ``backend``, a step built on another model or a model
+    with no free variable raise before the backend starts; after a failed
+    draw it is still finished, keeping its rows.
     """
     draws = _count("draws", draws, 1)
     chains = _count("chains", chains, 1)
-    seed = _count("seed", seed, 0)
-    if seed >= 2 ** 64:  # the stream key keeps 64 bits, so it would rerun another seed
-        raise ValueError(f"seed must be below 2**64, got {seed}")
+    rngs = [stream(seed, chain) for chain in range(chains)]
     warmup = min(500, draws // 2) if warmup is None else _count("warmup", warmup, 0)
     if not (isinstance(steps, list) and all(isinstance(s, StepMethod) for s in steps)):
         raise ValueError(f"steps must be a list of step methods, got {steps!r}")
@@ -120,7 +118,7 @@ def sample(model: Model, draws: int, steps: list, *, start: Mapping | None = Non
     total = warmup + draws
     try:
         for chain in range(chains):
-            rng = stream(seed, chain)
+            rng = rngs[chain]
             chain_steps = [s.clone() for s in steps]
             point, known = dict(origin), None
             for i in range(total):

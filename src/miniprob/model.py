@@ -16,6 +16,7 @@ row evaluates all but the sampling inputs with ``eval_expr``, as logp does.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .exceptions import (
     ShapeMismatch,
     UnknownVariable,
 )
-from .graph import Expr, Point, as_dtype, const, eval_expr, free_input, point_value
+from .graph import Expr, Point, as_dtype, as_shape, const, eval_expr, free_input, point_value
 
 
 def finite_logp(lp: float, where: str) -> float:
@@ -40,14 +41,6 @@ def finite_logp(lp: float, where: str) -> float:
     if not math.isfinite(lp):
         raise NonFiniteLogp(f"log posterior is {lp} at {where}")
     return lp
-
-
-def _as_shape(shape) -> tuple:
-    if shape is None:
-        return ()
-    if isinstance(shape, (int, np.integer)):
-        return (int(shape),)
-    return tuple(int(s) for s in shape)
 
 
 class FreeVar:
@@ -90,20 +83,14 @@ class Model:
         if self._logp_graph is not None:
             raise ModelFrozen("model is finalized; no further variables can be added")
 
-    def _eval_param(self, expr: Expr):
-        return eval_expr(expr, self._test_point)
-
-    def add_free(self, name: str, dist: Distribution, shape=(), testval=None) -> Expr:
-        """Register a free variable sampled through ``dist.transform`` and
-        return its value expression.  A rejected test value raises
-        ``OutsideSupport``, or ``ShapeMismatch`` for a shape that does not
-        broadcast, and leaves the model unchanged."""
-        self._check_open()
-        shape = _as_shape(shape)
+    def _testval(self, name: str, dist: Distribution, shape: tuple, testval) -> np.ndarray:
+        """``testval``, or else the family's ``_centre``, broadcast to
+        ``shape`` (else ``ShapeMismatch``) and read by ``as_dtype`` at the
+        family's dtype; a value that is not finite raises ``OutsideSupport``."""
         if testval is None:
-            testval = dist.default_testval(shape, self._eval_param)
+            testval = dist._centre(lambda expr: eval_expr(expr, self._test_point))
             if testval is None:
-                raise OutsideSupport(f"{name}: a custom density needs an explicit testval")
+                raise OutsideSupport(f"{name}: a custom density has no default test value")
         try:
             testval = np.array(np.broadcast_to(testval, shape))
         except ValueError:
@@ -112,8 +99,21 @@ class Model:
         try:
             if not np.all(np.isfinite(as_dtype(testval, "float", name))):
                 raise OutsideSupport(f"test value {testval!r} is not finite")
-            var = FreeVar(name, dist, shape, dist.transform, as_dtype(testval, dist.dtype, name))
+            return as_dtype(testval, dist.dtype, name)
         except (ShapeMismatch, OutsideSupport) as e:
+            raise OutsideSupport(f"{name}: {e}") from None
+
+    def add_free(self, name: str, dist: Distribution, shape=(), testval=None) -> Expr:
+        """Register a free variable sampled through ``dist.transform`` and
+        return its value expression.  A rejected test value raises
+        ``OutsideSupport``, or ``ShapeMismatch`` for a shape that does not
+        broadcast, and leaves the model unchanged."""
+        self._check_open()
+        shape = as_shape(shape, name)
+        testval = self._testval(name, dist, shape, testval)
+        try:
+            var = FreeVar(name, dist, shape, dist.transform, testval)
+        except OutsideSupport as e:
             raise OutsideSupport(f"{name}: {e}") from None
 
         term = dist.logp_expr(var.value)
@@ -140,10 +140,11 @@ class Model:
         self._check_open()
         data = as_dtype(data, dist.dtype, name)
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != data.shape:
-                raise ShapeMismatch(
-                    f"{name}: mask shape {mask.shape} != data shape {data.shape}")
+            mask = as_dtype(mask, "int", f"{name} mask")
+            if mask.shape != data.shape or np.any((mask != 0) & (mask != 1)):
+                raise ShapeMismatch(f"{name}: a mask holds 0/1 or bools in the data's shape "
+                                    f"{data.shape}, got {reprlib.repr(mask.tolist())}")
+            mask = mask == 1
             if mask.all():
                 raise DataError(f"{name}: every entry is masked")
             if not mask.any():
@@ -158,11 +159,8 @@ class Model:
             miss_name = name + ".missing_values"
             n_miss = int(mask.sum())
 
-            full_testval = dist.default_testval(data.shape, self._eval_param)
-            if full_testval is None:
-                raise OutsideSupport(
-                    f"{name}: a custom density has no test value for the masked entries")
-            miss_var = FreeVar(miss_name, dist, (n_miss,), None, full_testval[mask])
+            testval = self._testval(name, dist, data.shape, None)[mask]
+            miss_var = FreeVar(miss_name, dist, (n_miss,), None, testval)
             # observed entries stay constants; masked entries read the free input
             composed = graph.concat([const(data[~mask]), miss_var.input])
             perm = np.empty(data.shape[0], dtype=np.int64)
@@ -215,8 +213,7 @@ class Model:
     def dlogp(self, point: Mapping, names: Sequence[str] | None = None) -> np.ndarray:
         """The gradient of ``logp`` at ``point`` over ``names`` (default: the
         continuous ones) as one new vector, laid out as ``graph.grad``'s."""
-        names = self.continuous_names() if names is None else self.resolve_names(names)
-        return graph.grad(self.logp_graph, names, point)
+        return self.logp_and_dlogp(point, names)[1]
 
     def logp_and_dlogp(self, point: Mapping, names: Sequence[str] | None = None):
         """(``logp``, ``dlogp``) at ``point``, sharing one forward pass."""

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import _count
+
 # stream index reserved for synthetic-data generation in the demos, far away
 # from any plausible chain index
 DATA_STREAM = 2 ** 32
 
 
 def stream(seed: int, idx: int = 0) -> np.random.Generator:
-    key = np.array([np.uint64(seed & (2 ** 64 - 1)), np.uint64(idx & (2 ** 64 - 1))],
+    """Stream ``idx`` of ``seed``, each an integer (not a bool) in [0, 2**64)."""
+    key = np.array([_count("seed", seed, 0, 2 ** 64), _count("stream index", idx, 0, 2 ** 64)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from collections import namedtuple
 from typing import Mapping, Sequence
 
@@ -35,7 +34,7 @@ from .exceptions import (
     NonFiniteLogp,
     StepTargets,
 )
-from .graph import Point, _quiet, point_value
+from .graph import Point, _count, _positive, _quiet, point_value
 from .model import Model, finite_logp
 
 
@@ -161,23 +160,6 @@ class StepMethod:
 
     def clone(self) -> "StepMethod":
         return copy.deepcopy(self, {id(self.model): self.model})
-
-
-def _positive(name: str, value) -> float:
-    """``value`` as a float; raises unless it is a real number (not a bool)
-    that is finite and positive."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0.0 < value < math.inf):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
-
-
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int; raises unless it is an integer (not a bool) of
-    at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
 
 
 def _or_neg_inf(lp: float) -> float:

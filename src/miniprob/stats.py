@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import Trace, flat_names
-from .exceptions import DataError
-from .samplers import _count
+from .exceptions import DataError, MiniprobError
+from .graph import _count, as_dtype
 
 QUANTILES = (2.5, 25.0, 50.0, 75.0, 97.5)
 
@@ -26,15 +26,21 @@ def quantiles(samples, probs=QUANTILES) -> np.ndarray:
     """Linear-interpolation quantiles of the pooled samples (percent units)."""
     x = _finite(samples, "quantiles")
     p = np.asarray(probs)
-    if p.dtype.kind not in "iuf":
-        raise ValueError(f"quantiles needs real probs in percent, got {probs!r}")
+    if p.dtype.kind not in "iuf" or not np.all((0 <= p) & (p <= 100)):
+        raise ValueError(f"quantiles needs real probs in percent, in [0, 100], got {probs!r}")
+    if x.size == 0:
+        raise DataError("quantiles needs at least 1 sample")
     return np.quantile(x, p.astype(np.float64) / 100.0, method="linear")
 
 
-def _finite(samples, what: str) -> np.ndarray:
-    """``samples`` as a flat float64 array; NaN or infinity raises
-    ``DataError``, since no statistic of them would be meaningful."""
-    x = np.asarray(samples, dtype=np.float64).ravel()
+def _finite(samples, what: str, dtype: str = "float") -> np.ndarray:
+    """``samples`` as a flat array read by ``as_dtype`` at ``dtype``; a value
+    it rejects, NaN or infinity raises ``DataError``, since no statistic of
+    them would be meaningful."""
+    try:
+        x = as_dtype(samples, dtype, "samples").ravel()
+    except MiniprobError as e:
+        raise DataError(f"{what} needs {dtype} samples: {e}") from None
     bad = np.count_nonzero(~np.isfinite(x))
     if bad:
         raise DataError(f"{what} needs finite samples, got {bad} NaN or infinite")
@@ -83,6 +89,8 @@ def ess(samples) -> float:
     n = x.size
     if n < 100:
         raise DataError(f"ess needs at least 100 samples, got {n}")
+    if x.min() == x.max():  # constant, though its mean may round off its value
+        return 0.0
     x = x - x.mean()
     var0 = float(np.dot(x, x)) / n
     if var0 == 0.0:
@@ -209,14 +217,10 @@ def histogram(samples):
     """Integer-bin histogram: one bin per distinct value, in ascending order,
     so its size is bounded by the number of samples, not by their range.
     Samples that are not integers within int64 raise ``DataError``."""
-    x = np.asarray(samples).ravel()
-    if x.dtype.kind not in "bi":
-        x = _finite(x, "histogram")
-        if not np.all((x == np.floor(x)) & (-2.0 ** 63 <= x) & (x < 2.0 ** 63)):
-            raise DataError("histogram needs integral samples within int64")
+    x = _finite(samples, "histogram", "int")
     if x.size == 0:
         raise DataError("histogram needs at least 1 sample")
-    return np.unique(x.astype(np.int64), return_counts=True)
+    return np.unique(x, return_counts=True)
 
 
 def traceplot_data(trace: Trace, vars=None) -> dict:

@@ -206,38 +206,41 @@ class TestParameterizations:
 
 
 class TestDefaultTestvals:
-    def evaluate(self, e):
-        return eval_expr(e, {})
+    @staticmethod
+    def default(dist, shape=()):
+        """``dist``'s default test value as ``Model`` reads it: the value of
+        ``v`` at the test point of a model holding only ``v``."""
+        m = Model()
+        m.add_free("v", dist, shape=shape)
+        return m.expand_point(m.initial_point())["v"]
 
     def test_exponential_mean(self):
-        assert Exponential(rate=0.1).default_testval((), self.evaluate) == pytest.approx(10.0)
+        assert self.default(Exponential(rate=0.1)) == pytest.approx(10.0)
 
     def test_uniform_midpoint_and_discrete_floor(self):
-        assert Uniform(1851, 1962).default_testval((), self.evaluate) == pytest.approx(1906.5)
-        assert DiscreteUniform(1851, 1962).default_testval((), self.evaluate) == 1906
+        assert self.default(Uniform(1851, 1962)) == pytest.approx(1906.5)
+        assert self.default(DiscreteUniform(1851, 1962)) == 1906
 
     def test_random_walk_zero_vector(self):
-        v = GaussianRandomWalk(tau=1.0).default_testval((400,), self.evaluate)
+        v = self.default(GaussianRandomWalk(tau=1.0), (400,))
         assert v.shape == (400,)
         assert np.all(v == 0.0)
 
     def test_normal_mean_halfnormal_mean(self):
-        assert Normal(mu=2.5, sd=1.0).default_testval((), self.evaluate) == pytest.approx(2.5)
-        assert HalfNormal(sd=2.0).default_testval((), self.evaluate) == pytest.approx(
-            2.0 * np.sqrt(2 / np.pi))
+        assert self.default(Normal(mu=2.5, sd=1.0)) == pytest.approx(2.5)
+        assert self.default(HalfNormal(sd=2.0)) == pytest.approx(2.0 * np.sqrt(2 / np.pi))
 
     def test_poisson_floor_of_mean(self):
-        assert Poisson(rate=3.7).default_testval((), self.evaluate) == 3
+        assert self.default(Poisson(rate=3.7)) == 3
 
     def test_custom_needs_explicit_testval(self):
-        d = Custom(lambda v: -abs(v))
-        assert d.default_testval((), self.evaluate) is None
+        with pytest.raises(OutsideSupport, match="^v: a custom density has no default"):
+            self.default(Custom(lambda v: -abs(v)))
 
     def test_student_t_location_and_bernoulli_mode(self):
-        assert StudentT(nu=3.0, mu=-1.5).default_testval((2,), self.evaluate).tolist() == [
-            -1.5, -1.5]
-        assert Bernoulli(p=0.7).default_testval((), self.evaluate) == 1
-        assert Bernoulli(p=0.5).default_testval((), self.evaluate) == 0
+        assert self.default(StudentT(nu=3.0, mu=-1.5), (2,)).tolist() == [-1.5, -1.5]
+        assert self.default(Bernoulli(p=0.7)) == 1
+        assert self.default(Bernoulli(p=0.5)) == 0
 
     def test_custom_density_that_is_not_scalar_is_summed(self):
         d = Custom(lambda v: -v * v)
