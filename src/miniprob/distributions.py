@@ -162,7 +162,7 @@ class Poisson(Distribution):
         self._guards = _positive(self.rate)
 
     def _logp(self, k):
-        return k * graph.log(self.rate) - self.rate - graph.lgamma(k + 1.0)
+        return k * graph.log(self.rate) - self.rate - graph.log_factorial(k)
 
     def _valid(self, k):
         return self._guards + [k >= 0.0]

@@ -15,11 +15,7 @@ import numpy as np
 
 from . import graph
 from .distributions import Custom, HalfNormal, Normal
-from .exceptions import (
-    FormulaError,
-    ShapeMismatch,
-    UnknownVariable,
-)
+from .exceptions import FormulaError, OutsideSupport, ShapeMismatch, UnknownVariable
 from .model import Model
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
@@ -104,7 +100,10 @@ def _column(table, name: str) -> np.ndarray:
         col = table[name]
     except (KeyError, IndexError):
         raise UnknownVariable(f"no column {name!r} in the data table") from None
-    return graph.as_dtype(col, "float", name)
+    col = graph.as_dtype(col, "float", name)
+    if not np.all(np.isfinite(col)):
+        raise OutsideSupport(f"column {name!r} holds a value that is not finite")
+    return col
 
 
 def build_model(formula: Formula | str, table, family=None) -> Model:

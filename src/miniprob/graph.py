@@ -2,11 +2,11 @@
 
 Every log density in the package is an ``Expr`` over named free inputs.
 Graphs are acyclic, nodes are immutable after construction, and evaluation
-is plain 64-bit numpy, with log-gamma, digamma and the logistic function taken
-from ``scipy.special``, so the same (expr, point) pair always produces
-bit-identical output.  ``scipy.special`` is imported with the first tape whose
-graph has an lgamma or sigmoid node, and its names are bound in that tape's
-namespace only.
+is plain 64-bit numpy, so the same (expr, point) pair always produces
+bit-identical output.  ``scipy.special`` gives log-gamma, digamma and the
+logistic function, imported with the first tape that has an lgamma or sigmoid
+node and bound in that tape's namespace only; ``log_factorial`` (Poisson's
+log k!) needs none: it sums gammaln's own series above a table up to 12!.
 
 The first evaluation of a root compiles it into a tape cached on the root.
 Each node of ``topo_order`` gets an integer slot in a list of values and one
@@ -45,9 +45,11 @@ succeeds.  A tape is not safe to evaluate from two threads at once.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import operator
 import reprlib
+import zlib
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -65,17 +67,17 @@ Point = dict[str, np.ndarray]
 # a decorator, which costs half a new ``errstate``; one cannot be entered twice
 _quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 DTYPES = {"float": np.dtype(np.float64), "int": np.dtype(np.int64)}  # each dtype's storage
+# log k! at index k + 1, gammaln's bits up to 12!, and at 0 +inf, its pole, for every k < 0
+_LOG_FACTORIALS = np.array([np.inf] + [math.log(math.factorial(n)) for n in range(13)])
+_SERIES = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)  # of cephes' lgam, for x >= 13
 
 
 def _broadcast_shape(a: tuple, b: tuple, what: str) -> tuple:
     # scalar-with-array is allowed; mismatched non-scalar shapes are not
-    if a == b:
-        return a
-    if a == ():
-        return b
-    if b == ():
-        return a
-    raise ShapeMismatch(f"{what}: cannot combine shapes {a} and {b}")
+    if a != b and a and b:
+        raise ShapeMismatch(f"{what}: cannot combine shapes {a} and {b}")
+    return a or b
 
 
 class Expr:
@@ -200,7 +202,7 @@ def const(value) -> Expr:
     """A constant node: int64 for integers, float64 for reals and booleans,
     read by ``as_dtype``, so an integer outside int64 raises ``OutsideSupport``.
     Anything but a number or a numeric array raises ``TypeError``."""
-    arr = np.asarray(value)
+    arr = _array(value, "constant")
     if arr.dtype.kind not in "iubf":
         raise TypeError(f"a graph value is a number, a numeric array or an Expr, "
                         f"got {type(value).__name__}")
@@ -249,6 +251,13 @@ def lgamma(x) -> Expr:
 
 def sigmoid(x) -> Expr:
     return _unary("sigmoid", x)
+
+
+def log_factorial(k) -> Expr:
+    """log k! of an int expression, +inf where k < 0; it has no gradient."""
+    if as_expr(k).dtype != "int":
+        raise ShapeMismatch(f"log_factorial needs an int operand, got {as_expr(k)!r}")
+    return _unary("log_factorial", k)
 
 
 def softplus(x) -> Expr:
@@ -323,10 +332,17 @@ def point_value(point: Mapping, name: str, shape: tuple | None, dtype: str,
         raise UnknownVariable(f"{what} {name!r} not present in point") from None
     if type(raw) is np.ndarray and raw.dtype is DTYPES[dtype] and raw.shape == shape:
         return raw  # what the checks and conversions below would return
-    arr = np.asarray(raw)
+    arr = _array(raw, name)
     if shape is not None and arr.shape != shape:
         raise ShapeMismatch(f"{what} {name!r}: expected shape {shape}, got {arr.shape}")
     return as_dtype(arr, dtype, name)
+
+
+def _array(raw, name: str) -> np.ndarray:
+    try:
+        return np.asarray(raw)
+    except ValueError:  # a ragged nesting
+        raise OutsideSupport(f"{name!r} is not rectangular: {reprlib.repr(raw)}") from None
 
 
 def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
@@ -335,7 +351,7 @@ def as_dtype(raw, dtype: str, name: str) -> np.ndarray:
     ``OutsideSupport``.  An int value must be integral and finite, else
     ``ShapeMismatch``, and within int64, else ``OutsideSupport``: it is never
     truncated or wrapped."""
-    arr = np.asarray(raw)
+    arr = _array(raw, name)
     if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat):
         try:  # numpy keeps a Python int beyond int64 as an object
             arr = arr.astype(np.float64)
@@ -407,6 +423,17 @@ def _scatter(shape, key, g):
     return buf
 
 
+def _log_factorial(k):
+    out = _LOG_FACTORIALS.take(k + 1, mode="clip")  # an int64 k beyond 12 wraps or clips
+    if not k.size or k.item(k.argmax()) < 13:  # argmax costs a third of a reduction
+        return out
+    x = np.asarray(k, dtype=np.float64) + 1.0
+    p = 1.0 / (x * x)
+    series = functools.reduce(lambda s, c: s * p + c, _SERIES) / x
+    tail = (x - 0.5) * np.log(x) - x + 0.91893853320467274178 + series
+    return np.where(k < 13, out, tail)[()]
+
+
 def _call(fn, shape, *args):
     # the arguments are slots a later call may reuse, or scalars; the result
     # may be an array ``fn`` keeps and writes again, so the slot owns a copy
@@ -453,6 +480,7 @@ _FORWARD = {
     "sqrt": "sqrt(asarray({0}, dtype=float64))",
     "lgamma": "gammaln({0})",
     "sigmoid": "expit(asarray({0}, dtype=float64))",
+    "log_factorial": "log_factorial({0})",
     "sum_all": "asarray(add.reduce({0}, axis=None))",
     "switch": "where({0}, {1}, {2})",  # a nonzero (or NaN) condition picks {1}
     "concat": "concatenate(({a},))",
@@ -482,6 +510,7 @@ _BACKWARD = {
     "sqrt": ("G({g}, 0.5 / {v})",),
     "lgamma": ("G({g}, psi({0}))",),
     "sigmoid": ("{g} * {v} * (1.0 - {v})",),
+    "log_factorial": (None,),
     "sum_all": ("full({s[0]}, float({g}))",),
     "switch": (None, "where({0}, {g}, 0.0)", "where({0}, 0.0, {g})"),
     "index": ("scatter({s[0]}, {k}, {g})",),
@@ -491,9 +520,9 @@ _NAMESPACE = {
     "empty": np.empty, "exp": np.exp, "float64": np.float64, "full": np.full, "inf": np.inf,
     "log": np.log, "power": np.power, "read": point_value, "sign": np.sign, "sqrt": np.sqrt,
     "true_divide": np.true_divide, "where": np.where, "zeros": np.zeros, "G": _guarded,
-    "scatter": _scatter, "call": _call, "NoGradient": NoGradient, "ONE": np.float64(1.0),
-    "ZERO": np.float64(0.0), "IZERO": np.int64(0), "NEG_INF": np.float64(-np.inf),
-    "SEED": np.float64(1.0),
+    "scatter": _scatter, "call": _call, "log_factorial": _log_factorial, "NoGradient": NoGradient,
+    "ONE": np.float64(1.0), "ZERO": np.float64(0.0), "IZERO": np.int64(0),
+    "NEG_INF": np.float64(-np.inf), "SEED": np.float64(1.0),
 }
 
 
@@ -530,13 +559,13 @@ def _rule(node: Expr, j: int) -> str | None:
     return _BACKWARD[node.kind][j]
 
 
-def _define(lines: list[str], ret: str, namespace: dict, args: str = "v") -> Callable:
-    """``def run(args)`` with the body ``lines`` returning ``ret``; a source
-    seen before in this process reuses its code object."""
-    src = f"def run({args}):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {ret}\n"
+def _define(lines: list[str], ret: str, namespace: dict, args="v", name="forward") -> Callable:
+    """``def name(args)`` with the body ``lines`` returning ``ret``, filed under the CRC-32
+    of its source (a profile row each); a source seen before reuses its code object."""
+    src = f"def {name}({args}):\n" + "".join(f"    {x}\n" for x in [*lines, f"return {ret}"])
     scope: dict = {}
-    exec(_compile(src, "<miniprob tape>", "exec"), namespace, scope)
-    return scope["run"]
+    exec(_compile(src, f"<miniprob {zlib.crc32(src.encode()):08x}>", "exec"), namespace, scope)
+    return scope[name]
 
 
 class _Tape:
@@ -712,10 +741,10 @@ class _Tape:
         # the guarded pass, compiled on the first NaN sum and kept, so a
         # NaN-free run compiles one pass per tuple of names; it runs inside
         # the bare pass's ``_quiet``
-        guarded = functools.cache(lambda: _define(lines, "out", self.namespace, "v, p"))
+        guarded = functools.cache(lambda: _define(lines, "out", self.namespace, "v, p", "guarded"))
         bare = dict(self.namespace, G=operator.mul, rerun=lambda v, p: guarded()(v, p))
         ret = "out if (t := add.reduce(out)) == t else rerun(v, p)"
-        self.plans[wrt] = _quiet(_define(lines, ret, bare, "v, p"))
+        self.plans[wrt] = _quiet(_define(lines, ret, bare, "v, p", "backward"))
         return self.plans[wrt]
 
 

@@ -149,6 +149,8 @@ class Model:
                 raise DataError(f"{name}: every entry is masked")
             if not mask.any():
                 mask = None
+        if not np.all(np.isfinite(data if mask is None else data[~mask])):
+            raise OutsideSupport(f"{name}: data must be finite, got {reprlib.repr(data.tolist())}")
 
         miss_var = None
         if mask is None:

@@ -7,14 +7,17 @@ the backward pass pushes adjoints into every child.  Tests compare the tape
 against it byte for byte, except that the sign and payload of a NaN are
 unspecified: numpy's scalar forms, which the tape runs on 0-d slots, may give
 other NaN bits than the 0-d arrays used here.  It computes each node with the
-same numpy and ``scipy.special`` calls as the tape and keeps its own copy of
-the backward pass's elementwise NaN guard, so a mismatch points at input
-reuse, pruning, scalar forms or summation order rather than at a kernel.  ``grad`` returns one array per name, and ``pack``
-lays such a dict out as the tape's gradient vector.
+same numpy and ``scipy.special`` calls as the tape, but ``log_factorial``
+entry by entry, from the exact integer k! up to 12!, and keeps its own copy
+of the backward pass's elementwise NaN guard, so a mismatch points at input
+reuse, pruning, scalar forms or summation order rather than at a kernel.
+``grad`` returns one array per name, and ``pack`` lays such a dict out as
+the tape's gradient vector.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +41,26 @@ def _guarded(adj, local):
     # dead-branch adjoints are exactly zero; 0 * inf or 0 * NaN gives +0.0
     prod = adj * local
     return np.where((adj == 0) & (prod != prod), 0.0, prod)
+
+
+def _log_factorial(k):
+    """log k! one entry at a time: the log of the exact integer k! up to 12!,
+    above it lgamma(k + 1) by the series of cephes' lgam in float64 scalars,
+    and +inf below 0."""
+    def one(n: int) -> float:
+        if n < 0:
+            return np.inf
+        if n <= 12:
+            return math.log(math.factorial(n))
+        x = np.float64(n) + 1.0
+        p = 1.0 / (x * x)
+        s = 8.11614167470508450300e-4
+        for c in (-5.95061904284301438324e-4, 7.93650340457716943945e-4,
+                  -2.77777777730099687205e-3, 8.33333333333331927722e-2):
+            s = s * p + c
+        return (x - 0.5) * np.log(x) - x + 0.91893853320467274178 + s / x
+    k = np.asarray(k)
+    return np.array([one(int(n)) for n in k.flat], dtype=np.float64).reshape(k.shape)[()]
 
 
 def forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:
@@ -81,6 +104,8 @@ def forward(expr: Expr, point: Mapping) -> dict[int, np.ndarray]:
                 v = special.gammaln(values[id(node.operands[0])])
             elif k == "sigmoid":
                 v = special.expit(np.asarray(values[id(node.operands[0])], dtype=np.float64))
+            elif k == "log_factorial":
+                v = _log_factorial(values[id(node.operands[0])])
             elif k == "sum_all":
                 v = np.asarray(np.sum(values[id(node.operands[0])]))
             elif k == "switch":
@@ -145,7 +170,7 @@ def grad(expr: Expr, wrt: Sequence[str], point: Mapping,
             if adj is None:
                 continue
             k = node.kind
-            if k in ("constant", "free_input", "cmp_ge", "cmp_gt"):
+            if k in ("constant", "free_input", "cmp_ge", "cmp_gt", "log_factorial"):
                 continue
             if k == "opaque":
                 if any(id(c) in reaches for c in node.operands):

@@ -165,19 +165,22 @@ def test_sampling_never_imports_scipy_optimize():
 _COLD = """
 import sys
 import miniprob, miniprob.cli
-from miniprob import Nuts, demos, sample, summary
+from miniprob import Model, Nuts, StudentT, demos, sample, summary
 model = demos.linear_model(demos.simulate_linear_data(1))
 summary(sample(model, 40, [Nuts(model)], seed=1))
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy was loaded"
 model = demos.disasters_model()
-assert "scipy.special" in sys.modules
 print(float(model.logp(model.initial_point())).hex())
+demos.run_disasters(100, 1)
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy was loaded"
+Model().add_free("t", StudentT(3.0))
+assert "scipy.special" in sys.modules
 """
 
 
 def test_scipy_loads_only_with_a_graph_that_uses_it():
-    # the linear model has no lgamma, digamma or logistic node; the disasters
-    # Poisson term has lgamma, and its test point logp keeps its bytes
+    # neither the linear nor the disasters model has an lgamma, digamma or
+    # logistic node: Poisson's log k! needs no scipy, and the disasters test
+    # point logp keeps its bytes; StudentT's lgamma loads scipy.special
     src = os.path.dirname(os.path.dirname(os.path.abspath(miniprob.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _COLD], env=env,
@@ -187,10 +190,13 @@ def test_scipy_loads_only_with_a_graph_that_uses_it():
 
 
 def test_special_functions_are_bound_per_tape():
-    linear = demos.linear_model(demos.simulate_linear_data(1))
-    assert "gammaln" not in graph._tape(linear.logp_graph).namespace
-    disasters = demos.disasters_model()
-    assert {"gammaln", "psi", "expit"} <= graph._tape(disasters.logp_graph).namespace.keys()
+    for model in (demos.linear_model(demos.simulate_linear_data(1)), demos.disasters_model()):
+        assert "gammaln" not in graph._tape(model.logp_graph).namespace
+    model = miniprob.Model()
+    model.add_free("t", miniprob.StudentT(3.0))
+    model = model.finalize()
+    model.logp(model.initial_point())
+    assert {"gammaln", "psi", "expit"} <= graph._tape(model.logp_graph).namespace.keys()
 
 
 def test_a_rebuilt_model_compiles_no_source():

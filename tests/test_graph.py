@@ -382,6 +382,79 @@ class TestLgamma:
         assert float(digamma_at(-2.5)) == pytest.approx(fd, abs=1e-6)
 
 
+def log_factorial_at(ks):
+    """The value of a log_factorial node over an int input at ``ks``."""
+    ks = np.asarray(ks, dtype=np.int64)
+    return eval_expr(graph.log_factorial(free_input("k", ks.shape, dtype="int")), {"k": ks})
+
+
+class TestLogFactorial:
+    # exact-integer logs up to 12!, and above them the series gammaln sums
+    def test_bit_equal_to_gammaln_up_to_12(self):
+        from scipy.special import gammaln
+        ks = np.arange(13)
+        want = gammaln(ks + 1.0)
+        assert log_factorial_at(ks).tobytes() == want.tobytes()
+        for k in ks:  # a 0-d slot below the root holds a numpy scalar
+            assert graph._log_factorial(np.int64(k)).tobytes() == want[k].tobytes()
+            assert (eval_expr(graph.log_factorial(free_input("k", (), dtype="int")) * 1.0,
+                              {"k": k}).tobytes() == want[k].tobytes())
+
+    def test_within_2_ulp_of_gammaln_up_to_int64_max(self):
+        from scipy.special import gammaln
+        ks = np.array([13, 20, 100, 170, 171, 254, 255, 256, 257, 1000, 4097, 10 ** 5,
+                       2 ** 31 - 1, 10 ** 12, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 18, 2 ** 62,
+                       2 ** 63 - 1], dtype=np.int64)
+        want = gammaln(ks + 1.0)
+        got = log_factorial_at(ks)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+        assert [float(log_factorial_at(k)) for k in ks] == got.tolist()  # one entry alike
+
+    def test_bit_equal_to_gammaln_where_the_logs_agree(self):
+        # so a Poisson chain keeps its bits where lgamma(k + 1.0) gave them
+        from scipy.special import gammaln
+        ks = np.arange(13, 5000)
+        same = np.array([np.log(k + 1.0) == math.log(k + 1.0) for k in ks])
+        assert same.mean() > 0.99
+        assert log_factorial_at(ks)[same].tobytes() == gammaln(ks + 1.0)[same].tobytes()
+
+    def test_inf_below_zero(self):
+        ks = [-1, -5, -2 ** 63]
+        assert log_factorial_at(ks).tolist() == [np.inf] * 3
+        assert log_factorial_at([3, -1]).tolist() == [math.log(6.0), np.inf]
+        assert [float(log_factorial_at(k)) for k in ks] == [np.inf] * 3
+
+    def test_an_empty_operand_gives_an_empty_value(self):
+        assert log_factorial_at(np.zeros(0)).shape == (0,)
+
+    def test_a_float_operand_is_refused(self):
+        with pytest.raises(ShapeMismatch, match="log_factorial needs an int operand"):
+            graph.log_factorial(free_input("x", ()))
+        with pytest.raises(ShapeMismatch, match="log_factorial needs an int operand"):
+            graph.log_factorial(2.0)
+
+    def test_no_gradient_flows_through_it(self):
+        x = free_input("x", ())
+        k = switch(x > 0.0, const(3), const(4))  # an int node that depends on x
+        value, g = value_and_grad(graph.log_factorial(k) + x, ["x"], {"x": 1.0})
+        assert value == math.log(6.0) + 1.0 and g.tolist() == [1.0]
+
+    def test_poisson_keeps_the_bits_of_lgamma(self):
+        # the Poisson term and its gradient in the rate, against the same
+        # term written with lgamma(k + 1.0)
+        from miniprob.distributions import Poisson
+        rate = free_input("rate", ())
+        k = free_input("k", (12,), dtype="int")
+        core = k * graph.log(rate) - rate - graph.lgamma(k + 1.0)
+        lgamma_form = graph.sum_all(switch((rate > 0.0) * (k >= 0.0), core, -np.inf))
+        rng = np.random.default_rng(5)
+        for r in (0.1, 0.9, 3.1, 11.5):
+            point = {"rate": r, "k": rng.integers(0, 13, 12)}
+            new = value_and_grad(Poisson(rate).logp_expr(k), ["rate"], point)
+            old = value_and_grad(lgamma_form, ["rate"], point)
+            assert [np.asarray(v).tobytes() for v in new] == [np.asarray(v).tobytes() for v in old]
+
+
 def _random_graph(rng, inputs):
     """Random smooth scalar expression of depth <= 6 over the given inputs."""
     exprs = [graph.free_input(name, shape) for name, shape in inputs]

@@ -103,8 +103,15 @@ def _opaque(rng, pool):
     return opaque_deterministic(_half, [e], e.shape)
 
 
-MAKERS = (_binary, _unary, graph.sum_all, _switch, _index, _concat, _constant, _dead, _opaque)
-WEIGHTS = np.array([6.0, 4.0, 1.5, 3.0, 2.0, 2.0, 2.0, 3.0, 0.5])
+def _log_factorial(rng, pool):
+    # over an int node: ``k``, an int constant, or int arithmetic, which may
+    # wrap past int64 to a negative count or reach Stirling's tail
+    return graph.log_factorial(_pick(rng, [e for e in pool if e.dtype == "int"]))
+
+
+MAKERS = (_binary, _unary, graph.sum_all, _switch, _index, _concat, _constant, _dead, _opaque,
+          _log_factorial)
+WEIGHTS = np.array([6.0, 4.0, 1.5, 3.0, 2.0, 2.0, 2.0, 3.0, 0.5, 1.5])
 
 
 def random_graphs(rng) -> tuple:

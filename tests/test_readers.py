@@ -11,7 +11,7 @@ import pytest
 
 from miniprob import graph
 from miniprob.distributions import Normal, Poisson
-from miniprob.exceptions import DataError, MiniprobError
+from miniprob.exceptions import DataError, MiniprobError, OutsideSupport
 from miniprob.glm import build_model
 from miniprob.graph import eval_expr, free_input, opaque_deterministic
 from miniprob.inference import sample
@@ -29,8 +29,25 @@ def _int_constant_beyond_int64():
     return eval_expr(k + BEYOND_INT64, {"k": np.array(1)})
 
 
+def _shape(v):
+    """The shape of the data beside ``v``: its length for a ragged ``v``."""
+    try:
+        return np.shape(v)
+    except ValueError:
+        return (len(v),)
+
+
 def _glm(x):
-    return build_model("y ~ x", {"y": np.ones(np.shape(x)), "x": x})
+    return build_model("y ~ x", {"y": np.ones(_shape(x)), "x": x})
+
+
+RAGGED = [[1.0], [2.0, 3.0]]
+
+
+def _ragged_start():
+    m = Model()
+    m.add_free("x", Normal(), shape=(2, 1))
+    return m.initial_point({"x": RAGGED})
 
 
 # one row per private cast that ``as_dtype`` replaced; each wrapped,
@@ -53,10 +70,13 @@ def _glm(x):
     (lambda: hpd(["a", "b"]), "'a'"),
     (lambda: ess([None] * 200), "None"),
     (lambda: histogram(["1", "2"]), "'1'"),
+    (_ragged_start, "'x' is not rectangular: [[1.0], [2.0, 3.0]]"),
+    (lambda: Model().add_observed("y", Normal(), RAGGED), "'y' is not rectangular"),
 ], ids=["const_beyond_int64", "shape_fraction_in_tuple", "shape_fraction", "shape_string",
         "free_input_shape_fraction", "mask_string", "mask_fraction", "default_beyond_int64",
         "masked_default_beyond_int64", "glm_string", "glm_numeric_string", "glm_none",
-        "stats_numeric_string", "stats_string", "stats_none", "histogram_numeric_string"])
+        "stats_numeric_string", "stats_string", "stats_none", "histogram_numeric_string",
+        "start_ragged", "observed_ragged"])
 def test_a_value_no_reader_takes_exactly_is_named(call, shown):
     with pytest.raises(MiniprobError, match=re.escape(shown)):
         call()
@@ -94,11 +114,30 @@ def test_quantiles_of_no_samples_is_a_data_error():
         quantiles([])
 
 
+@pytest.mark.parametrize("call, shown", [
+    (lambda: Model().add_observed("y", Normal(), [np.nan, 1.0]), "y: data must be finite"),
+    (lambda: Model().add_observed("y", Normal(), [0.0, np.inf, -np.inf], mask=[1, 0, 0]),
+     "y: data must be finite, got [0.0, inf, -inf]"),
+    (lambda: _glm([np.nan, 1.0]), "column 'x' holds a value that is not finite"),
+    (lambda: build_model("y ~ x", {"y": [-np.inf, 1.0], "x": [0.0, 1.0]}), "column 'y'"),
+], ids=["observed_nan", "observed_inf_unmasked", "glm_predictor_nan", "glm_response_inf"])
+def test_observed_data_that_is_not_finite_is_named(call, shown):
+    # it built, and ``finalize`` then blamed "log posterior is nan at the test point"
+    with pytest.raises(OutsideSupport, match=re.escape(shown)):
+        call()
+
+
+def test_masked_entries_may_hold_anything():
+    m = Model()
+    m.add_observed("y", Normal(), [np.nan, 1.0, -np.inf], mask=[True, False, True])
+    assert np.isfinite(m.logp(m.initial_point()))
+
+
 # --- the boundary table: every reader above against one fixed list of bad values
 
 BAD = {"string": "a", "none": None, "nan": np.nan, "inf": np.inf, "fraction": 2.5,
        "negative": -1, "beyond_int64": BEYOND_INT64, "huge": 1e30, "empty": [],
-       "object_array": np.array([1.0, "a"], dtype=object)}
+       "object_array": np.array([1.0, "a"], dtype=object), "ragged": RAGGED}
 
 
 def _same(out, v):
@@ -139,7 +178,7 @@ ENTRIES = [
     ("free_input_shape", lambda v: free_input("x", v).shape, None, _as_counts),
     ("opaque_shape", lambda v: opaque_deterministic(lambda: 0.0, [], v).shape, None,
      _as_counts),
-    ("mask", lambda v: Model().add_observed("y", Normal(), np.zeros(np.shape(v)), mask=v),
+    ("mask", lambda v: Model().add_observed("y", Normal(), np.zeros(_shape(v)), mask=v),
      None, lambda out, v: v is None),
     ("default_testval", lambda v: _default(Poisson(v)), TypeError,
      lambda out, v: out == np.floor(v)),

@@ -6,7 +6,9 @@ fed only by constants runs once, and the pruned backward pass skips only
 adjoints that cannot reach a requested input.
 """
 
+import cProfile
 import itertools
+import pstats
 
 import numpy as np
 import pytest
@@ -238,6 +240,20 @@ def test_zero_adjoint_zeroes_only_its_own_nan():
 
 
 class TestProbe:
+    def test_a_profile_keeps_one_row_per_generated_function(self):
+        # each distinct source is filed under the digest of its text, so
+        # pstats does not fold the forward and backward passes into one row
+        # (``<module>`` is the code that defines each function)
+        model = demos.disasters_model()  # which has run its forward pass at the test point
+        point = {k: v + 0.25 if v.dtype.kind == "f" else v
+                 for k, v in model.initial_point().items()}
+        profile = cProfile.Profile()
+        profile.runcall(model.logp_and_dlogp, point)
+        rows = [(f, name) for f, _, name in pstats.Stats(profile).stats
+                if f.startswith("<miniprob ") and name != "<module>"]
+        assert sorted(name for _, name in rows) == ["backward", "forward"]
+        assert len({f for f, _ in rows}) == 2
+
     def test_guarded_pass_is_generated_on_the_first_nan_only(self, monkeypatch):
         made = []  # per generated function: is it a guarded pass?
         define = graph._define
